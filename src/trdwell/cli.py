@@ -30,6 +30,7 @@ from .coverage import (
 from .errors import DomainError, TrdwellError
 from .microstate import NORMALIZATION_TOL, Microstate
 from .potential import (
+    EIGEN_K_TOL,
     Units,
     bound_state_energies,
     kinematics_from_energies,
@@ -341,7 +342,7 @@ def _cmd_energies(args, cfg: Config):
         "command": "energies",
         "inputs": inputs,
         "outputs": outputs,
-        "metadata": _meta(grid_points=10_000, k_tol=1e-13),
+        "metadata": _meta(k_tol=EIGEN_K_TOL),
     }
     return record, [dict(entry) for entry in listing]
 

@@ -45,8 +45,8 @@ RELATION_UNION_EXCEEDS_COPENHAGEN = "{TR} union {Copenhagen} != {Copenhagen}"
 RELATION_MIXED = "{TR} union {Copenhagen} != {TR} and != {Copenhagen}"
 
 #: Densities at or below this threshold count as excluded support for a
-#: unit-normalized state.  A node refined to 1e-12 in position sits many
-#: orders below it; any point a distance > 1e-9 from a node sits above it.
+#: unit-normalized state.  The density at a closed-form node sits many orders
+#: below it; any point a distance > 1e-9 from a node sits above it.
 NODE_DENSITY_FLOOR = 1e-20
 
 #: Target periods are kept this far (relative) below the slice ceiling so the

@@ -5,6 +5,10 @@ x >= 0, and a square well of half-width q whose walls of height U occupy
 |x| >= q.  Everything downstream works at a single energy 0 < E < U, where
 the classically allowed region carries the travelling wavenumber k and the
 classically forbidden region carries the decay constant kappa.
+
+Square-well bound states need no scan: each parity has exactly one root of
+its matching condition in every other pi/2 interval of k q, so state i is
+found by one bisection inside its own interval.
 """
 
 from __future__ import annotations
@@ -23,10 +27,6 @@ FORBIDDEN = "forbidden"
 PARITY_EVEN = "even"
 PARITY_ODD = "odd"
 PARITY_BOTH = "both"
-
-#: Number of grid points used to bracket eigenvalue sign changes.  The scan is
-#: in k (monotone in E), so granularity is uniform in wavenumber.
-EIGEN_GRID_POINTS = 10_000
 
 #: Absolute bisection width at which an eigenvalue bracket is considered
 #: converged, in units of k.
@@ -178,6 +178,9 @@ def _odd_bracket(k: float, kappa: float, q: float) -> float:
 
 def _bisect(f, lo: float, hi: float, xtol: float) -> float:
     """Plain bisection on a bracketed sign change; deterministic and robust."""
+    # Adjacent floats cannot be split further: above k = 512 their spacing
+    # exceeds EIGEN_K_TOL, and without this every iteration would run.
+    xtol = max(xtol, math.ulp(hi))
     flo = f(lo)
     if flo == 0.0:
         return lo
@@ -206,65 +209,83 @@ def matching_residual(state: BoundState, q: float) -> float:
     return -state.k / math.tan(state.k * q) - state.kappa
 
 
-def bound_state_energies(
-    pot: Potential,
-    units: Units = Units(),
-    parity: str = PARITY_BOTH,
-    grid_points: int = EIGEN_GRID_POINTS,
-) -> tuple[BoundState, ...]:
-    """All bound states of a square well, sorted by increasing energy.
-
-    The matching conditions are scanned in k on a uniform grid over
-    (0, k_max), k_max = sqrt(2 m U)/hbar, using pole-free bracket functions
-    (k sin(kq) - kappa cos(kq) for even parity, k cos(kq) + kappa sin(kq) for
-    odd), so every sign change on the grid is a genuine root.  Each bracket is
-    polished by bisection to ``EIGEN_K_TOL`` in k.  The result is independent
-    of the grid granularity once the grid is finer than half the minimal
-    root spacing.
-    """
+def _well_scales(pot: Potential, units: Units) -> tuple[float, float]:
+    """Half-width q and wavenumber ceiling k_max = sqrt(2 m U)/hbar of a well."""
     if pot.kind != SQUARE_WELL:
         raise DomainError("bound states are defined for the square well only")
-    if parity not in (PARITY_EVEN, PARITY_ODD, PARITY_BOTH):
-        raise DomainError(f"parity must be even, odd or both, got {parity!r}")
-    if grid_points < 2:
-        raise DomainError("grid_points must be at least 2")
+    assert pot.q is not None
+    return pot.q, math.sqrt(2.0 * units.mass * pot.U) / units.hbar
 
-    q = pot.q
-    assert q is not None
-    k_max = math.sqrt(2.0 * units.mass * pot.U) / units.hbar
+
+def _slot_floor(i: int, q: float) -> float:
+    """Lower end i pi/(2q) of ladder slot ``i``, in k."""
+    return i * math.pi / (2.0 * q)
+
+
+def _ladder_size(q: float, k_max: float) -> int:
+    """Number of slots that start below k_max: ceil(2 k_max q / pi).
+
+    The closed form can round across a slot boundary when k_max q sits within
+    rounding of a multiple of pi/2; the slot's own lower end then decides.
+    """
+    size = math.ceil(2.0 * k_max * q / math.pi)
+    if _slot_floor(size - 1, q) >= k_max:
+        return size - 1
+    if _slot_floor(size, q) < k_max:
+        return size + 1
+    return size
+
+
+def _slot_state(i: int, q: float, k_max: float, units: Units) -> BoundState:
+    """Bound state ``i``: the single root of its parity in ladder slot ``i``.
+
+    Even slots hold the even roots, kq in (n pi, n pi + pi/2), and odd slots
+    the odd roots, kq in (n pi + pi/2, (n+1) pi); the pole-free bracket
+    changes sign exactly once across each, the last slot being cut at k_max.
+    """
 
     def kappa_of(k: float) -> float:
         return math.sqrt(max(k_max * k_max - k * k, 0.0))
 
-    brackets = {
-        PARITY_EVEN: lambda k: _even_bracket(k, kappa_of(k), q),
-        PARITY_ODD: lambda k: _odd_bracket(k, kappa_of(k), q),
-    }
-    wanted = (PARITY_EVEN, PARITY_ODD) if parity == PARITY_BOTH else (parity,)
+    bracket, parity = (_even_bracket, PARITY_EVEN) if i % 2 == 0 else (_odd_bracket, PARITY_ODD)
+    hi = min(_slot_floor(i + 1, q), k_max)
+    k = _bisect(lambda k: bracket(k, kappa_of(k), q), _slot_floor(i, q), hi, EIGEN_K_TOL)
+    # A last slot narrower than the tolerance can return its upper end k_max;
+    # the state still lies below the threshold, so keep kappa positive.
+    k = min(k, math.nextafter(k_max, 0.0))
+    E = (units.hbar * k) ** 2 / (2.0 * units.mass)
+    return BoundState(E=E, parity=parity, k=k, kappa=kappa_of(k))
 
-    # Open interval: inset the endpoints so k = 0 and k = k_max (E = U) are
-    # never sampled.
-    inset = k_max * 1e-12
-    step = (k_max - 2.0 * inset) / (grid_points - 1)
 
-    states: list[BoundState] = []
-    for par in wanted:
-        g = brackets[par]
-        k_prev = inset
-        g_prev = g(k_prev)
-        k_last = -math.inf
-        for i in range(1, grid_points):
-            k_next = inset + i * step
-            g_next = g(k_next)
-            if g_prev == 0.0 or (g_prev < 0.0) != (g_next < 0.0):
-                k_root = _bisect(g, k_prev, k_next, EIGEN_K_TOL)
-                # A root landing exactly on a grid point would be bracketed by
-                # both adjacent intervals; keep one copy.
-                if k_root - k_last > 10.0 * EIGEN_K_TOL:
-                    E = (units.hbar * k_root) ** 2 / (2.0 * units.mass)
-                    states.append(BoundState(E=E, parity=par, k=k_root, kappa=kappa_of(k_root)))
-                    k_last = k_root
-            k_prev, g_prev = k_next, g_next
+def bound_state(pot: Potential, units: Units = Units(), index: int = 0) -> BoundState:
+    """Bound state number ``index`` (0-based, ascending energy) of a square well.
 
-    states.sort(key=lambda s: s.E)
-    return tuple(states)
+    Solves only the one ladder slot the state lives in, so the cost does not
+    grow with the depth of the well.
+    """
+    q, k_max = _well_scales(pot, units)
+    size = _ladder_size(q, k_max)
+    if not 0 <= index < size:
+        raise DomainError(f"state index {index} out of range; the well holds {size} states")
+    return _slot_state(index, q, k_max, units)
+
+
+def bound_state_energies(
+    pot: Potential, units: Units = Units(), parity: str = PARITY_BOTH
+) -> tuple[BoundState, ...]:
+    """All bound states of a square well, sorted by increasing energy.
+
+    With k_max = sqrt(2 m U)/hbar, the ladder has one slot per pi/2 of k q
+    below k_max q, so the well holds ceil(2 k_max q / pi) states and state i
+    is the single root in k q in (i pi/2, (i+1) pi/2): even parity for even
+    i, odd parity for odd i.  Each slot is solved by bisection of a pole-free
+    bracket (k sin(kq) - kappa cos(kq) for even parity, k cos(kq) +
+    kappa sin(kq) for odd) to ``EIGEN_K_TOL`` in k; ``parity`` keeps every
+    other slot.
+    """
+    if parity not in (PARITY_EVEN, PARITY_ODD, PARITY_BOTH):
+        raise DomainError(f"parity must be even, odd or both, got {parity!r}")
+    q, k_max = _well_scales(pot, units)
+    first = 1 if parity == PARITY_ODD else 0
+    stride = 1 if parity == PARITY_BOTH else 2
+    return tuple(_slot_state(i, q, k_max, units) for i in range(first, _ladder_size(q, k_max), stride))

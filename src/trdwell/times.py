@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, OptimizationFailure
 from .microstate import Microstate, normalize
@@ -211,6 +210,10 @@ def _inner_max_over_a(objective_of_a, c: float) -> tuple[float, float]:
     The objectives here vanish as a -> 0 or a -> inf and are unimodal in
     log a, so a bounded scalar search on a generous window is exact.
     """
+    # scipy.optimize is imported on first use: it dominates the package's
+    # import time, and most commands never run a search.
+    from scipy.optimize import minimize_scalar
+
     result = minimize_scalar(
         lambda log_a: -objective_of_a(math.exp(log_a), c),
         bounds=(_LOG_A_LO, _LOG_A_HI),
@@ -230,6 +233,8 @@ def _maximize_over_slice(objective, c_abs: float) -> tuple[float, float, float]:
     (relative) are broken toward smaller c, then smaller a.  Returns
     (a, c, value).
     """
+    from scipy.optimize import minimize_scalar
+
     cs = np.linspace(-c_abs, c_abs, _C_GRID_POINTS)
     candidates: list[tuple[float, float, float]] = []
     for c in cs:

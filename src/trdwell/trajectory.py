@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .errors import DomainError, QuadratureFailure, StepUnderflow
 from .microstate import Microstate, RawCoefficients
 from .potential import FORBIDDEN, FREE, Kinematics
@@ -95,6 +93,10 @@ def reduced_action(
         raise DomainError(f"x must be finite or +inf, got {x!r}")
     if x == x_ref and not truncated:
         return 0.0
+
+    # scipy.integrate is imported on first use: it dominates the package's
+    # import time, and most commands never integrate.
+    from scipy.integrate import quad
 
     units = kin.units
 

@@ -21,13 +21,13 @@ from .microstate import Microstate, RawCoefficients
 from .potential import (
     FORBIDDEN,
     FREE,
+    PARITY_ODD,
     SQUARE_WELL,
     STEP_BARRIER,
-    BoundState,
     Kinematics,
     Potential,
     Units,
-    bound_state_energies,
+    bound_state,
 )
 
 BARRIER_SCATTERING = "barrier-scattering"
@@ -298,12 +298,7 @@ def barrier_scattering(kin: Kinematics, pot: Potential | None = None) -> Copenha
 
 def well_eigenstate(pot: Potential, units: Units = Units(), index: int = 0) -> CopenhagenState:
     """Normalized bound state number ``index`` (0-based, ascending energy)."""
-    if pot.kind != SQUARE_WELL:
-        raise DomainError("well eigenstates require a square-well potential")
-    ladder = bound_state_energies(pot, units)
-    if not 0 <= index < len(ladder):
-        raise DomainError(f"state index {index} out of range; the well holds {len(ladder)} states")
-    state: BoundState = ladder[index]
+    state = bound_state(pot, units, index)
     kin = Kinematics(E=state.E, k=state.k, kappa=state.kappa, r=state.kappa / state.k, units=units)
     return CopenhagenState(
         potential=pot, kinematics=kin, kind=WELL_EIGENSTATE, parity=state.parity, index=index
@@ -317,53 +312,30 @@ def copenhagen_density(state: CopenhagenState, x: float) -> float:
     return state.density(x)
 
 
-def find_nodes(
-    state: CopenhagenState, interval: tuple[float, float], grid_points: int = 4001
-) -> tuple[float, ...]:
-    """All zeros of the eigenstate wavefunction inside the open interval.
+def find_nodes(state: CopenhagenState, interval: tuple[float, float]) -> tuple[float, ...]:
+    """All zeros of the eigenstate wavefunction inside the open interval, ascending.
 
     Defined for well eigenstates only: the support question the step scenario
     asks concerns the forbidden side x >= 0, where the density
-    |T|^2 exp(-2 kappa x) never vanishes, so nodes play no role there.  Sign
-    changes of the real wavefunction on a dense grid are polished by
-    bisection to an absolute width of 1e-12.  The ground state returns ().
+    |T|^2 exp(-2 kappa x) never vanishes, so nodes play no role there.  The
+    exterior tails never vanish either, and the interior wavefunction is
+    sin(kx) for odd states and cos(kx) for even ones, so the nodes are the
+    closed forms x = j pi/k (odd) and x = (j + 1/2) pi/k (even) with |x| < q.
+    The ground state returns ().
     """
     if state.kind != WELL_EIGENSTATE:
         raise DomainError("nodes are defined for well eigenstates")
     lo, hi = interval
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise DomainError(f"interval must be finite with lo < hi, got {interval!r}")
-
-    def psi(x: float) -> float:
-        return state.wavefunction(x).real
-
-    inset = (hi - lo) * 1e-12
-    xs = [lo + inset + i * (hi - lo - 2.0 * inset) / (grid_points - 1) for i in range(grid_points)]
-    nodes: list[float] = []
-    prev_x, prev_f = xs[0], psi(xs[0])
-    for x in xs[1:]:
-        f = psi(x)
-        if prev_f == 0.0:
-            nodes.append(prev_x)
-        elif (prev_f < 0.0) != (f < 0.0):
-            a_lo, a_hi, f_lo = prev_x, x, prev_f
-            while a_hi - a_lo > 1e-12:
-                mid = 0.5 * (a_lo + a_hi)
-                f_mid = psi(mid)
-                if f_mid == 0.0:
-                    a_lo = a_hi = mid
-                    break
-                if (f_lo < 0.0) != (f_mid < 0.0):
-                    a_hi = mid
-                else:
-                    a_lo, f_lo = mid, f_mid
-            nodes.append(0.5 * (a_lo + a_hi))
-        prev_x, prev_f = x, f
-    if prev_f == 0.0:
-        nodes.append(prev_x)
-
-    deduped: list[float] = []
-    for node in nodes:
-        if not deduped or node - deduped[-1] > 1e-11:
-            deduped.append(node)
-    return tuple(deduped)
+    q = state.potential.q
+    assert q is not None
+    k = state.kinematics.k
+    lo, hi = max(lo, -q), min(hi, q)
+    if lo >= hi:
+        return ()
+    offset = 0.0 if state.parity == PARITY_ODD else 0.5
+    j_lo = math.floor(lo * k / math.pi - offset)
+    j_hi = math.ceil(hi * k / math.pi - offset)
+    nodes = ((j + offset) * math.pi / k for j in range(j_lo, j_hi + 1))
+    return tuple(x for x in nodes if lo < x < hi)

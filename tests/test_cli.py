@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import trdwell
 from trdwell.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -92,6 +95,25 @@ def test_all_subcommands_have_a_golden_fixture():
         "connect", "sweep",
     }
     assert covered == expected
+
+
+def test_scipy_solvers_load_only_when_used():
+    # scipy.optimize and scipy.integrate dominate import time; importing the
+    # package or listing well energies must not pay for them.
+    script = (
+        "import sys, trdwell\n"
+        "from trdwell.cli import run\n"
+        "loaded = lambda: [m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules]\n"
+        "after_import = loaded()\n"
+        "code = run(['energies', '--U', '1', '--q', '2'])\n"
+        "print(after_import, loaded(), code)\n"
+    )
+    src = str(Path(trdwell.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60, check=True
+    )
+    assert result.stdout.splitlines()[-1] == "[] [] 0"
 
 
 def test_repeat_runs_are_deterministic(capsys):

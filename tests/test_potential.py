@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,8 @@ from trdwell.potential import (
     Kinematics,
     Potential,
     Units,
+    _bisect,
+    bound_state,
     bound_state_energies,
     kinematics_from_energies,
     make_kinematics,
@@ -21,6 +24,7 @@ from trdwell.potential import (
     square_well,
     step_barrier,
 )
+from trdwell.wavefield import well_eigenstate
 
 
 class TestUnits:
@@ -189,3 +193,115 @@ class TestBoundStates:
     def test_rejects_step(self, units):
         with pytest.raises(DomainError):
             bound_state_energies(step_barrier(0.5), units)
+
+
+def test_bisection_stops_at_adjacent_floats():
+    # Above 512 the float spacing exceeds EIGEN_K_TOL, so only the spacing
+    # itself can end the bisection.
+    calls = []
+
+    def f(k):
+        calls.append(k)
+        return -1.0 if k < 1500.3 else 1.0
+
+    root = _bisect(f, 1024.0, 2048.0, EIGEN_K_TOL)
+    assert abs(root - 1500.3) <= math.ulp(1500.3)
+    assert len(calls) <= 60
+
+
+def _scaled_bracket(state, q, k_max):
+    # Pole-free matching residual over its slope scale q k_max: roughly the
+    # distance of state.k from the true root, in units of k.
+    k, kappa = state.k, state.kappa
+    if state.parity == "even":
+        g = k * math.sin(k * q) - kappa * math.cos(k * q)
+    else:
+        g = k * math.cos(k * q) + kappa * math.sin(k * q)
+    return abs(g) / (q * k_max)
+
+
+class TestDeepLadder:
+    # k_max q = 56,569: one state per pi/2 gives 36,013 states, nine times
+    # more than a fixed 10,000-point scan in k can resolve.
+    U, Q = 1e4, 400.0
+
+    @pytest.fixture(scope="class")
+    def ladder(self):
+        return bound_state_energies(square_well(self.U, self.Q))
+
+    def test_count_matches_one_state_per_half_pi(self, ladder):
+        k_max = math.sqrt(2.0 * self.U)
+        assert len(ladder) == math.ceil(2.0 * k_max * self.Q / math.pi) == 36_013
+
+    def test_each_state_in_its_slot_with_alternating_parity(self, ladder):
+        kq = np.array([s.k for s in ladder]) * self.Q
+        slots = np.arange(len(ladder)) * (math.pi / 2.0)
+        assert np.all(slots < kq) and np.all(kq < slots + math.pi / 2.0)
+        assert all(s.parity == ("even" if i % 2 == 0 else "odd") for i, s in enumerate(ladder))
+        assert all(s.kappa > 0.0 for s in ladder)
+
+    def test_matching_residuals_small(self, ladder):
+        k_max = math.sqrt(2.0 * self.U)
+        assert max(_scaled_bracket(s, self.Q, k_max) for s in ladder) <= EIGEN_K_TOL
+
+    def test_against_40_digit_roots(self, ladder):
+        with mpmath.workdps(40):
+            q, k_max = mpmath.mpf(self.Q), mpmath.sqrt(2 * mpmath.mpf(self.U))
+
+            def kappa(k):
+                return mpmath.sqrt(max(k_max**2 - k**2, 0))
+
+            def even(k):
+                return k * mpmath.sin(k * q) - kappa(k) * mpmath.cos(k * q)
+
+            def odd(k):
+                return k * mpmath.cos(k * q) + kappa(k) * mpmath.sin(k * q)
+
+            for i in np.linspace(0, len(ladder) - 1, 20).round().astype(int):
+                lo = i * mpmath.pi / (2 * q)
+                hi = min((i + 1) * mpmath.pi / (2 * q), k_max)
+                root = mpmath.findroot(odd if i % 2 else even, (lo, hi), solver="illinois")
+                assert abs(ladder[i].k - root) <= 10 * EIGEN_K_TOL, i
+
+
+class TestLadderSlots:
+    # 40 states, with non-unit hbar and mass.
+    UNITS = Units(hbar=0.7, mass=1.3)
+
+    @pytest.fixture(scope="class")
+    def pot(self):
+        k_max = math.sqrt(2.0 * self.UNITS.mass * 50.0) / self.UNITS.hbar
+        return square_well(50.0, 39.5 * math.pi / (2.0 * k_max))
+
+    def test_single_state_is_bit_identical_to_ladder_entry(self, pot):
+        ladder = bound_state_energies(pot, self.UNITS)
+        assert len(ladder) == 40
+        assert [bound_state(pot, self.UNITS, i) for i in range(40)] == list(ladder)
+        assert [well_eigenstate(pot, self.UNITS, i).kinematics.k for i in range(40)] == [s.k for s in ladder]
+
+    def test_parity_ladders_are_every_other_slot(self, pot):
+        both = bound_state_energies(pot, self.UNITS)
+        assert bound_state_energies(pot, self.UNITS, parity="even") == both[0::2]
+        assert bound_state_energies(pot, self.UNITS, parity="odd") == both[1::2]
+
+    def test_index_out_of_range(self, pot):
+        with pytest.raises(DomainError, match="holds 40 states"):
+            bound_state(pot, self.UNITS, 40)
+        with pytest.raises(DomainError):
+            bound_state(pot, self.UNITS, -1)
+
+    @pytest.mark.parametrize("n", [1, 2, 13, 19, 26, 35])
+    @pytest.mark.parametrize("nudge", [-1, 0, 1])
+    def test_threshold_wells_hold_only_bound_states(self, n, nudge):
+        # k_max q within rounding of n pi/2: the top slot is empty or nearly
+        # so, and whichever the rounding decides, every state stays bound.
+        U = 0.5
+        q = n * math.pi / 2.0
+        if nudge:
+            q = math.nextafter(q, nudge * math.inf)
+        ladder = bound_state_energies(square_well(U, q))
+        # k_max = 1: the ladder ends with the last slot starting below it.
+        assert len(ladder) in (n, n + 1)
+        assert (len(ladder) - 1) * math.pi / (2.0 * q) < 1.0 <= len(ladder) * math.pi / (2.0 * q)
+        assert all(0.0 < s.kappa and s.k < 1.0 for s in ladder)
+        assert all(s.parity == ("even" if i % 2 == 0 else "odd") for i, s in enumerate(ladder))

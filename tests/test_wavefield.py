@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from trdwell.coverage import NODE_DENSITY_FLOOR
 from trdwell.errors import DegenerateMicrostate, DomainError
 from trdwell.microstate import MONOCHROMATIC, BasisRescale, normalize, transform_basis
 from trdwell.potential import Units, kinematics_from_energies, square_well, step_barrier
@@ -312,3 +313,60 @@ class TestNodes:
     def test_scattering_states_are_refused(self, kin):
         with pytest.raises(DomainError):
             find_nodes(barrier_scattering(kin), (-1.0, 1.0))
+
+
+class TestClosedFormNodes:
+    # 40 states: k_max q = 39.5 pi/2 with k_max = 10.
+    Q = 39.5 * math.pi / 20.0
+
+    @pytest.fixture(scope="class")
+    def states(self):
+        well = square_well(50.0, self.Q)
+        return [well_eigenstate(well, Units(), i) for i in range(40)]
+
+    @staticmethod
+    def closed_form(state, q):
+        # Interior nodes: k x = j pi (odd) or (j + 1/2) pi (even), |x| < q.
+        k, offset = state.kinematics.k, (0.0 if state.parity == "odd" else 0.5)
+        j_max = int(k * q / math.pi) + 1
+        xs = [(j + offset) * math.pi / k for j in range(-j_max - 1, j_max + 1)]
+        return [x for x in xs if abs(x) < q]
+
+    def test_every_state_has_its_index_in_nodes(self, states):
+        for i, state in enumerate(states):
+            nodes = find_nodes(state, (-self.Q, self.Q))
+            assert len(nodes) == i
+            assert nodes == pytest.approx(self.closed_form(state, self.Q), abs=1e-12 * self.Q)
+            # The wavefunction changes sign across each node and nowhere else.
+            cuts = [-self.Q, *nodes, self.Q]
+            signs = [state.wavefunction(0.5 * (a + b)).real > 0.0 for a, b in zip(cuts, cuts[1:])]
+            assert all(s != t for s, t in zip(signs, signs[1:]))
+
+    def test_density_at_nodes_is_below_the_floor(self, states):
+        for state in states:
+            for node in find_nodes(state, (-self.Q, self.Q)):
+                assert copenhagen_density(state, node) < NODE_DENSITY_FLOOR
+
+    def test_intervals_reaching_outside_the_well(self, states):
+        for state in states:
+            inside = find_nodes(state, (-self.Q, self.Q))
+            assert find_nodes(state, (-3.0 * self.Q, 2.0 * self.Q)) == inside
+            assert find_nodes(state, (self.Q, 5.0 * self.Q)) == ()
+            assert find_nodes(state, (-5.0 * self.Q, -self.Q)) == ()
+            assert find_nodes(state, (-1e308, 1e308)) == inside
+            assert find_nodes(state, (1e307, 1e308)) == ()
+
+    def test_clipping_intervals_keep_the_inner_nodes(self, states):
+        lo, hi = -0.37 * self.Q, 0.61 * self.Q
+        for state in states:
+            inside = find_nodes(state, (-self.Q, self.Q))
+            assert find_nodes(state, (lo, hi)) == tuple(x for x in inside if lo < x < hi)
+
+    def test_nodes_on_the_endpoints_are_excluded(self, states):
+        for state in states[4:]:
+            inside = find_nodes(state, (-self.Q, self.Q))
+            assert find_nodes(state, (inside[1], inside[3])) == (inside[2],)
+            assert find_nodes(state, (inside[0], self.Q)) == inside[1:]
+        odd = states[5]
+        assert 0.0 in find_nodes(odd, (-self.Q, self.Q))
+        assert 0.0 not in find_nodes(odd, (0.0, self.Q)) + find_nodes(odd, (-self.Q, 0.0))
