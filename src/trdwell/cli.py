@@ -28,7 +28,7 @@ from .coverage import (
     sw_verdict,
 )
 from .errors import DomainError, TrdwellError
-from .microstate import NORMALIZATION_TOL, Microstate
+from .microstate import NORMALIZATION_TOL, Microstate, normalize
 from .potential import (
     EIGEN_K_TOL,
     Units,
@@ -49,11 +49,7 @@ from .times import (
     max_dwell,
     max_libration,
 )
-from .trajectory import (
-    ENERGY_STEP_SCALE,
-    FORBIDDEN_TRUNCATION_U,
-    sample_trajectory,
-)
+from .trajectory import sample_trajectory
 from .wavefield import canonical_basis, copenhagen_density, qshje_residual, well_eigenstate
 
 
@@ -526,9 +522,7 @@ def _cmd_trajectory(args, cfg: Config):
     kin = kinematics_from_energies(E, U, units)
     ms = _resolve_ms(args)
     basis = canonical_basis(args.region, kin)
-    samples = sample_trajectory(
-        (args.x_start, args.x_stop), args.n, ms, basis, kin, rel_tol=cfg.quad_rel
-    )
+    samples = sample_trajectory((args.x_start, args.x_stop), args.n, ms, basis, kin)
     listing = [
         {"x": s.x, "t": s.t, "W_x": s.W_x, "dWx_dE": s.dWx_dE, "speed": s.speed} for s in samples
     ]
@@ -549,11 +543,7 @@ def _cmd_trajectory(args, cfg: Config):
         "command": "trajectory",
         "inputs": inputs,
         "outputs": {"samples": listing},
-        "metadata": _meta(
-            quad_rel=cfg.quad_rel,
-            fd_step_scale=ENERGY_STEP_SCALE,
-            forbidden_truncation_u=FORBIDDEN_TRUNCATION_U,
-        ),
+        "metadata": _meta(),
     }
     return record, [dict(entry) for entry in listing]
 
@@ -828,13 +818,14 @@ def _cmd_sweep(args, cfg: Config):
         kin = kinematics_from_energies(params["E"], params["U"], units)
         if quantity == "dwell-mono":
             return dwell_time_monochromatic(kin)
+        if quantity == "libration-inf":
+            return libration_infimum_probe(kin, params["q"], params["A"])
+        # A swept coefficient leaves the normalized slice; rescale the triple back onto it.
+        triple = (params["a"], params["b"], params["c"])
+        ms = normalize(*triple) if param in ("a", "b", "c") else Microstate(*triple)
         if quantity == "dwell":
-            ms = Microstate(params["a"], params["b"], params["c"])
             return dwell_time(kin, ms, _SIGN_BY_NAME[args.sign]).t_D
-        if quantity == "libration":
-            ms = Microstate(params["a"], params["b"], params["c"])
-            return libration_period(kin, params["q"], ms)
-        return libration_infimum_probe(kin, params["q"], params["A"])
+        return libration_period(kin, params["q"], ms)
 
     values = [float(v) for v in np.linspace(start, stop, count)]
     points = [{"value": v, "result": evaluate(v)} for v in values]

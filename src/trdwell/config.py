@@ -1,6 +1,6 @@
 """Strict JSON run configuration.
 
-A config file may pin the unit bundle, the potential, default tolerances and
+A config file may pin the unit bundle, the potential, the search epsilon and
 a sweep; command-line flags override whatever it provides.  Validation is
 strict: unknown keys anywhere in the document are rejected by their dotted
 path, and a well without a half-width (or a step with one) is refused.
@@ -48,8 +48,6 @@ class Config:
     units: Units
     potential: Potential | None = None
     epsilon: float = 1e-6
-    quad_rel: float = 1e-10
-    node_density_floor: float = 1e-20
     sweep: SweepSpec | None = None
 
 
@@ -115,28 +113,15 @@ def parse_config(document: dict) -> Config:
             raise ConfigError(str(exc)) from exc
 
     epsilon = 1e-6
-    quad_rel = 1e-10
-    node_density_floor = 1e-20
     if "defaults" in document:
         section = document["defaults"]
         if not isinstance(section, dict):
             raise ConfigError("config key 'defaults' must be an object")
-        _reject_unknown(section, ("epsilon", "tolerances"), "defaults")
+        _reject_unknown(section, ("epsilon",), "defaults")
         if "epsilon" in section:
             epsilon = _number(section, "epsilon", "defaults", positive=True)
             if epsilon >= 2.0:
                 raise ConfigError("defaults.epsilon must be below 2")
-        if "tolerances" in section:
-            tolerances = section["tolerances"]
-            if not isinstance(tolerances, dict):
-                raise ConfigError("defaults.tolerances must be an object")
-            _reject_unknown(tolerances, ("quad_rel", "node_density_floor"), "defaults.tolerances")
-            if "quad_rel" in tolerances:
-                quad_rel = _number(tolerances, "quad_rel", "defaults.tolerances", positive=True)
-            if "node_density_floor" in tolerances:
-                node_density_floor = _number(
-                    tolerances, "node_density_floor", "defaults.tolerances", positive=True
-                )
 
     sweep = None
     if "sweep" in document:
@@ -162,8 +147,6 @@ def parse_config(document: dict) -> Config:
             units=units,
             potential=potential,
             epsilon=epsilon,
-            quad_rel=quad_rel,
-            node_density_floor=node_density_floor,
             sweep=sweep,
         )
     except DomainError as exc:

@@ -288,7 +288,7 @@ _SB_IDEALIZATION_NOTE = (
 )
 _SW_NODE_NOTE = (
     "density support is judged against a floor of 1e-20, far below any "
-    "non-node value on the scan and far above refined node residuals"
+    "non-node value on the scan and far above the density at the closed-form nodes"
 )
 
 

@@ -14,11 +14,11 @@ class DegenerateMicrostate(TrdwellError, ValueError):
 
 
 class QuadratureFailure(TrdwellError, RuntimeError):
-    """A quadrature did not reach the requested accuracy."""
+    """A numerical scan did not settle within its range."""
 
 
 class StepUnderflow(TrdwellError, ValueError):
-    """A finite-difference energy step would leave the open interval (0, U)."""
+    """An energy step would leave (0, U); kept for callers that name it, nothing raises it."""
 
 
 class OptimizationFailure(TrdwellError, RuntimeError):

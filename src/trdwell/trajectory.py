@@ -2,12 +2,13 @@
 
 The reduced action accumulated between two points is the line integral of the
 conjugate momentum; the epoch assigned to a point is the energy derivative of
-that accumulated action at fixed constants of the motion.  Because the
-package works region by region (local coordinates, one basis), the flight
-time is reported as a magnitude plus an orientation flag: absolute directions
-require the interface bookkeeping of a full multi-region assembly, while
-every quantitative statement downstream (dwell, libration) comes from closed
-forms that already encode it.
+that accumulated action at fixed constants of the motion.  Both are closed
+forms on one region, so nothing here integrates or differentiates
+numerically.  Because the package works region by region (local coordinates,
+one basis), the flight time is reported as a magnitude plus an orientation
+flag: absolute directions require the interface bookkeeping of a full
+multi-region assembly, while every quantitative statement downstream (dwell,
+libration) comes from closed forms that already encode it.
 """
 
 from __future__ import annotations
@@ -15,21 +16,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, QuadratureFailure, StepUnderflow
+import numpy as np
+
+from .errors import DomainError, QuadratureFailure
 from .microstate import Microstate, RawCoefficients
 from .potential import FORBIDDEN, FREE, Kinematics
-from .wavefield import RegionBasis, bilinear, conjugate_momentum, gauge_factor
+from .wavefield import RegionBasis, bilinear, check_basis, checked_denominator, gauge_factor
 
-#: Default relative accuracy demanded of the action quadrature.
-QUAD_REL_TOL = 1e-10
-
-#: Improper forbidden-region integrals are truncated 20/kappa past the start
-#: point (dimensionless depth 2*kappa*dx = 40); the discarded tail is below
-#: exp(-40) of the truncated value.
-FORBIDDEN_TRUNCATION_U = 40.0
-
-#: Finite-difference energy step, as a fraction of E.
-ENERGY_STEP_SCALE = 1e-6
+#: Grid points evaluated per numpy pass of the divergence-onset scan; one pass
+#: covers the 60-unit minimum depth plus its 20-unit trailing window.
+_ONSET_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -56,12 +52,41 @@ class FlightTime:
     orientation: int
 
 
-def _check_basis(basis: RegionBasis, kin: Kinematics) -> None:
-    expected = kin.k if basis.region == FREE else kin.kappa
-    if abs(basis.wavenumber - expected) > 1e-9 * expected:
-        raise DomainError(
-            f"basis wavenumber {basis.wavenumber!r} does not match kinematics ({expected!r})"
-        )
+def _check_span(x: float, x_ref: float, basis: RegionBasis) -> None:
+    if not math.isfinite(x_ref):
+        raise DomainError(f"x_ref must be finite, got {x_ref!r}")
+    if math.isinf(x) and (basis.region != FORBIDDEN or x < 0):
+        raise DomainError("only forbidden-region integrals may extend to +inf")
+    if math.isnan(x):
+        raise DomainError(f"x must be finite or +inf, got {x!r}")
+
+
+def _numerator(ms: Microstate | RawCoefficients, basis: RegionBasis, kin: Kinematics) -> float:
+    """N = hbar |W0| sqrt(ab - c^2/4), the constant numerator of W_x = N/D."""
+    return kin.units.hbar * abs(basis.wronskian) * gauge_factor(ms)
+
+
+def _wavenumber_energy_slope(basis: RegionBasis, kin: Kinematics) -> float:
+    """dw/dE: m/(hbar^2 k) in the free region, -m/(hbar^2 kappa) in the forbidden one."""
+    units = kin.units
+    if basis.region == FREE:
+        return units.mass / (units.hbar**2 * kin.k)
+    return -units.mass / (units.hbar**2 * kin.kappa)
+
+
+def _slope(ms, N, w, dw_dE, phi1, phi2, g1, g2):
+    """(D, dW_x/dE) from the basis values and their w-gradients, as floats or arrays.
+
+    See :func:`momentum_energy_derivative` for the formula.
+    """
+    a, b, c = ms.a, ms.b, ms.c
+    D = a * phi1 * phi1 + b * phi2 * phi2 + c * phi1 * phi2
+    dD_dw = 2.0 * a * phi1 * g1 + 2.0 * b * phi2 * g2 + c * (g1 * phi2 + phi1 * g2)
+    return D, (N / w * D - N * dD_dw) / (D * D) * dw_dE
+
+
+def _speed(slope: float) -> float:
+    return math.inf if slope == 0.0 else 1.0 / abs(slope)
 
 
 def reduced_action(
@@ -70,49 +95,57 @@ def reduced_action(
     ms: Microstate | RawCoefficients,
     basis: RegionBasis,
     kin: Kinematics,
-    rel_tol: float = QUAD_REL_TOL,
 ) -> float:
-    """Accumulated reduced action between ``x_ref`` and ``x``.
+    """Accumulated reduced action between ``x_ref`` and ``x``, in closed form.
 
-    Both points must lie in the one region the basis describes.  ``x`` may be
-    +inf in the forbidden region; the integral is then truncated at
-    dimensionless depth ``FORBIDDEN_TRUNCATION_U`` past ``x_ref``, which
-    leaves a relative tail below exp(-40).  Raises
-    :class:`QuadratureFailure` if the quadrature cannot certify ``rel_tol``.
+    With the gauge folded into the coefficients, a' = a alpha^2,
+    b' = b beta^2, c' = c alpha beta and g' = |alpha beta| sqrt(ab - c^2/4),
+    the primitive of W_x is
+
+        free:       hbar [arctan((a' tan wx + c'/2)/g') + j pi],  j = floor(wx/pi + 1/2)
+        forbidden:  hbar arctan((b' e^{2wx} + c'/2)/g').
+
+    The difference of the two endpoint values is evaluated as one angle,
+    atan2 of the cross and dot products of the two arctan arguments' vectors,
+    so a short step deep in the forbidden region keeps its relative
+    accuracy; in the free region j fixes the number of whole turns.  ``x``
+    may be +inf in the forbidden region, where the action closes at
+    hbar atan2(g', b' e^{2 w x_ref} + c'/2), the exact limit.  Both points
+    must lie in the one region the basis describes.
     """
-    _check_basis(basis, kin)
-    if not math.isfinite(x_ref):
-        raise DomainError(f"x_ref must be finite, got {x_ref!r}")
-    truncated = False
+    check_basis(basis, kin)
+    _check_span(x, x_ref, basis)
+    checked_denominator(bilinear(ms, basis, x_ref), x_ref)
+    if math.isfinite(x):
+        checked_denominator(bilinear(ms, basis, x), x)
+    al, be = basis.alpha, basis.beta
+    a, b, c = ms.a * al * al, ms.b * be * be, ms.c * al * be
+    g = abs(al * be) * gauge_factor(ms)
+    w = basis.wavenumber
     if math.isinf(x):
-        if basis.region != FORBIDDEN or x < 0:
-            raise DomainError("only forbidden-region integrals may extend to +inf")
-        x = x_ref + FORBIDDEN_TRUNCATION_U / (2.0 * basis.wavenumber)
-        truncated = True
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite or +inf, got {x!r}")
-    if x == x_ref and not truncated:
-        return 0.0
-
-    # scipy.integrate is imported on first use: it dominates the package's
-    # import time, and most commands never integrate.
-    from scipy.integrate import quad
-
-    units = kin.units
-
-    def integrand(xi: float) -> float:
-        return conjugate_momentum(xi, ms, basis, units)
-
-    value, abserr, *_ = quad(
-        integrand, x_ref, x, epsabs=0.0, epsrel=max(rel_tol / 100.0, 1e-13), limit=200, full_output=1
-    )
-    # The quadrature is asked for two digits more than the contract; accept
-    # the result as long as its error estimate meets the contract itself.
-    if abserr > rel_tol * max(abs(value), 1e-300):
-        raise QuadratureFailure(
-            f"action quadrature on [{x_ref!r}, {x!r}] reached abserr={abserr!r} for value={value!r}"
+        # atan2(g', b' e^{2 w x_ref} + c'/2), both arguments scaled by e^{-w x_ref}
+        lo, hi = math.exp(-w * x_ref), math.exp(w * x_ref)
+        return kin.units.hbar * math.atan2(g * lo, b * hi + 0.5 * c * lo)
+    delta, sigma = w * (x - x_ref), w * (x + x_ref)
+    if basis.region == FORBIDDEN:
+        # atan2(2g' sinh(delta), a' e^-sigma + b' e^sigma + c' cosh(delta)), odd in
+        # delta; both arguments are scaled by e^-m so that no exponent is positive.
+        sign, delta = math.copysign(1.0, delta), abs(delta)
+        m = max(abs(sigma), delta)
+        near, far = math.exp(delta - m), math.exp(-delta - m)
+        angle = math.atan2(
+            -g * near * math.expm1(-2.0 * delta),
+            a * math.exp(-sigma - m) + b * math.exp(sigma - m) + 0.5 * c * (near + far),
         )
-    return value
+        return kin.units.hbar * sign * angle
+    angle = math.atan2(
+        2.0 * g * math.sin(delta),
+        (a + b) * math.cos(delta) + (b - a) * math.cos(sigma) + c * math.sin(sigma),
+    )
+    # The swept angle lies within pi of the half-turn count (j - j_ref) pi.
+    half_turns = math.floor(w * x / math.pi + 0.5) - math.floor(w * x_ref / math.pi + 0.5)
+    turns = round((half_turns * math.pi - angle) / (2.0 * math.pi))
+    return kin.units.hbar * (angle + 2.0 * math.pi * turns)
 
 
 def time_of_flight(
@@ -121,28 +154,23 @@ def time_of_flight(
     ms: Microstate | RawCoefficients,
     basis: RegionBasis,
     kin: Kinematics,
-    rel_tol: float = QUAD_REL_TOL,
 ) -> FlightTime:
     """Flight time between ``x_ref`` and ``x`` at fixed constants of motion.
 
-    Central differences of the reduced action in energy with step
-    h = 1e-6 * E, sharpened by one Richardson extrapolation step (h and h/2),
-    so the leading h^2 error is cancelled.  Raises :class:`StepUnderflow` if
-    E +/- h escapes the open interval (0, U).
+    The reduced action depends on the energy only through w, and W_x = N/D
+    with N proportional to w and D a function of w*x, so
+
+        dW/dE = (dw/dE) (N/w) [x/D(x) - x_ref/D(x_ref)],
+
+    exact at every energy below U.  At ``x`` = +inf (forbidden region only)
+    x/D(x) vanishes.
     """
-    E, U = kin.E, kin.U
-    h = ENERGY_STEP_SCALE * E
-    if not (0.0 < E - h and E + h < U):
-        raise StepUnderflow(f"energy step {h!r} leaves (0, {U!r}) at E={E!r}")
-
-    def action_at(E2: float) -> float:
-        kin2 = kin.at_energy(E2)
-        w2 = kin2.k if basis.region == FREE else kin2.kappa
-        return reduced_action(x, x_ref, ms, basis.with_wavenumber(w2), kin2, rel_tol=rel_tol)
-
-    d_h = (action_at(E + h) - action_at(E - h)) / (2.0 * h)
-    d_h2 = (action_at(E + 0.5 * h) - action_at(E - 0.5 * h)) / h
-    raw = (4.0 * d_h2 - d_h) / 3.0
+    check_basis(basis, kin)
+    _check_span(x, x_ref, basis)
+    lever = 0.0 if math.isinf(x) else x / checked_denominator(bilinear(ms, basis, x), x)
+    lever_ref = x_ref / checked_denominator(bilinear(ms, basis, x_ref), x_ref)
+    scale = _wavenumber_energy_slope(basis, kin) * (_numerator(ms, basis, kin) / basis.wavenumber)
+    raw = scale * (lever - lever_ref)
     orientation = 0 if raw == 0.0 else (1 if raw > 0.0 else -1)
     return FlightTime(t=abs(raw), orientation=orientation)
 
@@ -163,21 +191,11 @@ def momentum_energy_derivative(
     with dw/dE = m/(hbar^2 k) in the free region and -m/(hbar^2 kappa) in the
     forbidden one.
     """
-    _check_basis(basis, kin)
-    units = kin.units
-    w = basis.wavenumber
-    N = units.hbar * abs(basis.wronskian) * gauge_factor(ms)
-    phi1, phi2 = basis.values(x)
-    g1, g2 = basis.wavenumber_gradient(x)
-    a, b, c = ms.a, ms.b, ms.c
-    D = bilinear(ms, basis, x)
-    dD_dw = 2.0 * a * phi1 * g1 + 2.0 * b * phi2 * g2 + c * (g1 * phi2 + phi1 * g2)
-    dWx_dw = (N / w * D - N * dD_dw) / (D * D)
-    if basis.region == FREE:
-        dw_dE = units.mass / (units.hbar**2 * kin.k)
-    else:
-        dw_dE = -units.mass / (units.hbar**2 * kin.kappa)
-    return dWx_dw * dw_dE
+    check_basis(basis, kin)
+    N = _numerator(ms, basis, kin)
+    dw_dE = _wavenumber_energy_slope(basis, kin)
+    phi, grad = basis.values(x), basis.wavenumber_gradient(x)
+    return _slope(ms, N, basis.wavenumber, dw_dE, *phi, *grad)[1]
 
 
 def speed_at(
@@ -187,10 +205,7 @@ def speed_at(
     kin: Kinematics,
 ) -> float:
     """Local trajectory speed 1/|dW_x/dE|; +inf where the derivative vanishes."""
-    slope = momentum_energy_derivative(x, ms, basis, kin)
-    if slope == 0.0:
-        return math.inf
-    return 1.0 / abs(slope)
+    return _speed(momentum_energy_derivative(x, ms, basis, kin))
 
 
 def sample_trajectory(
@@ -199,30 +214,32 @@ def sample_trajectory(
     ms: Microstate | RawCoefficients,
     basis: RegionBasis,
     kin: Kinematics,
-    rel_tol: float = QUAD_REL_TOL,
 ) -> tuple[TrajectorySample, ...]:
     """Uniform n-point sampling of (x, t, W_x, dW_x/dE, speed) on ``x_range``.
 
     Times are flight times from the first point of the range (t = 0 there).
+    Each point evaluates the bilinear denominator D once and shares it
+    between t, W_x = N/D and dW_x/dE.
     """
     x0, x1 = x_range
     if not (math.isfinite(x0) and math.isfinite(x1) and x1 > x0):
         raise DomainError(f"x_range must be finite with x1 > x0, got {x_range!r}")
     if n < 2:
         raise DomainError(f"need at least two samples, got {n!r}")
+    check_basis(basis, kin)
+    N = _numerator(ms, basis, kin)
+    w = basis.wavenumber
+    dw_dE = _wavenumber_energy_slope(basis, kin)
+    scale = dw_dE * (N / w)
     samples = []
     for i in range(n):
         x = x0 + (x1 - x0) * i / (n - 1)
-        t = 0.0 if i == 0 else time_of_flight(x, x0, ms, basis, kin, rel_tol=rel_tol).t
-        samples.append(
-            TrajectorySample(
-                x=x,
-                t=t,
-                W_x=conjugate_momentum(x, ms, basis, kin.units),
-                dWx_dE=momentum_energy_derivative(x, ms, basis, kin),
-                speed=speed_at(x, ms, basis, kin),
-            )
-        )
+        D, slope = _slope(ms, N, w, dw_dE, *basis.values(x), *basis.wavenumber_gradient(x))
+        lever = x / checked_denominator(D, x)
+        if i == 0:
+            lever0 = lever
+        t = abs(scale * (lever - lever0))
+        samples.append(TrajectorySample(x=x, t=t, W_x=N / D, dWx_dE=slope, speed=_speed(slope)))
     return tuple(samples)
 
 
@@ -238,31 +255,45 @@ def divergence_onset(
     depth u = 2*kappa*x) and returns one grid step past the last point at or
     below the floor.  The exponential growth of the speed guarantees the tail
     stays above any finite floor, which the scan confirms over a 20-unit
-    trailing window; the fixed grid makes X monotone in the floor.
+    trailing window once u >= 60; the fixed grid makes X monotone in the
+    floor.  The grid is evaluated in numpy chunks; points whose speed lies
+    within 1e-9 of the floor are re-evaluated with :func:`speed_at`, so the
+    verdict at every grid point is the scalar one.
     """
     if basis.region != FORBIDDEN:
         raise DomainError("speed divergence is a forbidden-region phenomenon")
-    _check_basis(basis, kin)
+    check_basis(basis, kin)
     if not (math.isfinite(speed_floor) and speed_floor > 0.0):
         raise DomainError(f"speed_floor must be finite and positive, got {speed_floor!r}")
-    kappa = basis.wavenumber
+    kappa, al, be = basis.wavenumber, basis.alpha, basis.beta
+    N = _numerator(ms, basis, kin)
+    dw_dE = _wavenumber_energy_slope(basis, kin)
     du = 0.01
-    last_below = None
-    above_run = 0
-    i = 0
+    last_below = -1  # grid index of the last speed at or below the floor
+    start = 0
     while True:
+        i = np.arange(start, start + _ONSET_CHUNK)
         u = i * du
         x = u / (2.0 * kappa)
-        if speed_at(x, ms, basis, kin) <= speed_floor:
-            last_below = u
-            above_run = 0
-        else:
-            above_run += 1
-        if u >= 60.0 and above_run >= 2000:
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            decay, growth = np.exp(-kappa * x), np.exp(kappa * x)
+            _, slope = _slope(
+                ms, N, kappa, dw_dE, al * decay, be * growth, -al * x * decay, be * x * growth
+            )
+            speed = 1.0 / np.abs(slope)
+        below = speed <= speed_floor
+        for j in np.flatnonzero(np.abs(speed - speed_floor) <= 1e-9 * speed_floor):
+            below[j] = speed_at(float(x[j]), ms, basis, kin) <= speed_floor
+        last = np.maximum.accumulate(np.where(below, i, last_below))
+        settled = (u >= 60.0) & (i - last >= 2000)
+        hits = np.flatnonzero(settled | (u > 5000.0))
+        if hits.size:
+            if not settled[hits[0]]:
+                raise QuadratureFailure("speed never settled above the floor within the scan range")
+            last_below = int(last[hits[0]])
             break
-        if u > 5000.0:
-            raise QuadratureFailure("speed never settled above the floor within the scan range")
-        i += 1
-    if last_below is None:
+        last_below = int(last[-1])
+        start += _ONSET_CHUNK
+    if last_below < 0:
         return 0.0
-    return (last_below + du) / (2.0 * kappa)
+    return (last_below * du + du) / (2.0 * kappa)

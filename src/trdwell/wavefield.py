@@ -38,6 +38,18 @@ WELL_EIGENSTATE = "well-eigenstate"
 _WAVENUMBER_MATCH_RTOL = 1e-9
 
 
+def _exp(v: float) -> float:
+    """math.exp, saturating to +inf past the float range instead of raising.
+
+    Deep in the forbidden region the basis then overflows to inf, and the
+    bilinear denominator's finiteness check reports a typed error.
+    """
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class RegionBasis:
     """Two independent stationary solutions on one region, in local coordinates.
@@ -82,20 +94,20 @@ class RegionBasis:
         w = self.wavenumber
         if self.region == FREE:
             return self.alpha * math.sin(w * x), self.beta * math.cos(w * x)
-        return self.alpha * math.exp(-w * x), self.beta * math.exp(w * x)
+        return self.alpha * _exp(-w * x), self.beta * _exp(w * x)
 
     def derivatives(self, x: float) -> tuple[float, float]:
         w = self.wavenumber
         if self.region == FREE:
             return self.alpha * w * math.cos(w * x), -self.beta * w * math.sin(w * x)
-        return -self.alpha * w * math.exp(-w * x), self.beta * w * math.exp(w * x)
+        return -self.alpha * w * _exp(-w * x), self.beta * w * _exp(w * x)
 
     def wavenumber_gradient(self, x: float) -> tuple[float, float]:
         """d(phi1)/dw and d(phi2)/dw at fixed position."""
         w = self.wavenumber
         if self.region == FREE:
             return self.alpha * x * math.cos(w * x), -self.beta * x * math.sin(w * x)
-        return -self.alpha * x * math.exp(-w * x), self.beta * x * math.exp(w * x)
+        return -self.alpha * x * _exp(-w * x), self.beta * x * _exp(w * x)
 
     def with_wavenumber(self, w: float) -> "RegionBasis":
         return RegionBasis(self.region, w, self.alpha, self.beta)
@@ -127,6 +139,25 @@ def bilinear(ms: Microstate | RawCoefficients, basis: RegionBasis, x: float) -> 
     return ms.a * phi1 * phi1 + ms.b * phi2 * phi2 + ms.c * phi1 * phi2
 
 
+def checked_denominator(D: float, x: float) -> float:
+    """``D``, the bilinear denominator at ``x``, if positive and finite.
+
+    Raises :class:`DegenerateMicrostate` otherwise.
+    """
+    if not (D > 0.0 and math.isfinite(D)):
+        raise DegenerateMicrostate(f"bilinear denominator {D!r} at x={x!r} is not positive")
+    return D
+
+
+def check_basis(basis: RegionBasis, kin: Kinematics) -> None:
+    """Raise :class:`DomainError` unless the basis wavenumber matches the kinematics."""
+    expected = kin.k if basis.region == FREE else kin.kappa
+    if abs(basis.wavenumber - expected) > _WAVENUMBER_MATCH_RTOL * expected:
+        raise DomainError(
+            f"basis wavenumber {basis.wavenumber!r} does not match kinematics ({expected!r})"
+        )
+
+
 def bilinear_with_derivatives(
     ms: Microstate | RawCoefficients, basis: RegionBasis, x: float
 ) -> tuple[float, float, float]:
@@ -150,10 +181,7 @@ def conjugate_momentum(
     convention of the basis ordering gives the same field.
     """
     numerator = units.hbar * abs(basis.wronskian) * gauge_factor(ms)
-    D = bilinear(ms, basis, x)
-    if not (D > 0.0 and math.isfinite(D)):
-        raise DegenerateMicrostate(f"bilinear denominator {D!r} at x={x!r} is not positive")
-    return numerator / D
+    return numerator / checked_denominator(bilinear(ms, basis, x), x)
 
 
 def momentum_derivatives(
@@ -167,9 +195,7 @@ def momentum_derivatives(
     """
     N = units.hbar * abs(basis.wronskian) * gauge_factor(ms)
     D, Dp, Dpp = bilinear_with_derivatives(ms, basis, x)
-    if not (D > 0.0 and math.isfinite(D)):
-        raise DegenerateMicrostate(f"bilinear denominator {D!r} at x={x!r} is not positive")
-    W_x = N / D
+    W_x = N / checked_denominator(D, x)
     W_xx = -N * Dp / (D * D)
     W_xxx = -N * Dpp / (D * D) + 2.0 * N * Dp * Dp / (D * D * D)
     return W_x, W_xx, W_xxx
@@ -188,11 +214,7 @@ def qshje_residual(x: float, ms: Microstate | RawCoefficients, basis: RegionBasi
     +(hbar kappa)^2/2m when forbidden), which keeps the check exact for the
     kinematics the basis was built from.
     """
-    expected = kin.k if basis.region == FREE else kin.kappa
-    if abs(basis.wavenumber - expected) > _WAVENUMBER_MATCH_RTOL * expected:
-        raise DomainError(
-            f"basis wavenumber {basis.wavenumber!r} does not match kinematics ({expected!r})"
-        )
+    check_basis(basis, kin)
     hbar, m = kin.units.hbar, kin.units.mass
     if basis.region == FREE:
         v_minus_e = -((hbar * kin.k) ** 2) / (2.0 * m)

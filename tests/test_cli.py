@@ -10,6 +10,9 @@ import pytest
 
 import trdwell
 from trdwell.cli import run
+from trdwell.microstate import normalize
+from trdwell.potential import kinematics_from_energies
+from trdwell.times import SIGN_PLUS, dwell_time
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -99,21 +102,24 @@ def test_all_subcommands_have_a_golden_fixture():
 
 def test_scipy_solvers_load_only_when_used():
     # scipy.optimize and scipy.integrate dominate import time; importing the
-    # package or listing well energies must not pay for them.
+    # package, listing well energies, sampling a trajectory or checking the
+    # QSHJE residual must not pay for them.
+    golden = dict(GOLDEN_CASES)
+    argvs = [golden[name] for name in ("energies.json", "trajectory.csv", "qshje-check.json")]
     script = (
         "import sys, trdwell\n"
         "from trdwell.cli import run\n"
         "loaded = lambda: [m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules]\n"
         "after_import = loaded()\n"
-        "code = run(['energies', '--U', '1', '--q', '2'])\n"
-        "print(after_import, loaded(), code)\n"
+        f"codes = [run(argv) for argv in {argvs!r}]\n"
+        "print(after_import, loaded(), codes)\n"
     )
     src = str(Path(trdwell.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60, check=True
     )
-    assert result.stdout.splitlines()[-1] == "[] [] 0"
+    assert result.stdout.splitlines()[-1] == "[] [] [0, 0, 0]"
 
 
 def test_repeat_runs_are_deterministic(capsys):
@@ -163,6 +169,15 @@ class TestExitCodes:
     def test_degenerate_microstate_is_domain(self, capsys):
         assert run(["dwell", "--E", "0.18", "--U", "0.5", "--a", "1", "--b", "1", "--c", "2"]) == 2
         capsys.readouterr()
+
+    def test_overflow_deep_in_the_barrier_is_domain(self, capsys):
+        # e^{kappa x} leaves the float range at x = 1000; the basis saturates
+        # and the denominator check reports it instead of an OverflowError.
+        region = ["--E", "0.18", "--U", "0.5", "--region", "forbidden"]
+        assert run(["qshje-check", *region, "--x", "1000"]) == 2
+        argv = ["trajectory", *region, "--x-start", "0", "--x-stop", "1000", "--n", "2"]
+        assert run(argv) == 2
+        assert "bilinear denominator" in capsys.readouterr().err
 
     def test_infeasible_connection_is_domain(self, capsys):
         argv = [
@@ -232,6 +247,18 @@ class TestOutputPlumbing:
         assert run(argv) == 0
         text = capsys.readouterr().out
         assert len(text.splitlines()) == 12
+
+    def test_sweep_over_a_coefficient_normalizes_the_triple(self, capsys):
+        argv = [
+            "sweep", "--quantity", "dwell", "--param", "c", "--start", "0", "--stop", "1.9",
+            "--count", "5", "--E", "0.18", "--U", "0.5",
+        ]
+        assert run(argv) == 0
+        points = json.loads(capsys.readouterr().out)["outputs"]["points"]
+        kin = kinematics_from_energies(0.18, 0.5)
+        assert [p["value"] for p in points] == [0.0, 0.475, 0.95, 1.4249999999999998, 1.9]
+        for p in points:
+            assert p["result"] == dwell_time(kin, normalize(1.0, 1.0, p["value"]), SIGN_PLUS).t_D
 
     def test_trajectory_csv_is_plot_ready(self, capsys):
         argv = [

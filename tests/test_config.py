@@ -12,8 +12,6 @@ def test_minimal_document_fills_defaults():
     assert cfg.units.hbar == 1.0 and cfg.units.mass == 1.0
     assert cfg.potential.kind == "step" and cfg.potential.U == 0.5
     assert cfg.epsilon == 1e-6
-    assert cfg.quad_rel == 1e-10
-    assert cfg.node_density_floor == 1e-20
     assert cfg.sweep is None
 
 
@@ -31,8 +29,8 @@ def test_unknown_top_level_key_named_in_the_error():
 def test_unknown_nested_key_reported_with_dotted_path():
     with pytest.raises(ConfigError, match="units.bar"):
         parse_config({"units": {"bar": 2}})
-    with pytest.raises(ConfigError, match="defaults.tolerances.abs"):
-        parse_config({"defaults": {"tolerances": {"abs": 1e-3}}})
+    with pytest.raises(ConfigError, match="defaults.foo"):
+        parse_config({"defaults": {"foo": 1e-3}})
 
 
 def test_well_requires_half_width():
@@ -70,12 +68,14 @@ def test_epsilon_range():
         parse_config({"defaults": {"epsilon": 0.0}})
 
 
-def test_tolerance_overrides():
-    cfg = parse_config(
-        {"defaults": {"tolerances": {"quad_rel": 1e-8, "node_density_floor": 1e-18}}}
-    )
-    assert cfg.quad_rel == 1e-8
-    assert cfg.node_density_floor == 1e-18
+def test_removed_tolerance_keys_are_unknown():
+    # quad_rel went with the action quadrature; node_density_floor was never
+    # read (coverage uses NODE_DENSITY_FLOOR).  Old files fail loudly.
+    for tolerances in ({"quad_rel": 1e-8}, {"node_density_floor": 1e-18}, {}):
+        with pytest.raises(ConfigError, match="defaults.tolerances"):
+            parse_config({"defaults": {"tolerances": tolerances}})
+    assert not hasattr(DEFAULT_CONFIG, "quad_rel")
+    assert not hasattr(DEFAULT_CONFIG, "node_density_floor")
 
 
 class TestSweep:

@@ -1,13 +1,17 @@
 """Reduced action, energy-derivative flight times, speeds and the divergence onset."""
 
 import math
+import random
 
-import numpy as np
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from trdwell.errors import DomainError, StepUnderflow
-from trdwell.microstate import MONOCHROMATIC, normalize
+from trdwell.errors import DomainError, QuadratureFailure
+from trdwell.microstate import MONOCHROMATIC, BasisRescale, RawCoefficients, normalize, transform_basis
 from trdwell.potential import Units, kinematics_from_energies
 from trdwell.trajectory import (
     divergence_onset,
@@ -30,6 +34,97 @@ def _mono_flight(x, kin):
     # d(action)/dE at fixed coefficients: -(m x / (hbar kappa)) * sech(2 kappa x)
     u = 2.0 * kin.kappa * x
     return -kin.units.mass * x / (kin.units.hbar * kin.kappa * math.cosh(u))
+
+
+def _mp_parts(ms, basis, kin):
+    """40-digit basis, gauge-folded coefficients, N and dw/dE of one region."""
+    a, b, c = (mpmath.mpf(v) for v in (ms.a, ms.b, ms.c))
+    al, be, w = mpmath.mpf(basis.alpha), mpmath.mpf(basis.beta), mpmath.mpf(basis.wavenumber)
+    hbar, m = mpmath.mpf(kin.units.hbar), mpmath.mpf(kin.units.mass)
+    if basis.region == "free":
+        phi = lambda xi, w=w: (al * mpmath.sin(w * xi), be * mpmath.cos(w * xi))  # noqa: E731
+        W0, dw_dE = w * abs(al * be), m / (hbar**2 * mpmath.mpf(kin.k))
+    else:
+        phi = lambda xi, w=w: (al * mpmath.exp(-w * xi), be * mpmath.exp(w * xi))  # noqa: E731
+        W0, dw_dE = 2 * w * abs(al * be), -m / (hbar**2 * mpmath.mpf(kin.kappa))
+    N_over_w = hbar * W0 / w * mpmath.sqrt(a * b - c * c / 4)
+    return (a, b, c), phi, w, N_over_w, dw_dE, hbar
+
+
+def _mp_action_and_time(x, x_ref, ms, basis, kin):
+    """Quadrature oracle: 40-digit integrals of W_x and of its energy derivative.
+
+    W_x = N(w)/D(w, xi) with N proportional to w, so at fixed position
+    dW_x/dE = dw/dE * d/dw [N/D], taken here by 40-digit differentiation.
+    """
+    with mpmath.workdps(40):
+        (a, b, c), phi, w0, N_over_w, dw_dE, _ = _mp_parts(ms, basis, kin)
+
+        def W_x(xi, w):
+            p1, p2 = phi(xi, w)
+            return N_over_w * w / (a * p1 * p1 + b * p2 * p2 + c * p1 * p2)
+
+        lo = mpmath.mpf(x_ref)
+        if math.isinf(x):
+            nodes = [lo + s / w0 for s in (0, 1, 4, 16)] + [mpmath.inf]
+        else:
+            pieces = int(abs(x - x_ref) * float(w0)) + 1
+            nodes = [lo + (mpmath.mpf(x) - lo) * j / pieces for j in range(pieces + 1)]
+        action = mpmath.quad(lambda xi: W_x(xi, w0), nodes)
+        slope = lambda xi: mpmath.diff(lambda w: W_x(xi, w), w0)  # noqa: E731
+        time = mpmath.quad(slope, nodes) * dw_dE
+        return action, time
+
+
+def _mp_primitive(x, x_ref, ms, basis, kin):
+    """Closed-form oracle: the arctan primitive at 40 digits, its time by d/dw."""
+    with mpmath.workdps(40):
+        (a, b, c), phi, w0, N_over_w, dw_dE, hbar = _mp_parts(ms, basis, kin)
+        al, be = mpmath.mpf(basis.alpha), mpmath.mpf(basis.beta)
+        a, b, c = a * al**2, b * be**2, c * al * be
+        g = mpmath.sqrt(a * b - c * c / 4)
+
+        def F(xi, w):
+            if basis.region == "free":
+                theta = w * xi
+                j = mpmath.floor(theta / mpmath.pi + mpmath.mpf(1) / 2)
+                return mpmath.atan((a * mpmath.tan(theta) + c / 2) / g) + j * mpmath.pi
+            if xi == mpmath.inf:
+                return mpmath.pi / 2
+            return mpmath.atan((b * mpmath.exp(2 * w * xi) + c / 2) / g)
+
+        xi = mpmath.inf if math.isinf(x) else mpmath.mpf(x)
+        S = lambda w: F(xi, w) - F(mpmath.mpf(x_ref), w)  # noqa: E731
+        return hbar * S(w0), hbar * mpmath.diff(S, w0) * dw_dE
+
+
+# (E/U, U, hbar, mass): ordinary, E -> 0 with r >> 1, and U - E = 1e-12 U with r << 1
+_SCENARIOS = {
+    "mid": (0.36, 0.5, 0.7, 1.3),
+    "E->0": (1e-10, 2.0, 1.0, 1.0),
+    "top": (1.0 - 1e-12, 3.0, 1.4, 0.6),
+}
+
+
+def _oracle_case(scenario, region, mode):
+    E_over_U, U, hbar, mass = _SCENARIOS[scenario]
+    kin = kinematics_from_energies(E_over_U * U, U, Units(hbar, mass))
+    basis = canonical_basis(region, kin)
+    ms = normalize(2.0, 1.0, 1.5)
+    if mode == "gauge":
+        raw, _ = transform_basis(ms, BasisRescale(0.6, -2.5))
+        return raw, basis.rescaled(0.6, -2.5), kin
+    if mode == "raw":
+        return RawCoefficients(3.0, 0.5, -1.9), basis, kin
+    return ms, basis, kin
+
+
+# (w x_ref, w x): short and long spans, several poles of tan, a deep short
+# forbidden step, and the full forbidden depth
+_SPANS = {
+    "free": ((0.0, 0.3), (1.1, 7.5), (-3.0, 4.0), (0.4, 40.0)),
+    "forbidden": ((0.0, 0.05), (0.4, 3.0), (7.5, 7.75), (0.0, 12.0), (0.3, math.inf)),
+}
 
 
 def test_action_vanishes_at_the_reference(kin):
@@ -74,12 +169,13 @@ def test_action_to_infinity_saturates(kin):
 
 
 def test_improper_integrals_restricted_to_the_forbidden_side(kin):
-    with pytest.raises(DomainError):
-        reduced_action(math.inf, 0.0, MONOCHROMATIC, canonical_basis("free", kin), kin)
-    with pytest.raises(DomainError):
-        reduced_action(-math.inf, 0.0, MONOCHROMATIC, canonical_basis("forbidden", kin), kin)
-    with pytest.raises(DomainError):
-        reduced_action(1.0, math.inf, MONOCHROMATIC, canonical_basis("forbidden", kin), kin)
+    for func in (reduced_action, time_of_flight):
+        with pytest.raises(DomainError):
+            func(math.inf, 0.0, MONOCHROMATIC, canonical_basis("free", kin), kin)
+        with pytest.raises(DomainError):
+            func(-math.inf, 0.0, MONOCHROMATIC, canonical_basis("forbidden", kin), kin)
+        with pytest.raises(DomainError):
+            func(1.0, math.inf, MONOCHROMATIC, canonical_basis("forbidden", kin), kin)
 
 
 def test_basis_must_match_kinematics(kin):
@@ -99,12 +195,13 @@ class TestFlightTime:
     def test_monochromatic_closed_form(self, kin):
         basis = canonical_basis("forbidden", kin)
         ft = time_of_flight(1.0, 0.0, MONOCHROMATIC, basis, kin)
-        assert ft.t == pytest.approx(0.48497273655815315, rel=1e-12)
+        # m x / (hbar kappa cosh(2 kappa x)) at x = 1, kappa = 0.8
+        assert ft.t == pytest.approx(0.4849727373431118, rel=1e-12)
         assert ft.orientation == -1
         for x in (0.3, 0.9, 2.0):
             ft = time_of_flight(x, 0.0, MONOCHROMATIC, basis, kin)
             raw = _mono_flight(x, kin)
-            assert ft.t == pytest.approx(abs(raw), rel=1e-8)
+            assert ft.t == pytest.approx(abs(raw), rel=1e-12)
             assert ft.orientation == int(math.copysign(1.0, raw))
 
     def test_free_monochromatic_is_ballistic(self, kin):
@@ -113,14 +210,19 @@ class TestFlightTime:
             ft = time_of_flight(x, 0.0, MONOCHROMATIC, basis, kin)
             # dW/dE = x * dk/dE * hbar = x m/(hbar k): time of flight at speed hbar k/m
             expected = x * kin.units.mass / (kin.units.hbar * kin.k)
-            assert ft.t == pytest.approx(expected, rel=1e-8)
+            assert ft.t == pytest.approx(expected, rel=1e-12)
             assert ft.orientation == 1
 
-    def test_energy_step_underflow_near_the_top(self):
+    def test_near_the_top_matches_mpmath(self):
+        # U - E = 1e-9 U: no energy step fits below the barrier, but the
+        # closed form needs none.
         kin = kinematics_from_energies(0.5 * (1.0 - 1e-9), 0.5)
         basis = canonical_basis("forbidden", kin)
-        with pytest.raises(StepUnderflow):
-            time_of_flight(1.0, 0.0, MONOCHROMATIC, basis, kin)
+        for x in (1.0, 3e4):
+            ft = time_of_flight(x, 0.0, MONOCHROMATIC, basis, kin)
+            _, expected = _mp_action_and_time(x, 0.0, MONOCHROMATIC, basis, kin)
+            assert ft.orientation == -1
+            assert ft.t == pytest.approx(float(-expected), rel=1e-13, abs=0.0)
 
 
 class TestSpeed:
@@ -245,3 +347,148 @@ class TestDivergenceOnset:
         v0 = speed_at(0.0, MONOCHROMATIC, basis, kin)
         X = divergence_onset(kin, MONOCHROMATIC, basis, v0 * 0.5)
         assert X >= 0.0
+
+
+def _assert_matches_oracle(x, x_ref, ms, basis, kin, oracle):
+    action, time = oracle(x, x_ref, ms, basis, kin)
+    assert reduced_action(x, x_ref, ms, basis, kin) == pytest.approx(float(action), rel=1e-13, abs=0.0)
+    ft = time_of_flight(x, x_ref, ms, basis, kin)
+    assert ft.t * ft.orientation == pytest.approx(float(time), rel=1e-13, abs=0.0)
+
+
+class TestMpmathOracles:
+    """Closed forms against 40-digit oracles, to 1e-13 relative."""
+
+    @pytest.mark.parametrize("scenario", sorted(_SCENARIOS))
+    @pytest.mark.parametrize("region", ["free", "forbidden"])
+    @pytest.mark.parametrize("mode", ["ms", "gauge", "raw"])
+    def test_against_the_arctan_primitive(self, scenario, region, mode):
+        ms, basis, kin = _oracle_case(scenario, region, mode)
+        w = basis.wavenumber
+        for theta_ref, theta in _SPANS[region]:
+            x_ref, x = theta_ref / w, theta / w
+            _assert_matches_oracle(x, x_ref, ms, basis, kin, _mp_primitive)
+
+    @pytest.mark.parametrize(
+        "scenario,region,mode,span",
+        [
+            ("mid", "free", "ms", (1.1, 5.0)),
+            ("mid", "free", "raw", (-2.0, 2.0)),
+            ("mid", "forbidden", "gauge", (0.4, 3.0)),
+            ("mid", "forbidden", "ms", (0.3, math.inf)),
+            ("E->0", "forbidden", "raw", (7.5, 7.75)),
+            ("top", "free", "gauge", (0.0, 2.0)),
+        ],
+    )
+    def test_against_quadrature(self, scenario, region, mode, span):
+        ms, basis, kin = _oracle_case(scenario, region, mode)
+        x_ref, x = (theta / basis.wavenumber for theta in span)
+        _assert_matches_oracle(x, x_ref, ms, basis, kin, _mp_action_and_time)
+
+
+def test_forbidden_action_where_e_to_the_sum_overflows(kin):
+    # kappa (x + x_ref) = 710.3 overflows e^(...), yet D stays finite for b = 1/2.
+    # The action there is subnormal (~1e-309), which leaves about 13 digits.
+    basis = canonical_basis("forbidden", kin)
+    ms = normalize(2.0, 0.5, 0.0)
+    x_ref, x = 355.1 / kin.kappa, 355.2 / kin.kappa
+    action, _ = _mp_action_and_time(x, x_ref, ms, basis, kin)
+    assert reduced_action(x, x_ref, ms, basis, kin) == pytest.approx(float(action), rel=1e-11, abs=0.0)
+    assert reduced_action(x_ref, x, ms, basis, kin) == pytest.approx(-float(action), rel=1e-11, abs=0.0)
+
+
+_coefficients = st.tuples(
+    st.floats(min_value=0.05, max_value=20.0), st.floats(min_value=-1.95, max_value=1.95)
+).map(lambda ac: normalize(ac[0], (1.0 + 0.25 * ac[1] ** 2) / ac[0], ac[1]))
+
+
+class TestActionProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        region=st.sampled_from(["free", "forbidden"]),
+        ms=_coefficients,
+        thetas=st.lists(st.floats(min_value=-12.0, max_value=12.0), min_size=3, max_size=3),
+    )
+    def test_additive_along_the_path(self, region, ms, thetas):
+        kin = kinematics_from_energies(0.18, 0.5)
+        basis = canonical_basis(region, kin)
+        x0, x1, x2 = (theta / basis.wavenumber for theta in thetas)
+        w01 = reduced_action(x1, x0, ms, basis, kin)
+        w12 = reduced_action(x2, x1, ms, basis, kin)
+        w02 = reduced_action(x2, x0, ms, basis, kin)
+        assert abs(w01 + w12 - w02) <= 1e-13 * (abs(w01) + abs(w12)) + 1e-300
+
+    def test_quadrature_cross_check(self, kin):
+        rng = random.Random(11)
+        for _ in range(20):
+            region = rng.choice(["free", "forbidden"])
+            basis = canonical_basis(region, kin)
+            c = rng.uniform(-1.9, 1.9)
+            a = math.exp(rng.uniform(-1.5, 1.5))
+            ms = normalize(a, (1.0 + 0.25 * c * c) / a, c)
+            x_ref = rng.uniform(0.0, 2.0) / basis.wavenumber
+            x = x_ref + rng.uniform(-3.0, 6.0) / basis.wavenumber
+            value, _ = quad(
+                lambda xi: conjugate_momentum(xi, ms, basis, kin.units), x_ref, x,
+                epsabs=0.0, epsrel=1e-13, limit=200,
+            )
+            assert reduced_action(x, x_ref, ms, basis, kin) == pytest.approx(value, rel=1e-10)
+
+
+def _reference_onset(speed, kappa, speed_floor):
+    """The scalar grid scan the vectorized onset must reproduce; speed(i) at u = 0.01 i."""
+    du = 0.01
+    last_below = None
+    above_run = 0
+    i = 0
+    while True:
+        u = i * du
+        if speed(i) <= speed_floor:
+            last_below = u
+            above_run = 0
+        else:
+            above_run += 1
+        if u >= 60.0 and above_run >= 2000:
+            break
+        if u > 5000.0:
+            raise QuadratureFailure("speed never settled above the floor within the scan range")
+        i += 1
+    return 0.0 if last_below is None else (last_below + du) / (2.0 * kappa)
+
+
+def _grid_speed(kin, ms, basis):
+    kappa = basis.wavenumber
+    return lambda i: speed_at(i * 0.01 / (2.0 * kappa), ms, basis, kin)
+
+
+class TestOnsetMatchesTheScalarScan:
+    def test_seeded_jobs(self):
+        rng = random.Random(2024)
+        for job in range(16):
+            U, hbar, mass = (math.exp(rng.uniform(-2.3, 2.3)) for _ in range(3))
+            kin = kinematics_from_energies(U * rng.uniform(0.05, 0.95), U, Units(hbar, mass))
+            c = rng.uniform(-1.9, 1.9)
+            a = math.exp(rng.uniform(-1.4, 1.4))
+            ms = normalize(a, (1.0 + 0.25 * c * c) / a, c)
+            basis = canonical_basis("forbidden", kin)
+            if job % 4 == 3:
+                alpha, beta = rng.uniform(0.2, 5.0), rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 5.0)
+                ms, _ = transform_basis(ms, BasisRescale(alpha, beta))
+                basis = basis.rescaled(alpha, beta)
+            floor = speed_at(0.0, ms, basis, kin) * 10.0 ** rng.uniform(-0.5, 3.0)
+            expected = _reference_onset(_grid_speed(kin, ms, basis), basis.wavenumber, floor)
+            assert divergence_onset(kin, ms, basis, floor) == expected
+
+    def test_floors_equal_to_grid_speeds(self, kin):
+        # A floor met exactly at a grid point counts as "at or below".  The
+        # vectorized exponentials differ from the scalar ones in the last bit
+        # at a few percent of points, so a floor taken from each of 500
+        # consecutive grid speeds meets such a point whenever the platform's
+        # exponentials disagree at all.
+        basis = canonical_basis("forbidden", kin)
+        ms = normalize(2.0, 1.0, 1.0)
+        speed = _grid_speed(kin, ms, basis)
+        speeds = [speed(i) for i in range(8500)]
+        for j in range(900, 1400):
+            expected = _reference_onset(speeds.__getitem__, kin.kappa, speeds[j])
+            assert divergence_onset(kin, ms, basis, speeds[j]) == expected
