@@ -4,6 +4,11 @@ One subcommand per quantity; every run emits a single JSON document (default)
 or CSV table with the inputs echoed and enough tolerance metadata to
 reproduce the numbers.  Exit status: 0 on success, 1 for usage or config
 errors, 2 for domain errors and numerical infeasibility.
+
+Each subcommand is one entry of :data:`COMMANDS`: its flags (declared once,
+in ``_FLAGS``), the inputs it resolves before computing, its compute step,
+and the names of the fields it prints as JSON inputs, JSON outputs and CSV
+columns.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .potential import (
 )
 from .serialize import csv_dumps, json_dumps
 from .times import (
+    OBJECTIVE_TIE_TOL,
     SIGN_MINUS,
     SIGN_PLUS,
     dwell_supremum_bound,
@@ -64,181 +70,87 @@ class _Parser(argparse.ArgumentParser):
 
 _SIGN_BY_NAME = {"plus": SIGN_PLUS, "minus": SIGN_MINUS}
 
-
-def _common_parent() -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
-    parent.add_argument("--out", metavar="PATH", help="write the output to PATH instead of stdout")
-    parent.add_argument("--config", metavar="PATH", help="JSON run configuration")
-    parent.add_argument("--pretty", action="store_true", help="indent JSON output")
-    parent.add_argument("--hbar", type=float, help="reduced Planck constant (default 1 or config)")
-    parent.add_argument("--mass", type=float, help="particle mass (default 1 or config)")
-    return parent
-
-
-def _add_microstate_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--a", type=float, help="microstate coefficient a (default 1)")
-    p.add_argument("--b", type=float, help="microstate coefficient b (default 1)")
-    p.add_argument("--c", type=float, help="microstate coefficient c (default 0)")
-
-
-def _add_event_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--past", metavar="X,T", help="past event as 'X,T'")
-    p.add_argument("--present", metavar="X,T", help="present event as 'X,T'")
-
-
-def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pasts", metavar="LIST", help="comma-separated past positions (relation scan)")
-    p.add_argument("--presents", metavar="LIST", help="comma-separated present positions")
-    p.add_argument("--dts", metavar="LIST", help="comma-separated positive time offsets")
-    p.add_argument("--past-time", type=float, default=0.0, help="epoch of every past event")
-
-
-def build_parser() -> _Parser:
-    common = _common_parent()
-    parser = _Parser(prog="trdwell", description=__doc__.splitlines()[0] if __doc__ else None)
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    p = sub.add_parser("kinematics", parents=[common], help="wavenumber bundle at one energy")
-    p.add_argument("--E", type=float, help="energy, 0 < E < U")
-    p.add_argument("--U", type=float, help="barrier height")
-
-    p = sub.add_parser("energies", parents=[common], help="square-well bound states")
-    p.add_argument("--U", type=float, help="wall height")
-    p.add_argument("--q", type=float, help="well half-width")
-    p.add_argument("--parity", choices=("even", "odd", "both"), default="both")
-
-    p = sub.add_parser("dwell", parents=[common], help="sub-barrier dwell time of a microstate")
-    p.add_argument("--E", type=float)
-    p.add_argument("--U", type=float)
-    _add_microstate_flags(p)
-    p.add_argument("--sign", choices=("plus", "minus"), default="plus", help="denominator branch")
-
-    p = sub.add_parser("dwell-max", parents=[common], help="dwell-time supremum search")
-    p.add_argument("--E", type=float)
-    p.add_argument("--U", type=float)
-    p.add_argument("--epsilon", type=float, help="boundary inset of |c| (default 1e-6 or config)")
-
-    p = sub.add_parser("libration", parents=[common], help="well round-trip period of a microstate")
-    p.add_argument("--E", type=float)
-    p.add_argument("--U", type=float)
-    p.add_argument("--q", type=float)
-    _add_microstate_flags(p)
-
-    p = sub.add_parser("libration-max", parents=[common], help="libration-period supremum search")
-    p.add_argument("--E", type=float)
-    p.add_argument("--U", type=float)
-    p.add_argument("--q", type=float)
-    p.add_argument("--epsilon", type=float)
-
-    p = sub.add_parser("libration-inf", parents=[common], help="vanishing-period probe (A, 1/A, 0)")
-    p.add_argument("--E", type=float)
-    p.add_argument("--U", type=float)
-    p.add_argument("--q", type=float)
-    p.add_argument("--A", type=float, help="probe amplitude")
-
-    p = sub.add_parser("trajectory", parents=[common], help="sample one region's trajectory")
-    p.add_argument("--E", type=float)
-    p.add_argument("--U", type=float)
-    p.add_argument("--region", choices=("free", "forbidden"), required=True)
-    p.add_argument("--x-start", type=float, required=True, dest="x_start")
-    p.add_argument("--x-stop", type=float, required=True, dest="x_stop")
-    p.add_argument("--n", type=int, default=11, help="number of samples (default 11)")
-    _add_microstate_flags(p)
-
-    p = sub.add_parser("qshje-check", parents=[common], help="stationarity residual at one point")
-    p.add_argument("--E", type=float)
-    p.add_argument("--U", type=float)
-    p.add_argument("--region", choices=("free", "forbidden"), required=True)
-    p.add_argument("--x", type=float, required=True)
-    _add_microstate_flags(p)
-
-    cov = sub.add_parser("coverage", help="past/present admissibility verdicts")
-    cov_sub = cov.add_subparsers(dest="scenario", required=True, metavar="SCENARIO")
-
-    p = cov_sub.add_parser("sb", parents=[common], help="sub-barrier step scenario")
-    p.add_argument("--E", type=float)
-    p.add_argument("--U", type=float)
-    _add_event_flags(p)
-    _add_grid_flags(p)
-
-    p = cov_sub.add_parser("sw", parents=[common], help="square-well scenario")
-    p.add_argument("--U", type=float)
-    p.add_argument("--q", type=float)
-    p.add_argument("--state-index", type=int, default=0, dest="state_index")
-    _add_event_flags(p)
-    _add_grid_flags(p)
-
-    p = sub.add_parser("connect", parents=[common], help="microstate linking two well events")
-    p.add_argument("--U", type=float)
-    p.add_argument("--q", type=float)
-    p.add_argument("--state-index", type=int, default=0, dest="state_index")
-    _add_event_flags(p)
-
-    p = sub.add_parser("sweep", parents=[common], help="sweep one parameter of a quantity")
-    p.add_argument(
-        "--quantity",
-        choices=("dwell-mono", "dwell", "libration", "libration-inf"),
-        help="quantity to evaluate",
-    )
-    p.add_argument("--param", choices=("E", "U", "q", "a", "b", "c", "A"))
-    p.add_argument("--start", type=float)
-    p.add_argument("--stop", type=float)
-    p.add_argument("--count", type=int)
-    p.add_argument("--E", type=float)
-    p.add_argument("--U", type=float)
-    p.add_argument("--q", type=float)
-    _add_microstate_flags(p)
-    p.add_argument("--A", type=float)
-    p.add_argument("--sign", choices=("plus", "minus"), default="plus")
-
-    return parser
-
+#: Flags each swept quantity reads (the swept one may be left out).
+_SWEEP_NEEDS = {
+    "dwell-mono": ("E", "U"),
+    "dwell": ("E", "U", "a", "b", "c"),
+    "libration": ("E", "U", "q", "a", "b", "c"),
+    "libration-inf": ("E", "U", "q", "A"),
+}
 
 # ---------------------------------------------------------------------------
-# flag/config resolution
+# flags: every option of every subcommand, declared once
+
+_FLAGS = {
+    "format": {"choices": ("json", "csv"), "default": "json", "help": "output format"},
+    "out": {"metavar": "PATH", "help": "write the output to PATH instead of stdout"},
+    "config": {"metavar": "PATH", "help": "JSON run configuration"},
+    "pretty": {"action": "store_true", "help": "indent JSON output"},
+    "hbar": {"type": float, "help": "reduced Planck constant (default 1 or config)"},
+    "mass": {"type": float, "help": "particle mass (default 1 or config)"},
+    "E": {"type": float, "help": "energy, 0 < E < U"},
+    "U": {"type": float, "help": "barrier or wall height (or config)"},
+    "q": {"type": float, "help": "well half-width (or config)"},
+    "a": {"type": float, "help": "microstate coefficient a (default 1)"},
+    "b": {"type": float, "help": "microstate coefficient b (default 1)"},
+    "c": {"type": float, "help": "microstate coefficient c (default 0)"},
+    "sign": {"choices": ("plus", "minus"), "default": "plus", "help": "denominator branch"},
+    "epsilon": {"type": float, "help": "boundary inset of |c| (default 1e-6 or config)"},
+    "A": {"type": float, "help": "probe amplitude"},
+    "parity": {"choices": ("even", "odd", "both"), "default": "both"},
+    "region": {"choices": ("free", "forbidden"), "required": True},
+    "x-start": {"type": float, "required": True},
+    "x-stop": {"type": float, "required": True},
+    "n": {"type": int, "default": 11, "help": "number of samples (default 11)"},
+    "x": {"type": float, "required": True},
+    "state-index": {"type": int, "default": 0},
+    "past": {"metavar": "X,T", "help": "past event as 'X,T'"},
+    "present": {"metavar": "X,T", "help": "present event as 'X,T'"},
+    "pasts": {"metavar": "LIST", "help": "comma-separated past positions (relation scan)"},
+    "presents": {"metavar": "LIST", "help": "comma-separated present positions"},
+    "dts": {"metavar": "LIST", "help": "comma-separated positive time offsets"},
+    "past-time": {"type": float, "default": 0.0, "help": "epoch of every past event"},
+    "quantity": {"choices": tuple(_SWEEP_NEEDS), "help": "quantity to evaluate"},
+    "param": {"choices": ("E", "U", "q", "a", "b", "c", "A")},
+    "start": {"type": float},
+    "stop": {"type": float},
+    "count": {"type": int},
+}
+_COMMON = "format out config pretty hbar mass "
+_MS = " a b c"
+_COVERAGE_FLAGS = " past present pasts presents dts past-time"
+
+# ---------------------------------------------------------------------------
+# inputs: flag, then config, then default; each resolved on first use
 
 
-def _resolve_units(args, cfg: Config) -> Units:
-    hbar = args.hbar if args.hbar is not None else cfg.units.hbar
-    mass = args.mass if args.mass is not None else cfg.units.mass
+def _required(value, message: str):
+    if value is None:
+        raise UsageError(message)
+    return value
+
+
+def _flag_or_config(res, name: str, section: str):
+    """``--name`` if given, else ``name`` of the config section, else None."""
+    value = getattr(res.args, name)
+    source = getattr(res.cfg, section)
+    if value is None and source is not None:
+        value = getattr(source, name)
+    return value
+
+
+def _resolve_units(res) -> Units:
     try:
+        hbar, mass = (_flag_or_config(res, name, "units") for name in ("hbar", "mass"))
         return Units(hbar=hbar, mass=mass)
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
 
 
-def _resolve_E(args) -> float:
-    if args.E is None:
-        raise UsageError("--E is required")
-    return args.E
-
-
-def _resolve_U(args, cfg: Config) -> float:
-    if args.U is not None:
-        return args.U
-    if cfg.potential is not None:
-        return cfg.potential.U
-    raise UsageError("--U is required (or provide a potential in --config)")
-
-
-def _resolve_q(args, cfg: Config) -> float:
-    if args.q is not None:
-        return args.q
-    if cfg.potential is not None and cfg.potential.q is not None:
-        return cfg.potential.q
-    raise UsageError("--q is required (or provide a well potential in --config)")
-
-
-def _resolve_ms(args) -> Microstate:
-    a = args.a if args.a is not None else 1.0
-    b = args.b if args.b is not None else 1.0
-    c = args.c if args.c is not None else 0.0
-    return Microstate(a, b, c)
-
-
-def _resolve_epsilon(args, cfg: Config) -> float:
-    return args.epsilon if getattr(args, "epsilon", None) is not None else cfg.epsilon
+def _coefficients(args) -> tuple[float, float, float]:
+    """(a, b, c) from the flags, defaulting to the monochromatic (1, 1, 0)."""
+    flags = ((args.a, 1.0), (args.b, 1.0), (args.c, 0.0))
+    return tuple(default if value is None else value for value, default in flags)
 
 
 def _parse_event(text: str | None, flag: str) -> Event:
@@ -291,36 +203,71 @@ def _grid_from_args(args) -> GridSpec:
         raise UsageError(str(exc)) from exc
 
 
-def _ms_dict(ms: Microstate) -> dict:
-    return {"a": ms.a, "b": ms.b, "c": ms.c}
+_RESOLVERS = {
+    "units": _resolve_units,
+    "hbar": lambda res: res.units.hbar,
+    "mass": lambda res: res.units.mass,
+    "E": lambda res: _required(res.args.E, "--E is required"),
+    "U": lambda res: _required(
+        _flag_or_config(res, "U", "potential"), "--U is required (or provide a potential in --config)"
+    ),
+    "q": lambda res: _required(
+        _flag_or_config(res, "q", "potential"), "--q is required (or provide a well potential in --config)"
+    ),
+    "A": lambda res: _required(res.args.A, "--A is required"),
+    "epsilon": lambda res: res.cfg.epsilon if res.args.epsilon is None else res.args.epsilon,
+    "kin": lambda res: kinematics_from_energies(res.E, res.U, res.units),
+    "k": lambda res: res.kin.k,
+    "kappa": lambda res: res.kin.kappa,
+    "r": lambda res: res.kin.r,
+    "ms": lambda res: Microstate(*_coefficients(res.args)),
+    "a": lambda res: res.ms.a,
+    "b": lambda res: res.ms.b,
+    "c": lambda res: res.ms.c,
+    "basis": lambda res: canonical_basis(res.region, res.kin),
+    "state": lambda res: well_eigenstate(square_well(res.U, res.q), res.units, res.state_index),
+    "past": lambda res: _parse_event(res.args.past, "--past"),
+    "present": lambda res: _parse_event(res.args.present, "--present"),
+    "mode": lambda res: _coverage_mode(res.args),
+    "grid": lambda res: _grid_from_args(res.args),
+}
 
 
-def _meta(**extra) -> dict:
-    meta = {"version": __version__}
-    meta.update(extra)
-    return meta
+class _Resolved:
+    """The inputs of one run; ``res.name`` resolves ``name`` once, on first use.
+
+    Names without a resolver are the parsed flags themselves.
+    """
+
+    def __init__(self, args, cfg: Config):
+        self.args, self.cfg = args, cfg
+
+    def __getattr__(self, name):
+        resolver = _RESOLVERS.get(name)
+        value = resolver(self) if resolver else getattr(self.args, name)
+        setattr(self, name, value)
+        return value
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations (each returns the JSON record and the CSV rows)
+# compute steps: each returns the named values its command prints
 
 
-def _cmd_kinematics(args, cfg: Config):
-    units = _resolve_units(args, cfg)
-    E, U = _resolve_E(args), _resolve_U(args, cfg)
-    kin = kinematics_from_energies(E, U, units)
-    inputs = {"E": E, "U": U, "hbar": units.hbar, "mass": units.mass}
-    outputs = {"k": kin.k, "kappa": kin.kappa, "r": kin.r}
-    record = {"command": "kinematics", "inputs": inputs, "outputs": outputs, "metadata": _meta()}
-    rows = [{**outputs, **inputs}]
-    return record, rows
+def _nested(key: str, fields: dict, prefix: str = "") -> dict:
+    """``fields`` as the JSON object ``key`` and as flat CSV fields ``prefix + name``."""
+    return {key: fields, **{prefix + name: value for name, value in fields.items()}}
 
 
-def _cmd_energies(args, cfg: Config):
-    units = _resolve_units(args, cfg)
-    U, q = _resolve_U(args, cfg), _resolve_q(args, cfg)
-    pot = square_well(U, q)
-    states = bound_state_energies(pot, units, parity=args.parity)
+def _events(res) -> dict:
+    fields = {}
+    for side in ("past", "present"):
+        event = getattr(res, side)
+        fields.update(_nested(side, {"x": event.x, "t": event.t}, f"{side}_"))
+    return fields
+
+
+def _energies(res) -> dict:
+    states = bound_state_energies(square_well(res.U, res.q), res.units, parity=res.parity)
     listing = [
         {
             "index": i,
@@ -328,484 +275,89 @@ def _cmd_energies(args, cfg: Config):
             "E": s.E,
             "k": s.k,
             "kappa": s.kappa,
-            "residual": matching_residual(s, q),
+            "residual": matching_residual(s, res.q),
         }
         for i, s in enumerate(states)
     ]
-    inputs = {"U": U, "q": q, "parity": args.parity, "hbar": units.hbar, "mass": units.mass}
-    outputs = {"count": len(states), "states": listing}
-    record = {
-        "command": "energies",
-        "inputs": inputs,
-        "outputs": outputs,
-        "metadata": _meta(k_tol=EIGEN_K_TOL),
-    }
-    return record, [dict(entry) for entry in listing]
+    return {"count": len(states), "states": listing}
 
 
-def _cmd_dwell(args, cfg: Config):
-    units = _resolve_units(args, cfg)
-    E, U = _resolve_E(args), _resolve_U(args, cfg)
-    kin = kinematics_from_energies(E, U, units)
-    ms = _resolve_ms(args)
-    result = dwell_time(kin, ms, _SIGN_BY_NAME[args.sign])
-    inputs = {
-        "E": E,
-        "U": U,
-        "a": ms.a,
-        "b": ms.b,
-        "c": ms.c,
-        "sign": result.sign,
-        "hbar": units.hbar,
-        "mass": units.mass,
-    }
-    outputs = {"t_D": result.t_D, "monochromatic": dwell_time_monochromatic(kin)}
-    record = {
-        "command": "dwell",
-        "inputs": inputs,
-        "outputs": outputs,
-        "metadata": _meta(normalization_tol=NORMALIZATION_TOL),
-    }
-    rows = [
-        {
-            "t_D": result.t_D,
-            "sign": result.sign,
-            "a": ms.a,
-            "b": ms.b,
-            "c": ms.c,
-            "E": E,
-            "U": U,
-            "k": kin.k,
-            "kappa": kin.kappa,
-        }
-    ]
-    return record, rows
+def _trajectory(res) -> dict:
+    samples = sample_trajectory((res.x_start, res.x_stop), res.n, res.ms, res.basis, res.kin)
+    return {"samples": [vars(s) for s in samples]}
 
 
-def _cmd_dwell_max(args, cfg: Config):
-    units = _resolve_units(args, cfg)
-    E, U = _resolve_E(args), _resolve_U(args, cfg)
-    epsilon = _resolve_epsilon(args, cfg)
-    kin = kinematics_from_energies(E, U, units)
-    report = max_dwell(kin, epsilon)
-    inputs = {"E": E, "U": U, "epsilon": epsilon, "hbar": units.hbar, "mass": units.mass}
-    outputs = {
-        "supremum": report.supremum,
-        "supremum_extrapolated": report.supremum_extrapolated,
-        "analytic_bound": report.analytic_bound,
-        "attained_at_boundary": report.attained_at_boundary,
-        "sign": report.sign,
-        "maximizer": _ms_dict(report.maximizer),
-    }
-    record = {
-        "command": "dwell-max",
-        "inputs": inputs,
-        "outputs": outputs,
-        "metadata": _meta(objective_tie_tol=1e-10),
-    }
-    rows = [
-        {
-            "supremum": report.supremum,
-            "supremum_extrapolated": report.supremum_extrapolated,
-            "analytic_bound": report.analytic_bound,
-            "epsilon": epsilon,
-            "attained_at_boundary": report.attained_at_boundary,
-            "sign": report.sign,
-            "a": report.maximizer.a,
-            "b": report.maximizer.b,
-            "c": report.maximizer.c,
-            "E": E,
-            "U": U,
-        }
-    ]
-    return record, rows
+def _extremal(report) -> dict:
+    return {**vars(report), **_nested("maximizer", vars(report.maximizer))}
 
 
-def _cmd_libration(args, cfg: Config):
-    units = _resolve_units(args, cfg)
-    E, U, q = _resolve_E(args), _resolve_U(args, cfg), _resolve_q(args, cfg)
-    kin = kinematics_from_energies(E, U, units)
-    ms = _resolve_ms(args)
-    t_L = libration_period(kin, q, ms)
-    inputs = {
-        "E": E,
-        "U": U,
-        "q": q,
-        "a": ms.a,
-        "b": ms.b,
-        "c": ms.c,
-        "hbar": units.hbar,
-        "mass": units.mass,
-    }
-    outputs = {"t_L": t_L}
-    record = {
-        "command": "libration",
-        "inputs": inputs,
-        "outputs": outputs,
-        "metadata": _meta(normalization_tol=NORMALIZATION_TOL),
-    }
-    rows = [
-        {
-            "t_L": t_L,
-            "a": ms.a,
-            "b": ms.b,
-            "c": ms.c,
-            "E": E,
-            "U": U,
-            "q": q,
-            "k": kin.k,
-            "kappa": kin.kappa,
-        }
-    ]
-    return record, rows
+def _qshje_check(res) -> dict:
+    residual = qshje_residual(res.x, res.ms, res.basis, res.kin)
+    threshold = 1e-8 * res.E
+    return {"residual": residual, "threshold": threshold, "within": abs(residual) <= threshold}
 
 
-def _cmd_libration_max(args, cfg: Config):
-    units = _resolve_units(args, cfg)
-    E, U, q = _resolve_E(args), _resolve_U(args, cfg), _resolve_q(args, cfg)
-    epsilon = _resolve_epsilon(args, cfg)
-    kin = kinematics_from_energies(E, U, units)
-    report = max_libration(kin, q, epsilon)
-    inputs = {"E": E, "U": U, "q": q, "epsilon": epsilon, "hbar": units.hbar, "mass": units.mass}
-    outputs = {
-        "supremum": report.supremum,
-        "supremum_extrapolated": report.supremum_extrapolated,
-        "analytic_bound": report.analytic_bound,
-        "alternative_bound": report.alternative_bound,
-        "alternative_bound_holds": report.alternative_bound_holds,
-        "attained_at_boundary": report.attained_at_boundary,
-        "maximizer": _ms_dict(report.maximizer),
-    }
-    record = {
-        "command": "libration-max",
-        "inputs": inputs,
-        "outputs": outputs,
-        "metadata": _meta(objective_tie_tol=1e-10),
-    }
-    rows = [
-        {
-            "supremum": report.supremum,
-            "supremum_extrapolated": report.supremum_extrapolated,
-            "analytic_bound": report.analytic_bound,
-            "alternative_bound": report.alternative_bound,
-            "alternative_bound_holds": report.alternative_bound_holds,
-            "epsilon": epsilon,
-            "attained_at_boundary": report.attained_at_boundary,
-            "a": report.maximizer.a,
-            "b": report.maximizer.b,
-            "c": report.maximizer.c,
-            "E": E,
-            "U": U,
-            "q": q,
-        }
-    ]
-    return record, rows
-
-
-def _cmd_libration_inf(args, cfg: Config):
-    units = _resolve_units(args, cfg)
-    E, U, q = _resolve_E(args), _resolve_U(args, cfg), _resolve_q(args, cfg)
-    if args.A is None:
-        raise UsageError("--A is required")
-    kin = kinematics_from_energies(E, U, units)
-    t_L = libration_infimum_probe(kin, q, args.A)
-    inputs = {"E": E, "U": U, "q": q, "A": args.A, "hbar": units.hbar, "mass": units.mass}
-    outputs = {"t_L": t_L}
-    record = {"command": "libration-inf", "inputs": inputs, "outputs": outputs, "metadata": _meta()}
-    rows = [{"t_L": t_L, "A": args.A, "E": E, "U": U, "q": q}]
-    return record, rows
-
-
-def _cmd_trajectory(args, cfg: Config):
-    units = _resolve_units(args, cfg)
-    E, U = _resolve_E(args), _resolve_U(args, cfg)
-    kin = kinematics_from_energies(E, U, units)
-    ms = _resolve_ms(args)
-    basis = canonical_basis(args.region, kin)
-    samples = sample_trajectory((args.x_start, args.x_stop), args.n, ms, basis, kin)
-    listing = [
-        {"x": s.x, "t": s.t, "W_x": s.W_x, "dWx_dE": s.dWx_dE, "speed": s.speed} for s in samples
-    ]
-    inputs = {
-        "E": E,
-        "U": U,
-        "region": args.region,
-        "x_start": args.x_start,
-        "x_stop": args.x_stop,
-        "n": args.n,
-        "a": ms.a,
-        "b": ms.b,
-        "c": ms.c,
-        "hbar": units.hbar,
-        "mass": units.mass,
-    }
-    record = {
-        "command": "trajectory",
-        "inputs": inputs,
-        "outputs": {"samples": listing},
-        "metadata": _meta(),
-    }
-    return record, [dict(entry) for entry in listing]
-
-
-def _cmd_qshje_check(args, cfg: Config):
-    units = _resolve_units(args, cfg)
-    E, U = _resolve_E(args), _resolve_U(args, cfg)
-    kin = kinematics_from_energies(E, U, units)
-    ms = _resolve_ms(args)
-    basis = canonical_basis(args.region, kin)
-    residual = qshje_residual(args.x, ms, basis, kin)
-    threshold = 1e-8 * E
-    inputs = {
-        "E": E,
-        "U": U,
-        "region": args.region,
-        "x": args.x,
-        "a": ms.a,
-        "b": ms.b,
-        "c": ms.c,
-        "hbar": units.hbar,
-        "mass": units.mass,
-    }
-    outputs = {"residual": residual, "threshold": threshold, "within": abs(residual) <= threshold}
-    record = {"command": "qshje-check", "inputs": inputs, "outputs": outputs, "metadata": _meta()}
-    rows = [
-        {
-            "residual": residual,
-            "within": abs(residual) <= threshold,
-            "region": args.region,
-            "x": args.x,
-            "a": ms.a,
-            "b": ms.b,
-            "c": ms.c,
-            "E": E,
-            "U": U,
-        }
-    ]
-    return record, rows
-
-
-def _verdict_payload(verdict, past: Event, present: Event) -> dict:
-    payload = {
-        "classification": verdict.classification,
-        "tr_allowed": verdict.tr_allowed,
-        "copenhagen_allowed": verdict.copenhagen_allowed,
-        "past": {"x": past.x, "t": past.t},
-        "present": {"x": present.x, "t": present.t},
-    }
-    if verdict.witness is not None:
-        payload["witness"] = _ms_dict(verdict.witness)
-    return payload
-
-
-def _relation_payload(report) -> dict:
+def _relation(res, scenario: str, **where) -> dict:
+    grid = res.grid
+    report = set_relation_report(scenario, grid, **where)
     return {
-        "scenario": report.scenario,
-        "relation": report.relation,
-        "counts": dict(report.counts),
-        "total": report.total,
-        "notes": list(report.notes),
+        "pasts": list(grid.past_positions),
+        "presents": list(grid.present_positions),
+        "dts": list(grid.time_offsets),
+        "past_time": grid.past_time,
+        **vars(report),
+        **report.counts,
     }
 
 
-def _relation_rows(report) -> list[dict]:
-    return [
-        {
-            "scenario": report.scenario,
-            "relation": report.relation,
-            "BothAllow": report.counts["BothAllow"],
-            "CopenhagenOnly": report.counts["CopenhagenOnly"],
-            "TROnly": report.counts["TROnly"],
-            "NeitherAllow": report.counts["NeitherAllow"],
-            "total": report.total,
-        }
-    ]
-
-
-def _cmd_coverage_sb(args, cfg: Config):
-    units = _resolve_units(args, cfg)
-    E, U = _resolve_E(args), _resolve_U(args, cfg)
-    kin = kinematics_from_energies(E, U, units)
-    inputs = {"E": E, "U": U, "hbar": units.hbar, "mass": units.mass}
-    if _coverage_mode(args) == "pair":
-        past = _parse_event(args.past, "--past")
-        present = _parse_event(args.present, "--present")
-        verdict = sb_verdict(past, present, kin)
-        outputs = _verdict_payload(verdict, past, present)
-        outputs["elapsed"] = present.t - past.t
-        outputs["dwell_bound"] = dwell_supremum_bound(kin)
-        record = {
-            "command": "coverage-sb",
-            "inputs": inputs,
-            "outputs": outputs,
-            "metadata": _meta(),
-        }
-        rows = [
-            {
-                "classification": verdict.classification,
-                "tr_allowed": verdict.tr_allowed,
-                "copenhagen_allowed": verdict.copenhagen_allowed,
-                "past_x": past.x,
-                "past_t": past.t,
-                "present_x": present.x,
-                "present_t": present.t,
-                "elapsed": present.t - past.t,
-                "dwell_bound": dwell_supremum_bound(kin),
-            }
-        ]
-        return record, rows
-    grid = _grid_from_args(args)
-    report = set_relation_report(SCENARIO_SB, grid, kin=kin)
-    record = {
-        "command": "coverage-sb",
-        "inputs": {
-            **inputs,
-            "pasts": list(grid.past_positions),
-            "presents": list(grid.present_positions),
-            "dts": list(grid.time_offsets),
-            "past_time": grid.past_time,
-        },
-        "outputs": _relation_payload(report),
-        "metadata": _meta(),
+def _coverage_sb(res) -> dict:
+    if res.mode == "grid":
+        return _relation(res, SCENARIO_SB, kin=res.kin)
+    verdict = sb_verdict(res.past, res.present, res.kin)
+    return {
+        **vars(verdict),
+        **_events(res),
+        "elapsed": res.present.t - res.past.t,
+        "dwell_bound": dwell_supremum_bound(res.kin),
     }
-    return record, _relation_rows(report)
 
 
-def _cmd_coverage_sw(args, cfg: Config):
-    units = _resolve_units(args, cfg)
-    U, q = _resolve_U(args, cfg), _resolve_q(args, cfg)
-    state = well_eigenstate(square_well(U, q), units, args.state_index)
-    inputs = {
-        "U": U,
-        "q": q,
-        "state_index": args.state_index,
-        "parity": state.parity,
-        "E": state.kinematics.E,
-        "hbar": units.hbar,
-        "mass": units.mass,
+def _coverage_sw(res) -> dict:
+    state = {"parity": res.state.parity, "E": res.state.kinematics.E}
+    if res.mode == "grid":
+        scenario = SCENARIO_SW_BOUND if res.state_index == 0 else SCENARIO_SW_EXCITED
+        return {**state, **_relation(res, scenario, state=res.state)}
+    verdict = sw_verdict(res.past, res.present, res.state)
+    return {
+        **state,
+        **vars(verdict),
+        **_events(res),
+        **_nested("witness", vars(verdict.witness), "witness_"),
+        "present_density": copenhagen_density(res.state, res.present.x),
     }
-    if _coverage_mode(args) == "pair":
-        past = _parse_event(args.past, "--past")
-        present = _parse_event(args.present, "--present")
-        verdict = sw_verdict(past, present, state)
-        outputs = _verdict_payload(verdict, past, present)
-        outputs["present_density"] = copenhagen_density(state, present.x)
-        record = {
-            "command": "coverage-sw",
-            "inputs": inputs,
-            "outputs": outputs,
-            "metadata": _meta(node_density_floor=NODE_DENSITY_FLOOR),
-        }
-        witness = verdict.witness
-        rows = [
-            {
-                "classification": verdict.classification,
-                "tr_allowed": verdict.tr_allowed,
-                "copenhagen_allowed": verdict.copenhagen_allowed,
-                "past_x": past.x,
-                "past_t": past.t,
-                "present_x": present.x,
-                "present_t": present.t,
-                "witness_a": witness.a if witness else None,
-                "witness_b": witness.b if witness else None,
-                "witness_c": witness.c if witness else None,
-                "present_density": copenhagen_density(state, present.x),
-            }
-        ]
-        return record, rows
-    grid = _grid_from_args(args)
-    scenario = SCENARIO_SW_BOUND if args.state_index == 0 else SCENARIO_SW_EXCITED
-    report = set_relation_report(scenario, grid, state=state)
-    record = {
-        "command": "coverage-sw",
-        "inputs": {
-            **inputs,
-            "pasts": list(grid.past_positions),
-            "presents": list(grid.present_positions),
-            "dts": list(grid.time_offsets),
-            "past_time": grid.past_time,
-        },
-        "outputs": _relation_payload(report),
-        "metadata": _meta(node_density_floor=NODE_DENSITY_FLOOR),
-    }
-    return record, _relation_rows(report)
 
 
-def _cmd_connect(args, cfg: Config):
-    units = _resolve_units(args, cfg)
-    U, q = _resolve_U(args, cfg), _resolve_q(args, cfg)
-    state = well_eigenstate(square_well(U, q), units, args.state_index)
-    past = _parse_event(args.past, "--past")
-    present = _parse_event(args.present, "--present")
-    solution = connect(past, present, state)
-    inputs = {
-        "U": U,
-        "q": q,
-        "state_index": args.state_index,
-        "past": {"x": past.x, "t": past.t},
-        "present": {"x": present.x, "t": present.t},
-        "hbar": units.hbar,
-        "mass": units.mass,
-    }
-    outputs = {
-        "microstate": _ms_dict(solution.ms),
-        "whole_periods": solution.whole_periods,
-        "phase_offset": solution.phase_offset,
-        "realized_period": solution.realized_period,
-        "arrival_time": solution.arrival_time,
-    }
-    record = {"command": "connect", "inputs": inputs, "outputs": outputs, "metadata": _meta()}
-    rows = [
-        {
-            "a": solution.ms.a,
-            "b": solution.ms.b,
-            "c": solution.ms.c,
-            "whole_periods": solution.whole_periods,
-            "phase_offset": solution.phase_offset,
-            "realized_period": solution.realized_period,
-            "arrival_time": solution.arrival_time,
-            "past_x": past.x,
-            "past_t": past.t,
-            "present_x": present.x,
-            "present_t": present.t,
-        }
-    ]
-    return record, rows
+def _connect(res) -> dict:
+    solution = connect(res.past, res.present, res.state)
+    return {**vars(solution), **_nested("microstate", vars(solution.ms)), **_events(res)}
 
 
-def _cmd_sweep(args, cfg: Config):
-    units = _resolve_units(args, cfg)
-    quantity = args.quantity
-    if quantity is None:
-        raise UsageError("--quantity is required")
-    spec = cfg.sweep
-    param = args.param if args.param is not None else (spec.param if spec else None)
-    start = args.start if args.start is not None else (spec.start if spec else None)
-    stop = args.stop if args.stop is not None else (spec.stop if spec else None)
-    count = args.count if args.count is not None else (spec.count if spec else None)
-    if param is None or start is None or stop is None or count is None:
+def _sweep(res) -> dict:
+    quantity = _required(res.quantity, "--quantity is required")
+    spec = {name: _flag_or_config(res, name, "sweep") for name in ("param", "start", "stop", "count")}
+    if None in spec.values():
         raise UsageError("--param, --start, --stop and --count are required (flags or config sweep)")
-    if count < 2:
+    if spec["count"] < 2:
         raise UsageError("--count must be at least 2")
-
+    param = spec["param"]
     base = {
-        "E": args.E,
-        "U": args.U if args.U is not None else (cfg.potential.U if cfg.potential else None),
-        "q": args.q
-        if args.q is not None
-        else (cfg.potential.q if cfg.potential and cfg.potential.q is not None else None),
-        "a": args.a if args.a is not None else 1.0,
-        "b": args.b if args.b is not None else 1.0,
-        "c": args.c if args.c is not None else 0.0,
-        "A": args.A,
+        "E": res.args.E,
+        "U": _flag_or_config(res, "U", "potential"),
+        "q": _flag_or_config(res, "q", "potential"),
+        **dict(zip("abc", _coefficients(res.args))),
+        "A": res.args.A,
     }
-    needed_by_quantity = {
-        "dwell-mono": ("E", "U"),
-        "dwell": ("E", "U", "a", "b", "c"),
-        "libration": ("E", "U", "q", "a", "b", "c"),
-        "libration-inf": ("E", "U", "q", "A"),
-    }
-    needed = needed_by_quantity[quantity]
+    needed = _SWEEP_NEEDS[quantity]
     for name in needed:
         if name != param and base[name] is None:
             raise UsageError(f"--{name} is required for quantity {quantity!r}")
@@ -813,9 +365,8 @@ def _cmd_sweep(args, cfg: Config):
         raise UsageError(f"parameter {param!r} does not enter quantity {quantity!r}")
 
     def evaluate(value: float) -> float:
-        params = dict(base)
-        params[param] = value
-        kin = kinematics_from_energies(params["E"], params["U"], units)
+        params = {**base, param: value}
+        kin = kinematics_from_energies(params["E"], params["U"], res.units)
         if quantity == "dwell-mono":
             return dwell_time_monochromatic(kin)
         if quantity == "libration-inf":
@@ -824,48 +375,165 @@ def _cmd_sweep(args, cfg: Config):
         triple = (params["a"], params["b"], params["c"])
         ms = normalize(*triple) if param in ("a", "b", "c") else Microstate(*triple)
         if quantity == "dwell":
-            return dwell_time(kin, ms, _SIGN_BY_NAME[args.sign]).t_D
+            return dwell_time(kin, ms, _SIGN_BY_NAME[res.sign]).t_D
         return libration_period(kin, params["q"], ms)
 
-    values = [float(v) for v in np.linspace(start, stop, count)]
-    points = [{"value": v, "result": evaluate(v)} for v in values]
-    inputs = {
-        "quantity": quantity,
-        "param": param,
-        "start": start,
-        "stop": stop,
-        "count": count,
+    values = [float(v) for v in np.linspace(spec["start"], spec["stop"], spec["count"])]
+    return {
+        **spec,
         "base": {k: v for k, v in base.items() if v is not None},
-        "sign": args.sign,
-        "hbar": units.hbar,
-        "mass": units.mass,
+        "points": [{"value": v, "result": evaluate(v)} for v in values],
     }
-    record = {
-        "command": "sweep",
-        "inputs": inputs,
-        "outputs": {"points": points},
-        "metadata": _meta(),
-    }
-    rows = [
-        {"param": param, "value": p["value"], "quantity": quantity, "result": p["result"]}
-        for p in points
-    ]
-    return record, rows
 
 
-_DISPATCH = {
-    "kinematics": _cmd_kinematics,
-    "energies": _cmd_energies,
-    "dwell": _cmd_dwell,
-    "dwell-max": _cmd_dwell_max,
-    "libration": _cmd_libration,
-    "libration-max": _cmd_libration_max,
-    "libration-inf": _cmd_libration_inf,
-    "trajectory": _cmd_trajectory,
-    "qshje-check": _cmd_qshje_check,
-    "connect": _cmd_connect,
-    "sweep": _cmd_sweep,
+# ---------------------------------------------------------------------------
+# the command table
+
+
+class _Command:
+    """One subcommand.
+
+    ``flags`` are keys of ``_FLAGS``.  ``resolve`` names the inputs resolved,
+    in order, before ``compute(res)`` runs; the rest resolve on first use.
+    ``inputs``, ``outputs`` and ``csv`` name the printed fields, or map each
+    coverage mode ("pair", "grid") to its names.  A field is looked up among
+    the values ``compute`` returns, then among the resolved inputs.  ``rows``
+    names a list of records printed one CSV row each, with the columns
+    ``csv`` (looked up in the record first) or else the record's own keys.
+    """
+
+    def __init__(self, help, flags, resolve, compute, *, inputs, outputs, csv=None, rows=None, meta=None):
+        self.help, self.flags, self.resolve, self.compute = help, flags, resolve, compute
+        self.inputs, self.outputs, self.csv, self.rows = inputs, outputs, csv, rows
+        self.meta = meta or {}
+
+
+_VERDICT = "classification tr_allowed copenhagen_allowed past present"
+_VERDICT_CSV = "classification tr_allowed copenhagen_allowed past_x past_t present_x present_t"
+_GRID_INPUTS = " pasts presents dts past_time"
+_RELATION = "scenario relation counts total notes"
+_RELATION_CSV = "scenario relation BothAllow CopenhagenOnly TROnly NeitherAllow total"
+_UNITS = " hbar mass"
+
+COMMANDS = {
+    "kinematics": _Command(
+        "wavenumber bundle at one energy", "E U", "E U kin", lambda res: {},
+        inputs="E U" + _UNITS, outputs="k kappa r", csv="k kappa r E U" + _UNITS,
+    ),
+    "energies": _Command(
+        "square-well bound states", "U q parity", "U q", _energies,
+        inputs="U q parity" + _UNITS, outputs="count states", rows="states", meta={"k_tol": EIGEN_K_TOL},
+    ),
+    "dwell": _Command(
+        "sub-barrier dwell time of a microstate", "E U" + _MS + " sign", "E U kin",
+        lambda res: {
+            **vars(dwell_time(res.kin, res.ms, _SIGN_BY_NAME[res.sign])),
+            "monochromatic": dwell_time_monochromatic(res.kin),
+        },
+        inputs="E U a b c sign" + _UNITS, outputs="t_D monochromatic", csv="t_D sign a b c E U k kappa",
+        meta={"normalization_tol": NORMALIZATION_TOL},
+    ),
+    "dwell-max": _Command(
+        "dwell-time supremum search", "E U epsilon", "E U epsilon kin",
+        lambda res: _extremal(max_dwell(res.kin, res.epsilon)),
+        inputs="E U epsilon" + _UNITS,
+        outputs="supremum supremum_extrapolated analytic_bound attained_at_boundary sign maximizer",
+        csv="supremum supremum_extrapolated analytic_bound epsilon attained_at_boundary sign a b c E U",
+        meta={"objective_tie_tol": OBJECTIVE_TIE_TOL},
+    ),
+    "libration": _Command(
+        "well round-trip period of a microstate", "E U q" + _MS, "E U q kin",
+        lambda res: {"t_L": libration_period(res.kin, res.q, res.ms)},
+        inputs="E U q a b c" + _UNITS, outputs="t_L", csv="t_L a b c E U q k kappa",
+        meta={"normalization_tol": NORMALIZATION_TOL},
+    ),
+    "libration-max": _Command(
+        "libration-period supremum search", "E U q epsilon", "E U q epsilon kin",
+        lambda res: _extremal(max_libration(res.kin, res.q, res.epsilon)),
+        inputs="E U q epsilon" + _UNITS,
+        outputs="supremum supremum_extrapolated analytic_bound alternative_bound alternative_bound_holds"
+        " attained_at_boundary maximizer",
+        csv="supremum supremum_extrapolated analytic_bound alternative_bound alternative_bound_holds"
+        " epsilon attained_at_boundary a b c E U q",
+        meta={"objective_tie_tol": OBJECTIVE_TIE_TOL},
+    ),
+    "libration-inf": _Command(
+        "vanishing-period probe (A, 1/A, 0)", "E U q A", "E U q A kin",
+        lambda res: {"t_L": libration_infimum_probe(res.kin, res.q, res.A)},
+        inputs="E U q A" + _UNITS, outputs="t_L", csv="t_L A E U q",
+    ),
+    "trajectory": _Command(
+        "sample one region's trajectory", "E U region x-start x-stop n" + _MS, "E U kin", _trajectory,
+        inputs="E U region x_start x_stop n a b c" + _UNITS, outputs="samples", rows="samples",
+    ),
+    "qshje-check": _Command(
+        "stationarity residual at one point", "E U region x" + _MS, "E U kin", _qshje_check,
+        inputs="E U region x a b c" + _UNITS, outputs="residual threshold within",
+        csv="residual within region x a b c E U",
+    ),
+    "coverage-sb": _Command(
+        "sub-barrier step scenario", "E U" + _COVERAGE_FLAGS, "E U kin mode", _coverage_sb,
+        inputs={"pair": "E U" + _UNITS, "grid": "E U" + _UNITS + _GRID_INPUTS},
+        outputs={"pair": _VERDICT + " elapsed dwell_bound", "grid": _RELATION},
+        csv={"pair": _VERDICT_CSV + " elapsed dwell_bound", "grid": _RELATION_CSV},
+    ),
+    "coverage-sw": _Command(
+        "square-well scenario", "U q state-index" + _COVERAGE_FLAGS, "U q state mode", _coverage_sw,
+        inputs={
+            "pair": "U q state_index parity E" + _UNITS,
+            "grid": "U q state_index parity E" + _UNITS + _GRID_INPUTS,
+        },
+        outputs={"pair": _VERDICT + " witness present_density", "grid": _RELATION},
+        csv={
+            "pair": _VERDICT_CSV + " witness_a witness_b witness_c present_density",
+            "grid": _RELATION_CSV,
+        },
+        meta={"node_density_floor": NODE_DENSITY_FLOOR},
+    ),
+    "connect": _Command(
+        "microstate linking two well events", "U q state-index past present", "U q state", _connect,
+        inputs="U q state_index past present" + _UNITS,
+        outputs="microstate whole_periods phase_offset realized_period arrival_time",
+        csv="a b c whole_periods phase_offset realized_period arrival_time"
+        " past_x past_t present_x present_t",
+    ),
+    "sweep": _Command(
+        "sweep one parameter of a quantity", "quantity param start stop count E U q" + _MS + " A sign",
+        "", _sweep,
+        inputs="quantity param start stop count base sign" + _UNITS, outputs="points",
+        csv="param value quantity result", rows="points",
+    ),
 }
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="trdwell", description=__doc__.splitlines()[0] if __doc__ else None)
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    scenarios = None
+    for name, command in COMMANDS.items():
+        if name.startswith("coverage-"):
+            if scenarios is None:
+                coverage = sub.add_parser("coverage", help="past/present admissibility verdicts")
+                scenarios = coverage.add_subparsers(dest="scenario", required=True, metavar="SCENARIO")
+            p = scenarios.add_parser(name.removeprefix("coverage-"), help=command.help)
+        else:
+            p = sub.add_parser(name, help=command.help)
+        p.set_defaults(command=name)
+        for flag in (_COMMON + command.flags).split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+    return parser
+
+
+def _names(spec, res) -> list[str]:
+    return (spec[res.mode] if isinstance(spec, dict) else spec).split()
+
+
+def _field(name: str, res: _Resolved, *sources: dict):
+    """``name`` from the first of ``sources`` that holds it, else the resolved input."""
+    for source in sources:
+        if name in source:
+            return source[name]
+    return getattr(res, name)
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -881,11 +549,24 @@ def run(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(args.config) if args.config else DEFAULT_CONFIG
-        if args.command == "coverage":
-            handler = _cmd_coverage_sb if args.scenario == "sb" else _cmd_coverage_sw
+        command = COMMANDS[args.command]
+        res = _Resolved(args, cfg)
+        for name in ("units", *command.resolve.split()):
+            getattr(res, name)
+        values = command.compute(res)
+        if args.format == "json":
+            record = {
+                "command": args.command,
+                "inputs": {name: _field(name, res, values) for name in _names(command.inputs, res)},
+                "outputs": {name: _field(name, res, values) for name in _names(command.outputs, res)},
+                "metadata": {"version": __version__, **command.meta},
+            }
+            text = json_dumps(record, pretty=args.pretty)
         else:
-            handler = _DISPATCH[args.command]
-        record, rows = handler(args, cfg)
+            rows = values[command.rows] if command.rows else [values]
+            columns = _names(command.csv, res) if command.csv else None
+            records = [{name: _field(name, res, row, values) for name in columns or row} for row in rows]
+            text = csv_dumps(records)
     except (UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -893,7 +574,6 @@ def run(argv: list[str] | None = None) -> int:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
 
-    text = json_dumps(record, pretty=args.pretty) if args.format == "json" else csv_dumps(rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)

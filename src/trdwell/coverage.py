@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, Infeasible
 from .microstate import Microstate, normalize
-from .potential import Kinematics
-from .times import dwell_supremum_bound, libration_period
+from .potential import Kinematics, check_half_width
+from .times import dwell_supremum_bound, libration_period, libration_prefactor
 from .wavefield import (
     WELL_EIGENSTATE,
     CopenhagenState,
@@ -131,19 +131,13 @@ class ConnectionSolution:
     arrival_time: float
 
 
-def _slice_prefactor(kin: Kinematics, q: float) -> float:
-    # On the c = 0, b = 1/a slice the libration period collapses to
-    # prefactor * a/(a^2 + r^2).
-    units = kin.units
-    r2 = kin.r * kin.r
-    return 4.0 * (1.0 + r2) * units.mass * (q + 1.0 / kin.kappa) / (units.hbar * kin.k)
-
-
 def slice_period_max(kin: Kinematics, q: float) -> float:
-    """Largest libration period reachable on the c = 0, b = 1/a slice (at a = r)."""
-    if not (math.isfinite(q) and q > 0.0):
-        raise DomainError(f"well half-width q must be finite and positive, got {q!r}")
-    return _slice_prefactor(kin, q) / (2.0 * kin.r)
+    """Largest libration period reachable on the c = 0, b = 1/a slice.
+
+    There the period collapses to prefactor * a/(a^2 + r^2), which peaks at a = r.
+    """
+    check_half_width(q)
+    return libration_prefactor(kin, q) / (2.0 * kin.r)
 
 
 def slice_period_roots(kin: Kinematics, q: float, period: float) -> tuple[float, float]:
@@ -161,7 +155,7 @@ def slice_period_roots(kin: Kinematics, q: float, period: float) -> tuple[float,
         raise Infeasible(
             f"period {period!r} exceeds the slice ceiling {slice_period_max(kin, q)!r}"
         )
-    tau = period / _slice_prefactor(kin, q)
+    tau = period / libration_prefactor(kin, q)
     r2 = kin.r * kin.r
     disc = max(1.0 - 4.0 * tau * tau * r2, 0.0)
     root = math.sqrt(disc)

@@ -33,6 +33,12 @@ PARITY_BOTH = "both"
 EIGEN_K_TOL = 1e-13
 
 
+def check_half_width(q: float | None) -> None:
+    """Raise :class:`DomainError` unless ``q`` is a finite, positive well half-width."""
+    if q is None or not (math.isfinite(q) and q > 0.0):
+        raise DomainError(f"well half-width q must be finite and positive, got {q!r}")
+
+
 @dataclass(frozen=True)
 class Units:
     """Reduced Planck constant and particle mass, carried symbolically.
@@ -71,8 +77,7 @@ class Potential:
         if not (math.isfinite(self.U) and self.U > 0.0):
             raise DomainError(f"U must be finite and positive, got {self.U!r}")
         if self.kind == SQUARE_WELL:
-            if self.q is None or not (math.isfinite(self.q) and self.q > 0.0):
-                raise DomainError(f"well half-width q must be finite and positive, got {self.q!r}")
+            check_half_width(self.q)
         elif self.q is not None:
             raise DomainError("q is only meaningful for the square well")
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, OptimizationFailure
 from .microstate import Microstate, normalize
-from .potential import Kinematics
+from .potential import Kinematics, check_half_width
 from .wavefield import gauge_factor
 
 SIGN_PLUS = "+"
@@ -42,7 +42,7 @@ _C_GRID_POINTS = 81
 
 #: Two candidate maximizers closer than this (relative, in objective value)
 #: are considered tied and broken deterministically.
-_OBJECTIVE_TIE_TOL = 1e-10
+OBJECTIVE_TIE_TOL = 1e-10
 
 
 def _sign_factor(sign: str) -> float:
@@ -109,14 +109,19 @@ def dwell_supremum_bound(kin: Kinematics) -> float:
     return (1.0 + r * r) / (math.sqrt(2.0) - 1.0) * units.mass / (units.hbar * kin.kappa**2)
 
 
-def _libration_value(a: float, b: float, c: float, kin: Kinematics, q: float) -> float:
+def libration_prefactor(kin: Kinematics, q: float) -> float:
+    """4 (1 + r^2) m (q + 1/kappa)/(hbar k), the microstate-free factor of t_L."""
     units = kin.units
     r2 = kin.r * kin.r
+    return 4.0 * (1.0 + r2) * units.mass * (q + 1.0 / kin.kappa) / (units.hbar * kin.k)
+
+
+def _libration_value(a: float, b: float, c: float, kin: Kinematics, q: float) -> float:
+    r2 = kin.r * kin.r
     gauge = math.sqrt(a * b - 0.25 * c * c)
-    prefactor = 4.0 * (1.0 + r2) * units.mass * (q + 1.0 / kin.kappa) / (units.hbar * kin.k)
     numerator = gauge * (a + b * r2)
     denominator = a * a + (2.0 * a * b - c * c) * r2 + b * b * r2 * r2
-    return prefactor * numerator / denominator
+    return libration_prefactor(kin, q) * numerator / denominator
 
 
 def libration_period(kin: Kinematics, q: float, ms: Microstate) -> float:
@@ -126,8 +131,7 @@ def libration_period(kin: Kinematics, q: float, ms: Microstate) -> float:
     4 r^2 on the normalized slice, so the period is always finite and
     positive.
     """
-    if not (math.isfinite(q) and q > 0.0):
-        raise DomainError(f"well half-width q must be finite and positive, got {q!r}")
+    check_half_width(q)
     gauge_factor(ms)
     return _libration_value(ms.a, ms.b, ms.c, kin, q)
 
@@ -139,8 +143,7 @@ def libration_period_monochromatic(kin: Kinematics, q: float) -> float:
     the well and back, plus 2 * 2m/(hbar kappa k), one monochromatic dwell
     per wall.
     """
-    if not (math.isfinite(q) and q > 0.0):
-        raise DomainError(f"well half-width q must be finite and positive, got {q!r}")
+    check_half_width(q)
     units = kin.units
     return 4.0 * units.mass * (q + 1.0 / kin.kappa) / (units.hbar * kin.k)
 
@@ -152,8 +155,7 @@ def libration_supremum_bound(kin: Kinematics, q: float) -> float:
     is forced by the maximizing family; see
     :func:`libration_alternative_bound` for the rejected variant.
     """
-    if not (math.isfinite(q) and q > 0.0):
-        raise DomainError(f"well half-width q must be finite and positive, got {q!r}")
+    check_half_width(q)
     units = kin.units
     r2 = kin.r * kin.r
     return 2.0**1.5 * (1.0 + r2) * units.mass * (q + 1.0 / kin.kappa) / (units.hbar * kin.kappa)
@@ -167,8 +169,7 @@ def libration_alternative_bound(kin: Kinematics, q: float) -> float:
     r = 1 it is zero while the period is positive), and the extremal report
     flags whether it survived the search.
     """
-    if not (math.isfinite(q) and q > 0.0):
-        raise DomainError(f"well half-width q must be finite and positive, got {q!r}")
+    check_half_width(q)
     units = kin.units
     r2 = kin.r * kin.r
     return 2.0**1.5 * (1.0 - r2) * units.mass * (q + 1.0 / kin.kappa) / (units.hbar * kin.kappa)
@@ -229,7 +230,7 @@ def _maximize_over_slice(objective, c_abs: float) -> tuple[float, float, float]:
     """Maximize objective(a, c) over a > 0, |c| <= c_abs (b eliminated).
 
     Coarse c-grid, local refinement around the best cell, plus the exact
-    boundary values of c; candidates tied within ``_OBJECTIVE_TIE_TOL``
+    boundary values of c; candidates tied within ``OBJECTIVE_TIE_TOL``
     (relative) are broken toward smaller c, then smaller a.  Returns
     (a, c, value).
     """
@@ -259,7 +260,7 @@ def _maximize_over_slice(objective, c_abs: float) -> tuple[float, float, float]:
         candidates.append((a_edge, c_edge, v_edge))
 
     top = max(v for _, _, v in candidates)
-    tied = [t for t in candidates if t[2] >= top - _OBJECTIVE_TIE_TOL * abs(top)]
+    tied = [t for t in candidates if t[2] >= top - OBJECTIVE_TIE_TOL * abs(top)]
     a_best, c_best, v_best = min(tied, key=lambda t: (t[1], t[0]))
     return a_best, c_best, v_best
 
@@ -294,7 +295,7 @@ def max_dwell(kin: Kinematics, epsilon: float = 1e-6) -> ExtremalReport:
                 c_s = -c_s
                 sign = SIGN_MINUS if sign == SIGN_PLUS else SIGN_PLUS
             candidate = (a_s, c_s, sign, v_s)
-            if best is None or v_s > best[3] * (1.0 + _OBJECTIVE_TIE_TOL):
+            if best is None or v_s > best[3] * (1.0 + OBJECTIVE_TIE_TOL):
                 best = candidate
         assert best is not None
         return best
@@ -321,8 +322,7 @@ def max_libration(kin: Kinematics, q: float, epsilon: float = 1e-6) -> ExtremalR
     """
     if not (0.0 < epsilon < 2.0):
         raise DomainError(f"epsilon must lie in (0, 2), got {epsilon!r}")
-    if not (math.isfinite(q) and q > 0.0):
-        raise DomainError(f"well half-width q must be finite and positive, got {q!r}")
+    check_half_width(q)
 
     def objective(a: float, c: float) -> float:
         return _libration_value(a, (1.0 + 0.25 * c * c) / a, c, kin, q)

@@ -23,9 +23,11 @@ from .microstate import Microstate, RawCoefficients
 from .potential import FORBIDDEN, FREE, Kinematics
 from .wavefield import RegionBasis, bilinear, check_basis, checked_denominator, gauge_factor
 
-#: Grid points evaluated per numpy pass of the divergence-onset scan; one pass
-#: covers the 60-unit minimum depth plus its 20-unit trailing window.
-_ONSET_CHUNK = 8192
+#: Grid points evaluated per numpy pass of the divergence-onset scan.  A pass
+#: holds about a dozen temporary arrays, some 200 KB at this size.  At 8,192
+#: points (about 0.8 MB) a heap with no free space of that size grew by it
+#: and released it again on every scan, at ~130 page faults per scan.
+_ONSET_CHUNK = 2048
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import trdwell
-from trdwell.cli import run
+from trdwell.cli import COMMANDS, run
 from trdwell.microstate import normalize
 from trdwell.potential import kinematics_from_energies
 from trdwell.times import SIGN_PLUS, dwell_time
@@ -81,6 +81,72 @@ GOLDEN_CASES = [
 ]
 
 
+SURFACE = Path(__file__).parent / "surface"
+
+# the whole stdout surface: every subcommand, and both modes (event pair and
+# relation grid) of each coverage scenario, each frozen in JSON and in CSV
+SURFACE_CASES = [
+    ("kinematics", ["kinematics", "--E", "0.18", "--U", "0.5"]),
+    ("energies", ["energies", "--U", "1", "--q", "2"]),
+    ("dwell", ["dwell", "--E", "0.18", "--U", "0.5", "--a", "2", "--b", "1", "--c", "2", "--sign", "minus"]),
+    ("dwell-max", ["dwell-max", "--E", "0.18", "--U", "0.5"]),
+    ("libration", ["libration", "--E", "0.18", "--U", "0.5", "--q", "1", "--a", "2", "--b", "1", "--c", "2"]),
+    ("libration-max", ["libration-max", "--E", "0.18", "--U", "0.5", "--q", "1"]),
+    ("libration-inf", ["libration-inf", "--E", "0.18", "--U", "0.5", "--q", "1", "--A", "1e4"]),
+    (
+        "trajectory",
+        [
+            "trajectory", "--E", "0.18", "--U", "0.5", "--region", "forbidden",
+            "--x-start", "0", "--x-stop", "2", "--n", "5",
+        ],
+    ),
+    (
+        "qshje-check",
+        [
+            "qshje-check", "--E", "0.18", "--U", "0.5", "--region", "forbidden",
+            "--x", "0.9", "--a", "2", "--b", "1", "--c", "2",
+        ],
+    ),
+    (
+        "coverage-sb-grid",
+        [
+            "coverage", "sb", "--E", "0.18", "--U", "0.5", "--pasts", "0",
+            "--presents", "0.3,1.2", "--dts", "2,8,11,14",
+        ],
+    ),
+    ("coverage-sb-pair", ["coverage", "sb", "--E", "0.18", "--U", "0.5", "--past", "0.1,0", "--present", "0.4,3"]),
+    (
+        "coverage-sw-grid",
+        [
+            "coverage", "sw", "--U", "1", "--q", "2", "--state-index", "1", "--pasts=-1",
+            "--presents=-0.5,0,1", "--dts", "10,25,40,55",
+        ],
+    ),
+    (
+        "coverage-sw-pair",
+        ["coverage", "sw", "--U", "1", "--q", "2", "--state-index", "1", "--past=-1,0", "--present", "0,25"],
+    ),
+    ("connect", ["connect", "--U", "1", "--q", "2", "--state-index", "0", "--past=-1,0", "--present", "0.5,40"]),
+    (
+        "sweep",
+        [
+            "sweep", "--quantity", "dwell", "--param", "c", "--start", "0", "--stop", "1.9",
+            "--count", "4", "--E", "0.18", "--U", "0.5", "--sign", "minus",
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("name,argv", SURFACE_CASES, ids=[c[0] for c in SURFACE_CASES])
+def test_stdout_surface_matches_its_snapshot(name, argv, fmt, capsys):
+    status = run([*argv, "--format", fmt])
+    captured = capsys.readouterr()
+    assert status == 0
+    assert captured.err == ""
+    assert captured.out == (SURFACE / f"{name}.{fmt}").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("name,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
 def test_golden_outputs_are_byte_identical(name, argv, capsys):
     status = run(argv)
@@ -91,13 +157,9 @@ def test_golden_outputs_are_byte_identical(name, argv, capsys):
 
 
 def test_all_subcommands_have_a_golden_fixture():
+    # read from the command table, so a subcommand added without a fixture fails here
     covered = {argv[0] if argv[0] != "coverage" else f"coverage-{argv[1]}" for _, argv in GOLDEN_CASES}
-    expected = {
-        "kinematics", "energies", "dwell", "dwell-max", "libration", "libration-max",
-        "libration-inf", "trajectory", "qshje-check", "coverage-sb", "coverage-sw",
-        "connect", "sweep",
-    }
-    assert covered == expected
+    assert covered == set(COMMANDS)
 
 
 def test_scipy_solvers_load_only_when_used():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from trdwell.errors import DomainError, QuadratureFailure
+from trdwell.errors import DegenerateMicrostate, DomainError, QuadratureFailure
 from trdwell.microstate import MONOCHROMATIC, BasisRescale, RawCoefficients, normalize, transform_basis
 from trdwell.potential import Units, kinematics_from_energies
 from trdwell.trajectory import (
@@ -278,6 +278,27 @@ class TestSpeed:
         assert speed_at(root, MONOCHROMATIC, basis, kin) > 1e9
         near = speed_at(root * (1.0 + 1e-9), MONOCHROMATIC, basis, kin)
         assert near > 1e6
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda ms, basis, kin: momentum_energy_derivative(0.5, ms, basis, kin),
+        lambda ms, basis, kin: speed_at(0.5, ms, basis, kin),
+        lambda ms, basis, kin: divergence_onset(kin, ms, basis, 10.0),
+        lambda ms, basis, kin: sample_trajectory((0.0, 1.0), 5, ms, basis, kin),
+        lambda ms, basis, kin: conjugate_momentum(0.5, ms, basis, kin.units),
+    ],
+    ids=[
+        "momentum_energy_derivative", "speed_at", "divergence_onset", "sample_trajectory",
+        "conjugate_momentum",
+    ],
+)
+def test_negative_definite_triple_is_degenerate(evaluate, kin):
+    # (-1, -1, 0) has ab - c^2/4 = 1 but a negative bilinear form everywhere;
+    # accepting it would return the mirror image of the (1, 1, 0) answers.
+    with pytest.raises(DegenerateMicrostate):
+        evaluate(RawCoefficients(-1.0, -1.0, 0.0), canonical_basis("forbidden", kin), kin)
 
 
 class TestSampling:
