@@ -109,7 +109,7 @@ _FLAGS = {
     "pasts": {"metavar": "LIST", "help": "comma-separated past positions (relation scan)"},
     "presents": {"metavar": "LIST", "help": "comma-separated present positions"},
     "dts": {"metavar": "LIST", "help": "comma-separated positive time offsets"},
-    "past-time": {"type": float, "default": 0.0, "help": "epoch of every past event"},
+    "past-time": {"type": float, "help": "epoch of every past event (relation scan; default 0)"},
     "quantity": {"choices": tuple(_SWEEP_NEEDS), "help": "quantity to evaluate"},
     "param": {"choices": ("E", "U", "q", "a", "b", "c", "A")},
     "start": {"type": float},
@@ -188,6 +188,8 @@ def _coverage_mode(args) -> str:
         raise UsageError("give either --past/--present or --pasts/--presents/--dts, not both")
     if not pair_mode and not grid_mode:
         raise UsageError("give --past/--present for one verdict or --pasts/--presents/--dts for a scan")
+    if pair_mode and args.past_time is not None:
+        raise UsageError("--past-time belongs to the --pasts/--presents/--dts scan; --past carries its own time")
     return "pair" if pair_mode else "grid"
 
 
@@ -197,7 +199,7 @@ def _grid_from_args(args) -> GridSpec:
             past_positions=_parse_floats(args.pasts, "--pasts"),
             present_positions=_parse_floats(args.presents, "--presents"),
             time_offsets=_parse_floats(args.dts, "--dts"),
-            past_time=args.past_time,
+            past_time=0.0 if args.past_time is None else args.past_time,
         )
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
@@ -422,7 +424,8 @@ COMMANDS = {
     ),
     "energies": _Command(
         "square-well bound states", "U q parity", "U q", _energies,
-        inputs="U q parity" + _UNITS, outputs="count states", rows="states", meta={"k_tol": EIGEN_K_TOL},
+        inputs="U q parity" + _UNITS, outputs="count states", csv="index parity E k kappa residual",
+        rows="states", meta={"k_tol": EIGEN_K_TOL},
     ),
     "dwell": _Command(
         "sub-barrier dwell time of a microstate", "E U" + _MS + " sign", "E U kin",
@@ -566,7 +569,7 @@ def run(argv: list[str] | None = None) -> int:
             rows = values[command.rows] if command.rows else [values]
             columns = _names(command.csv, res) if command.csv else None
             records = [{name: _field(name, res, row, values) for name in columns or row} for row in rows]
-            text = csv_dumps(records)
+            text = csv_dumps(records, columns)
     except (UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -79,12 +79,17 @@ def _csv_cell(value) -> str:
     raise TypeError(f"cannot place {type(value).__name__} in a CSV cell")
 
 
-def csv_dumps(rows: list[dict]) -> str:
-    """Render flat records as CSV: shared header row, one line per record."""
-    if not rows:
-        raise ValueError("CSV output needs at least one record to name its columns")
-    header = list(rows[0].keys())
-    for row in rows[1:]:
+def csv_dumps(rows: list[dict], header: list[str] | None = None) -> str:
+    """Render flat records as CSV: a header row, one line per record.
+
+    ``header`` names the columns, so an empty table still has them; without
+    it, the first record's keys do.
+    """
+    if header is None:
+        if not rows:
+            raise ValueError("CSV output needs a header or at least one record to name its columns")
+        header = list(rows[0].keys())
+    for row in rows:
         if list(row.keys()) != header:
             raise ValueError("all CSV rows must share one column set")
     out = io.StringIO()

@@ -162,26 +162,53 @@ def test_all_subcommands_have_a_golden_fixture():
     assert covered == set(COMMANDS)
 
 
-def test_scipy_solvers_load_only_when_used():
-    # scipy.optimize and scipy.integrate dominate import time; importing the
-    # package, listing well energies, sampling a trajectory or checking the
-    # QSHJE residual must not pay for them.
-    golden = dict(GOLDEN_CASES)
-    argvs = [golden[name] for name in ("energies.json", "trajectory.csv", "qshje-check.json")]
-    script = (
-        "import sys, trdwell\n"
-        "from trdwell.cli import run\n"
-        "loaded = lambda: [m for m in ('scipy.optimize', 'scipy.integrate') if m in sys.modules]\n"
-        "after_import = loaded()\n"
-        f"codes = [run(argv) for argv in {argvs!r}]\n"
-        "print(after_import, loaded(), codes)\n"
-    )
+def _python(script: str) -> str:
+    """Stdout of ``script`` run by a fresh interpreter that imports this package."""
     src = str(Path(trdwell.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60, check=True
     )
-    assert result.stdout.splitlines()[-1] == "[] [] [0, 0, 0]"
+    return result.stdout
+
+
+def test_scipy_solvers_load_only_when_used():
+    # scipy is a test-only dependency: importing the package, listing well
+    # energies, sampling a trajectory, checking the QSHJE residual or running
+    # either supremum search must not load any of it.
+    golden = dict(GOLDEN_CASES)
+    names = ("energies.json", "trajectory.csv", "qshje-check.json", "dwell-max.json", "libration-max.json")
+    argvs = [golden[name] for name in names]
+    script = (
+        "import sys, trdwell\n"
+        "from trdwell.cli import run\n"
+        "loaded = lambda: [m for m in ('scipy', 'scipy.optimize', 'scipy.integrate') if m in sys.modules]\n"
+        "after_import = loaded()\n"
+        f"codes = [run(argv) for argv in {argvs!r}]\n"
+        "print(after_import, loaded(), codes)\n"
+    )
+    assert _python(script).splitlines()[-1] == "[] [] [0, 0, 0, 0, 0]"
+
+
+def test_golden_outputs_need_no_scipy():
+    # with scipy made unimportable, every golden invocation prints its golden bytes
+    script = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy now raises ImportError\n"
+        "from trdwell.cli import run\n"
+        "outputs = []\n"
+        f"for argv in {[argv for _, argv in GOLDEN_CASES]!r}:\n"
+        "    buffer = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buffer):\n"
+        "        code = run(argv)\n"
+        "    outputs.append([code, buffer.getvalue()])\n"
+        "print(json.dumps(outputs))\n"
+    )
+    outputs = json.loads(_python(script).splitlines()[-1])
+    assert len(outputs) == len(GOLDEN_CASES)
+    for (name, _), (code, out) in zip(GOLDEN_CASES, outputs):
+        assert code == 0, name
+        assert out == (GOLDEN / name).read_text(encoding="utf-8"), name
 
 
 def test_repeat_runs_are_deterministic(capsys):
@@ -261,6 +288,21 @@ class TestExitCodes:
         )
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            ["sb", "--E", "0.18", "--U", "0.5", "--past", "0.1,0", "--present", "0.4,3"],
+            ["sw", "--U", "1", "--q", "2", "--state-index", "1", "--past=-1,0", "--present", "0,25"],
+        ],
+        ids=["sb", "sw"],
+    )
+    def test_past_time_in_pair_mode_is_usage(self, scenario, capsys):
+        # an event pair carries its own times; the scan's epoch must not be dropped silently
+        assert run(["coverage", *scenario, "--past-time", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: --past-time")
+
     def test_malformed_event_is_usage(self, capsys):
         assert run(["connect", "--U", "1", "--q", "2", "--past", "1;2", "--present", "0,1"]) == 1
         capsys.readouterr()
@@ -300,6 +342,24 @@ class TestOutputPlumbing:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "t_D,sign,a,b,c,E,U,k,kappa"
         assert len(lines) == 2
+
+    def test_energies_csv_without_states_is_the_header(self, capsys):
+        # a shallow narrow well holds no odd state; JSON reports count 0
+        argv = ["energies", "--U", "0.1", "--q", "0.5", "--parity", "odd"]
+        assert run(argv) == 0
+        assert json.loads(capsys.readouterr().out)["outputs"]["count"] == 0
+        assert run([*argv, "--format", "csv"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == "index,parity,E,k,kappa,residual\n"
+
+    def test_grid_past_time_is_echoed(self, capsys):
+        argv = [
+            "coverage", "sb", "--E", "0.18", "--U", "0.5", "--pasts", "0",
+            "--presents", "0.3,1.2", "--dts", "2,8,11,14", "--past-time", "5",
+        ]
+        assert run(argv) == 0
+        assert json.loads(capsys.readouterr().out)["inputs"]["past_time"] == 5.0
 
     def test_sweep_emits_header_plus_count_lines(self, capsys):
         argv = [

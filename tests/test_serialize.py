@@ -105,3 +105,10 @@ class TestCsv:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             csv_dumps([])
+
+    def test_empty_table_with_a_header_is_the_header_line(self):
+        assert csv_dumps([], ["i", "v"]) == "i,v\n"
+
+    def test_rows_must_match_the_given_header(self):
+        with pytest.raises(ValueError):
+            csv_dumps([{"v": 1, "i": 0}], ["i", "v"])

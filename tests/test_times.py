@@ -2,16 +2,19 @@
 
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trdwell.errors import DomainError
+from trdwell.errors import DomainError, OptimizationFailure
 from trdwell.microstate import MONOCHROMATIC, normalize
 from trdwell.potential import Units, kinematics_from_energies
 from trdwell.times import (
     SIGN_MINUS,
     SIGN_PLUS,
+    _maximize_over_slices,
     dwell_supremum_bound,
     dwell_time,
     dwell_time_monochromatic,
@@ -225,6 +228,79 @@ class TestMaxLibration:
         assert report.alternative_bound == pytest.approx(0.0, abs=1e-12)
         assert report.alternative_bound_holds is False
         assert report.supremum > 8.0  # the search beats the monochromatic member
+
+
+def _oracle_maximum(E, U, hbar, mass, q, epsilon):
+    """40-digit (a*, t_D, t_L) on the slice c = 2 - epsilon at a* = r sqrt(1 + c^2/4).
+
+    The closed-form maximizer stays in the test: the search never uses it.
+    """
+    with mpmath.workdps(40):
+        E, U, hbar, m, q = (mpmath.mpf(v) for v in (E, U, hbar, mass, q))
+        k, kappa = mpmath.sqrt(2 * m * E) / hbar, mpmath.sqrt(2 * m * (U - E)) / hbar
+        r = kappa / k
+        c = mpmath.mpf(2.0 - epsilon)  # the inset exactly as the search forms it
+        a = r * mpmath.sqrt(1 + c * c / 4)
+        b = (1 + c * c / 4) / a
+        gauge = mpmath.sqrt(a * b - c * c / 4)
+        t_D = 2 * gauge * (1 + r * r) / (a - c * r + b * r * r) * m / (hbar * kappa * k)
+        t_L = (
+            4 * (1 + r * r) * m * (q + 1 / kappa) / (hbar * k)
+            * gauge * (a + b * r * r) / (a * a + (2 * a * b - c * c) * r * r + b * b * r**4)
+        )
+        return float(a), float(t_D), float(t_L)
+
+
+class TestSearchOracles:
+    @pytest.mark.parametrize(
+        "E,U,hbar,mass,q",
+        [
+            (0.18, 0.5, 1.0, 1.0, 1.0),  # ordinary, r = 4/3
+            (0.5e-9, 0.5, 1.0, 1.0, 1.0),  # E -> 0: r >> 1
+            (0.5 - 0.5e-9, 0.5, 1.0, 1.0, 1.0),  # U - E = 1e-9 U: r << 1
+            (0.3, 2.0, 0.37, 4.1, 1.0),  # hbar, m != 1
+            (0.18, 0.5, 1.0, 1.0, 0.1),
+            (0.18, 0.5, 1.0, 1.0, 10.0),
+        ],
+    )
+    def test_suprema_match_the_40_digit_maximum(self, E, U, hbar, mass, q):
+        kin = kinematics_from_energies(E, U, Units(hbar=hbar, mass=mass))
+        a_star, t_D, t_L = _oracle_maximum(E, U, hbar, mass, q, 1e-6)
+        dwell, libration = max_dwell(kin, 1e-6), max_libration(kin, q, 1e-6)
+        for report, value in ((dwell, t_D), (libration, t_L)):
+            assert report.maximizer.c == 2.0 - 1e-6
+            assert abs(report.supremum - value) <= 1e-14 * value
+            assert report.maximizer.a == pytest.approx(a_star, rel=1e-6)
+        assert dwell.sign == SIGN_MINUS
+
+    @given(_sub_barrier, st.floats(0.05, 20.0))
+    @settings(max_examples=25, deadline=None)
+    def test_suprema_approach_their_bounds_from_below(self, kin, q):
+        for report in (max_dwell(kin, 1e-6), max_libration(kin, q, 1e-6)):
+            assert report.supremum <= report.analytic_bound * (1.0 + 1e-9)
+            assert report.supremum == pytest.approx(report.analytic_bound, rel=1e-5)
+
+
+class TestSliceSearch:
+    def test_finds_a_maximum_interior_in_log_a_and_c(self):
+        # a tilted ridge peaking at c = 0.4, log a = 0.5 c + 0.2 = 0.4 on the
+        # first slice and at c = -0.3, log a = 0.05 on the second: nothing
+        # here is a dwell or libration formula, so the search cannot be
+        # relying on their known maximizer
+        peak = np.array([0.4, -0.3])[:, None, None]
+
+        def objective(a, c):
+            return 1.0 / (1.0 + (np.log(a) - 0.5 * c - 0.2) ** 2 + (c - peak) ** 2)
+
+        found = _maximize_over_slices(objective, [1.5, 1.0])
+        for (a, c, value), c_peak in zip(found, (0.4, -0.3)):
+            assert c == pytest.approx(c_peak, abs=1e-6)
+            assert math.log(a) == pytest.approx(0.5 * c_peak + 0.2, abs=1e-6)
+            assert value == pytest.approx(1.0, abs=1e-12)
+
+    def test_non_finite_objective_is_an_optimization_failure(self):
+        with pytest.raises(OptimizationFailure):
+            _maximize_over_slices(lambda a, c: np.where(a > 1.0, np.nan, a), [1.0])
 
 
 class TestInfimumProbe:
