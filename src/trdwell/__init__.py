@@ -35,7 +35,7 @@ from .errors import (
     DomainError,
     Infeasible,
     OptimizationFailure,
-    QuadratureFailure,
+    ScanNotSettled,
     StepUnderflow,
     TrdwellError,
 )

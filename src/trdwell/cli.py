@@ -16,8 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import __version__
 from .config import DEFAULT_CONFIG, Config, ConfigError, load_config
 from .coverage import (
@@ -344,6 +342,19 @@ def _connect(res) -> dict:
     return {**vars(solution), **_nested("microstate", vars(solution.ms)), **_events(res)}
 
 
+def _linspace(start, stop, count: int) -> list[float]:
+    """``count`` evenly spaced floats from ``start`` to ``stop``, bit for bit as numpy's linspace."""
+    start, stop = float(start), float(stop)
+    div = count - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0:  # numpy's branch for a step that underflows: scale i/div by delta instead
+        points = [i / div * delta + start for i in range(div)]
+    else:
+        points = [i * step + start for i in range(div)]
+    return points + [stop]
+
+
 def _sweep(res) -> dict:
     quantity = _required(res.quantity, "--quantity is required")
     spec = {name: _flag_or_config(res, name, "sweep") for name in ("param", "start", "stop", "count")}
@@ -380,7 +391,7 @@ def _sweep(res) -> dict:
             return dwell_time(kin, ms, _SIGN_BY_NAME[res.sign]).t_D
         return libration_period(kin, params["q"], ms)
 
-    values = [float(v) for v in np.linspace(spec["start"], spec["stop"], spec["count"])]
+    values = _linspace(spec["start"], spec["stop"], spec["count"])
     return {
         **spec,
         "base": {k: v for k, v in base.items() if v is not None},

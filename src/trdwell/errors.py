@@ -13,8 +13,8 @@ class DegenerateMicrostate(TrdwellError, ValueError):
     """Coefficient triple with ab - c^2/4 <= 0, or a bilinear form that collapsed."""
 
 
-class QuadratureFailure(TrdwellError, RuntimeError):
-    """A numerical scan did not settle within its range."""
+class ScanNotSettled(TrdwellError, RuntimeError):
+    """A grid scan did not settle within its range (the divergence-onset scan)."""
 
 
 class StepUnderflow(TrdwellError, ValueError):

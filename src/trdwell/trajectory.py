@@ -16,9 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DomainError, QuadratureFailure
+from .errors import DomainError, ScanNotSettled
 from .microstate import Microstate, RawCoefficients
 from .potential import FORBIDDEN, FREE, Kinematics
 from .wavefield import RegionBasis, bilinear, check_basis, checked_denominator, gauge_factor
@@ -267,6 +265,8 @@ def divergence_onset(
     check_basis(basis, kin)
     if not (math.isfinite(speed_floor) and speed_floor > 0.0):
         raise DomainError(f"speed_floor must be finite and positive, got {speed_floor!r}")
+    import numpy as np  # the one array scan here; every other function is scalar
+
     kappa, al, be = basis.wavenumber, basis.alpha, basis.beta
     N = _numerator(ms, basis, kin)
     dw_dE = _wavenumber_energy_slope(basis, kin)
@@ -291,7 +291,7 @@ def divergence_onset(
         hits = np.flatnonzero(settled | (u > 5000.0))
         if hits.size:
             if not settled[hits[0]]:
-                raise QuadratureFailure("speed never settled above the floor within the scan range")
+                raise ScanNotSettled("speed never settled above the floor within the scan range")
             last_below = int(last[hits[0]])
             break
         last_below = int(last[-1])

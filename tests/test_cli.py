@@ -1,15 +1,20 @@
 """Command-line surface: golden files, exit codes, config handling."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import trdwell
-from trdwell.cli import COMMANDS, run
+from trdwell.cli import COMMANDS, _linspace, run
 from trdwell.microstate import normalize
 from trdwell.potential import kinematics_from_energies
 from trdwell.times import SIGN_PLUS, dwell_time
@@ -172,22 +177,78 @@ def _python(script: str) -> str:
     return result.stdout
 
 
+def _modules_loaded(argvs, modules) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Which of ``modules`` a fresh interpreter has loaded after importing the package and the CLI,
+    then (exit code, loaded) after each of ``argvs``, run one after another in that interpreter."""
+    script = (
+        "import contextlib, io, json, sys, trdwell\n"
+        "from trdwell.cli import run\n"
+        f"loaded = lambda: [m for m in {list(modules)!r} if m in sys.modules]\n"
+        "after_import, runs = loaded(), []\n"
+        f"for argv in {[list(argv) for argv in argvs]!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = run(argv)\n"
+        "    runs.append((code, loaded()))\n"
+        "print(json.dumps([after_import, runs]))\n"
+    )
+    after_import, runs = json.loads(_python(script).splitlines()[-1])
+    return after_import, [(code, loaded) for code, loaded in runs]
+
+
 def test_scipy_solvers_load_only_when_used():
     # scipy is a test-only dependency: importing the package, listing well
     # energies, sampling a trajectory, checking the QSHJE residual or running
     # either supremum search must not load any of it.
     golden = dict(GOLDEN_CASES)
     names = ("energies.json", "trajectory.csv", "qshje-check.json", "dwell-max.json", "libration-max.json")
-    argvs = [golden[name] for name in names]
-    script = (
-        "import sys, trdwell\n"
-        "from trdwell.cli import run\n"
-        "loaded = lambda: [m for m in ('scipy', 'scipy.optimize', 'scipy.integrate') if m in sys.modules]\n"
-        "after_import = loaded()\n"
-        f"codes = [run(argv) for argv in {argvs!r}]\n"
-        "print(after_import, loaded(), codes)\n"
+    after_import, runs = _modules_loaded(
+        [golden[name] for name in names], ("scipy", "scipy.optimize", "scipy.integrate")
     )
-    assert _python(script).splitlines()[-1] == "[] [] [0, 0, 0, 0, 0]"
+    assert (after_import, runs) == ([], [(0, [])] * 5)
+
+
+# the error exits of the acceptance suite's C13, which the cold-start benchmark also runs
+ERROR_CASES = [
+    ([], 1),
+    (["no-such-command"], 1),
+    (["dwell", "--E", "0.7", "--U", "0.5", "--a", "1", "--b", "1", "--c", "0"], 2),
+]
+
+
+def test_numpy_loads_only_for_the_supremum_searches():
+    # only the extremal searches and the divergence-onset scan work on arrays:
+    # importing the package and every other golden or error invocation must
+    # not load numpy, and a supremum search still must
+    searches = ("dwell-max.json", "libration-max.json")
+    cases = [(argv, 0) for name, argv in GOLDEN_CASES if name not in searches] + ERROR_CASES
+    cases.append((dict(GOLDEN_CASES)["dwell-max.json"], 0))
+    after_import, runs = _modules_loaded([argv for argv, _ in cases], ("numpy",))
+    assert after_import == []
+    assert runs == [(code, []) for _, code in cases[:-1]] + [(0, ["numpy"])]
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(_finite, _finite, st.integers(2, 200))
+@example(0.1, 0.4, 11)
+@example(3.0, 3.0, 5)  # start == stop
+@example(-0.0, 0.0, 4)  # signed zeros
+@example(1.9, -2.5, 7)  # reversed
+@example(5e-324, 2e-323, 9)  # subnormal span: the step underflows to zero
+@example(-1.7e308, 1.7e308, 3)  # the span overflows
+@example(1e308, 1.7976931348623157e308, 200)
+@settings(max_examples=300, deadline=None)
+def test_sweep_grid_is_numpy_linspace_bit_for_bit(start, stop, count):
+    with np.errstate(all="ignore"):
+        expected = np.linspace(start, stop, count).tolist()
+    got = _linspace(start, stop, count)
+    assert len(got) == len(expected)
+    for x, y in zip(got, expected):
+        if math.isnan(y):  # 0 * inf at the first point of an overflowing span
+            assert math.isnan(x)
+        else:
+            assert x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
 
 
 def test_golden_outputs_need_no_scipy():
@@ -381,6 +442,35 @@ class TestOutputPlumbing:
         assert [p["value"] for p in points] == [0.0, 0.475, 0.95, 1.4249999999999998, 1.9]
         for p in points:
             assert p["result"] == dwell_time(kin, normalize(1.0, 1.0, p["value"]), SIGN_PLUS).t_D
+
+    @pytest.mark.parametrize(
+        "quantity,flags,oracle",
+        [
+            # 4m(q + 1/kappa)/(hbar k) and hbar/sqrt(E(U - E)), at 40 digits
+            (
+                "libration", ["--U", "0.5", "--q", "1"],
+                lambda E: 4 * (1 + 1 / mpmath.sqrt(2 * (mpmath.mpf(0.5) - E))) / mpmath.sqrt(2 * E),
+            ),
+            ("dwell", ["--U", "1e10"], lambda E: 1 / mpmath.sqrt(E * (mpmath.mpf(1e10) - E))),
+        ],
+        ids=["libration", "dwell"],
+    )
+    def test_sweep_at_overflowing_powers_of_r(self, quantity, flags, oracle, capsys):
+        # E = 1e-300 and 1e-150 put r = kappa/k near 7e149 and 7e74 (libration), 1e155 and
+        # 1e80 (dwell); the plain libration formula overflows at both, the dwell one at 1e155
+        argv = ["sweep", "--quantity", quantity, "--param", "E", "--start", "1e-300", "--stop", "1e-150",
+                "--count", "2", *flags]
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        for point in json.loads(captured.out)["outputs"]["points"]:
+            with mpmath.workdps(40):
+                expected = float(oracle(mpmath.mpf(point["value"])))
+            assert point["result"] == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_a_period_beyond_the_double_range_is_domain(self, capsys):
+        assert run(["libration", "--E", "1e-300", "--U", "0.5", "--q", "1e300"]) == 2
+        assert "overflows" in capsys.readouterr().err
 
     def test_trajectory_csv_is_plot_ready(self, capsys):
         argv = [

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from trdwell.errors import DomainError, OptimizationFailure
 from trdwell.microstate import MONOCHROMATIC, normalize
 from trdwell.potential import Units, kinematics_from_energies
+from trdwell.search import maximize_over_slices
 from trdwell.times import (
     SIGN_MINUS,
     SIGN_PLUS,
-    _maximize_over_slices,
+    _dwell_value,
+    _libration_value,
     dwell_supremum_bound,
     dwell_time,
     dwell_time_monochromatic,
@@ -292,7 +294,7 @@ class TestSliceSearch:
         def objective(a, c):
             return 1.0 / (1.0 + (np.log(a) - 0.5 * c - 0.2) ** 2 + (c - peak) ** 2)
 
-        found = _maximize_over_slices(objective, [1.5, 1.0])
+        found = maximize_over_slices(objective, [1.5, 1.0])
         for (a, c, value), c_peak in zip(found, (0.4, -0.3)):
             assert c == pytest.approx(c_peak, abs=1e-6)
             assert math.log(a) == pytest.approx(0.5 * c_peak + 0.2, abs=1e-6)
@@ -300,7 +302,7 @@ class TestSliceSearch:
 
     def test_non_finite_objective_is_an_optimization_failure(self):
         with pytest.raises(OptimizationFailure):
-            _maximize_over_slices(lambda a, c: np.where(a > 1.0, np.nan, a), [1.0])
+            maximize_over_slices(lambda a, c: np.where(a > 1.0, np.nan, a), [1.0])
 
 
 class TestInfimumProbe:
@@ -325,3 +327,88 @@ class TestInfimumProbe:
             libration_infimum_probe(kin, 1.0, 0.0)
         with pytest.raises(DomainError):
             libration_infimum_probe(kin, 1.0, math.inf)
+
+
+def _oracle_times(E, U, hbar, mass, q, ms):
+    """40-digit (t_D with sign "+", t_D with sign "-", t_L) of ``ms`` from the closed forms."""
+    with mpmath.workdps(40):
+        E, U, hbar, mass, q = (mpmath.mpf(v) for v in (E, U, hbar, mass, q))
+        a, b, c = (mpmath.mpf(v) for v in (ms.a, ms.b, ms.c))
+        k, kappa = mpmath.sqrt(2 * mass * E) / hbar, mpmath.sqrt(2 * mass * (U - E)) / hbar
+        r = kappa / k
+        gauge = mpmath.sqrt(a * b - c * c / 4)
+        dwell = [
+            2 * gauge * (1 + r * r) / (a + s * c * r + b * r * r) * mass / (hbar * kappa * k)
+            for s in (1, -1)
+        ]
+        period = (
+            4 * (1 + r * r) * mass * (q + 1 / kappa) / (hbar * k)
+            * gauge * (a + b * r * r) / (a * a + (2 * a * b - c * c) * r * r + b * b * r**4)
+        )
+        return float(dwell[0]), float(dwell[1]), float(period)
+
+
+class TestOverflowingPowersOfR:
+    # r = kappa/k so large that r^2 (dwell) or r^4 (libration) overflows a double
+    @pytest.mark.parametrize(
+        "E,U,hbar,mass,q",
+        [
+            (1e-150, 0.5, 1.0, 1.0, 1.0),  # the libration prefactor times its numerator overflows
+            (1e-300, 1e10, 1.0, 1.0, 1.0),  # r^2 overflows
+            (1e-200, 3.0, 0.7, 2.5, 0.1),
+            (1e-290, 1e-5, 1.3, 0.4, 10.0),
+        ],
+    )
+    @pytest.mark.parametrize("c", [0.0, 1.9, -1.9, 0.5])
+    def test_matches_the_40_digit_closed_forms(self, E, U, hbar, mass, q, c):
+        kin = kinematics_from_energies(E, U, Units(hbar=hbar, mass=mass))
+        ms = normalize(2.0, (1.0 + 0.25 * c * c) / 2.0, c)
+        assert not math.isfinite(_libration_value(ms.a, ms.b, ms.c, kin, q))  # the plain formula overflows
+        plus, minus, period = _oracle_times(E, U, hbar, mass, q, ms)
+        assert dwell_time(kin, ms, SIGN_PLUS).t_D == pytest.approx(plus, rel=1e-14, abs=0.0)
+        assert dwell_time(kin, ms, SIGN_MINUS).t_D == pytest.approx(minus, rel=1e-14, abs=0.0)
+        assert libration_period(kin, q, ms) == pytest.approx(period, rel=1e-14, abs=0.0)
+
+    def test_monochromatic_periods_keep_their_textbook_values(self):
+        kin = kinematics_from_energies(1e-150, 0.5)
+        assert libration_period(kin, 1.0, MONOCHROMATIC) == pytest.approx(
+            libration_period_monochromatic(kin, 1.0), rel=1e-15
+        )
+        kin = kinematics_from_energies(1e-300, 1e10)
+        assert dwell_time(kin, MONOCHROMATIC).t_D == pytest.approx(dwell_time_monochromatic(kin), rel=1e-15)
+
+    def test_huge_coefficient_a_is_not_a_zero_period(self):
+        # a^2 overflows at ordinary r; the period is ~ (1 + r^2)/a times the monochromatic one
+        kin = kinematics_from_energies(0.1, 0.5)
+        for a in (1e200, 1e-200):
+            ms = normalize(a, 1.0 / a, 0.0)
+            period = libration_period(kin, 1.0, ms)
+            assert period == pytest.approx(_oracle_times(0.1, 0.5, 1.0, 1.0, 1.0, ms)[2], rel=1e-14, abs=0.0)
+
+    def test_a_value_beyond_the_double_range_is_a_domain_error(self):
+        kin = kinematics_from_energies(1e-300, 0.5)
+        with pytest.raises(DomainError, match="overflows"):
+            libration_period(kin, 1e300, MONOCHROMATIC)
+        kin = kinematics_from_energies(1e-300, 2e-300, Units(hbar=1e10))
+        with pytest.raises(DomainError, match="overflows"):
+            dwell_time(kin, MONOCHROMATIC)
+
+
+class TestScalarAndArrayObjectivesAgree:
+    def test_bit_for_bit_on_random_normalized_microstates(self):
+        # the search evaluates the objectives on arrays with np.sqrt; dwell_time
+        # and libration_period evaluate the same formulas on floats with math.sqrt
+        rng = np.random.default_rng(20260)
+        for _ in range(20):
+            U, hbar, mass, q = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 4))
+            kin = kinematics_from_energies(U * rng.uniform(1e-3, 0.999), U, Units(hbar=hbar, mass=mass))
+            states = [
+                normalize(a, (1.0 + 0.25 * c * c) / a, c)
+                for a, c in zip(np.exp(rng.uniform(-8.0, 8.0, 50)), rng.uniform(-1.999, 1.999, 50))
+            ]
+            a, b, c = (np.array(v) for v in zip(*((s.a, s.b, s.c) for s in states)))
+            for sign, factor in ((SIGN_PLUS, 1.0), (SIGN_MINUS, -1.0)):
+                array = _dwell_value(a, b, c, kin, factor, np.sqrt).tolist()
+                assert array == [dwell_time(kin, s, sign).t_D for s in states]
+            array = _libration_value(a, b, c, kin, q, np.sqrt).tolist()
+            assert array == [libration_period(kin, q, s) for s in states]

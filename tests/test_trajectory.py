@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from trdwell.errors import DegenerateMicrostate, DomainError, QuadratureFailure
+from trdwell.errors import DegenerateMicrostate, DomainError, ScanNotSettled
 from trdwell.microstate import MONOCHROMATIC, BasisRescale, RawCoefficients, normalize, transform_basis
 from trdwell.potential import Units, kinematics_from_energies
 from trdwell.trajectory import (
@@ -472,7 +472,7 @@ def _reference_onset(speed, kappa, speed_floor):
         if u >= 60.0 and above_run >= 2000:
             break
         if u > 5000.0:
-            raise QuadratureFailure("speed never settled above the floor within the scan range")
+            raise ScanNotSettled("speed never settled above the floor within the scan range")
         i += 1
     return 0.0 if last_below is None else (last_below + du) / (2.0 * kappa)
 
