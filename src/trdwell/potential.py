@@ -8,7 +8,14 @@ classically forbidden region carries the decay constant kappa.
 
 Square-well bound states need no scan: each parity has exactly one root of
 its matching condition in every other pi/2 interval of k q, so state i is
-found by one bisection inside its own interval.
+found by one bisection inside its own interval.  A single state
+(:func:`bound_state`) is bisected on floats with ``math``.  The whole ladder
+(:func:`bound_state_energies`) is bisected as numpy arrays, imported on first
+use, in passes of at most 2,048 slots: every slot takes the same midpoints
+and stops by the same test as the scalar bisection.  np.sin and np.cos may
+differ from ``math`` in the last bit, so any bracket value too close to zero
+for its sign to be certain is evaluated again with ``math``; every ladder
+state is therefore bit for bit the state :func:`bound_state` returns.
 """
 
 from __future__ import annotations
@@ -31,6 +38,16 @@ PARITY_BOTH = "both"
 #: Absolute bisection width at which an eigenvalue bracket is considered
 #: converged, in units of k.
 EIGEN_K_TOL = 1e-13
+
+#: Most ladder slots bisected together in one array pass.  Each pass keeps a
+#: few dozen 16 KB arrays; larger passes make the heap grow and shrink.
+_LADDER_PASS = 2048
+
+#: An array bracket value k sin - kappa cos (or k cos + kappa sin) is trusted
+#: for its sign only above this multiple of k_max >= (k + kappa)/sqrt(2):
+#: thousands of times the few ulp by which np.sin/np.cos may differ from
+#: math.sin/math.cos.
+_SIGN_GUARD = 2.0**-40
 
 
 def check_half_width(q: float | None) -> None:
@@ -161,7 +178,7 @@ def make_kinematics(E: float, pot: Potential, units: Units = Units()) -> Kinemat
     return kinematics_from_energies(E, pot.U, units)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundState:
     """One square-well eigenstate: energy, parity, and its wavenumber pair."""
 
@@ -181,6 +198,13 @@ def _odd_bracket(k: float, kappa: float, q: float) -> float:
     return k * math.cos(k * q) + kappa * math.sin(k * q)
 
 
+#: Bracket function and parity of even and odd ladder slots, indexed by i % 2.
+_SLOT_KINDS = ((_even_bracket, PARITY_EVEN), (_odd_bracket, PARITY_ODD))
+
+#: Iteration cap of both bisections; the width test ends them far sooner.
+_BISECT_STEPS = 200
+
+
 def _bisect(f, lo: float, hi: float, xtol: float) -> float:
     """Plain bisection on a bracketed sign change; deterministic and robust."""
     # Adjacent floats cannot be split further: above k = 512 their spacing
@@ -189,7 +213,7 @@ def _bisect(f, lo: float, hi: float, xtol: float) -> float:
     flo = f(lo)
     if flo == 0.0:
         return lo
-    for _ in range(200):
+    for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         if hi - lo <= xtol:
             return mid
@@ -204,14 +228,22 @@ def _bisect(f, lo: float, hi: float, xtol: float) -> float:
 
 
 def matching_residual(state: BoundState, q: float) -> float:
-    """Residual of the transcendental matching condition for ``state``.
+    """Signed distance in k from ``state`` to the root of its matching condition.
 
-    Uses the standard tan/cot form, which is independent of the pole-free
-    bracket functions the solver itself scans, so it doubles as a check.
+    The standard tan/cot form g(k) (k tan(kq) - kappa for even parity,
+    -k cot(kq) - kappa for odd) divided by its derivative along the ladder,
+    where dkappa/dk = -k/kappa: the Newton step k - k_root, comparable to
+    ``EIGEN_K_TOL``.  Near a pole of tan or cot g is ill-conditioned, g/g' is
+    not.  Being independent of the pole-free bracket functions the solver
+    scans, it doubles as a check.
     """
+    k, kappa = state.k, state.kappa
+    kq = k * q
     if state.parity == PARITY_EVEN:
-        return state.k * math.tan(state.k * q) - state.kappa
-    return -state.k / math.tan(state.k * q) - state.kappa
+        t = math.tan(kq)
+        return (k * t - kappa) / (t + kq / math.cos(kq) ** 2 + k / kappa)
+    t = 1.0 / math.tan(kq)
+    return (-k * t - kappa) / (-t + kq / math.sin(kq) ** 2 + k / kappa)
 
 
 def _well_scales(pot: Potential, units: Units) -> tuple[float, float]:
@@ -241,38 +273,105 @@ def _ladder_size(q: float, k_max: float) -> int:
     return size
 
 
-def _slot_state(i: int, q: float, k_max: float, units: Units) -> BoundState:
-    """Bound state ``i``: the single root of its parity in ladder slot ``i``.
+def _kappa_in_well(k: float, k_max: float) -> float:
+    return math.sqrt(max(k_max * k_max - k * k, 0.0))
+
+
+def _bisect_one(i: int, q: float, k_max: float) -> float:
+    """The k at which the bisection of ladder slot ``i`` ends.
 
     Even slots hold the even roots, kq in (n pi, n pi + pi/2), and odd slots
     the odd roots, kq in (n pi + pi/2, (n+1) pi); the pole-free bracket
     changes sign exactly once across each, the last slot being cut at k_max.
     """
-
-    def kappa_of(k: float) -> float:
-        return math.sqrt(max(k_max * k_max - k * k, 0.0))
-
-    bracket, parity = (_even_bracket, PARITY_EVEN) if i % 2 == 0 else (_odd_bracket, PARITY_ODD)
+    bracket = _SLOT_KINDS[i % 2][0]
     hi = min(_slot_floor(i + 1, q), k_max)
-    k = _bisect(lambda k: bracket(k, kappa_of(k), q), _slot_floor(i, q), hi, EIGEN_K_TOL)
+    return _bisect(lambda k: bracket(k, _kappa_in_well(k, k_max), q), _slot_floor(i, q), hi, EIGEN_K_TOL)
+
+
+def _state_at(i: int, k: float, k_max: float, units: Units) -> BoundState:
+    """The state of ladder slot ``i`` whose bisection ended at ``k``.
+
+    Both ladder paths build their states here on Python floats, so a state
+    depends on its k alone, not on how k was found.
+    """
     # A last slot narrower than the tolerance can return its upper end k_max;
     # the state still lies below the threshold, so keep kappa positive.
     k = min(k, math.nextafter(k_max, 0.0))
     E = (units.hbar * k) ** 2 / (2.0 * units.mass)
-    return BoundState(E=E, parity=parity, k=k, kappa=kappa_of(k))
+    return BoundState(E, _SLOT_KINDS[i % 2][1], k, _kappa_in_well(k, k_max))
+
+
+def _bisect_slots(slots: range, q: float, k_max: float) -> list[float]:
+    """The k at which :func:`_bisect` ends in every ladder slot of ``slots``.
+
+    One numpy bisection over all the slots: each takes the same bracket
+    values, midpoints, exact-zero exits and width test as its scalar
+    bisection, and leaves the arrays when its own test stops it.  Only the
+    sign and zeroness of the bracket steer a bisection.  np.sin/np.cos may
+    differ from ``math`` by a few ulp, which moves a bracket value by far less
+    than ``_SIGN_GUARD * k_max``, so values below that come from the scalar
+    bracket instead.
+    """
+    k2 = k_max * k_max
+    if not math.isfinite(k2):  # no array value could be trusted
+        return [_bisect_one(i, q, k_max) for i in slots]
+    import numpy as np
+
+    i = np.asarray(slots, dtype=float)
+    lo = i * math.pi / (2.0 * q)
+    hi = np.minimum((i + 1.0) * math.pi / (2.0 * q), k_max)
+    xtol = np.maximum(EIGEN_K_TOL, np.spacing(hi))
+    even = i % 2.0 == 0.0
+    at = np.arange(len(slots))  # where in ``slots`` each slot still bisected sits
+    k = np.empty(len(slots))
+    guard = _SIGN_GUARD * k_max
+
+    def bracket(x):
+        kappa = np.sqrt(k2 - x * x)  # x <= k_max, so never the root of a negative
+        sin, cos = np.sin(x * q), np.cos(x * q)
+        value = np.where(even, x * sin - kappa * cos, x * cos + kappa * sin)
+        for j in np.flatnonzero(np.abs(value) <= guard).tolist():
+            xj = float(x[j])
+            value[j] = _SLOT_KINDS[slots[at[j]] % 2][0](xj, _kappa_in_well(xj, k_max), q)
+        return value
+
+    def settle(done, x):
+        # slots ``done`` end at ``x`` and leave the arrays
+        nonlocal at, lo, hi, flo, xtol, even
+        if done.any():
+            k[at[done]] = x[done]
+            left = ~done
+            at, lo, hi, flo, xtol, even = (v[left] for v in (at, lo, hi, flo, xtol, even))
+
+    flo = bracket(lo)
+    settle(flo == 0.0, lo)
+    for _ in range(_BISECT_STEPS):
+        if not at.size:
+            break
+        mid = 0.5 * (lo + hi)
+        fmid = bracket(mid)
+        done = (hi - lo <= xtol) | (fmid == 0.0)
+        up = (flo < 0.0) != (fmid < 0.0)
+        hi = np.where(up, mid, hi)
+        lo = np.where(up, lo, mid)
+        flo = np.where(up, flo, fmid)
+        settle(done, mid)
+    k[at] = 0.5 * (lo + hi)
+    return k.tolist()
 
 
 def bound_state(pot: Potential, units: Units = Units(), index: int = 0) -> BoundState:
     """Bound state number ``index`` (0-based, ascending energy) of a square well.
 
-    Solves only the one ladder slot the state lives in, so the cost does not
-    grow with the depth of the well.
+    Solves only the one ladder slot the state lives in, on floats and
+    without numpy, so the cost does not grow with the depth of the well.
     """
     q, k_max = _well_scales(pot, units)
     size = _ladder_size(q, k_max)
     if not 0 <= index < size:
         raise DomainError(f"state index {index} out of range; the well holds {size} states")
-    return _slot_state(index, q, k_max, units)
+    return _state_at(index, _bisect_one(index, q, k_max), k_max, units)
 
 
 def bound_state_energies(
@@ -286,11 +385,16 @@ def bound_state_energies(
     i, odd parity for odd i.  Each slot is solved by bisection of a pole-free
     bracket (k sin(kq) - kappa cos(kq) for even parity, k cos(kq) +
     kappa sin(kq) for odd) to ``EIGEN_K_TOL`` in k; ``parity`` keeps every
-    other slot.
+    other slot.  The slots are bisected together in numpy passes of
+    ``_LADDER_PASS``, and every state equals ``bound_state`` of its slot.
     """
     if parity not in (PARITY_EVEN, PARITY_ODD, PARITY_BOTH):
         raise DomainError(f"parity must be even, odd or both, got {parity!r}")
     q, k_max = _well_scales(pot, units)
     first = 1 if parity == PARITY_ODD else 0
     stride = 1 if parity == PARITY_BOTH else 2
-    return tuple(_slot_state(i, q, k_max, units) for i in range(first, _ladder_size(q, k_max), stride))
+    slots = range(first, _ladder_size(q, k_max), stride)
+    passes = (slots[start : start + _LADDER_PASS] for start in range(0, len(slots), _LADDER_PASS))
+    return tuple(
+        _state_at(i, k, k_max, units) for batch in passes for i, k in zip(batch, _bisect_slots(batch, q, k_max))
+    )

@@ -8,8 +8,11 @@ around its best point, repeat down to a 1e-12 step) finds the maximum over
 a.  A zoom in c around each slice's best cell then refines c, and each of
 its inner zooms starts dense around the maximizers of its previous pass.
 
-This is the only module that works on arrays besides the divergence-onset
-scan, so only it and that scan import numpy; the closed forms stay scalar.
+The log-a window is [1e-8, 1e8] moved by round(log10 r) decades, so it
+follows r = kappa/k, an input, and never the maximizer.  Besides the
+divergence-onset scan and the well ladder, this is the only module that
+works on arrays, so only those three import numpy; the closed forms stay
+scalar.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import numpy as np
 from .errors import OptimizationFailure
 from .times import OBJECTIVE_TIE_TOL
 
-#: Log-space search window for the coefficient a in extremal searches.
+#: Log-space search window for the coefficient a in extremal searches at
+#: r = kappa/k near 1; it moves by whole decades with r (see ``_log_a_window``).
 _LOG_A_LO = math.log(1e-8)
 _LOG_A_HI = math.log(1e8)
 
@@ -75,20 +79,30 @@ def _zoom(evaluate, x: np.ndarray):
         x = (lo[:, None] + (hi - lo)[:, None] * steps).ravel()
 
 
-def _inner_max_over_a(objective, c: np.ndarray, near=None):
+def _log_a_window(r: float) -> tuple[float, float]:
+    """The log-a window [ln 1e-8, ln 1e8] moved by round(log10 r) decades.
+
+    The objectives peak near a ~ r, so the window follows r, an input of the
+    search, rather than the maximizer; for |log10 r| < 0.5 it stays put.
+    """
+    shift = round(math.log10(r)) * math.log(10.0)
+    return _LOG_A_LO + shift, _LOG_A_HI + shift
+
+
+def _inner_max_over_a(objective, c: np.ndarray, window, near=None):
     """Maximize objective(a, c) over a > 0 for every entry of ``c`` at once.
 
     The objectives here vanish as a -> 0 or a -> inf and are unimodal in
-    log a, so a zoom over the log-a window finds the maximum.  ``near``, a
-    (lo, hi) pair of log-a bounds broadcasting against ``c``, makes the first
-    grid dense on [lo, hi]; that grid keeps the window's two ends, so a
-    maximum outside [lo, hi] is still bracketed.  Returns log a, a and the
-    maximum, each shaped like ``c``.
+    log a, so a zoom over the log-a ``window`` (lo, hi) finds the maximum.
+    ``near``, a (lo, hi) pair of log-a bounds broadcasting against ``c``,
+    makes the first grid dense on [lo, hi]; that grid keeps the window's two
+    ends, so a maximum outside [lo, hi] is still bracketed.  Returns log a,
+    a and the maximum, each shaped like ``c``.
     """
     points = max(_PASS_POINTS // c.size, 5)
-    lo, hi = (_LOG_A_LO, _LOG_A_HI) if near is None else near
+    lo, hi = window if near is None else near
     grid = np.linspace(lo, hi, points, axis=-1)
-    grid[..., 0], grid[..., -1] = _LOG_A_LO, _LOG_A_HI
+    grid[..., 0], grid[..., -1] = window
 
     def evaluate(log_a):
         a = np.exp(log_a)
@@ -98,7 +112,7 @@ def _inner_max_over_a(objective, c: np.ndarray, near=None):
     return log_a, a, value
 
 
-def _warm_start(log_a: np.ndarray):
+def _warm_start(log_a: np.ndarray, window):
     """Log-a bounds (lo, hi) around the maximizers ``log_a`` (one row per slice).
 
     Their range, widened on each side by that range, so none of them sits in
@@ -107,36 +121,38 @@ def _warm_start(log_a: np.ndarray):
     """
     lo, hi = log_a.min(axis=-1, keepdims=True), log_a.max(axis=-1, keepdims=True)
     pad = hi - lo + _WARM_MARGIN
-    return np.maximum(lo - pad, _LOG_A_LO), np.minimum(hi + pad, _LOG_A_HI)
+    return np.maximum(lo - pad, window[0]), np.minimum(hi + pad, window[1])
 
 
-def maximize_over_slices(objective, c_abs) -> list[tuple[float, float, float]]:
+@np.errstate(all="ignore")  # an overflow reads inf or NaN, which _zoom rejects
+def maximize_over_slices(objective, c_abs, r: float = 1.0) -> list[tuple[float, float, float]]:
     """Maximize objective(a, c) over a > 0, |c| <= c_abs (b eliminated), per slice.
 
     ``c_abs`` holds one inset per slice, and ``objective`` takes arrays whose
     leading axis runs over the slices.  Every slice gets a coarse c-grid
     that ends on the exact boundary values of c, and a zoom in c around its
     best cell; candidates tied within ``OBJECTIVE_TIE_TOL`` (relative) are
-    broken toward smaller c, then smaller a.  Returns one (a, c, value) per
-    slice.
+    broken toward smaller c, then smaller a.  ``r`` = kappa/k places the
+    log-a window (``_log_a_window``).  Returns one (a, c, value) per slice.
     """
     c_abs = np.asarray(c_abs, dtype=float)
     # np.linspace puts -c_abs and c_abs exactly at the grid's ends, so the
     # grid's candidates include the exact boundary values.
     cs = np.linspace(-c_abs, c_abs, _C_GRID_POINTS, axis=-1)
-    grid_log_a, grid_a, grid_v = _inner_max_over_a(objective, cs)
+    window = _log_a_window(r)
+    grid_log_a, grid_a, grid_v = _inner_max_over_a(objective, cs, window)
     best = grid_v.argmax(axis=-1)
     slices = np.arange(c_abs.size)
     cells = np.clip(best[:, None] + np.arange(-1, 2), 0, _C_GRID_POINTS - 1)
     # Each pass of the c-zoom starts its inner zoom dense around the
     # maximizers of the pass before, which usually bracket those of the new
     # c's; when they do not, the window's ends in the grid still bracket them.
-    near = _warm_start(grid_log_a[slices[:, None], cells])
+    near = _warm_start(grid_log_a[slices[:, None], cells], window)
 
     def evaluate(c):
         nonlocal near
-        log_a, a, value = _inner_max_over_a(objective, c, near)
-        near = _warm_start(log_a)
+        log_a, a, value = _inner_max_over_a(objective, c, window, near)
+        near = _warm_start(log_a, window)
         return value, a
 
     # c and log a share a pass's points evenly (at least 5: a zoom narrows by (points - 1)/2)

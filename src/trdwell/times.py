@@ -30,7 +30,9 @@ a check.
 When r = kappa/k is so large that r^2 (dwell) or r^4 (libration) overflows,
 the scalar quantities are evaluated again with numerator and denominator
 divided by r^2 (r^4, and for libration by a + b r^2 too, so a huge a cannot
-overflow either); a value that itself overflows is a :class:`DomainError`.
+overflow either).  The two suprema and the libration prefactor are rescaled
+the same way where 1 + r^2 overflows.  A value that itself overflows is a
+:class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -127,18 +129,42 @@ def dwell_supremum_bound(kin: Kinematics) -> float:
     """Least upper bound of the dwell time over admissible microstates.
 
     (1 + r^2)/(sqrt(2) - 1) * m/(hbar kappa^2); approached, never attained,
-    as |c| -> 2 with a/b -> r^2 * (well-tuned ratio).
+    as |c| -> 2 with a/b -> r^2 * (well-tuned ratio).  Where that overflows
+    it is evaluated over the momenta, as (1/(hbar kappa)^2 + 1/(hbar k)^2)
+    m hbar/(sqrt(2) - 1).
     """
     units = kin.units
     r = kin.r
-    return (1.0 + r * r) / (math.sqrt(2.0) - 1.0) * units.mass / (units.hbar * kin.kappa**2)
+    try:
+        bound = (1.0 + r * r) / (math.sqrt(2.0) - 1.0) * units.mass / (units.hbar * kin.kappa**2)
+    except OverflowError:  # kappa**2 raises rather than reading inf
+        bound = math.inf
+    if _overflowed(bound):
+        ik, ikappa = 1.0 / (units.hbar * kin.k), 1.0 / (units.hbar * kin.kappa)
+        scale = units.mass * units.hbar / (math.sqrt(2.0) - 1.0)
+        bound = _in_range(ikappa * (ikappa * scale) + ik * (ik * scale), "dwell bound", kin)
+    return bound
 
 
 def libration_prefactor(kin: Kinematics, q: float) -> float:
-    """4 (1 + r^2) m (q + 1/kappa)/(hbar k), the microstate-free factor of t_L."""
+    """4 (1 + r^2) m (q + 1/kappa)/(hbar k), the microstate-free factor of t_L.
+
+    Where that overflows, it is evaluated as 4 (w + r (r w)) with
+    w = m (q + 1/kappa)/(hbar k); a prefactor beyond the double range is a
+    :class:`DomainError`.
+    """
+    return _in_range(_libration_prefactor(kin, q), "libration prefactor", kin)
+
+
+def _libration_prefactor(kin: Kinematics, q: float) -> float:
+    # libration_prefactor, reading inf beyond the double range
     units = kin.units
     r2 = kin.r * kin.r
-    return 4.0 * (1.0 + r2) * units.mass * (q + 1.0 / kin.kappa) / (units.hbar * kin.k)
+    prefactor = 4.0 * (1.0 + r2) * units.mass * (q + 1.0 / kin.kappa) / (units.hbar * kin.k)
+    if _overflowed(prefactor):
+        w = units.mass * (q + 1.0 / kin.kappa) / (units.hbar * kin.k)
+        prefactor = 4.0 * (w + kin.r * (kin.r * w))
+    return prefactor
 
 
 def _libration_value(a, b, c, kin: Kinematics, q: float, sqrt=math.sqrt):
@@ -147,7 +173,7 @@ def _libration_value(a, b, c, kin: Kinematics, q: float, sqrt=math.sqrt):
     gauge = sqrt(a * b - 0.25 * c * c)
     numerator = gauge * (a + b * r2)
     denominator = a * a + (2.0 * a * b - c * c) * r2 + b * b * r2 * r2
-    return libration_prefactor(kin, q) * numerator / denominator
+    return _libration_prefactor(kin, q) * numerator / denominator
 
 
 def libration_period(kin: Kinematics, q: float, ms: Microstate) -> float:
@@ -188,12 +214,19 @@ def libration_supremum_bound(kin: Kinematics, q: float) -> float:
 
     2^(3/2) (1 + r^2) m (q + 1/kappa)/(hbar kappa).  The 1 + r^2 coefficient
     is forced by the maximizing family; see
-    :func:`libration_alternative_bound` for the rejected variant.
+    :func:`libration_alternative_bound` for the rejected variant.  Where that
+    overflows, it is evaluated as 2^(3/2) (w/(hbar kappa) + r w/(hbar k)) with
+    w = m (q + 1/kappa).
     """
     check_half_width(q)
     units = kin.units
     r2 = kin.r * kin.r
-    return 2.0**1.5 * (1.0 + r2) * units.mass * (q + 1.0 / kin.kappa) / (units.hbar * kin.kappa)
+    bound = 2.0**1.5 * (1.0 + r2) * units.mass * (q + 1.0 / kin.kappa) / (units.hbar * kin.kappa)
+    if _overflowed(bound):
+        w = units.mass * (q + 1.0 / kin.kappa)
+        bound = 2.0**1.5 * (w / (units.hbar * kin.kappa) + kin.r * (w / (units.hbar * kin.k)))
+        bound = _in_range(bound, "libration bound", kin)
+    return bound
 
 
 def libration_alternative_bound(kin: Kinematics, q: float) -> float:
@@ -267,7 +300,7 @@ def max_dwell(kin: Kinematics, epsilon: float = 1e-6) -> ExtremalReport:
     def objective(a, c):
         return _dwell_value(a, (1.0 + 0.25 * c * c) / a, c, kin, factors, np.sqrt)
 
-    found = maximize_over_slices(objective, [c_abs for c_abs in insets for _ in signs])
+    found = maximize_over_slices(objective, [c_abs for c_abs in insets for _ in signs], kin.r)
 
     def best_of(pair) -> tuple[float, float, str, float]:
         best: tuple[float, float, str, float] | None = None
@@ -313,7 +346,7 @@ def max_libration(kin: Kinematics, q: float, epsilon: float = 1e-6) -> ExtremalR
         return _libration_value(a, (1.0 + 0.25 * c * c) / a, c, kin, q, np.sqrt)
 
     (a_star, c_star, sup), (_, _, sup_coarse) = maximize_over_slices(
-        objective, [2.0 - epsilon, 2.0 - 2.0 * epsilon]
+        objective, [2.0 - epsilon, 2.0 - 2.0 * epsilon], kin.r
     )
     c_star = abs(c_star)
     alternative = libration_alternative_bound(kin, q)

@@ -215,13 +215,15 @@ ERROR_CASES = [
 ]
 
 
-def test_numpy_loads_only_for_the_supremum_searches():
-    # only the extremal searches and the divergence-onset scan work on arrays:
-    # importing the package and every other golden or error invocation must
-    # not load numpy, and a supremum search still must
-    searches = ("dwell-max.json", "libration-max.json")
-    cases = [(argv, 0) for name, argv in GOLDEN_CASES if name not in searches] + ERROR_CASES
-    cases.append((dict(GOLDEN_CASES)["dwell-max.json"], 0))
+@pytest.mark.parametrize("array_case", ["dwell-max.json", "energies.json"])
+def test_numpy_loads_only_for_the_array_layers(array_case):
+    # only the extremal searches, the well ladder and the divergence-onset
+    # scan work on arrays: importing the package and every other golden or
+    # error invocation (connect and coverage sw solve single states) must not
+    # load numpy, and ``array_case`` run after them still must
+    arrays = ("dwell-max.json", "libration-max.json", "energies.json")
+    cases = [(argv, 0) for name, argv in GOLDEN_CASES if name not in arrays] + ERROR_CASES
+    cases.append((dict(GOLDEN_CASES)[array_case], 0))
     after_import, runs = _modules_loaded([argv for argv, _ in cases], ("numpy",))
     assert after_import == []
     assert runs == [(code, []) for _, code in cases[:-1]] + [(0, ["numpy"])]
@@ -467,6 +469,33 @@ class TestOutputPlumbing:
             with mpmath.workdps(40):
                 expected = float(oracle(mpmath.mpf(point["value"])))
             assert point["result"] == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("elapsed,classification", [("1", "BothAllow"), ("1e301", "CopenhagenOnly")])
+    def test_step_verdict_where_one_plus_r_squared_overflows(self, elapsed, classification, capsys):
+        # r = 1e155: the dwell bound is (1/kappa^2 + 1/k^2)/(sqrt(2) - 1), about 1.2e300, not inf
+        argv = ["coverage", "sb", "--E", "1e-300", "--U", "1e10", "--past", "0,0", "--present", f"1,{elapsed}"]
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs = json.loads(captured.out)["outputs"]
+        with mpmath.workdps(40):
+            E, U = mpmath.mpf("1e-300"), mpmath.mpf("1e10")
+            bound = float((1 / (2 * (U - E)) + 1 / (2 * E)) / (mpmath.sqrt(2) - 1))
+        assert outputs["dwell_bound"] == pytest.approx(bound, rel=1e-14, abs=0.0)
+        assert outputs["classification"] == classification
+
+    @pytest.mark.filterwarnings("error")  # a numpy overflow warning would reach stderr
+    def test_supremum_searches_at_r_far_above_one(self, capsys):
+        # r = 7.1e74: the log-a window follows r, so dwell-max reaches its bound
+        # as closely as at r = 4/3; libration-max overflows on its grid and
+        # exits 2 with one line, never a wrong value
+        assert run(["dwell-max", "--E", "1e-150", "--U", "0.5"]) == 0
+        outputs = json.loads(capsys.readouterr().out)["outputs"]
+        assert outputs["supremum"] / outputs["analytic_bound"] == pytest.approx(1.0 - 3.5e-7, abs=1e-8)
+        assert run(["libration-max", "--E", "1e-150", "--U", "0.5", "--q", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "domain error: objective is not finite on the search grid\n"
 
     def test_a_period_beyond_the_double_range_is_domain(self, capsys):
         assert run(["libration", "--E", "1e-300", "--U", "0.5", "--q", "1e300"]) == 2

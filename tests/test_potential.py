@@ -1,21 +1,26 @@
 """Units, potentials, kinematic bundles and the square-well eigenvalue solver."""
 
 import math
+import pickle
+from dataclasses import FrozenInstanceError
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from trdwell.errors import DomainError
 from trdwell.potential import (
     EIGEN_K_TOL,
+    BoundState,
     Kinematics,
     Potential,
     Units,
     _bisect,
+    _ladder_size,
+    _well_scales,
     bound_state,
     bound_state_energies,
     kinematics_from_energies,
@@ -244,7 +249,8 @@ class TestDeepLadder:
         k_max = math.sqrt(2.0 * self.U)
         assert max(_scaled_bracket(s, self.Q, k_max) for s in ladder) <= EIGEN_K_TOL
 
-    def test_against_40_digit_roots(self, ladder):
+    def _roots_40(self, indices):
+        """The 40-digit root of slot i, for each i in ``indices``."""
         with mpmath.workdps(40):
             q, k_max = mpmath.mpf(self.Q), mpmath.sqrt(2 * mpmath.mpf(self.U))
 
@@ -257,11 +263,39 @@ class TestDeepLadder:
             def odd(k):
                 return k * mpmath.cos(k * q) + kappa(k) * mpmath.sin(k * q)
 
-            for i in np.linspace(0, len(ladder) - 1, 20).round().astype(int):
+            roots = []
+            for i in indices:
                 lo = i * mpmath.pi / (2 * q)
                 hi = min((i + 1) * mpmath.pi / (2 * q), k_max)
-                root = mpmath.findroot(odd if i % 2 else even, (lo, hi), solver="illinois")
-                assert abs(ladder[i].k - root) <= 10 * EIGEN_K_TOL, i
+                roots.append(mpmath.findroot(odd if i % 2 else even, (lo, hi), solver="illinois"))
+            return roots
+
+    def test_against_40_digit_roots(self, ladder):
+        indices = np.linspace(0, len(ladder) - 1, 20).round().astype(int).tolist()
+        for i, root in zip(indices, self._roots_40(indices)):
+            assert abs(ladder[i].k - root) <= 10 * EIGEN_K_TOL, i
+
+    def test_residual_is_the_40_digit_distance_to_the_root(self, ladder):
+        # the low states sit next to a pole of tan or cot, where the tan/cot
+        # residual itself reads up to 2.6e-5 (state 0) for a root good to 1e-14
+        n = len(ladder)
+        indices = [0, 1, 2, 3, *np.linspace(4, n - 3, 30).round().astype(int).tolist(), n - 2, n - 1]
+        for i, root in zip(indices, self._roots_40(indices)):
+            with mpmath.workdps(40):
+                distance = float(mpmath.mpf(ladder[i].k) - root)
+            residual = matching_residual(ladder[i], self.Q)
+            assert abs(residual - distance) <= math.ulp(ladder[i].k), i
+            assert abs(residual) <= EIGEN_K_TOL, i
+
+    def test_residual_is_signed_away_from_the_root(self, ladder):
+        indices = [0, 1, 1000, 20_001, len(ladder) - 1]
+        for i, root in zip(indices, self._roots_40(indices)):
+            for offset in (1e-12, -1e-12):
+                k = float(root) + offset
+                state = BoundState(0.0, ladder[i].parity, k, math.sqrt(2.0 * self.U - k * k))
+                with mpmath.workdps(40):
+                    distance = float(mpmath.mpf(k) - root)
+                assert matching_residual(state, self.Q) == pytest.approx(distance, rel=1e-3), (i, offset)
 
 
 class TestLadderSlots:
@@ -305,3 +339,81 @@ class TestLadderSlots:
         assert (len(ladder) - 1) * math.pi / (2.0 * q) < 1.0 <= len(ladder) * math.pi / (2.0 * q)
         assert all(0.0 < s.kappa and s.k < 1.0 for s in ladder)
         assert all(s.parity == ("even" if i % 2 == 0 else "odd") for i, s in enumerate(ladder))
+
+
+def _fields(state):
+    # every field, floats by their bits
+    return (state.E.hex(), state.parity, state.k.hex(), state.kappa.hex())
+
+
+def _well_with_slots(slots: int, k_max: float, fill: float, hbar: float, mass: float):
+    """A well of ``slots`` ladder slots, k_max sitting ``fill`` of the way into the last one."""
+    units = Units(hbar=hbar, mass=mass)
+    return square_well((hbar * k_max) ** 2 / (2.0 * mass), (slots - 1 + fill) * math.pi / (2.0 * k_max)), units
+
+
+# passes are 2,048 slots: one slot, a pass less one, one exact pass, one slot over, two passes and one over
+_SLOT_COUNTS = (1, 2047, 2048, 2049, 4097)
+
+
+@given(
+    slots=st.sampled_from(_SLOT_COUNTS),
+    k_max=st.one_of(st.floats(0.5, 500.0), st.floats(600.0, 1e5)),  # above 512, ulp(k) > EIGEN_K_TOL
+    fill=st.one_of(st.floats(0.02, 0.98), st.floats(1e-12, 1e-10)),  # the second: a last slot below tolerance
+    parity=st.sampled_from(["both", "even", "odd"]),
+    hbar=st.floats(0.5, 2.0),
+    mass=st.floats(0.5, 2.0),
+)
+@example(slots=1, k_max=1.0, fill=0.5, parity="both", hbar=1.0, mass=1.0)
+@example(slots=2047, k_max=3.0, fill=0.4, parity="odd", hbar=1.0, mass=1.0)
+@example(slots=2048, k_max=5e4, fill=0.7, parity="even", hbar=0.7, mass=1.3)
+@example(slots=2049, k_max=1.0, fill=1e-11, parity="both", hbar=1.0, mass=1.0)
+@example(slots=4097, k_max=2e3, fill=1e-12, parity="odd", hbar=1.0, mass=1.0)
+@settings(max_examples=25, deadline=None)
+def test_every_ladder_state_is_bound_state_of_its_slot(slots, k_max, fill, parity, hbar, mass):
+    pot, units = _well_with_slots(slots, k_max, fill, hbar, mass)
+    size = _ladder_size(*_well_scales(pot, units))
+    assert size in (slots - 1, slots, slots + 1)  # rounding of k_max q can move one slot boundary
+    indices = range(1 if parity == "odd" else 0, size, 1 if parity == "both" else 2)
+    ladder = bound_state_energies(pot, units, parity)
+    assert len(ladder) == len(indices)
+    # both ends, both sides of every pass boundary, and a spread in between
+    checked = {0, 1, len(indices) - 2, len(indices) - 1, *range(0, len(indices), 97)}
+    checked |= {j for j in range(len(indices)) if j % 2048 in (0, 1, 2046, 2047)}
+    for j in sorted(j for j in checked if 0 <= j < len(indices)):
+        assert _fields(ladder[j]) == _fields(bound_state(pot, units, indices[j])), indices[j]
+
+
+def test_ladder_keeps_its_bits_when_numpy_trig_is_off_by_ulps(monkeypatch):
+    # np.sin/np.cos may round differently from math.sin/math.cos; push every
+    # array value 2^-45 away and the ladder must still equal bound_state
+    # everywhere, since near-zero brackets are decided with math
+    np_sin, np_cos = np.sin, np.cos
+    monkeypatch.setattr(np, "sin", lambda x: np_sin(x) * (1.0 + 2.0**-45))
+    monkeypatch.setattr(np, "cos", lambda x: np_cos(x) * (1.0 - 2.0**-45))
+    for parity in ("both", "odd"):
+        pot, units = _well_with_slots(2049, 60.0, 0.5, 1.0, 1.0)
+        ladder = bound_state_energies(pot, units, parity)
+        first, stride = (0, 1) if parity == "both" else (1, 2)
+        assert [_fields(s) for s in ladder] == [
+            _fields(bound_state(pot, units, i)) for i in range(first, 2049, stride)
+        ]
+
+
+class TestBoundStateRecord:
+    STATE = BoundState(0.25, "even", 0.7071067811865476, 1.2247448713915890)
+
+    def test_is_slotted(self):
+        assert not hasattr(self.STATE, "__dict__")
+        assert BoundState.__slots__ == ("E", "parity", "k", "kappa")
+
+    def test_is_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            self.STATE.E = 1.0
+
+    def test_pickles_compares_and_hashes_by_its_fields(self):
+        copy = pickle.loads(pickle.dumps(self.STATE))
+        assert copy == self.STATE and copy is not self.STATE
+        assert hash(copy) == hash(self.STATE) == hash((0.25, "even", 0.7071067811865476, 1.2247448713915890))
+        assert BoundState(0.25, "odd", self.STATE.k, self.STATE.kappa) != self.STATE
+        assert {self.STATE, copy} == {self.STATE}

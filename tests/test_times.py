@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from trdwell.errors import DomainError, OptimizationFailure
 from trdwell.microstate import MONOCHROMATIC, normalize
 from trdwell.potential import Units, kinematics_from_energies
-from trdwell.search import maximize_over_slices
+from trdwell.search import _LOG_A_HI, _LOG_A_LO, _log_a_window, maximize_over_slices
 from trdwell.times import (
     SIGN_MINUS,
     SIGN_PLUS,
@@ -24,6 +24,7 @@ from trdwell.times import (
     libration_infimum_probe,
     libration_period,
     libration_period_monochromatic,
+    libration_prefactor,
     libration_supremum_bound,
     max_dwell,
     max_libration,
@@ -283,6 +284,38 @@ class TestSearchOracles:
             assert report.supremum == pytest.approx(report.analytic_bound, rel=1e-5)
 
 
+class TestSearchWindowFollowsR:
+    # the window moves by round(log10 r) decades, so a* ~ r stays inside it
+    @pytest.mark.parametrize("r", [10.0**-0.49, 0.75, 1.0, 4.0 / 3.0, 10.0**0.49])
+    def test_unmoved_near_r_of_one(self, r):
+        assert _log_a_window(r) == (_LOG_A_LO, _LOG_A_HI)
+
+    @pytest.mark.parametrize("E", [1e-30, 1e-150])  # r = 7.1e14 and 7.1e74
+    def test_dwell_supremum_at_r_far_above_one(self, E):
+        kin = kinematics_from_energies(E, 0.5)
+        lo, hi = _log_a_window(kin.r)
+        assert lo < math.log(kin.r) < hi
+        a_star, t_D, _ = _oracle_maximum(E, 0.5, 1.0, 1.0, 1.0, 1e-6)
+        report = max_dwell(kin, 1e-6)
+        assert abs(report.supremum - t_D) <= 1e-14 * t_D
+        assert report.maximizer.a == pytest.approx(a_star, rel=1e-6)
+        # as far below the bound as at r = 4/3: the O(epsilon) deficit only
+        assert report.supremum / report.analytic_bound == pytest.approx(1.0 - 3.5e-7, abs=1e-8)
+
+    @pytest.mark.parametrize("E", [1e-30, 1e-150])
+    def test_libration_supremum_is_right_or_a_failure(self, E):
+        # at r = 7.1e74 the objective overflows on the grid: a typed failure
+        # (exit 2), never a wrong value
+        kin = kinematics_from_energies(E, 0.5)
+        _, _, t_L = _oracle_maximum(E, 0.5, 1.0, 1.0, 1.0, 1e-6)
+        try:
+            report = max_libration(kin, 1.0, 1e-6)
+        except OptimizationFailure:
+            assert E == 1e-150
+        else:
+            assert abs(report.supremum - t_L) <= 1e-14 * t_L
+
+
 class TestSliceSearch:
     def test_finds_a_maximum_interior_in_log_a_and_c(self):
         # a tilted ridge peaking at c = 0.4, log a = 0.5 c + 0.2 = 0.4 on the
@@ -392,6 +425,48 @@ class TestOverflowingPowersOfR:
         kin = kinematics_from_energies(1e-300, 2e-300, Units(hbar=1e10))
         with pytest.raises(DomainError, match="overflows"):
             dwell_time(kin, MONOCHROMATIC)
+
+
+class TestBoundsAtOverflowingR:
+    # 1 + r^2 (or kappa^2) overflows a double while the bounds do not; the
+    # prefactor ~ r^2 m (q + 1/kappa)/(hbar k) stays finite only for tiny hbar and q
+    @pytest.mark.parametrize(
+        "E,U,hbar,mass,q,names",
+        [
+            (1e-300, 1e10, 1.0, 1.0, 1.0, "dwell libration"),  # r = 1e155
+            (1e-300, 1e10, 1e-200, 1.0, 1e-210, "dwell libration prefactor"),
+            (1e-310, 0.5, 1e-200, 1.0, 1e-205, "dwell libration prefactor"),  # subnormal E
+            (1e-306, 1e10, 1e-190, 2.5, 1e-200, "dwell libration prefactor"),
+            (0.1, 1.0, 1e-200, 1.0, 1.0, "dwell"),  # r = 3 but kappa^2 overflows
+        ],
+    )
+    def test_match_the_40_digit_closed_forms(self, E, U, hbar, mass, q, names):
+        kin = kinematics_from_energies(E, U, Units(hbar=hbar, mass=mass))
+        with mpmath.workdps(40):
+            E, U, hbar, m, q_ = (mpmath.mpf(v) for v in (E, U, hbar, mass, q))
+            k, kappa = mpmath.sqrt(2 * m * E) / hbar, mpmath.sqrt(2 * m * (U - E)) / hbar
+            r = kappa / k
+            expected = {
+                "dwell": (1 + r * r) / (mpmath.sqrt(2) - 1) * m / (hbar * kappa**2),
+                "libration": 2 * mpmath.sqrt(2) * (1 + r * r) * m * (q_ + 1 / kappa) / (hbar * kappa),
+                "prefactor": 4 * (1 + r * r) * m * (q_ + 1 / kappa) / (hbar * k),
+            }
+        got = {
+            "dwell": lambda: dwell_supremum_bound(kin),
+            "libration": lambda: libration_supremum_bound(kin, q),
+            "prefactor": lambda: libration_prefactor(kin, q),
+        }
+        for name in names.split():
+            assert got[name]() == pytest.approx(float(expected[name]), rel=1e-14, abs=0.0), name
+
+    def test_a_bound_beyond_the_double_range_is_a_domain_error(self):
+        kin = kinematics_from_energies(1e-300, 1e10)  # the prefactor is ~1e460
+        with pytest.raises(DomainError, match="overflows"):
+            libration_prefactor(kin, 1.0)
+        with pytest.raises(DomainError, match="overflows"):
+            libration_supremum_bound(kinematics_from_energies(1e-310, 0.5, Units(hbar=1e-10)), 1.0)
+        with pytest.raises(DomainError, match="overflows"):
+            dwell_supremum_bound(kinematics_from_energies(1e-300, 1e10, Units(hbar=1e10)))
 
 
 class TestScalarAndArrayObjectivesAgree:
