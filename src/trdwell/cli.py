@@ -42,7 +42,6 @@ from .potential import (
 )
 from .serialize import csv_dumps, json_dumps
 from .times import (
-    OBJECTIVE_TIE_TOL,
     SIGN_MINUS,
     SIGN_PLUS,
     dwell_supremum_bound,
@@ -448,12 +447,11 @@ COMMANDS = {
         meta={"normalization_tol": NORMALIZATION_TOL},
     ),
     "dwell-max": _Command(
-        "dwell-time supremum search", "E U epsilon", "E U epsilon kin",
+        "dwell-time supremum over microstates", "E U epsilon", "E U epsilon kin",
         lambda res: _extremal(max_dwell(res.kin, res.epsilon)),
         inputs="E U epsilon" + _UNITS,
         outputs="supremum supremum_extrapolated analytic_bound attained_at_boundary sign maximizer",
         csv="supremum supremum_extrapolated analytic_bound epsilon attained_at_boundary sign a b c E U",
-        meta={"objective_tie_tol": OBJECTIVE_TIE_TOL},
     ),
     "libration": _Command(
         "well round-trip period of a microstate", "E U q" + _MS, "E U q kin",
@@ -462,14 +460,13 @@ COMMANDS = {
         meta={"normalization_tol": NORMALIZATION_TOL},
     ),
     "libration-max": _Command(
-        "libration-period supremum search", "E U q epsilon", "E U q epsilon kin",
+        "libration-period supremum over microstates", "E U q epsilon", "E U q epsilon kin",
         lambda res: _extremal(max_libration(res.kin, res.q, res.epsilon)),
         inputs="E U q epsilon" + _UNITS,
         outputs="supremum supremum_extrapolated analytic_bound alternative_bound alternative_bound_holds"
         " attained_at_boundary maximizer",
         csv="supremum supremum_extrapolated analytic_bound alternative_bound alternative_bound_holds"
         " epsilon attained_at_boundary a b c E U q",
-        meta={"objective_tie_tol": OBJECTIVE_TIE_TOL},
     ),
     "libration-inf": _Command(
         "vanishing-period probe (A, 1/A, 0)", "E U q A", "E U q A kin",

@@ -1,9 +1,10 @@
 """Strict JSON run configuration.
 
-A config file may pin the unit bundle, the potential, the search epsilon and
-a sweep; command-line flags override whatever it provides.  Validation is
-strict: unknown keys anywhere in the document are rejected by their dotted
-path, and a well without a half-width (or a step with one) is refused.
+A config file may pin the unit bundle, the potential, the epsilon of the
+extremal reports and a sweep; command-line flags override whatever it
+provides.  Validation is strict: unknown keys anywhere in the document are
+rejected by their dotted path, and a well without a half-width (or a step
+with one) is refused.
 """
 
 from __future__ import annotations

@@ -91,7 +91,12 @@ def _barrier_log_density(kin: Kinematics, x: float) -> float:
     """log |psi|^2 of the scattering state at depth x >= 0, underflow-proof."""
     k2 = kin.k * kin.k
     kappa2 = kin.kappa * kin.kappa
-    return math.log(4.0 * k2 / (k2 + kappa2)) - 2.0 * kin.kappa * x
+    ratio = 4.0 * k2 / (k2 + kappa2)
+    if 0.0 < ratio < math.inf:
+        log_ratio = math.log(ratio)
+    else:  # a square overflowed or underflowed; the ratio is 4/(1 + r^2)
+        log_ratio = math.log(4.0) - 2.0 * math.log(math.hypot(1.0, kin.r))
+    return log_ratio - 2.0 * kin.kappa * x
 
 
 def sb_verdict(past: Event, present: Event, kin: Kinematics) -> CoverageVerdict:

@@ -22,7 +22,7 @@ class StepUnderflow(TrdwellError, ValueError):
 
 
 class OptimizationFailure(TrdwellError, RuntimeError):
-    """A bounded search over microstates failed to converge."""
+    """An extremal report failed its own check: a supremum not positive or above its bound."""
 
 
 class Infeasible(TrdwellError, ValueError):

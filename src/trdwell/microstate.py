@@ -18,7 +18,7 @@ from .errors import DegenerateMicrostate, DomainError
 #: Tolerance on |ab - c^2/4 - 1| accepted by the Microstate constructor.
 NORMALIZATION_TOL = 1e-12
 
-#: Open admissibility limit on |c| for extremal searches.
+#: Open admissibility limit on |c| for the extremal reports.
 ADMISSIBLE_C_LIMIT = 2.0
 
 
@@ -102,7 +102,7 @@ def is_monochromatic(ms: Microstate, tol: float = 1e-12) -> bool:
 
 
 def admissible(ms: Microstate) -> bool:
-    """Membership in the open extremal-search region a > 0, |c| < 2.
+    """Membership in the open extremal region a > 0, |c| < 2.
 
     Normalized triples with |c| -> 2 make b -> c^2/(4a) and push the dwell
     time toward its supremum; the unconstrained closure is excluded because

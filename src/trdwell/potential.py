@@ -251,7 +251,12 @@ def _well_scales(pot: Potential, units: Units) -> tuple[float, float]:
     if pot.kind != SQUARE_WELL:
         raise DomainError("bound states are defined for the square well only")
     assert pot.q is not None
-    return pot.q, math.sqrt(2.0 * units.mass * pot.U) / units.hbar
+    k_max = math.sqrt(2.0 * units.mass * pot.U) / units.hbar
+    if not math.isfinite(k_max):  # 2 m U overflowed, or the quotient itself
+        k_max = math.sqrt(2.0 * units.mass) * math.sqrt(pot.U) / units.hbar
+        if not math.isfinite(k_max):
+            raise DomainError(f"well wavenumber sqrt(2 m U)/hbar overflows a double at U = {pot.U!r}")
+    return pot.q, k_max
 
 
 def _slot_floor(i: int, q: float) -> float:
@@ -274,7 +279,12 @@ def _ladder_size(q: float, k_max: float) -> int:
 
 
 def _kappa_in_well(k: float, k_max: float) -> float:
-    return math.sqrt(max(k_max * k_max - k * k, 0.0))
+    """sqrt(k_max^2 - k^2) for 0 <= k <= k_max, without overflow where k_max^2 overflows."""
+    kappa = math.sqrt(max(k_max * k_max - k * k, 0.0))
+    if kappa < math.inf:
+        return kappa
+    # k_max^2 overflowed: sqrt((k_max - k)(k_max + k)), the sum halved so it cannot overflow either
+    return math.sqrt(k_max - k) * math.sqrt(0.5 * k_max + 0.5 * k) * math.sqrt(2.0)
 
 
 def _bisect_one(i: int, q: float, k_max: float) -> float:
@@ -298,7 +308,11 @@ def _state_at(i: int, k: float, k_max: float, units: Units) -> BoundState:
     # A last slot narrower than the tolerance can return its upper end k_max;
     # the state still lies below the threshold, so keep kappa positive.
     k = min(k, math.nextafter(k_max, 0.0))
-    E = (units.hbar * k) ** 2 / (2.0 * units.mass)
+    hk = units.hbar * k
+    try:
+        E = hk**2 / (2.0 * units.mass)
+    except OverflowError:  # (hbar k)^2 overflows; E itself lies below U
+        E = hk * (hk / (2.0 * units.mass))
     return BoundState(E, _SLOT_KINDS[i % 2][1], k, _kappa_in_well(k, k_max))
 
 

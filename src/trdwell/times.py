@@ -17,15 +17,20 @@ attained) as |c| -> 2; the libration period has the analogous least upper
 bound 2^(3/2) (1 + r^2) m (q + 1/kappa)/(hbar kappa) and a greatest lower
 bound of zero, approached along (A, 1/A, 0) as A grows.
 
-Everything here is a scalar closed form on floats and needs no numpy.  The
-extremal searches eliminate b on the normalized slice and hand the objective
-to :mod:`trdwell.search`, one vectorized numpy search per report, which
-they import on first use; so only ``max_dwell`` and ``max_libration`` load
-numpy.  The objective is the same formula as the scalar quantity, evaluated
-with ``np.sqrt`` there and ``math.sqrt`` here; both round correctly, so the
-bits agree.  The search never uses the known maximizer
-a* = r sqrt(1 + c^2/4), so the comparison with the closed-form bounds stays
-a check.
+Everything here is a scalar closed form on floats and needs no numpy,
+the extremal reports included.  On the normalized slice b = (1 + c^2/4)/a
+the dwell denominator a - c r + b r^2 ("-" branch, c >= 0) and the
+libration sum s = a + b r^2 are both smallest at
+
+    a* = r sqrt(1 + c^2/4).
+
+There the dwell denominator is r (2 sqrt(1 + c^2/4) - c), so
+t_D = (1 + r^2)(2 sqrt(1 + c^2/4) + c)/(4r) times the monochromatic dwell,
+rising with c; and since the libration factor s/(s^2 - c^2 r^2) falls as s
+rises, t_L = sqrt(1 + c^2/4)/(2r) times the prefactor, rising with |c|.  So
+both suprema over |c| <= 2 - epsilon sit at (a*, 2 - epsilon), where
+``max_dwell`` and ``max_libration`` evaluate the scalar t_D and t_L.  The
+tests keep a numeric zoom search over (a, c) as an independent oracle.
 
 When r = kappa/k is so large that r^2 (dwell) or r^4 (libration) overflows,
 the scalar quantities are evaluated again with numerator and denominator
@@ -48,10 +53,6 @@ from .wavefield import gauge_factor
 SIGN_PLUS = "+"
 SIGN_MINUS = "-"
 
-#: Two candidate maximizers closer than this (relative, in objective value)
-#: are considered tied and broken deterministically.
-OBJECTIVE_TIE_TOL = 1e-10
-
 
 def _sign_factor(sign: str) -> float:
     if sign == SIGN_PLUS:
@@ -69,14 +70,6 @@ class DwellResult:
     sign: str
     ms: Microstate
     kin: Kinematics
-
-
-def _dwell_value(a, b, c, kin: Kinematics, sign_factor, sqrt=math.sqrt):
-    """t_D on floats, or on numpy arrays with ``sqrt=np.sqrt``."""
-    r = kin.r
-    gauge = sqrt(a * b - 0.25 * c * c)
-    denom = a + sign_factor * c * r + b * r * r
-    return gauge * (1.0 + r * r) / denom * dwell_time_monochromatic(kin)
 
 
 def _overflowed(value: float) -> bool:
@@ -107,7 +100,7 @@ def dwell_time(kin: Kinematics, ms: Microstate, sign: str = SIGN_PLUS) -> DwellR
     denom = a + factor * c * kin.r + b * kin.r * kin.r
     if not denom > 0.0:
         raise DomainError(f"dwell denominator {denom!r} is not positive")
-    t_D = _dwell_value(a, b, c, kin, factor)
+    t_D = math.sqrt(a * b - 0.25 * c * c) * (1.0 + kin.r * kin.r) / denom * dwell_time_monochromatic(kin)
     if _overflowed(t_D):  # r^2 overflowed: divide numerator and denominator by it
         ir = 1.0 / kin.r
         ratio = (1.0 + ir * ir) / (a * ir * ir + factor * c * ir + b)
@@ -167,10 +160,10 @@ def _libration_prefactor(kin: Kinematics, q: float) -> float:
     return prefactor
 
 
-def _libration_value(a, b, c, kin: Kinematics, q: float, sqrt=math.sqrt):
-    """t_L on floats, or on numpy arrays with ``sqrt=np.sqrt``."""
+def _libration_value(a: float, b: float, c: float, kin: Kinematics, q: float) -> float:
+    """t_L by the plain formula, reading inf or NaN where r^4 or a^2 overflows."""
     r2 = kin.r * kin.r
-    gauge = sqrt(a * b - 0.25 * c * c)
+    gauge = math.sqrt(a * b - 0.25 * c * c)
     numerator = gauge * (a + b * r2)
     denominator = a * a + (2.0 * a * b - c * c) * r2 + b * b * r2 * r2
     return _libration_prefactor(kin, q) * numerator / denominator
@@ -235,7 +228,7 @@ def libration_alternative_bound(kin: Kinematics, q: float) -> float:
     Recorded for comparison because it circulates as a printed form of the
     bound; it fails already for the monochromatic member once r >= 1 (at
     r = 1 it is zero while the period is positive), and the extremal report
-    flags whether it survived the search.
+    flags whether it bounds the supremum.
     """
     check_half_width(q)
     units = kin.units
@@ -245,12 +238,12 @@ def libration_alternative_bound(kin: Kinematics, q: float) -> float:
 
 @dataclass(frozen=True)
 class ExtremalReport:
-    """Outcome of a bounded extremal search over admissible microstates.
+    """Supremum of a time over the admissible microstates with |c| <= 2 - epsilon.
 
     ``supremum`` is the value attained at the boundary |c| = 2 - epsilon;
     ``supremum_extrapolated`` removes the leading O(epsilon) deficit by
     Richardson extrapolation in epsilon; ``analytic_bound`` is the closed-form
-    least upper bound the search must stay below.  For libration searches the
+    least upper bound the supremum must stay below.  For libration reports the
     rejected bound variant and its verdict are attached.
     """
 
@@ -269,12 +262,22 @@ class ExtremalReport:
             raise OptimizationFailure(f"non-positive supremum {self.supremum!r}")
         if self.supremum > self.analytic_bound * (1.0 + 1e-9):
             raise OptimizationFailure(
-                f"search value {self.supremum!r} exceeds the analytic bound {self.analytic_bound!r}"
+                f"supremum {self.supremum!r} exceeds the analytic bound {self.analytic_bound!r}"
             )
 
 
-def _slice_microstate(a: float, c: float) -> Microstate:
+def _slice_maximizer(kin: Kinematics, c: float) -> Microstate:
+    """The microstate (a*, (1 + c^2/4)/a*, c) with a* = r sqrt(1 + c^2/4).
+
+    There t_D ("-" branch, c >= 0) and t_L are largest over a > 0.
+    """
+    a = kin.r * math.sqrt(1.0 + 0.25 * c * c)
     return Microstate(a, (1.0 + 0.25 * c * c) / a, c)
+
+
+def _check_epsilon(epsilon: float) -> None:
+    if not (0.0 < epsilon < 2.0):
+        raise DomainError(f"epsilon must lie in (0, 2), got {epsilon!r}")
 
 
 def max_dwell(kin: Kinematics, epsilon: float = 1e-6) -> ExtremalReport:
@@ -282,48 +285,23 @@ def max_dwell(kin: Kinematics, epsilon: float = 1e-6) -> ExtremalReport:
 
     The two sign branches are images of each other under c -> -c, so their
     maxima coincide; the report is canonicalized to the representative with
-    c >= 0, which selects the "-" branch.  The attained value approaches the
+    c >= 0, which selects the "-" branch.  The maximum sits at
+    (a*, 2 - epsilon) (module docstring).  The attained value approaches the
     analytic bound linearly in epsilon; ``supremum_extrapolated`` removes
-    that deficit.  Both signs at both insets (2 - epsilon and 2 - 2 epsilon)
-    are searched together.
+    that deficit with the maximum at the inset |2 - 2 epsilon|.
     """
-    if not (0.0 < epsilon < 2.0):
-        raise DomainError(f"epsilon must lie in (0, 2), got {epsilon!r}")
-    import numpy as np
-
-    from .search import maximize_over_slices
-
-    signs = (SIGN_PLUS, SIGN_MINUS)
-    insets = (2.0 - epsilon, 2.0 - 2.0 * epsilon)
-    factors = np.array([_sign_factor(sign) for sign in signs] * 2)[:, None, None]
-
-    def objective(a, c):
-        return _dwell_value(a, (1.0 + 0.25 * c * c) / a, c, kin, factors, np.sqrt)
-
-    found = maximize_over_slices(objective, [c_abs for c_abs in insets for _ in signs], kin.r)
-
-    def best_of(pair) -> tuple[float, float, str, float]:
-        best: tuple[float, float, str, float] | None = None
-        for sign, (a_s, c_s, v_s) in zip(signs, pair):
-            # Canonical representative of the (c, sign) symmetry pair.
-            if c_s < 0.0:
-                c_s = -c_s
-                sign = SIGN_MINUS if sign == SIGN_PLUS else SIGN_PLUS
-            if best is None or v_s > best[3] * (1.0 + OBJECTIVE_TIE_TOL):
-                best = (a_s, c_s, sign, v_s)
-        assert best is not None
-        return best
-
-    a_star, c_star, sign_star, sup = best_of(found[:2])
-    sup_coarse = best_of(found[2:])[3]
+    _check_epsilon(epsilon)
+    top = _slice_maximizer(kin, 2.0 - epsilon)
+    sup = dwell_time(kin, top, SIGN_MINUS).t_D
+    sup_coarse = dwell_time(kin, _slice_maximizer(kin, abs(2.0 - 2.0 * epsilon)), SIGN_MINUS).t_D
     return ExtremalReport(
-        maximizer=_slice_microstate(a_star, c_star),
+        maximizer=top,
         supremum=sup,
         analytic_bound=dwell_supremum_bound(kin),
         epsilon=epsilon,
-        attained_at_boundary=abs(c_star) >= 2.0 - epsilon - 1e-9,
+        attained_at_boundary=abs(top.c) >= 2.0 - epsilon - 1e-9,
         supremum_extrapolated=2.0 * sup - sup_coarse,
-        sign=sign_star,
+        sign=SIGN_MINUS,
     )
 
 
@@ -331,31 +309,23 @@ def max_libration(kin: Kinematics, q: float, epsilon: float = 1e-6) -> ExtremalR
     """Libration-period supremum over {normalized, |c| <= 2 - epsilon}.
 
     The period depends on c only through c^2; the maximizer is reported with
-    c >= 0.  Both closed-form bound variants are evaluated and the report
-    records whether the rejected 1 - r^2 form actually bounds the search.
-    Both insets (2 - epsilon and 2 - 2 epsilon) are searched together.
+    c >= 0, at (a*, 2 - epsilon) (module docstring).  Both closed-form bound
+    variants are evaluated and the report records whether the rejected
+    1 - r^2 form actually bounds the supremum.  ``supremum_extrapolated``
+    uses the maximum at the inset |2 - 2 epsilon|.
     """
-    if not (0.0 < epsilon < 2.0):
-        raise DomainError(f"epsilon must lie in (0, 2), got {epsilon!r}")
+    _check_epsilon(epsilon)
     check_half_width(q)
-    import numpy as np
-
-    from .search import maximize_over_slices
-
-    def objective(a, c):
-        return _libration_value(a, (1.0 + 0.25 * c * c) / a, c, kin, q, np.sqrt)
-
-    (a_star, c_star, sup), (_, _, sup_coarse) = maximize_over_slices(
-        objective, [2.0 - epsilon, 2.0 - 2.0 * epsilon], kin.r
-    )
-    c_star = abs(c_star)
+    top = _slice_maximizer(kin, 2.0 - epsilon)
+    sup = libration_period(kin, q, top)
+    sup_coarse = libration_period(kin, q, _slice_maximizer(kin, abs(2.0 - 2.0 * epsilon)))
     alternative = libration_alternative_bound(kin, q)
     return ExtremalReport(
-        maximizer=_slice_microstate(a_star, c_star),
+        maximizer=top,
         supremum=sup,
         analytic_bound=libration_supremum_bound(kin, q),
         epsilon=epsilon,
-        attained_at_boundary=abs(c_star) >= 2.0 - epsilon - 1e-9,
+        attained_at_boundary=abs(top.c) >= 2.0 - epsilon - 1e-9,
         supremum_extrapolated=2.0 * sup - sup_coarse,
         sign=None,
         alternative_bound=alternative,

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import trdwell
 from trdwell.cli import COMMANDS, _linspace, run
 from trdwell.microstate import normalize
-from trdwell.potential import kinematics_from_energies
+from trdwell.potential import Units, _well_scales, kinematics_from_energies, square_well
 from trdwell.times import SIGN_PLUS, dwell_time
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -197,8 +197,8 @@ def _modules_loaded(argvs, modules) -> tuple[list[str], list[tuple[int, list[str
 
 def test_scipy_solvers_load_only_when_used():
     # scipy is a test-only dependency: importing the package, listing well
-    # energies, sampling a trajectory, checking the QSHJE residual or running
-    # either supremum search must not load any of it.
+    # energies, sampling a trajectory, checking the QSHJE residual or
+    # reporting either supremum must not load any of it.
     golden = dict(GOLDEN_CASES)
     names = ("energies.json", "trajectory.csv", "qshje-check.json", "dwell-max.json", "libration-max.json")
     after_import, runs = _modules_loaded(
@@ -215,13 +215,13 @@ ERROR_CASES = [
 ]
 
 
-@pytest.mark.parametrize("array_case", ["dwell-max.json", "energies.json"])
+@pytest.mark.parametrize("array_case", ["energies.json"])
 def test_numpy_loads_only_for_the_array_layers(array_case):
-    # only the extremal searches, the well ladder and the divergence-onset
-    # scan work on arrays: importing the package and every other golden or
-    # error invocation (connect and coverage sw solve single states) must not
-    # load numpy, and ``array_case`` run after them still must
-    arrays = ("dwell-max.json", "libration-max.json", "energies.json")
+    # only the well ladder and the divergence-onset scan work on arrays:
+    # importing the package and every other golden or error invocation (the
+    # extremal reports are closed forms; connect and coverage sw solve single
+    # states) must not load numpy, and ``array_case`` run after them still must
+    arrays = ("energies.json",)
     cases = [(argv, 0) for name, argv in GOLDEN_CASES if name not in arrays] + ERROR_CASES
     cases.append((dict(GOLDEN_CASES)[array_case], 0))
     after_import, runs = _modules_loaded([argv for argv, _ in cases], ("numpy",))
@@ -330,6 +330,14 @@ class TestExitCodes:
         argv = ["trajectory", *region, "--x-start", "0", "--x-stop", "1000", "--n", "2"]
         assert run(argv) == 2
         assert "bilinear denominator" in capsys.readouterr().err
+
+    def test_well_wavenumber_beyond_the_double_range_is_domain(self, capsys):
+        # sqrt(2 m U)/hbar = 1.4e454
+        assert run(["energies", "--U", "1e308", "--q", "1e-150", "--hbar", "1e-300"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = "domain error: well wavenumber sqrt(2 m U)/hbar overflows a double at U = 1e+308\n"
+        assert captured.err == message
 
     def test_infeasible_connection_is_domain(self, capsys):
         argv = [
@@ -484,18 +492,70 @@ class TestOutputPlumbing:
         assert outputs["dwell_bound"] == pytest.approx(bound, rel=1e-14, abs=0.0)
         assert outputs["classification"] == classification
 
-    @pytest.mark.filterwarnings("error")  # a numpy overflow warning would reach stderr
-    def test_supremum_searches_at_r_far_above_one(self, capsys):
-        # r = 7.1e74: the log-a window follows r, so dwell-max reaches its bound
-        # as closely as at r = 4/3; libration-max overflows on its grid and
-        # exits 2 with one line, never a wrong value
-        assert run(["dwell-max", "--E", "1e-150", "--U", "0.5"]) == 0
-        outputs = json.loads(capsys.readouterr().out)["outputs"]
-        assert outputs["supremum"] / outputs["analytic_bound"] == pytest.approx(1.0 - 3.5e-7, abs=1e-8)
-        assert run(["libration-max", "--E", "1e-150", "--U", "0.5", "--q", "1"]) == 2
+    def test_step_verdict_where_the_wavenumber_squares_overflow(self, capsys):
+        # hbar = 1e-200: k^2 and kappa^2 overflow, the density at depth 1 does not vanish
+        argv = [
+            "coverage", "sb", "--E", "0.1", "--U", "1", "--hbar", "1e-200", "--past", "0,0", "--present", "1,1",
+        ]
+        assert run(argv) == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "domain error: objective is not finite on the search grid\n"
+        assert captured.err == ""
+        outputs = json.loads(captured.out)["outputs"]
+        assert outputs["copenhagen_allowed"] is True
+        assert outputs["classification"] == "CopenhagenOnly"  # 1 is far above the dwell bound 1.3e-199
+
+    @pytest.mark.parametrize(
+        "flags,count",
+        [
+            (["--U", "1e300", "--hbar", "1e-10", "--q", "3e-160"], 3),  # k_max^2 overflows
+            (["--U", "1e308", "--q", "1e-150"], 9004),  # 2 m U overflows as well
+        ],
+    )
+    def test_energies_where_the_well_squares_overflow(self, flags, count, capsys):
+        assert run(["energies", *flags]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs = json.loads(captured.out)
+        assert outputs["outputs"]["count"] == count
+        inputs = outputs["inputs"]
+        # near the top kappa is ill-conditioned in k_max, so the oracle takes the double k_max
+        U, q, hbar, mass = (inputs[name] for name in ("U", "q", "hbar", "mass"))
+        _, k_max = _well_scales(square_well(U, q), Units(hbar=hbar, mass=mass))
+        with mpmath.workdps(40):
+            exact = mpmath.sqrt(2 * mpmath.mpf(mass) * mpmath.mpf(U)) / mpmath.mpf(hbar)
+            assert k_max == pytest.approx(float(exact), rel=1e-15)
+            k_max = mpmath.mpf(k_max)
+            for state in outputs["outputs"]["states"][:: max(count // 7, 1)]:
+                kappa = float(mpmath.sqrt(k_max**2 - mpmath.mpf(state["k"]) ** 2))
+                assert state["kappa"] == pytest.approx(kappa, rel=1e-14, abs=0.0)
+                assert math.isfinite(state["residual"]) and 0.0 < state["E"] < U
+
+    def test_supremum_searches_at_r_far_above_one(self, capsys):
+        # the suprema are the rescaled closed forms at a* = r sqrt(1 + c^2/4),
+        # c = 2 - epsilon, where the plain formulas overflow; each sits below
+        # its bound by the O(epsilon) deficit only, as at r = 4/3
+        cases = [
+            (["dwell-max", "--E", "1e-150", "--U", "0.5"], 0, 3.5e-7),  # r = 7.1e74
+            (["dwell-max", "--E", "1e-300", "--U", "1e10"], 0, 3.5e-7),  # r = 1e155: r^2 overflows
+            (["libration-max", "--E", "1e-150", "--U", "0.5", "--q", "1"], 1, 2.5e-7),  # r^4 overflows
+        ]
+        for argv, column, deficit in cases:
+            assert run(argv) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs = json.loads(captured.out)["outputs"]
+            with mpmath.workdps(40):
+                E, U = mpmath.mpf(argv[2]), mpmath.mpf(argv[4])
+                k, kappa = mpmath.sqrt(2 * E), mpmath.sqrt(2 * (U - E))
+                r, c = kappa / k, mpmath.mpf(2.0 - 1e-6)
+                a = r * mpmath.sqrt(1 + c * c / 4)
+                s = a + (1 + c * c / 4) / a * r * r  # a + b r^2 on the normalized slice
+                expected = float([
+                    2 * (1 + r * r) / (s - c * r) / (kappa * k),
+                    4 * (1 + r * r) * (1 + 1 / kappa) / k * s / (s * s - c * c * r * r),
+                ][column])
+            assert outputs["supremum"] == pytest.approx(expected, rel=1e-14, abs=0.0), argv
+            assert outputs["supremum"] / outputs["analytic_bound"] == pytest.approx(1.0 - deficit, abs=1e-8)
 
     def test_a_period_beyond_the_double_range_is_domain(self, capsys):
         assert run(["libration", "--E", "1e-300", "--U", "0.5", "--q", "1e300"]) == 2

@@ -19,6 +19,7 @@ from trdwell.potential import (
     Potential,
     Units,
     _bisect,
+    _kappa_in_well,
     _ladder_size,
     _well_scales,
     bound_state,
@@ -296,6 +297,55 @@ class TestDeepLadder:
                 with mpmath.workdps(40):
                     distance = float(mpmath.mpf(k) - root)
                 assert matching_residual(state, self.Q) == pytest.approx(distance, rel=1e-3), (i, offset)
+
+
+class TestWellScalesWhereSquaresOverflow:
+    def test_kappa_where_k_max_squared_overflows(self):
+        # k_max = 1.4e160: k_max^2 overflows, so the ladder bisects slot by slot on floats
+        pot, units = square_well(1e300, 3e-160), Units(hbar=1e-10)
+        q, k_max = _well_scales(pot, units)
+        with mpmath.workdps(40):
+            exact = mpmath.sqrt(2 * mpmath.mpf(1e300)) / mpmath.mpf(1e-10)
+            assert k_max == pytest.approx(float(exact), rel=1e-15)
+        ladder = bound_state_energies(pot, units)
+        assert len(ladder) == 3
+        assert list(ladder) == [bound_state(pot, units, i) for i in range(3)]
+        for state in ladder:
+            with mpmath.workdps(40):
+                kappa = mpmath.sqrt(mpmath.mpf(k_max) ** 2 - mpmath.mpf(state.k) ** 2)
+            assert state.kappa == pytest.approx(float(kappa), rel=1e-14, abs=0.0)
+            # the bisection ends between adjacent floats around the root
+            assert abs(matching_residual(state, q)) <= 4.0 * math.ulp(state.k)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1e-300, 0.5, 1.0 - 2.0**-52])
+    def test_kappa_matches_40_digits_at_the_top_of_the_double_range(self, fraction):
+        for k_max in (1.5e154, 1e200, 1.7e308):  # k_max + k overflows at the last
+            k = fraction * k_max
+            with mpmath.workdps(40):
+                kappa = float(mpmath.sqrt(mpmath.mpf(k_max) ** 2 - mpmath.mpf(k) ** 2))
+            assert _kappa_in_well(k, k_max) == pytest.approx(kappa, rel=1e-15, abs=0.0)
+
+    def test_ceiling_where_2mU_overflows(self):
+        pot, units = square_well(1e308, 1e-152), Units()
+        q, k_max = _well_scales(pot, units)
+        with mpmath.workdps(40):
+            assert k_max == pytest.approx(float(mpmath.sqrt(2 * mpmath.mpf(1e308))), rel=1e-15)
+        ladder = bound_state_energies(pot, units)
+        assert len(ladder) == _ladder_size(q, k_max) == 91
+        for i in (0, 1, 45, 89, 90):
+            state = ladder[i]
+            assert state == bound_state(pot, units, i)
+            with mpmath.workdps(40):
+                kappa = mpmath.sqrt(mpmath.mpf(k_max) ** 2 - mpmath.mpf(state.k) ** 2)
+                energy = mpmath.mpf(state.k) ** 2 / 2
+            assert state.kappa == pytest.approx(float(kappa), rel=1e-14, abs=0.0)
+            assert state.E == pytest.approx(float(energy), rel=1e-15, abs=0.0)
+            assert 0.0 < state.E < pot.U
+
+    @pytest.mark.parametrize("units", [Units(hbar=1e-300), Units(mass=1e308)])
+    def test_ceiling_beyond_the_double_range_is_a_domain_error(self, units):
+        with pytest.raises(DomainError, match="overflows"):
+            _well_scales(square_well(1e308, 1e-150), units)
 
 
 class TestLadderSlots:

@@ -1,6 +1,7 @@
-"""Dwell times, libration periods, their bounds, and the extremal searches."""
+"""Dwell times, libration periods, their bounds, and the extremal reports."""
 
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -11,11 +12,9 @@ from hypothesis import strategies as st
 from trdwell.errors import DomainError, OptimizationFailure
 from trdwell.microstate import MONOCHROMATIC, normalize
 from trdwell.potential import Units, kinematics_from_energies
-from trdwell.search import _LOG_A_HI, _LOG_A_LO, _log_a_window, maximize_over_slices
 from trdwell.times import (
     SIGN_MINUS,
     SIGN_PLUS,
-    _dwell_value,
     _libration_value,
     dwell_supremum_bound,
     dwell_time,
@@ -28,6 +27,15 @@ from trdwell.times import (
     libration_supremum_bound,
     max_dwell,
     max_libration,
+)
+from zoom_search import (
+    _LOG_A_HI,
+    _LOG_A_LO,
+    _log_a_window,
+    dwell_values,
+    libration_values,
+    maximize_over_slices,
+    on_slice,
 )
 
 _admissible = st.tuples(st.floats(0.05, 20.0), st.floats(-1.95, 1.95)).map(
@@ -233,16 +241,13 @@ class TestMaxLibration:
         assert report.supremum > 8.0  # the search beats the monochromatic member
 
 
-def _oracle_maximum(E, U, hbar, mass, q, epsilon):
-    """40-digit (a*, t_D, t_L) on the slice c = 2 - epsilon at a* = r sqrt(1 + c^2/4).
-
-    The closed-form maximizer stays in the test: the search never uses it.
-    """
+def _oracle_maximum(E, U, hbar, mass, q, c):
+    """40-digit (a*, t_D, t_L) on the slice at ``c`` at a* = r sqrt(1 + c^2/4)."""
     with mpmath.workdps(40):
         E, U, hbar, m, q = (mpmath.mpf(v) for v in (E, U, hbar, mass, q))
         k, kappa = mpmath.sqrt(2 * m * E) / hbar, mpmath.sqrt(2 * m * (U - E)) / hbar
         r = kappa / k
-        c = mpmath.mpf(2.0 - epsilon)  # the inset exactly as the search forms it
+        c = mpmath.mpf(c)
         a = r * mpmath.sqrt(1 + c * c / 4)
         b = (1 + c * c / 4) / a
         gauge = mpmath.sqrt(a * b - c * c / 4)
@@ -251,7 +256,7 @@ def _oracle_maximum(E, U, hbar, mass, q, epsilon):
             4 * (1 + r * r) * m * (q + 1 / kappa) / (hbar * k)
             * gauge * (a + b * r * r) / (a * a + (2 * a * b - c * c) * r * r + b * b * r**4)
         )
-        return float(a), float(t_D), float(t_L)
+        return a, t_D, t_L
 
 
 class TestSearchOracles:
@@ -268,12 +273,12 @@ class TestSearchOracles:
     )
     def test_suprema_match_the_40_digit_maximum(self, E, U, hbar, mass, q):
         kin = kinematics_from_energies(E, U, Units(hbar=hbar, mass=mass))
-        a_star, t_D, t_L = _oracle_maximum(E, U, hbar, mass, q, 1e-6)
+        a_star, t_D, t_L = (float(v) for v in _oracle_maximum(E, U, hbar, mass, q, 2.0 - 1e-6))
         dwell, libration = max_dwell(kin, 1e-6), max_libration(kin, q, 1e-6)
         for report, value in ((dwell, t_D), (libration, t_L)):
             assert report.maximizer.c == 2.0 - 1e-6
             assert abs(report.supremum - value) <= 1e-14 * value
-            assert report.maximizer.a == pytest.approx(a_star, rel=1e-6)
+            assert report.maximizer.a == pytest.approx(a_star, rel=1e-15)
         assert dwell.sign == SIGN_MINUS
 
     @given(_sub_barrier, st.floats(0.05, 20.0))
@@ -282,6 +287,69 @@ class TestSearchOracles:
         for report in (max_dwell(kin, 1e-6), max_libration(kin, q, 1e-6)):
             assert report.supremum <= report.analytic_bound * (1.0 + 1e-9)
             assert report.supremum == pytest.approx(report.analytic_bound, rel=1e-5)
+
+    @pytest.mark.parametrize("epsilon", [1e-6, 0.5, 1.5, 1.99])  # from 1.0 on, 2 - 2 epsilon <= 0
+    @pytest.mark.parametrize(
+        "quantity,E,U",
+        [
+            ("dwell", 0.18, 0.5),
+            ("libration", 0.18, 0.5),
+            ("dwell", 1e-300, 1e10),  # r = 1e155: r^2 overflows
+            ("libration", 1e-150, 0.5),  # r = 7.1e74: r^4 overflows
+        ],
+    )
+    def test_suprema_and_extrapolations_match_40_digits(self, quantity, E, U, epsilon):
+        kin = kinematics_from_energies(E, U)
+        insets = (2.0 - epsilon, abs(2.0 - 2.0 * epsilon))
+        fine, coarse = (_oracle_maximum(E, U, 1.0, 1.0, 1.0, c) for c in insets)
+        column = 1 if quantity == "dwell" else 2
+        with mpmath.workdps(40):
+            value, extrapolated = float(fine[column]), float(2 * fine[column] - coarse[column])
+        report = max_dwell(kin, epsilon) if quantity == "dwell" else max_libration(kin, 1.0, epsilon)
+        assert report.supremum == pytest.approx(value, rel=1e-14, abs=0.0)
+        assert report.supremum_extrapolated == pytest.approx(extrapolated, rel=1e-14, abs=0.0)
+        assert report.maximizer.a == pytest.approx(float(fine[0]), rel=1e-15)
+        assert report.maximizer.c == 2.0 - epsilon
+
+
+def _oracle_kinematics(count, seed):
+    """``count`` seeded kinematics with r from 1e-4 to 1e14 (both ends included), U, hbar, m in [0.1, 10]."""
+    rng = random.Random(seed)
+    log_r = [-4.0, 14.0] + [rng.uniform(-4.0, 14.0) for _ in range(count - 2)]
+    cases = []
+    for x in log_r:
+        U, hbar, mass = (math.exp(rng.uniform(math.log(0.1), math.log(10.0))) for _ in range(3))
+        cases.append(kinematics_from_energies(U / (1.0 + 10.0 ** (2.0 * x)), U, Units(hbar=hbar, mass=mass)))
+    return cases
+
+
+class TestZoomOracle:
+    # The zoom search never uses a* = r sqrt(1 + c^2/4); on both insets it
+    # must find what max_dwell and max_libration compute there in closed form.
+    @pytest.mark.parametrize("kin", _oracle_kinematics(10, 20261018), ids=lambda kin: f"r={kin.r:.3g}")
+    @pytest.mark.parametrize("epsilon", [1e-6, 0.3])
+    def test_finds_the_closed_form_suprema(self, kin, epsilon):
+        q = 1.0
+        insets = (2.0 - epsilon, 2.0 - 2.0 * epsilon)
+        closed = {
+            "dwell": [max_dwell(kin, e) for e in (epsilon, 2.0 * epsilon)],
+            "libration": [max_libration(kin, q, e) for e in (epsilon, 2.0 * epsilon)],
+        }
+        factors = np.array([1.0, -1.0, 1.0, -1.0])[:, None, None]  # both signs at both insets
+        found = {
+            "dwell": maximize_over_slices(
+                on_slice(dwell_values, kin, factors), [c for c in insets for _ in range(2)], kin.r
+            ),
+            "libration": maximize_over_slices(on_slice(libration_values, kin, q), insets, kin.r),
+        }
+        for quantity, reports in closed.items():
+            per_inset = len(found[quantity]) // 2
+            for index, (a, c, value) in enumerate(found[quantity]):
+                report = reports[index // per_inset]
+                assert value <= report.supremum * (1.0 + 1e-14)
+                assert abs(value - report.supremum) <= 1e-14 * report.supremum
+                assert abs(c) == insets[index // per_inset]
+                assert a == pytest.approx(report.maximizer.a, rel=1e-6)
 
 
 class TestSearchWindowFollowsR:
@@ -295,7 +363,7 @@ class TestSearchWindowFollowsR:
         kin = kinematics_from_energies(E, 0.5)
         lo, hi = _log_a_window(kin.r)
         assert lo < math.log(kin.r) < hi
-        a_star, t_D, _ = _oracle_maximum(E, 0.5, 1.0, 1.0, 1.0, 1e-6)
+        a_star, t_D, _ = (float(v) for v in _oracle_maximum(E, 0.5, 1.0, 1.0, 1.0, 2.0 - 1e-6))
         report = max_dwell(kin, 1e-6)
         assert abs(report.supremum - t_D) <= 1e-14 * t_D
         assert report.maximizer.a == pytest.approx(a_star, rel=1e-6)
@@ -304,16 +372,12 @@ class TestSearchWindowFollowsR:
 
     @pytest.mark.parametrize("E", [1e-30, 1e-150])
     def test_libration_supremum_is_right_or_a_failure(self, E):
-        # at r = 7.1e74 the objective overflows on the grid: a typed failure
-        # (exit 2), never a wrong value
+        # right, never a failure: at r = 7.1e74 the plain formula overflows at
+        # a* and the rescaled period is the value
         kin = kinematics_from_energies(E, 0.5)
-        _, _, t_L = _oracle_maximum(E, 0.5, 1.0, 1.0, 1.0, 1e-6)
-        try:
-            report = max_libration(kin, 1.0, 1e-6)
-        except OptimizationFailure:
-            assert E == 1e-150
-        else:
-            assert abs(report.supremum - t_L) <= 1e-14 * t_L
+        _, _, t_L = (float(v) for v in _oracle_maximum(E, 0.5, 1.0, 1.0, 1.0, 2.0 - 1e-6))
+        report = max_libration(kin, 1.0, 1e-6)
+        assert abs(report.supremum - t_L) <= 1e-14 * t_L
 
 
 class TestSliceSearch:
@@ -471,7 +535,7 @@ class TestBoundsAtOverflowingR:
 
 class TestScalarAndArrayObjectivesAgree:
     def test_bit_for_bit_on_random_normalized_microstates(self):
-        # the search evaluates the objectives on arrays with np.sqrt; dwell_time
+        # the zoom oracle evaluates the objectives on arrays with np.sqrt; dwell_time
         # and libration_period evaluate the same formulas on floats with math.sqrt
         rng = np.random.default_rng(20260)
         for _ in range(20):
@@ -483,7 +547,7 @@ class TestScalarAndArrayObjectivesAgree:
             ]
             a, b, c = (np.array(v) for v in zip(*((s.a, s.b, s.c) for s in states)))
             for sign, factor in ((SIGN_PLUS, 1.0), (SIGN_MINUS, -1.0)):
-                array = _dwell_value(a, b, c, kin, factor, np.sqrt).tolist()
+                array = dwell_values(a, b, c, kin, factor).tolist()
                 assert array == [dwell_time(kin, s, sign).t_D for s in states]
-            array = _libration_value(a, b, c, kin, q, np.sqrt).tolist()
+            array = libration_values(a, b, c, kin, q).tolist()
             assert array == [libration_period(kin, q, s) for s in states]

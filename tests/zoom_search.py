@@ -1,18 +1,20 @@
-"""Vectorized numpy maximization of an objective over (a, c), slice by slice.
+"""A numeric maximization of an objective over (a, c), slice by slice: the test oracle.
 
-The extremal searches of :mod:`trdwell.times` eliminate b on the normalized
-slice and maximize over (a, c) with one search per report: every slice (sign
-and inset) is a row block of one array.  Each slice gets a coarse c-grid;
-for every c, a zoom in log a (evaluate an equispaced grid, keep the two cells
-around its best point, repeat down to a 1e-12 step) finds the maximum over
-a.  A zoom in c around each slice's best cell then refines c, and each of
-its inner zooms starts dense around the maximizers of its previous pass.
+:func:`trdwell.times.max_dwell` and :func:`trdwell.times.max_libration`
+evaluate their suprema in closed form at the maximizer
+a* = r sqrt(1 + c^2/4), c = 2 - epsilon.  This search never uses that
+maximizer, so the tests compare the two as independent answers.
+
+It eliminates b on the normalized slice and maximizes over (a, c) with one
+vectorized search: every slice (sign and inset) is a row block of one
+array.  Each slice gets a coarse c-grid; for every c, a zoom in log a
+(evaluate an equispaced grid, keep the two cells around its best point,
+repeat down to a 1e-12 step) finds the maximum over a.  A zoom in c around
+each slice's best cell then refines c, and each of its inner zooms starts
+dense around the maximizers of its previous pass.
 
 The log-a window is [1e-8, 1e8] moved by round(log10 r) decades, so it
-follows r = kappa/k, an input, and never the maximizer.  Besides the
-divergence-onset scan and the well ladder, this is the only module that
-works on arrays, so only those three import numpy; the closed forms stay
-scalar.
+follows r = kappa/k, an input, and never the maximizer.
 """
 
 from __future__ import annotations
@@ -21,8 +23,13 @@ import math
 
 import numpy as np
 
-from .errors import OptimizationFailure
-from .times import OBJECTIVE_TIE_TOL
+from trdwell.errors import OptimizationFailure
+from trdwell.potential import Kinematics
+from trdwell.times import dwell_time_monochromatic, libration_prefactor
+
+#: Two candidate maximizers closer than this (relative, in objective value)
+#: are considered tied and broken deterministically.
+OBJECTIVE_TIE_TOL = 1e-10
 
 #: Log-space search window for the coefficient a in extremal searches at
 #: r = kappa/k near 1; it moves by whole decades with r (see ``_log_a_window``).
@@ -168,3 +175,27 @@ def maximize_over_slices(objective, c_abs, r: float = 1.0) -> list[tuple[float, 
         tied = [t for t in candidates if t[2] >= top - OBJECTIVE_TIE_TOL * abs(top)]
         found.append(min(tied, key=lambda t: (t[1], t[0])))
     return found
+
+
+def dwell_values(a, b, c, kin: Kinematics, sign_factor):
+    """t_D on arrays, in the operation order of the plain formula of :func:`trdwell.times.dwell_time`.
+
+    ``sign_factor`` (+1 or -1, or an array of them broadcasting against
+    ``a``) selects the branch of the +/- in the denominator.
+    """
+    r = kin.r
+    gauge = np.sqrt(a * b - 0.25 * c * c)
+    return gauge * (1.0 + r * r) / (a + sign_factor * c * r + b * r * r) * dwell_time_monochromatic(kin)
+
+
+def libration_values(a, b, c, kin: Kinematics, q: float):
+    """t_L on arrays, in the operation order of the plain formula of :func:`trdwell.times.libration_period`."""
+    r2 = kin.r * kin.r
+    numerator = np.sqrt(a * b - 0.25 * c * c) * (a + b * r2)
+    denominator = a * a + (2.0 * a * b - c * c) * r2 + b * b * r2 * r2
+    return libration_prefactor(kin, q) * numerator / denominator
+
+
+def on_slice(values, *args):
+    """The objective (a, c) -> values(a, (1 + c^2/4)/a, c, *args), b eliminated on the normalized slice."""
+    return lambda a, c: values(a, (1.0 + 0.25 * c * c) / a, c, *args)
