@@ -9,6 +9,11 @@ Each subcommand is one entry of :data:`COMMANDS`: its flags (declared once,
 in ``_FLAGS``), the inputs it resolves before computing, its compute step,
 and the names of the fields it prints as JSON inputs, JSON outputs and CSV
 columns.
+
+This module imports only ``config``, ``errors``, ``potential`` and
+``serialize``.  The other layers (``microstate``, ``wavefield``, ``times``,
+``trajectory``, ``coverage``) load on dispatch, when a command first uses
+one, so each invocation compiles and runs only the modules it needs.
 """
 
 from __future__ import annotations
@@ -16,44 +21,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import __version__
+from . import __version__, _submodule
 from .config import DEFAULT_CONFIG, Config, ConfigError, load_config
-from .coverage import (
-    NODE_DENSITY_FLOOR,
-    SCENARIO_SB,
-    SCENARIO_SW_BOUND,
-    SCENARIO_SW_EXCITED,
-    Event,
-    GridSpec,
-    connect,
-    sb_verdict,
-    set_relation_report,
-    sw_verdict,
-)
 from .errors import DomainError, TrdwellError
-from .microstate import NORMALIZATION_TOL, Microstate, normalize
-from .potential import (
-    EIGEN_K_TOL,
-    Units,
-    bound_state_energies,
-    kinematics_from_energies,
-    matching_residual,
-    square_well,
-)
+from .potential import Units, bound_state_energies, kinematics_from_energies, matching_residual, square_well
 from .serialize import csv_dumps, json_dumps
-from .times import (
-    SIGN_MINUS,
-    SIGN_PLUS,
-    dwell_supremum_bound,
-    dwell_time,
-    dwell_time_monochromatic,
-    libration_infimum_probe,
-    libration_period,
-    max_dwell,
-    max_libration,
-)
-from .trajectory import sample_trajectory
-from .wavefield import canonical_basis, copenhagen_density, qshje_residual, well_eigenstate
+
+#: The library layers a command reaches as ``res.<layer>``; each is imported on first use.
+_LAYERS = ("potential", "microstate", "wavefield", "times", "trajectory", "coverage")
 
 
 class UsageError(Exception):
@@ -64,8 +39,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: D102 - argparse hook
         raise UsageError(message)
 
-
-_SIGN_BY_NAME = {"plus": SIGN_PLUS, "minus": SIGN_MINUS}
 
 #: Flags each swept quantity reads (the swept one may be left out).
 _SWEEP_NEEDS = {
@@ -150,7 +123,8 @@ def _coefficients(args) -> tuple[float, float, float]:
     return tuple(default if value is None else value for value, default in flags)
 
 
-def _parse_event(text: str | None, flag: str) -> Event:
+def _parse_event(res, side: str):
+    text, flag = getattr(res.args, side), f"--{side}"
     if text is None:
         raise UsageError(f"{flag} is required")
     parts = text.split(",")
@@ -161,7 +135,7 @@ def _parse_event(text: str | None, flag: str) -> Event:
     except ValueError as exc:
         raise UsageError(f"{flag} expects numbers, got {text!r}") from exc
     try:
-        return Event(x, t)
+        return res.coverage.Event(x, t)
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -190,9 +164,10 @@ def _coverage_mode(args) -> str:
     return "pair" if pair_mode else "grid"
 
 
-def _grid_from_args(args) -> GridSpec:
+def _grid_from_args(res):
+    args = res.args
     try:
-        return GridSpec(
+        return res.coverage.GridSpec(
             past_positions=_parse_floats(args.pasts, "--pasts"),
             present_positions=_parse_floats(args.presents, "--presents"),
             time_offsets=_parse_floats(args.dts, "--dts"),
@@ -219,23 +194,26 @@ _RESOLVERS = {
     "k": lambda res: res.kin.k,
     "kappa": lambda res: res.kin.kappa,
     "r": lambda res: res.kin.r,
-    "ms": lambda res: Microstate(*_coefficients(res.args)),
+    "ms": lambda res: res.microstate.Microstate(*_coefficients(res.args)),
     "a": lambda res: res.ms.a,
     "b": lambda res: res.ms.b,
     "c": lambda res: res.ms.c,
-    "basis": lambda res: canonical_basis(res.region, res.kin),
-    "state": lambda res: well_eigenstate(square_well(res.U, res.q), res.units, res.state_index),
-    "past": lambda res: _parse_event(res.args.past, "--past"),
-    "present": lambda res: _parse_event(res.args.present, "--present"),
+    "branch": lambda res: {"plus": res.times.SIGN_PLUS, "minus": res.times.SIGN_MINUS}[res.sign],
+    "basis": lambda res: res.wavefield.canonical_basis(res.region, res.kin),
+    "state": lambda res: res.wavefield.well_eigenstate(square_well(res.U, res.q), res.units, res.state_index),
+    "past": lambda res: _parse_event(res, "past"),
+    "present": lambda res: _parse_event(res, "present"),
     "mode": lambda res: _coverage_mode(res.args),
-    "grid": lambda res: _grid_from_args(res.args),
+    "grid": _grid_from_args,
+    **{layer: lambda res, layer=layer: _submodule(layer) for layer in _LAYERS},
 }
 
 
 class _Resolved:
     """The inputs of one run; ``res.name`` resolves ``name`` once, on first use.
 
-    Names without a resolver are the parsed flags themselves.
+    Names without a resolver are the parsed flags themselves.  A layer name
+    (``res.times``) is that library module, imported on first use.
     """
 
     def __init__(self, args, cfg: Config):
@@ -282,7 +260,7 @@ def _energies(res) -> dict:
 
 
 def _trajectory(res) -> dict:
-    samples = sample_trajectory((res.x_start, res.x_stop), res.n, res.ms, res.basis, res.kin)
+    samples = res.trajectory.sample_trajectory((res.x_start, res.x_stop), res.n, res.ms, res.basis, res.kin)
     return {"samples": [vars(s) for s in samples]}
 
 
@@ -291,14 +269,14 @@ def _extremal(report) -> dict:
 
 
 def _qshje_check(res) -> dict:
-    residual = qshje_residual(res.x, res.ms, res.basis, res.kin)
+    residual = res.wavefield.qshje_residual(res.x, res.ms, res.basis, res.kin)
     threshold = 1e-8 * res.E
     return {"residual": residual, "threshold": threshold, "within": abs(residual) <= threshold}
 
 
 def _relation(res, scenario: str, **where) -> dict:
     grid = res.grid
-    report = set_relation_report(scenario, grid, **where)
+    report = res.coverage.set_relation_report(scenario, grid, **where)
     return {
         "pasts": list(grid.past_positions),
         "presents": list(grid.present_positions),
@@ -311,33 +289,33 @@ def _relation(res, scenario: str, **where) -> dict:
 
 def _coverage_sb(res) -> dict:
     if res.mode == "grid":
-        return _relation(res, SCENARIO_SB, kin=res.kin)
-    verdict = sb_verdict(res.past, res.present, res.kin)
+        return _relation(res, res.coverage.SCENARIO_SB, kin=res.kin)
+    verdict = res.coverage.sb_verdict(res.past, res.present, res.kin)
     return {
         **vars(verdict),
         **_events(res),
         "elapsed": res.present.t - res.past.t,
-        "dwell_bound": dwell_supremum_bound(res.kin),
+        "dwell_bound": res.times.dwell_supremum_bound(res.kin),
     }
 
 
 def _coverage_sw(res) -> dict:
     state = {"parity": res.state.parity, "E": res.state.kinematics.E}
     if res.mode == "grid":
-        scenario = SCENARIO_SW_BOUND if res.state_index == 0 else SCENARIO_SW_EXCITED
+        scenario = res.coverage.SCENARIO_SW_BOUND if res.state_index == 0 else res.coverage.SCENARIO_SW_EXCITED
         return {**state, **_relation(res, scenario, state=res.state)}
-    verdict = sw_verdict(res.past, res.present, res.state)
+    verdict = res.coverage.sw_verdict(res.past, res.present, res.state)
     return {
         **state,
         **vars(verdict),
         **_events(res),
         **_nested("witness", vars(verdict.witness), "witness_"),
-        "present_density": copenhagen_density(res.state, res.present.x),
+        "present_density": res.wavefield.copenhagen_density(res.state, res.present.x),
     }
 
 
 def _connect(res) -> dict:
-    solution = connect(res.past, res.present, res.state)
+    solution = res.coverage.connect(res.past, res.present, res.state)
     return {**vars(solution), **_nested("microstate", vars(solution.ms)), **_events(res)}
 
 
@@ -376,19 +354,21 @@ def _sweep(res) -> dict:
     if param not in needed:
         raise UsageError(f"parameter {param!r} does not enter quantity {quantity!r}")
 
+    times, microstate = res.times, res.microstate
+
     def evaluate(value: float) -> float:
         params = {**base, param: value}
         kin = kinematics_from_energies(params["E"], params["U"], res.units)
         if quantity == "dwell-mono":
-            return dwell_time_monochromatic(kin)
+            return times.dwell_time_monochromatic(kin)
         if quantity == "libration-inf":
-            return libration_infimum_probe(kin, params["q"], params["A"])
+            return times.libration_infimum_probe(kin, params["q"], params["A"])
         # A swept coefficient leaves the normalized slice; rescale the triple back onto it.
         triple = (params["a"], params["b"], params["c"])
-        ms = normalize(*triple) if param in ("a", "b", "c") else Microstate(*triple)
+        ms = microstate.normalize(*triple) if param in ("a", "b", "c") else microstate.Microstate(*triple)
         if quantity == "dwell":
-            return dwell_time(kin, ms, _SIGN_BY_NAME[res.sign]).t_D
-        return libration_period(kin, params["q"], ms)
+            return times.dwell_time(kin, ms, res.branch).t_D
+        return times.libration_period(kin, params["q"], ms)
 
     values = _linspace(spec["start"], spec["stop"], spec["count"])
     return {
@@ -412,6 +392,10 @@ class _Command:
     the values ``compute`` returns, then among the resolved inputs.  ``rows``
     names a list of records printed one CSV row each, with the columns
     ``csv`` (looked up in the record first) or else the record's own keys.
+    ``meta`` maps each JSON metadata key to the constant it echoes, named
+    ``"layer.NAME"``.  ``compute`` reaches the library layers it runs as
+    ``res.times``, ``res.coverage`` and so on, so each is imported on dispatch,
+    after the ``resolve`` inputs have passed.
     """
 
     def __init__(self, help, flags, resolve, compute, *, inputs, outputs, csv=None, rows=None, meta=None):
@@ -435,33 +419,33 @@ COMMANDS = {
     "energies": _Command(
         "square-well bound states", "U q parity", "U q", _energies,
         inputs="U q parity" + _UNITS, outputs="count states", csv="index parity E k kappa residual",
-        rows="states", meta={"k_tol": EIGEN_K_TOL},
+        rows="states", meta={"k_tol": "potential.EIGEN_K_TOL"},
     ),
     "dwell": _Command(
         "sub-barrier dwell time of a microstate", "E U" + _MS + " sign", "E U kin",
         lambda res: {
-            **vars(dwell_time(res.kin, res.ms, _SIGN_BY_NAME[res.sign])),
-            "monochromatic": dwell_time_monochromatic(res.kin),
+            **vars(res.times.dwell_time(res.kin, res.ms, res.branch)),
+            "monochromatic": res.times.dwell_time_monochromatic(res.kin),
         },
         inputs="E U a b c sign" + _UNITS, outputs="t_D monochromatic", csv="t_D sign a b c E U k kappa",
-        meta={"normalization_tol": NORMALIZATION_TOL},
+        meta={"normalization_tol": "microstate.NORMALIZATION_TOL"},
     ),
     "dwell-max": _Command(
         "dwell-time supremum over microstates", "E U epsilon", "E U epsilon kin",
-        lambda res: _extremal(max_dwell(res.kin, res.epsilon)),
+        lambda res: _extremal(res.times.max_dwell(res.kin, res.epsilon)),
         inputs="E U epsilon" + _UNITS,
         outputs="supremum supremum_extrapolated analytic_bound attained_at_boundary sign maximizer",
         csv="supremum supremum_extrapolated analytic_bound epsilon attained_at_boundary sign a b c E U",
     ),
     "libration": _Command(
         "well round-trip period of a microstate", "E U q" + _MS, "E U q kin",
-        lambda res: {"t_L": libration_period(res.kin, res.q, res.ms)},
+        lambda res: {"t_L": res.times.libration_period(res.kin, res.q, res.ms)},
         inputs="E U q a b c" + _UNITS, outputs="t_L", csv="t_L a b c E U q k kappa",
-        meta={"normalization_tol": NORMALIZATION_TOL},
+        meta={"normalization_tol": "microstate.NORMALIZATION_TOL"},
     ),
     "libration-max": _Command(
         "libration-period supremum over microstates", "E U q epsilon", "E U q epsilon kin",
-        lambda res: _extremal(max_libration(res.kin, res.q, res.epsilon)),
+        lambda res: _extremal(res.times.max_libration(res.kin, res.q, res.epsilon)),
         inputs="E U q epsilon" + _UNITS,
         outputs="supremum supremum_extrapolated analytic_bound alternative_bound alternative_bound_holds"
         " attained_at_boundary maximizer",
@@ -470,7 +454,7 @@ COMMANDS = {
     ),
     "libration-inf": _Command(
         "vanishing-period probe (A, 1/A, 0)", "E U q A", "E U q A kin",
-        lambda res: {"t_L": libration_infimum_probe(res.kin, res.q, res.A)},
+        lambda res: {"t_L": res.times.libration_infimum_probe(res.kin, res.q, res.A)},
         inputs="E U q A" + _UNITS, outputs="t_L", csv="t_L A E U q",
     ),
     "trajectory": _Command(
@@ -499,7 +483,7 @@ COMMANDS = {
             "pair": _VERDICT_CSV + " witness_a witness_b witness_c present_density",
             "grid": _RELATION_CSV,
         },
-        meta={"node_density_floor": NODE_DENSITY_FLOOR},
+        meta={"node_density_floor": "coverage.NODE_DENSITY_FLOOR"},
     ),
     "connect": _Command(
         "microstate linking two well events", "U q state-index past present", "U q state", _connect,
@@ -547,6 +531,15 @@ def _field(name: str, res: _Resolved, *sources: dict):
     return getattr(res, name)
 
 
+def _constants(meta: dict, res: _Resolved) -> dict:
+    """``meta`` with each ``"layer.NAME"`` read from the library module the command ran."""
+    constants = {}
+    for key, path in meta.items():
+        layer, name = path.split(".")
+        constants[key] = getattr(getattr(res, layer), name)
+    return constants
+
+
 def run(argv: list[str] | None = None) -> int:
     """Parse ``argv``, execute the subcommand, and return the exit status."""
     parser = build_parser()
@@ -570,7 +563,7 @@ def run(argv: list[str] | None = None) -> int:
                 "command": args.command,
                 "inputs": {name: _field(name, res, values) for name in _names(command.inputs, res)},
                 "outputs": {name: _field(name, res, values) for name in _names(command.outputs, res)},
-                "metadata": {"version": __version__, **command.meta},
+                "metadata": {"version": __version__, **_constants(command.meta, res)},
             }
             text = json_dumps(record, pretty=args.pretty)
         else:

@@ -87,18 +87,6 @@ def _classify(tr_allowed: bool, copenhagen_allowed: bool) -> str:
     return NEITHER_ALLOW
 
 
-def _barrier_log_density(kin: Kinematics, x: float) -> float:
-    """log |psi|^2 of the scattering state at depth x >= 0, underflow-proof."""
-    k2 = kin.k * kin.k
-    kappa2 = kin.kappa * kin.kappa
-    ratio = 4.0 * k2 / (k2 + kappa2)
-    if 0.0 < ratio < math.inf:
-        log_ratio = math.log(ratio)
-    else:  # a square overflowed or underflowed; the ratio is 4/(1 + r^2)
-        log_ratio = math.log(4.0) - 2.0 * math.log(math.hypot(1.0, kin.r))
-    return log_ratio - 2.0 * kin.kappa * x
-
-
 def sb_verdict(past: Event, present: Event, kin: Kinematics) -> CoverageVerdict:
     """Verdict for a sub-barrier pair behind the step.
 
@@ -106,8 +94,9 @@ def sb_verdict(past: Event, present: Event, kin: Kinematics) -> CoverageVerdict:
     strictly after the past.  The trajectory view admits the pair exactly
     when the elapsed time falls below the dwell-time least upper bound (the
     bound itself is never attained); the density view admits every such pair,
-    since the scattering density is strictly positive at all depths — the
-    verdict evaluates it in log space so no float underflow can intrude.
+    since the scattering density 4k^2/(k^2 + kappa^2) exp(-2 kappa x) is
+    strictly positive at every finite depth, so no float evaluation of it is
+    needed.
     """
     for name, event in (("past", past), ("present", present)):
         if event.x < 0.0:
@@ -116,11 +105,10 @@ def sb_verdict(past: Event, present: Event, kin: Kinematics) -> CoverageVerdict:
     if elapsed <= 0.0:
         raise DomainError(f"present must come after past, got elapsed={elapsed!r}")
     tr_allowed = elapsed < dwell_supremum_bound(kin)
-    copenhagen_allowed = _barrier_log_density(kin, present.x) > -math.inf
     return CoverageVerdict(
         tr_allowed=tr_allowed,
-        copenhagen_allowed=copenhagen_allowed,
-        classification=_classify(tr_allowed, copenhagen_allowed),
+        copenhagen_allowed=True,
+        classification=_classify(tr_allowed, True),
         witness=None,
     )
 

@@ -64,6 +64,20 @@ class RawCoefficients(NamedTuple):
     c: float
 
 
+def gauge_factor(ms: Microstate | RawCoefficients) -> float:
+    """sqrt(ab - c^2/4) of a positive-definite triple (a > 0 and ab - c^2/4 > 0).
+
+    Raises :class:`DegenerateMicrostate` otherwise.  The invariant alone does
+    not suffice: (-a, -b, -c) shares it, but its bilinear form is negative.
+    """
+    invariant = ms.a * ms.b - 0.25 * ms.c * ms.c
+    if not (ms.a > 0.0 and invariant > 0.0 and math.isfinite(invariant)):
+        raise DegenerateMicrostate(
+            f"a = {ms.a!r}, ab - c^2/4 = {invariant!r}: the form is not positive-definite"
+        )
+    return math.sqrt(invariant)
+
+
 #: The unique microstate indistinguishable from the textbook stationary state.
 MONOCHROMATIC = Microstate(1.0, 1.0, 0.0)
 

@@ -46,9 +46,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, OptimizationFailure
-from .microstate import Microstate, normalize
+from .microstate import Microstate, gauge_factor, normalize
 from .potential import Kinematics, check_half_width
-from .wavefield import gauge_factor
 
 SIGN_PLUS = "+"
 SIGN_MINUS = "-"
@@ -122,15 +121,15 @@ def dwell_supremum_bound(kin: Kinematics) -> float:
     """Least upper bound of the dwell time over admissible microstates.
 
     (1 + r^2)/(sqrt(2) - 1) * m/(hbar kappa^2); approached, never attained,
-    as |c| -> 2 with a/b -> r^2 * (well-tuned ratio).  Where that overflows
-    it is evaluated over the momenta, as (1/(hbar kappa)^2 + 1/(hbar k)^2)
-    m hbar/(sqrt(2) - 1).
+    as |c| -> 2 with a/b -> r^2 * (well-tuned ratio).  Where that overflows,
+    or kappa^2 underflows to 0 at huge hbar, it is evaluated over the momenta,
+    as (1/(hbar kappa)^2 + 1/(hbar k)^2) m hbar/(sqrt(2) - 1).
     """
     units = kin.units
     r = kin.r
     try:
         bound = (1.0 + r * r) / (math.sqrt(2.0) - 1.0) * units.mass / (units.hbar * kin.kappa**2)
-    except OverflowError:  # kappa**2 raises rather than reading inf
+    except (OverflowError, ZeroDivisionError):  # kappa**2 raises rather than reading inf, or reads 0
         bound = math.inf
     if _overflowed(bound):
         ik, ikappa = 1.0 / (units.hbar * kin.k), 1.0 / (units.hbar * kin.kappa)

@@ -17,9 +17,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, ScanNotSettled
-from .microstate import Microstate, RawCoefficients
+from .microstate import Microstate, RawCoefficients, gauge_factor
 from .potential import FORBIDDEN, FREE, Kinematics
-from .wavefield import RegionBasis, bilinear, check_basis, checked_denominator, gauge_factor
+from .wavefield import RegionBasis, bilinear, check_basis, checked_denominator
 
 #: Grid points evaluated per numpy pass of the divergence-onset scan.  A pass
 #: holds about a dozen temporary arrays, some 200 KB at this size.  At 8,192

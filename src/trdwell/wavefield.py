@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateMicrostate, DomainError
-from .microstate import Microstate, RawCoefficients
+from .microstate import Microstate, RawCoefficients, gauge_factor
 from .potential import (
     FORBIDDEN,
     FREE,
@@ -109,9 +109,6 @@ class RegionBasis:
             return self.alpha * x * math.cos(w * x), -self.beta * x * math.sin(w * x)
         return -self.alpha * x * _exp(-w * x), self.beta * x * _exp(w * x)
 
-    def with_wavenumber(self, w: float) -> "RegionBasis":
-        return RegionBasis(self.region, w, self.alpha, self.beta)
-
     def rescaled(self, alpha: float, beta: float) -> "RegionBasis":
         return RegionBasis(self.region, self.wavenumber, self.alpha * alpha, self.beta * beta)
 
@@ -123,20 +120,6 @@ def canonical_basis(region: str, kin: Kinematics) -> RegionBasis:
     if region == FORBIDDEN:
         return RegionBasis(FORBIDDEN, kin.kappa)
     raise DomainError(f"unknown region {region!r}")
-
-
-def gauge_factor(ms: Microstate | RawCoefficients) -> float:
-    """sqrt(ab - c^2/4) of a positive-definite triple (a > 0 and ab - c^2/4 > 0).
-
-    Raises :class:`DegenerateMicrostate` otherwise.  The invariant alone does
-    not suffice: (-a, -b, -c) shares it, but its bilinear form is negative.
-    """
-    invariant = ms.a * ms.b - 0.25 * ms.c * ms.c
-    if not (ms.a > 0.0 and invariant > 0.0 and math.isfinite(invariant)):
-        raise DegenerateMicrostate(
-            f"a = {ms.a!r}, ab - c^2/4 = {invariant!r}: the form is not positive-definite"
-        )
-    return math.sqrt(invariant)
 
 
 def bilinear(ms: Microstate | RawCoefficients, basis: RegionBasis, x: float) -> float:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import mpmath
@@ -167,12 +168,16 @@ def test_all_subcommands_have_a_golden_fixture():
     assert covered == set(COMMANDS)
 
 
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(trdwell.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _python(script: str) -> str:
     """Stdout of ``script`` run by a fresh interpreter that imports this package."""
-    src = str(Path(trdwell.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60, check=True
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env(), timeout=60, check=True
     )
     return result.stdout
 
@@ -227,6 +232,83 @@ def test_numpy_loads_only_for_the_array_layers(array_case):
     after_import, runs = _modules_loaded([argv for argv, _ in cases], ("numpy",))
     assert after_import == []
     assert runs == [(code, []) for _, code in cases[:-1]] + [(0, ["numpy"])]
+
+
+# the modules each command loads besides config, errors, potential and serialize, which the
+# command line imports for every invocation
+_TIMES = ("microstate", "times")
+_COVERAGE = ("microstate", "wavefield", "times", "coverage")
+LAYERS_BY_COMMAND = {
+    "kinematics": (),
+    "energies": ("numpy",),
+    "dwell": _TIMES,
+    "dwell-max": _TIMES,
+    "libration": _TIMES,
+    "libration-max": _TIMES,
+    "libration-inf": _TIMES,
+    "sweep": _TIMES,
+    "qshje-check": ("microstate", "wavefield"),
+    "trajectory": ("microstate", "wavefield", "trajectory"),
+    "coverage": _COVERAGE,
+    "connect": _COVERAGE,
+}
+
+#: Every public name of the package, as listed before its exports became lazy.
+PUBLIC_NAMES = """
+BOTH_ALLOW BasisRescale BoundState COPENHAGEN_ONLY Config ConfigError ConnectionSolution
+CopenhagenState CoverageVerdict DegenerateMicrostate DomainError DwellResult Event
+ExtremalReport FORBIDDEN FREE FlightTime GridSpec Infeasible Kinematics MONOCHROMATIC Microstate
+NEITHER_ALLOW NODE_DENSITY_FLOOR OptimizationFailure Potential RawCoefficients RegionBasis
+RelationReport SIGN_MINUS SIGN_PLUS SQUARE_WELL STEP_BARRIER ScanNotSettled StepUnderflow
+SweepSpec TR_ONLY TrajectorySample TrdwellError Units admissible barrier_scattering bilinear
+bound_state_energies canonical_basis conjugate_momentum connect copenhagen_density
+divergence_onset dwell_supremum_bound dwell_time dwell_time_monochromatic find_nodes
+is_monochromatic kinematics_from_energies libration_alternative_bound libration_infimum_probe
+libration_period libration_period_monochromatic libration_supremum_bound load_config
+make_kinematics matching_residual max_dwell max_libration momentum_derivatives
+momentum_energy_derivative normalize qshje_residual reduced_action sample_trajectory sb_verdict
+set_relation_report slice_period_max slice_period_roots speed_at square_well step_barrier
+sw_verdict time_of_flight transform_basis well_eigenstate
+"""
+
+
+def _cold_imports(argv) -> tuple[int, set[str]]:
+    """Exit code of a fresh ``python -m trdwell.cli *argv``, and the ``trdwell`` submodules
+    (plus numpy) it loaded, read from the ``import 'name'`` lines of ``python -v``."""
+    proc = subprocess.run(
+        [sys.executable, "-v", "-m", "trdwell.cli", *argv],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+    )
+    names = {line.split("'")[1] for line in proc.stderr.splitlines() if line.startswith("import '")}
+    submodules = {name.removeprefix("trdwell.") for name in names if name.startswith("trdwell.")}
+    return proc.returncode, submodules | (names & {"numpy"})
+
+
+def test_each_invocation_imports_only_the_layers_it_runs():
+    # one cold interpreter per golden fixture and per C13 error exit; the error exits
+    # (usage errors, and a dwell whose kinematics are rejected) stop before any layer loads
+    cases = [(argv, 0, LAYERS_BY_COMMAND[argv[0]]) for _, argv in GOLDEN_CASES]
+    cases += [(argv, code, ()) for argv, code in ERROR_CASES]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        got = list(pool.map(_cold_imports, [argv for argv, _, _ in cases]))
+    always = {"config", "errors", "potential", "serialize"}
+    assert got == [(code, always | set(layers)) for _, code, layers in cases]
+
+
+def test_package_exports_load_the_library_on_first_access():
+    script = (
+        "import json, sys, trdwell\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('trdwell.'))\n"
+        "bare, unknown = loaded(), hasattr(trdwell, 'no_such_name')\n"
+        "after_unknown = loaded()\n"
+        "trdwell.Units\n"
+        "print(json.dumps([bare, unknown, after_unknown, loaded(), trdwell.__all__]))\n"
+    )
+    bare, unknown, after_unknown, after_access, exported = json.loads(_python(script).splitlines()[-1])
+    assert (bare, unknown, after_unknown) == ([], False, [])
+    layers = "config coverage errors microstate potential times trajectory wavefield"
+    assert after_access == [f"trdwell.{name}" for name in layers.split()]
+    assert exported == sorted(PUBLIC_NAMES.split())
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -503,6 +585,39 @@ class TestOutputPlumbing:
         outputs = json.loads(captured.out)["outputs"]
         assert outputs["copenhagen_allowed"] is True
         assert outputs["classification"] == "CopenhagenOnly"  # 1 is far above the dwell bound 1.3e-199
+
+    def test_step_verdict_at_a_depth_where_two_kappa_x_overflows(self, capsys):
+        # hbar = 1e-200, x = 1e197: the density is positive at every finite depth
+        argv = [
+            "coverage", "sb", "--E", "0.1", "--U", "1", "--hbar", "1e-200", "--past", "0,0", "--present", "1e197,1",
+        ]
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs = json.loads(captured.out)["outputs"]
+        assert outputs["copenhagen_allowed"] is True
+        assert outputs["classification"] == "CopenhagenOnly"
+
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (["dwell-max", "--E", "0.1", "--U", "1", "--hbar", "1e200"], "analytic_bound"),
+            (
+                ["coverage", "sb", "--E", "0.1", "--U", "1", "--hbar", "1e200", "--past", "0,0", "--present", "1,1"],
+                "dwell_bound",
+            ),
+        ],
+    )
+    def test_dwell_bound_where_kappa_squared_underflows(self, argv, field, capsys):
+        # hbar = 1e200: kappa^2 underflows to 0, yet the bound hbar U/(2(sqrt(2) - 1) E (U - E)) is finite
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        outputs = json.loads(captured.out)["outputs"]
+        with mpmath.workdps(40):
+            hbar, E, U = mpmath.mpf("1e200"), mpmath.mpf("0.1"), mpmath.mpf("1")
+            bound = float(hbar * U / (2 * (mpmath.sqrt(2) - 1) * E * (U - E)))
+        assert outputs[field] == pytest.approx(bound, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize(
         "flags,count",
