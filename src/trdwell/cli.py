@@ -424,7 +424,7 @@ COMMANDS = {
     "dwell": _Command(
         "sub-barrier dwell time of a microstate", "E U" + _MS + " sign", "E U kin",
         lambda res: {
-            **vars(res.times.dwell_time(res.kin, res.ms, res.branch)),
+            "t_D": res.times.dwell_time(res.kin, res.ms, res.branch).t_D,
             "monochromatic": res.times.dwell_time_monochromatic(res.kin),
         },
         inputs="E U a b c sign" + _UNITS, outputs="t_D monochromatic", csv="t_D sign a b c E U k kappa",

@@ -13,6 +13,14 @@ trajectory view imposes a finite dwell-time ceiling and the density view
 imposes none) and a present inside a square well (where the trajectory view
 can connect any two interior events but the density view dies at the nodes
 of excited states).
+
+Inside the well every connection runs through one kernel per state
+(:class:`_SliceKernel`).  It computes the state's constants once per call:
+the libration prefactor, the slice peak and ceiling, r^2 and the crossing
+fraction.  Its ``split`` then maps each pair to its whole periods, phase
+advance and slice coefficient a.  :func:`connect` builds the witness
+microstate from that split; :func:`set_relation_report` runs only the split
+per pair, and judges density support once per distinct present position.
 """
 
 from __future__ import annotations
@@ -54,6 +62,11 @@ NODE_DENSITY_FLOOR = 1e-20
 _PERIOD_MARGIN = 1e-12
 
 
+def _check_event(x: float, t: float) -> None:
+    if not (math.isfinite(x) and math.isfinite(t)):
+        raise DomainError(f"event coordinates must be finite, got ({x!r}, {t!r})")
+
+
 @dataclass(frozen=True)
 class Event:
     """A position/epoch pair, optionally tagged with the region it sits in."""
@@ -63,8 +76,7 @@ class Event:
     region: str = ""
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.t)):
-            raise DomainError(f"event coordinates must be finite, got ({self.x!r}, {self.t!r})")
+        _check_event(self.x, self.t)
 
 
 @dataclass(frozen=True)
@@ -87,6 +99,14 @@ def _classify(tr_allowed: bool, copenhagen_allowed: bool) -> str:
     return NEITHER_ALLOW
 
 
+def _check_sb_pair(x_past: float, x_present: float, elapsed: float) -> None:
+    for name, x in (("past", x_past), ("present", x_present)):
+        if x < 0.0:
+            raise DomainError(f"{name} event must lie on the barrier side (x >= 0), got {x!r}")
+    if elapsed <= 0.0:
+        raise DomainError(f"present must come after past, got elapsed={elapsed!r}")
+
+
 def sb_verdict(past: Event, present: Event, kin: Kinematics) -> CoverageVerdict:
     """Verdict for a sub-barrier pair behind the step.
 
@@ -98,12 +118,8 @@ def sb_verdict(past: Event, present: Event, kin: Kinematics) -> CoverageVerdict:
     strictly positive at every finite depth, so no float evaluation of it is
     needed.
     """
-    for name, event in (("past", past), ("present", present)):
-        if event.x < 0.0:
-            raise DomainError(f"{name} event must lie on the barrier side (x >= 0), got {event.x!r}")
     elapsed = present.t - past.t
-    if elapsed <= 0.0:
-        raise DomainError(f"present must come after past, got elapsed={elapsed!r}")
+    _check_sb_pair(past.x, present.x, elapsed)
     tr_allowed = elapsed < dwell_supremum_bound(kin)
     return CoverageVerdict(
         tr_allowed=tr_allowed,
@@ -124,49 +140,129 @@ class ConnectionSolution:
     arrival_time: float
 
 
+class _SliceKernel:
+    """The constants of one state on the c = 0, b = 1/a slice, and the per-pair split.
+
+    On that slice the libration period collapses to prefactor * a/(a^2 + r^2),
+    which peaks at a = r with the value prefactor/(2r).  A prefactor beyond
+    the double range is reported where the per-pair code first needs it,
+    after the pair's own checks, so a scan fails on the same pair, with the
+    same error, as a loop over :func:`connect`.  Nothing here outlives the
+    call that builds it.
+    """
+
+    __slots__ = ("kin", "q", "failure", "prefactor", "peak", "ceiling", "r2", "crossing")
+
+    def __init__(self, kin: Kinematics, q: float):
+        check_half_width(q)
+        self.kin, self.q = kin, q
+        self.failure = None
+        try:
+            self.prefactor = libration_prefactor(kin, q)
+        except DomainError as exc:
+            self.failure, self.prefactor = str(exc), math.inf
+        self.peak = self.prefactor / (2.0 * kin.r)
+        self.ceiling = self.peak * (1.0 - _PERIOD_MARGIN)
+        self.r2 = kin.r * kin.r
+        # Cycle fraction of one interior crossing, q/(2(q + 1/kappa)); each wall
+        # dwell takes (1/kappa)/(2(q + 1/kappa)), the monochromatic split in time.
+        self.crossing = 0.5 * q / (q + 1.0 / kin.kappa)
+
+    def check(self) -> _SliceKernel:
+        """The kernel itself, once its prefactor is known to be a double."""
+        if self.failure is not None:
+            raise DomainError(self.failure)
+        return self
+
+    def fraction(self, x: float) -> float:
+        """Cycle fraction of the canonical rightward passage through x in [-q, q].
+
+        The cycle is anchored at the left wall moving right, so x = -q sits at
+        0 and x = q one crossing later.
+        """
+        return self.crossing * (x + self.q) / (2.0 * self.q)
+
+    def roots(self, period: float) -> tuple[float, float]:
+        """Both a-values whose slice period equals ``period``, smaller first.
+
+        Solving period = prefactor * a/(a^2 + r^2) gives
+        a = (1 +/- sqrt(1 - 4 tau^2 r^2))/(2 tau) with tau = period/prefactor;
+        the smaller root takes the cancellation-free rationalized form
+        2 tau r^2 / (1 + sqrt(...)).  Raises :class:`Infeasible` above the
+        slice peak, and :class:`DomainError` where tau underflows to 0.
+        """
+        if not (math.isfinite(period) and period > 0.0):
+            raise DomainError(f"period must be finite and positive, got {period!r}")
+        if period > self.check().peak:
+            raise Infeasible(f"period {period!r} exceeds the slice ceiling {self.peak!r}")
+        tau = period / self.prefactor
+        if tau == 0.0:
+            raise DomainError(
+                f"period {period!r} underflows against the libration prefactor {self.prefactor!r}"
+            )
+        disc = max(1.0 - 4.0 * tau * tau * self.r2, 0.0)
+        root = math.sqrt(disc)
+        return 2.0 * tau * self.r2 / (1.0 + root), (1.0 + root) / (2.0 * tau)
+
+    def split(self, x_past: float, x_present: float, elapsed: float) -> tuple[int, float, float]:
+        """(whole periods n, phase advance, slice coefficient a) of one pair.
+
+        The elapsed time is split as (n + phase_advance) * period, with n the
+        smallest count >= 1 that keeps the period at or below the ceiling, and
+        a is the smaller root for that period.  Raises, in this order: a
+        position outside the well, an elapsed time that is not positive and
+        finite, a prefactor or whole-period count that is not a double, and
+        any a for which a and 1/a are not both positive finite doubles.  Where
+        it returns, the witness (a, 1/a, 0) normalizes and has a finite period.
+        """
+        q = self.q
+        for name, x in (("past", x_past), ("present", x_present)):
+            if abs(x) > q:
+                raise DomainError(f"{name} event must lie inside the well (|x| <= {q!r}), got {x!r}")
+        if elapsed <= 0.0 or not math.isfinite(elapsed):
+            raise Infeasible(f"present must come strictly after past, got elapsed={elapsed!r}")
+        ceiling = self.check().ceiling
+        phase_advance = (self.fraction(x_present) - self.fraction(x_past)) % 1.0
+        periods = elapsed / ceiling if ceiling > 0.0 else math.inf
+        if periods == math.inf:
+            raise DomainError(
+                f"elapsed time {elapsed!r} spans more slice periods (ceiling {ceiling!r}) than a double counts"
+            )
+        n = max(1, math.ceil(periods - phase_advance))
+        while elapsed / (n + phase_advance) > ceiling:
+            # n + 1 until n + phase_advance stops resolving units; then its next double
+            n = max(n + 1, math.ceil(math.nextafter(n + phase_advance, math.inf) - phase_advance))
+        period = elapsed / (n + phase_advance)
+        a, _ = self.roots(period)
+        if not (0.0 < a < math.inf and 1.0 / a < math.inf):
+            raise DomainError(
+                f"the slice microstate (a, 1/a, 0) at period {period!r} is not two positive doubles: a = {a!r}"
+            )
+        return n, phase_advance, a
+
+
+def _well_kernel(state: CopenhagenState) -> _SliceKernel:
+    if state.kind != WELL_EIGENSTATE:
+        raise DomainError("connections are defined inside the square well")
+    return _SliceKernel(state.kinematics, state.potential.q)
+
+
 def slice_period_max(kin: Kinematics, q: float) -> float:
     """Largest libration period reachable on the c = 0, b = 1/a slice.
 
     There the period collapses to prefactor * a/(a^2 + r^2), which peaks at a = r.
     """
-    check_half_width(q)
-    return libration_prefactor(kin, q) / (2.0 * kin.r)
+    return _SliceKernel(kin, q).check().peak
 
 
 def slice_period_roots(kin: Kinematics, q: float, period: float) -> tuple[float, float]:
     """Both a-values on the c = 0, b = 1/a slice whose period equals ``period``.
 
-    Solving period = prefactor * a/(a^2 + r^2) gives
-    a = (1 +/- sqrt(1 - 4 tau^2 r^2))/(2 tau) with tau = period/prefactor; the
-    smaller root is returned first, in the cancellation-free rationalized
-    form 2 tau r^2 / (1 + sqrt(...)).  Raises :class:`Infeasible` above the
-    slice ceiling.
+    The smaller root is returned first; see :meth:`_SliceKernel.roots`.
+    Raises :class:`Infeasible` above the slice ceiling, and
+    :class:`DomainError` where period/prefactor underflows to 0.
     """
-    if not (math.isfinite(period) and period > 0.0):
-        raise DomainError(f"period must be finite and positive, got {period!r}")
-    if period > slice_period_max(kin, q):
-        raise Infeasible(
-            f"period {period!r} exceeds the slice ceiling {slice_period_max(kin, q)!r}"
-        )
-    tau = period / libration_prefactor(kin, q)
-    r2 = kin.r * kin.r
-    disc = max(1.0 - 4.0 * tau * tau * r2, 0.0)
-    root = math.sqrt(disc)
-    a_small = 2.0 * tau * r2 / (1.0 + root)
-    a_large = (1.0 + root) / (2.0 * tau)
-    return a_small, a_large
-
-
-def _passage_fraction(x: float, q: float, kappa: float) -> float:
-    """Cycle fraction of the canonical rightward passage through x in [-q, q].
-
-    The cycle is anchored at the left wall moving right.  Its four legs carry
-    geometric fractions: each interior crossing takes c_hat = q/(2(q + 1/kappa))
-    of the cycle and each wall dwell takes w_hat = (1/kappa)/(2(q + 1/kappa)),
-    the same split the monochromatic member realizes in time.
-    """
-    crossing = 0.5 * q / (q + 1.0 / kappa)
-    return crossing * (x + q) / (2.0 * q)
+    return _SliceKernel(kin, q).roots(period)
 
 
 def connect(past: Event, present: Event, state: CopenhagenState) -> ConnectionSolution:
@@ -178,40 +274,25 @@ def connect(past: Event, present: Event, state: CopenhagenState) -> ConnectionSo
     (which passes through the monochromatic member when the target period
     matches it).  whole_periods is the smallest count >= 1 that keeps the
     target period at or below the slice ceiling; a connection therefore
-    exists for every interior pair with positive elapsed time.
+    exists for every interior pair with positive elapsed time whose period
+    and slice coefficients are doubles.
     """
-    if state.kind != WELL_EIGENSTATE:
-        raise DomainError("connections are defined inside the square well")
-    q = state.potential.q
-    assert q is not None
-    kin = state.kinematics
-    for name, event in (("past", past), ("present", present)):
-        if abs(event.x) > q:
-            raise DomainError(f"{name} event must lie inside the well (|x| <= {q!r}), got {event.x!r}")
-    elapsed = present.t - past.t
-    if elapsed <= 0.0 or not math.isfinite(elapsed):
-        raise Infeasible(f"present must come strictly after past, got elapsed={elapsed!r}")
-
-    s_past = _passage_fraction(past.x, q, kin.kappa)
-    s_present = _passage_fraction(present.x, q, kin.kappa)
-    phase_advance = (s_present - s_past) % 1.0
-
-    ceiling = slice_period_max(kin, q) * (1.0 - _PERIOD_MARGIN)
-    n = max(1, math.ceil(elapsed / ceiling - phase_advance))
-    while elapsed / (n + phase_advance) > ceiling:
-        n += 1
-    period_target = elapsed / (n + phase_advance)
-
-    a_small, _ = slice_period_roots(kin, q, period_target)
-    ms = normalize(a_small, 1.0 / a_small, 0.0)
-    realized = libration_period(kin, q, ms)
+    kernel = _well_kernel(state)
+    n, phase_advance, a = kernel.split(past.x, present.x, present.t - past.t)
+    ms = normalize(a, 1.0 / a, 0.0)
+    realized = libration_period(kernel.kin, kernel.q, ms)
     return ConnectionSolution(
         ms=ms,
         whole_periods=n,
-        phase_offset=s_past * realized,
+        phase_offset=kernel.fraction(past.x) * realized,
         realized_period=realized,
         arrival_time=past.t + (n + phase_advance) * realized,
     )
+
+
+def _density_support(state: CopenhagenState, x: float) -> bool:
+    # The one place the density view decides support inside the well.
+    return copenhagen_density(state, x) > NODE_DENSITY_FLOOR
 
 
 def sw_verdict(past: Event, present: Event, state: CopenhagenState) -> CoverageVerdict:
@@ -223,7 +304,7 @@ def sw_verdict(past: Event, present: Event, state: CopenhagenState) -> CoverageV
     ``NODE_DENSITY_FLOOR``, which excludes the nodes of excited states.
     """
     solution = connect(past, present, state)
-    copenhagen_allowed = copenhagen_density(state, present.x) > NODE_DENSITY_FLOOR
+    copenhagen_allowed = _density_support(state, present.x)
     return CoverageVerdict(
         tr_allowed=True,
         copenhagen_allowed=copenhagen_allowed,
@@ -279,6 +360,35 @@ _SW_NODE_NOTE = (
 )
 
 
+def _sb_classifier(kin: Kinematics):
+    """Classification of one step pair; the dwell bound is evaluated once, on first need."""
+    bound = None
+
+    def classify(x_past: float, x_present: float, elapsed: float) -> str:
+        nonlocal bound
+        _check_sb_pair(x_past, x_present, elapsed)
+        if bound is None:
+            bound = dwell_supremum_bound(kin)
+        return _classify(elapsed < bound, True)
+
+    return classify
+
+
+def _sw_classifier(state: CopenhagenState):
+    """Classification of one well pair: the kernel's split, then support at the present."""
+    kernel = _well_kernel(state)
+    support: dict[float, bool] = {}
+
+    def classify(x_past: float, x_present: float, elapsed: float) -> str:
+        kernel.split(x_past, x_present, elapsed)
+        allowed = support.get(x_present)
+        if allowed is None:
+            allowed = support[x_present] = _density_support(state, x_present)
+        return _classify(True, allowed)
+
+    return classify
+
+
 def set_relation_report(
     scenario: str,
     grid: GridSpec,
@@ -294,10 +404,18 @@ def set_relation_report(
     trajectory set, pairs only the trajectory view admits push it beyond the
     density set, and neither kind appearing leaves the union equal to the
     trajectory set.
+
+    The counts, and the first error, are those of :func:`sb_verdict` or
+    :func:`sw_verdict` run on every pair in grid order, but the work is
+    shared.  SB evaluates the dwell bound once per report.  SW builds the
+    state's slice kernel once per report, runs only its split per pair (the
+    witness it would build is not kept), and judges density support once per
+    distinct present position.
     """
     if scenario == SCENARIO_SB:
         if kin is None:
             raise DomainError("the SB scenario requires kinematics")
+        classify = _sb_classifier(kin)
     elif scenario in (SCENARIO_SW_BOUND, SCENARIO_SW_EXCITED):
         if state is None or state.kind != WELL_EIGENSTATE:
             raise DomainError(f"the {scenario} scenario requires a well eigenstate")
@@ -305,22 +423,18 @@ def set_relation_report(
             raise DomainError("the SW-bound scenario expects the ground state (index 0)")
         if scenario == SCENARIO_SW_EXCITED and (state.index is None or state.index < 1):
             raise DomainError("the SW-excited scenario expects an excited state (index >= 1)")
+        classify = _sw_classifier(state)
     else:
         raise DomainError(f"unknown scenario {scenario!r}")
 
     counts = {BOTH_ALLOW: 0, COPENHAGEN_ONLY: 0, TR_ONLY: 0, NEITHER_ALLOW: 0}
+    t_past = grid.past_time
+    t_presents = [t_past + dt for dt in grid.time_offsets]
     for x_past in grid.past_positions:
         for x_present in grid.present_positions:
-            for dt in grid.time_offsets:
-                past = Event(x_past, grid.past_time)
-                present = Event(x_present, grid.past_time + dt)
-                if scenario == SCENARIO_SB:
-                    assert kin is not None
-                    verdict = sb_verdict(past, present, kin)
-                else:
-                    assert state is not None
-                    verdict = sw_verdict(past, present, state)
-                counts[verdict.classification] += 1
+            for t_present in t_presents:
+                _check_event(x_present, t_present)
+                counts[classify(x_past, x_present, t_present - t_past)] += 1
 
     if counts[COPENHAGEN_ONLY] > 0 and counts[TR_ONLY] > 0:
         relation = RELATION_MIXED

@@ -429,6 +429,48 @@ class TestExitCodes:
         assert run(argv) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (  # the target period 5e-324 over the prefactor 21.7 underflows to 0
+                ["connect", "--U", "1", "--q", "1", "--past", "0,0", "--present", "0.5,5e-324"],
+                "period 5e-324 underflows against the libration prefactor 21.669523935528776",
+            ),
+            (
+                [
+                    "coverage", "sw", "--U", "1", "--q", "1", "--state-index", "0",
+                    "--past", "0,0", "--present", "0.5,5e-324",
+                ],
+                "period 5e-324 underflows against the libration prefactor 21.669523935528776",
+            ),
+            (  # a slice ceiling of 5.1e-15 fits 1e300 into more periods than a double counts
+                [
+                    "connect", "--U", "1e10", "--q", "1e-10", "--hbar", "1e-6", "--state-index", "5",
+                    "--past", "0,0", "--present", "0,1e300",
+                ],
+                "elapsed time 1e+300 spans more slice periods (ceiling 5.120192411529899e-15)"
+                " than a double counts",
+            ),
+            (  # sqrt(m/2E)(q + 1/kappa) = 1e-350: the slice ceiling itself underflows to 0
+                [
+                    "connect", "--U", "1e200", "--q", "1e-100", "--hbar", "1e-150", "--mass", "1e-300",
+                    "--past", "0,0", "--present", "0,1",
+                ],
+                "elapsed time 1.0 spans more slice periods (ceiling 0.0) than a double counts",
+            ),
+        ],
+    )
+    def test_a_connection_beyond_the_doubles_is_domain(self, argv, message, capsys):
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"domain error: {message}\n")
+
+    def test_a_connection_over_1e100_periods_arrives(self, capsys):
+        # n + 1 no longer moves n + phase_advance there; the count steps to its next double
+        argv = ["connect", "--U", "1", "--q", "1", "--past", "0,0", "--present", "0.3,1e100"]
+        assert run(argv) == 0
+        outputs = json.loads(capsys.readouterr().out)["outputs"]
+        assert outputs["arrival_time"] == pytest.approx(1e100, rel=1e-15)
+
     def test_spec_is_an_event_pair_or_a_grid_not_both(self, capsys):
         assert (
             run(
