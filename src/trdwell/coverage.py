@@ -16,11 +16,10 @@ of excited states).
 
 Inside the well every connection runs through one kernel per state
 (:class:`_SliceKernel`).  It computes the state's constants once per call:
-the libration prefactor, the slice peak and ceiling, r^2 and the crossing
-fraction.  Its ``split`` then maps each pair to its whole periods, phase
-advance and slice coefficient a.  :func:`connect` builds the witness
-microstate from that split; :func:`set_relation_report` runs only the split
-per pair, and judges density support once per distinct present position.
+the slice peak and ceiling and the crossing fraction.  Its ``split`` maps
+each pair to its whole periods, phase advance and slice coefficient a.
+:func:`connect` builds its witness; :func:`set_relation_report` runs only
+the split per pair, and judges density support once per present position.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, Infeasible
 from .microstate import Microstate, normalize
-from .potential import Kinematics, check_half_width
-from .times import dwell_supremum_bound, libration_period, libration_prefactor
+from .potential import _NORMAL, Kinematics, check_half_width
+from .times import _slice_peak, dwell_supremum_bound, libration_period
 from .wavefield import (
     WELL_EIGENSTATE,
     CopenhagenState,
@@ -144,32 +143,30 @@ class _SliceKernel:
     """The constants of one state on the c = 0, b = 1/a slice, and the per-pair split.
 
     On that slice the libration period collapses to prefactor * a/(a^2 + r^2),
-    which peaks at a = r with the value prefactor/(2r).  A prefactor beyond
+    which peaks at a = r with the value prefactor/(2r).  A peak beyond
     the double range is reported where the per-pair code first needs it,
     after the pair's own checks, so a scan fails on the same pair, with the
     same error, as a loop over :func:`connect`.  Nothing here outlives the
     call that builds it.
     """
 
-    __slots__ = ("kin", "q", "failure", "prefactor", "peak", "ceiling", "r2", "crossing")
+    __slots__ = ("kin", "q", "failure", "peak", "r", "ceiling", "crossing")
 
     def __init__(self, kin: Kinematics, q: float):
         check_half_width(q)
         self.kin, self.q = kin, q
         self.failure = None
         try:
-            self.prefactor = libration_prefactor(kin, q)
+            self.peak, self.r = _slice_peak(kin, q)
         except DomainError as exc:
-            self.failure, self.prefactor = str(exc), math.inf
-        self.peak = self.prefactor / (2.0 * kin.r)
+            self.failure, self.peak, self.r = str(exc), math.inf, kin.r
         self.ceiling = self.peak * (1.0 - _PERIOD_MARGIN)
-        self.r2 = kin.r * kin.r
         # Cycle fraction of one interior crossing, q/(2(q + 1/kappa)); each wall
         # dwell takes (1/kappa)/(2(q + 1/kappa)), the monochromatic split in time.
         self.crossing = 0.5 * q / (q + 1.0 / kin.kappa)
 
     def check(self) -> _SliceKernel:
-        """The kernel itself, once its prefactor is known to be a double."""
+        """The kernel itself, once its peak is known to be a double."""
         if self.failure is not None:
             raise DomainError(self.failure)
         return self
@@ -185,24 +182,22 @@ class _SliceKernel:
     def roots(self, period: float) -> tuple[float, float]:
         """Both a-values whose slice period equals ``period``, smaller first.
 
-        Solving period = prefactor * a/(a^2 + r^2) gives
-        a = (1 +/- sqrt(1 - 4 tau^2 r^2))/(2 tau) with tau = period/prefactor;
-        the smaller root takes the cancellation-free rationalized form
-        2 tau r^2 / (1 + sqrt(...)).  Raises :class:`Infeasible` above the
-        slice peak, and :class:`DomainError` where tau underflows to 0.
+        With prefactor = 2 r peak, period = prefactor * a/(a^2 + r^2) gives
+        a = r (1 +/- sqrt(1 - h^2))/h with h = period/peak <= 1; the smaller
+        root takes the cancellation-free rationalized form h r/(1 + sqrt(...)),
+        so neither the prefactor nor r^2 is formed.  Raises
+        :class:`Infeasible` above the slice peak, and :class:`DomainError`
+        where the period is not a normal double or h underflows to 0.
         """
         if not (math.isfinite(period) and period > 0.0):
             raise DomainError(f"period must be finite and positive, got {period!r}")
         if period > self.check().peak:
             raise Infeasible(f"period {period!r} exceeds the slice ceiling {self.peak!r}")
-        tau = period / self.prefactor
-        if tau == 0.0:
-            raise DomainError(
-                f"period {period!r} underflows against the libration prefactor {self.prefactor!r}"
-            )
-        disc = max(1.0 - 4.0 * tau * tau * self.r2, 0.0)
-        root = math.sqrt(disc)
-        return 2.0 * tau * self.r2 / (1.0 + root), (1.0 + root) / (2.0 * tau)
+        half = period / self.peak / 2.0  # tau r for tau = period/prefactor
+        if period < _NORMAL or half == 0.0:
+            raise DomainError(f"period {period!r} underflows against the slice peak {self.peak!r}")
+        root = math.sqrt(max((1.0 - 2.0 * half) * (1.0 + 2.0 * half), 0.0))
+        return 2.0 * half * self.r / (1.0 + root), (1.0 + root) * self.r / (2.0 * half)
 
     def split(self, x_past: float, x_present: float, elapsed: float) -> tuple[int, float, float]:
         """(whole periods n, phase advance, slice coefficient a) of one pair.
@@ -211,7 +206,7 @@ class _SliceKernel:
         smallest count >= 1 that keeps the period at or below the ceiling, and
         a is the smaller root for that period.  Raises, in this order: a
         position outside the well, an elapsed time that is not positive and
-        finite, a prefactor or whole-period count that is not a double, and
+        finite, a peak or whole-period count that is not a double, and
         any a for which a and 1/a are not both positive finite doubles.  Where
         it returns, the witness (a, 1/a, 0) normalizes and has a finite period.
         """
@@ -260,7 +255,7 @@ def slice_period_roots(kin: Kinematics, q: float, period: float) -> tuple[float,
 
     The smaller root is returned first; see :meth:`_SliceKernel.roots`.
     Raises :class:`Infeasible` above the slice ceiling, and
-    :class:`DomainError` where period/prefactor underflows to 0.
+    :class:`DomainError` where the period underflows against the peak.
     """
     return _SliceKernel(kin, q).roots(period)
 

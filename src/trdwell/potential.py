@@ -21,7 +21,8 @@ state is therefore bit for bit the state :func:`bound_state` returns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 
 from .errors import DomainError
 
@@ -123,35 +124,70 @@ def square_well(U: float, q: float) -> Potential:
     return Potential(SQUARE_WELL, U, q)
 
 
+#: Inputs within [2^-200, 2^200] are ordinary: no partial product of a closed form in them leaves the
+#: normal doubles.  Elsewhere one could overflow, or underflow unseen, so :func:`_product` evaluates it.
+_ORDINARY = 2.0**200
+_NORMAL = sys.float_info.min  # 2^-1022
+
+
+def _ordinary(*values: float) -> bool:
+    for value in values:
+        if not 1.0 / _ORDINARY <= value <= _ORDINARY:
+            return False
+    return True
+
+
+def _product(what: str, *factors: tuple[float, float]) -> float:
+    """prod(base**power) over ``factors`` (powers in halves): frexp mantissas multiply as floats,
+    exponents add as integers, ldexp joins them; a DomainError names ``what`` unless that is a normal double."""
+    mantissa, exponent = 1.0, 0
+    for base, power in factors:
+        if not 0.0 < base < math.inf:
+            raise DomainError(f"{what}: factor {base!r} is not a positive double")
+        m, e = math.frexp(base)
+        if e % 2 and power % 1:  # a half power needs an even exponent
+            m, e = 2.0 * m, e - 1
+        mantissa, shift = math.frexp(mantissa * m**power)
+        exponent += shift + int(e * power)
+    if not -1021 <= exponent <= 1024:  # mantissa * 2^exponent outside [2^-1022, 2^1024)
+        beyond = "overflows a double" if exponent > 0 else "underflows the normal doubles"
+        raise DomainError(f"{what} is about 10^{math.log10(mantissa) + exponent * math.log10(2.0):.1f}: it {beyond}")
+    return math.ldexp(mantissa, exponent)
+
+
 @dataclass(frozen=True)
 class Kinematics:
     """Wavenumber bundle for one sub-barrier energy.
 
+    E      the energy, 0 < E < U
+    U      the barrier or wall height
     k      travelling wavenumber of the free region, sqrt(2 m E)/hbar
     kappa  decay constant of the forbidden region, sqrt(2 m (U - E))/hbar
-    r      the ratio kappa/k, the single dimensionless knob of most formulas
+    r      the ratio kappa/k = sqrt((U - E)/E), the single dimensionless knob of most formulas
+
+    k, kappa and r must be positive normal doubles.  ``_plain`` records whether
+    E, U - E, hbar and m are all ordinary (``_ORDINARY``); it is worked out when not given.
     """
 
     E: float
+    U: float
     k: float
     kappa: float
     r: float
     units: Units
+    _plain: bool | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("E", "k", "kappa", "r"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise DomainError(f"{name} must be finite and positive, got {value!r}")
+        if not (0.0 < self.E < self.U < math.inf):
+            raise DomainError(f"E must be positive and below a finite U; got E={self.E!r}, U={self.U!r}")
+        if not (_NORMAL <= min(self.k, self.kappa, self.r) and max(self.k, self.kappa, self.r) < math.inf):
+            raise DomainError(f"k, kappa, r must be positive normal doubles: {self.k!r}, {self.kappa!r}, {self.r!r}")
         if abs(self.r - self.kappa / self.k) > 1e-12 * self.r:
             raise DomainError(
                 f"inconsistent bundle: r={self.r!r} but kappa/k={self.kappa / self.k!r}"
             )
-
-    @property
-    def U(self) -> float:
-        """Barrier height recovered from E and kappa."""
-        return self.E + (self.units.hbar * self.kappa) ** 2 / (2.0 * self.units.mass)
+        if self._plain is None:
+            object.__setattr__(self, "_plain", _ordinary(self.E, self.U - self.E, self.units.hbar, self.units.mass))
 
     def at_energy(self, E: float) -> "Kinematics":
         """Kinematics at a different energy under the same barrier and units."""
@@ -159,15 +195,20 @@ class Kinematics:
 
 
 def kinematics_from_energies(E: float, U: float, units: Units = Units()) -> Kinematics:
-    """Build :class:`Kinematics` from raw energies (shared by the factories)."""
-    if not math.isfinite(E) or E <= 0.0:
-        raise DomainError(f"E must be finite and positive, got {E!r}")
-    if not math.isfinite(U) or E >= U:
-        raise DomainError(f"E must lie below the confining height U; got E={E!r}, U={U!r}")
-    two_m = 2.0 * units.mass
-    k = math.sqrt(two_m * E) / units.hbar
-    kappa = math.sqrt(two_m * (U - E)) / units.hbar
-    return Kinematics(E=E, k=k, kappa=kappa, r=kappa / k, units=units)
+    """Build :class:`Kinematics` from raw energies; a k, kappa or r beyond the normal doubles is a DomainError."""
+    if not 0.0 < E < U < math.inf:
+        raise DomainError(f"E must be positive and below a finite U; got E={E!r}, U={U!r}")
+    gap, hbar, m = U - E, units.hbar, units.mass
+    plain = _ordinary(E, gap, hbar, m)
+    if plain:
+        k = math.sqrt(2.0 * m * E) / hbar
+        kappa = math.sqrt(2.0 * m * gap) / hbar
+        r = math.sqrt(gap / E)
+    else:
+        k = _product("k = sqrt(2 m E)/hbar", (2.0, 0.5), (m, 0.5), (E, 0.5), (hbar, -1.0))
+        kappa = _product("kappa = sqrt(2 m (U - E))/hbar", (2.0, 0.5), (m, 0.5), (gap, 0.5), (hbar, -1.0))
+        r = _product("r = sqrt((U - E)/E)", (gap, 0.5), (E, -0.5))
+    return Kinematics(E=E, U=U, k=k, kappa=kappa, r=r, units=units, _plain=plain)
 
 
 def make_kinematics(E: float, pot: Potential, units: Units = Units()) -> Kinematics:
@@ -214,7 +255,7 @@ def _bisect(f, lo: float, hi: float, xtol: float) -> float:
     if flo == 0.0:
         return lo
     for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # lo + hi can overflow
         if hi - lo <= xtol:
             return mid
         fmid = f(mid)
@@ -224,7 +265,7 @@ def _bisect(f, lo: float, hi: float, xtol: float) -> float:
             hi = mid
         else:
             lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def matching_residual(state: BoundState, q: float) -> float:
@@ -246,17 +287,15 @@ def matching_residual(state: BoundState, q: float) -> float:
     return (-k * t - kappa) / (-t + kq / math.sin(kq) ** 2 + k / kappa)
 
 
-def _well_scales(pot: Potential, units: Units) -> tuple[float, float]:
-    """Half-width q and wavenumber ceiling k_max = sqrt(2 m U)/hbar of a well."""
+def _well_scales(pot: Potential, units: Units) -> tuple[float, float, bool]:
+    """Half-width q, wavenumber ceiling k_max = sqrt(2 m U)/hbar, and whether U, hbar, m are ordinary."""
     if pot.kind != SQUARE_WELL:
         raise DomainError("bound states are defined for the square well only")
     assert pot.q is not None
-    k_max = math.sqrt(2.0 * units.mass * pot.U) / units.hbar
-    if not math.isfinite(k_max):  # 2 m U overflowed, or the quotient itself
-        k_max = math.sqrt(2.0 * units.mass) * math.sqrt(pot.U) / units.hbar
-        if not math.isfinite(k_max):
-            raise DomainError(f"well wavenumber sqrt(2 m U)/hbar overflows a double at U = {pot.U!r}")
-    return pot.q, k_max
+    U, hbar, m = pot.U, units.hbar, units.mass
+    if _ordinary(U, hbar, m):
+        return pot.q, math.sqrt(2.0 * m * U) / hbar, True
+    return pot.q, _product("the well wavenumber sqrt(2 m U)/hbar", (2.0, 0.5), (m, 0.5), (U, 0.5), (hbar, -1.0)), False
 
 
 def _slot_floor(i: int, q: float) -> float:
@@ -270,7 +309,10 @@ def _ladder_size(q: float, k_max: float) -> int:
     The closed form can round across a slot boundary when k_max q sits within
     rounding of a multiple of pi/2; the slot's own lower end then decides.
     """
-    size = math.ceil(2.0 * k_max * q / math.pi)
+    count = 2.0 * (k_max * q) / math.pi
+    if count == math.inf:
+        raise DomainError(f"the well holds more states than a double counts: k_max q = {k_max * q!r}")
+    size = math.ceil(count)
     if _slot_floor(size - 1, q) >= k_max:
         return size - 1
     if _slot_floor(size, q) < k_max:
@@ -279,12 +321,11 @@ def _ladder_size(q: float, k_max: float) -> int:
 
 
 def _kappa_in_well(k: float, k_max: float) -> float:
-    """sqrt(k_max^2 - k^2) for 0 <= k <= k_max, without overflow where k_max^2 overflows."""
-    kappa = math.sqrt(max(k_max * k_max - k * k, 0.0))
-    if kappa < math.inf:
-        return kappa
-    # k_max^2 overflowed: sqrt((k_max - k)(k_max + k)), the sum halved so it cannot overflow either
-    return math.sqrt(k_max - k) * math.sqrt(0.5 * k_max + 0.5 * k) * math.sqrt(2.0)
+    """sqrt(k_max^2 - k^2) for 0 <= k < k_max; by ``_product`` where k_max^2 is no normal double."""
+    k2 = k_max * k_max
+    if _NORMAL <= k2 < math.inf:
+        return math.sqrt(max(k2 - k * k, 0.0))
+    return _product("kappa in the well", (k_max - k, 0.5), (0.5 * k_max + 0.5 * k, 0.5), (2.0, 0.5))
 
 
 def _bisect_one(i: int, q: float, k_max: float) -> float:
@@ -299,20 +340,20 @@ def _bisect_one(i: int, q: float, k_max: float) -> float:
     return _bisect(lambda k: bracket(k, _kappa_in_well(k, k_max), q), _slot_floor(i, q), hi, EIGEN_K_TOL)
 
 
-def _state_at(i: int, k: float, k_max: float, units: Units) -> BoundState:
+def _state_at(i: int, k: float, k_max: float, units: Units, plain: bool) -> BoundState:
     """The state of ladder slot ``i`` whose bisection ended at ``k``.
 
     Both ladder paths build their states here on Python floats, so a state
-    depends on its k alone, not on how k was found.
+    depends on its k alone, not on how k was found.  ``plain`` is from :func:`_well_scales`.
     """
     # A last slot narrower than the tolerance can return its upper end k_max;
     # the state still lies below the threshold, so keep kappa positive.
     k = min(k, math.nextafter(k_max, 0.0))
-    hk = units.hbar * k
-    try:
-        E = hk**2 / (2.0 * units.mass)
-    except OverflowError:  # (hbar k)^2 overflows; E itself lies below U
-        E = hk * (hk / (2.0 * units.mass))
+    if plain:
+        hk = units.hbar * k
+        E = hk * hk / (2.0 * units.mass)
+    else:
+        E = _product("the state energy (hbar k)^2/(2m)", (units.hbar, 2.0), (k, 2.0), (2.0, -1.0), (units.mass, -1.0))
     return BoundState(E, _SLOT_KINDS[i % 2][1], k, _kappa_in_well(k, k_max))
 
 
@@ -328,7 +369,7 @@ def _bisect_slots(slots: range, q: float, k_max: float) -> list[float]:
     bracket instead.
     """
     k2 = k_max * k_max
-    if not math.isfinite(k2):  # no array value could be trusted
+    if not _NORMAL <= k2 < math.inf:  # the scalar bracket takes kappa from _product
         return [_bisect_one(i, q, k_max) for i in slots]
     import numpy as np
 
@@ -363,7 +404,7 @@ def _bisect_slots(slots: range, q: float, k_max: float) -> list[float]:
     for _ in range(_BISECT_STEPS):
         if not at.size:
             break
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         fmid = bracket(mid)
         done = (hi - lo <= xtol) | (fmid == 0.0)
         up = (flo < 0.0) != (fmid < 0.0)
@@ -371,7 +412,7 @@ def _bisect_slots(slots: range, q: float, k_max: float) -> list[float]:
         lo = np.where(up, lo, mid)
         flo = np.where(up, flo, fmid)
         settle(done, mid)
-    k[at] = 0.5 * (lo + hi)
+    k[at] = 0.5 * lo + 0.5 * hi
     return k.tolist()
 
 
@@ -381,11 +422,11 @@ def bound_state(pot: Potential, units: Units = Units(), index: int = 0) -> Bound
     Solves only the one ladder slot the state lives in, on floats and
     without numpy, so the cost does not grow with the depth of the well.
     """
-    q, k_max = _well_scales(pot, units)
+    q, k_max, plain = _well_scales(pot, units)
     size = _ladder_size(q, k_max)
     if not 0 <= index < size:
         raise DomainError(f"state index {index} out of range; the well holds {size} states")
-    return _state_at(index, _bisect_one(index, q, k_max), k_max, units)
+    return _state_at(index, _bisect_one(index, q, k_max), k_max, units, plain)
 
 
 def bound_state_energies(
@@ -404,11 +445,14 @@ def bound_state_energies(
     """
     if parity not in (PARITY_EVEN, PARITY_ODD, PARITY_BOTH):
         raise DomainError(f"parity must be even, odd or both, got {parity!r}")
-    q, k_max = _well_scales(pot, units)
+    q, k_max, plain = _well_scales(pot, units)
     first = 1 if parity == PARITY_ODD else 0
     stride = 1 if parity == PARITY_BOTH else 2
-    slots = range(first, _ladder_size(q, k_max), stride)
+    size = _ladder_size(q, k_max)
+    if size > sys.maxsize:
+        raise DomainError(f"the well holds about {float(size):.3g} states, more than a list holds")
+    slots = range(first, size, stride)
     passes = (slots[start : start + _LADDER_PASS] for start in range(0, len(slots), _LADDER_PASS))
     return tuple(
-        _state_at(i, k, k_max, units) for batch in passes for i, k in zip(batch, _bisect_slots(batch, q, k_max))
+        _state_at(i, k, k_max, units, plain) for batch in passes for i, k in zip(batch, _bisect_slots(batch, q, k_max))
     )

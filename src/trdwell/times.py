@@ -32,12 +32,10 @@ both suprema over |c| <= 2 - epsilon sit at (a*, 2 - epsilon), where
 ``max_dwell`` and ``max_libration`` evaluate the scalar t_D and t_L.  The
 tests keep a numeric zoom search over (a, c) as an independent oracle.
 
-When r = kappa/k is so large that r^2 (dwell) or r^4 (libration) overflows,
-the scalar quantities are evaluated again with numerator and denominator
-divided by r^2 (r^4, and for libration by a + b r^2 too, so a huge a cannot
-overflow either).  The two suprema and the libration prefactor are rescaled
-the same way where 1 + r^2 overflows.  A value that itself overflows is a
-:class:`DomainError`.
+Each time is a unit scale in E, U - E, hbar and m (1 + r^2 = U/E) times a
+dimensionless factor in X = sqrt(E/U) and Y = sqrt((U - E)/U): no power of r
+is formed.  Outside ordinary inputs ``potential._product`` evaluates it, and
+a time that is not a normal double is a :class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, OptimizationFailure
 from .microstate import Microstate, gauge_factor, normalize
-from .potential import Kinematics, check_half_width
+from .potential import _NORMAL, _ORDINARY, Kinematics, _product, check_half_width
 
 SIGN_PLUS = "+"
 SIGN_MINUS = "-"
@@ -71,19 +69,39 @@ class DwellResult:
     kin: Kinematics
 
 
-def _overflowed(value: float) -> bool:
-    """True unless ``value`` is finite and positive, as every exact t_D and t_L is.
-
-    Anything else means an intermediate overflowed: a quotient by an
-    overflowed term reads 0, and inf/inf reads NaN.
-    """
-    return not 0.0 < value < math.inf
+def _scaled(what: str, value: float, factors, *args) -> float:
+    """``value`` if it is a positive normal double, else ``_product`` of ``factors(*args)``."""
+    return value if _NORMAL <= value < math.inf else _product(what, *factors(*args))
 
 
-def _in_range(value: float, what: str, kin: Kinematics) -> float:
-    if not math.isfinite(value):
-        raise DomainError(f"{what} overflows a double at r = {kin.r!r}")
-    return value
+def _fractions(kin: Kinematics) -> tuple[float, float]:
+    """X = sqrt(E/U) and Y = sqrt((U - E)/U), so X^2 + Y^2 = 1 and r = Y/X."""
+    root = math.sqrt(kin.U)
+    return math.sqrt(kin.E) / root, math.sqrt(kin.U - kin.E) / root
+
+
+def _dwell(kin: Kinematics) -> float:
+    """hbar/sqrt(E (U - E)) as 2m hbar over the momenta sqrt(2mE) sqrt(2m(U - E)), 0 where not ordinary."""
+    m, E = kin.units.mass, kin.E
+    return 2.0 * m * kin.units.hbar / (math.sqrt(2.0 * m * E) * math.sqrt(2.0 * m * (kin.U - E))) if kin._plain else 0.0
+
+
+def _dwell_factors(kin: Kinematics, *extra: float) -> tuple:
+    """hbar/sqrt(E (U - E)), the monochromatic dwell, times the base, power pairs ``extra``, as factors."""
+    return ((kin.units.hbar, 1.0), (kin.E, -0.5), (kin.U - kin.E, -0.5), *zip(extra[::2], extra[1::2]))
+
+
+def _period(kin: Kinematics, q: float) -> tuple[float, float]:
+    """q + 1/kappa (kappa is a normal double), and 4m(q + 1/kappa)/(hbar k) over sqrt(2mE), 0 if not ordinary."""
+    check_half_width(q)
+    length, m = q + 1.0 / kin.kappa, kin.units.mass
+    plain = kin._plain and 1.0 / _ORDINARY <= length <= _ORDINARY
+    return length, 4.0 * m * length / math.sqrt(2.0 * m * kin.E) if plain else 0.0
+
+
+def _period_factors(kin: Kinematics, length: float, *extra: float) -> tuple:
+    """4 (q + 1/kappa) sqrt(m/(2E)), the monochromatic period, times the pairs ``extra``, as factors."""
+    return ((4.0, 1.0), (length, 1.0), (kin.units.mass, 0.5), (2.0, -0.5), (kin.E, -0.5), *zip(extra[::2], extra[1::2]))
 
 
 def dwell_time(kin: Kinematics, ms: Microstate, sign: str = SIGN_PLUS) -> DwellResult:
@@ -91,134 +109,95 @@ def dwell_time(kin: Kinematics, ms: Microstate, sign: str = SIGN_PLUS) -> DwellR
 
     ``sign`` selects the branch of the +/- in the denominator; the two
     branches are exchanged by c -> -c, so only microstates with c != 0
-    distinguish them.
+    distinguish them.  The microstate factor g (1 + r^2)/(a +/- c r + b r^2)
+    is g (X^2 + Y^2)/(a X^2 +/- c X Y + b Y^2), exactly 1 at (1, 1, 0).
     """
     factor = _sign_factor(sign)
-    gauge_factor(ms)  # validates positivity; the value is 1 on the normalized slice
+    gauge = gauge_factor(ms)
     a, b, c = ms.a, ms.b, ms.c
-    denom = a + factor * c * kin.r + b * kin.r * kin.r
+    X, Y = _fractions(kin)
+    denom = X * (a * X + factor * c * Y) + b * Y * Y
     if not denom > 0.0:
         raise DomainError(f"dwell denominator {denom!r} is not positive")
-    t_D = math.sqrt(a * b - 0.25 * c * c) * (1.0 + kin.r * kin.r) / denom * dwell_time_monochromatic(kin)
-    if _overflowed(t_D):  # r^2 overflowed: divide numerator and denominator by it
-        ir = 1.0 / kin.r
-        ratio = (1.0 + ir * ir) / (a * ir * ir + factor * c * ir + b)
-        t_D = math.sqrt(a * b - 0.25 * c * c) * ratio * dwell_time_monochromatic(kin)
-        t_D = _in_range(t_D, "dwell time", kin)
+    ratio = gauge * (X * X + Y * Y) / denom
+    t_D = _scaled("the dwell time", ratio * _dwell(kin), _dwell_factors, kin, ratio, 1.0)
     return DwellResult(t_D=t_D, sign=sign, ms=ms, kin=kin)
 
 
 def dwell_time_monochromatic(kin: Kinematics) -> float:
-    """Dwell time of the monochromatic microstate: 2m/(hbar kappa k).
-
-    Equal to hbar/sqrt(E(U-E)); both signs coincide because c = 0.
-    """
-    units = kin.units
-    return 2.0 * units.mass / (units.hbar * kin.kappa * kin.k)
+    """Dwell time of the monochromatic microstate: hbar/sqrt(E(U-E)) = 2m/(hbar kappa k), either sign."""
+    return _scaled("the monochromatic dwell time", _dwell(kin), _dwell_factors, kin)
 
 
 def dwell_supremum_bound(kin: Kinematics) -> float:
     """Least upper bound of the dwell time over admissible microstates.
 
-    (1 + r^2)/(sqrt(2) - 1) * m/(hbar kappa^2); approached, never attained,
-    as |c| -> 2 with a/b -> r^2 * (well-tuned ratio).  Where that overflows,
-    or kappa^2 underflows to 0 at huge hbar, it is evaluated over the momenta,
-    as (1/(hbar kappa)^2 + 1/(hbar k)^2) m hbar/(sqrt(2) - 1).
+    (1 + r^2)/(sqrt(2) - 1) * m/(hbar kappa^2) = hbar U/(2 (sqrt(2) - 1) E (U - E));
+    approached, never attained, as |c| -> 2 with a/b -> r^2 * (well-tuned ratio).
     """
-    units = kin.units
-    r = kin.r
-    try:
-        bound = (1.0 + r * r) / (math.sqrt(2.0) - 1.0) * units.mass / (units.hbar * kin.kappa**2)
-    except (OverflowError, ZeroDivisionError):  # kappa**2 raises rather than reading inf, or reads 0
-        bound = math.inf
-    if _overflowed(bound):
-        ik, ikappa = 1.0 / (units.hbar * kin.k), 1.0 / (units.hbar * kin.kappa)
-        scale = units.mass * units.hbar / (math.sqrt(2.0) - 1.0)
-        bound = _in_range(ikappa * (ikappa * scale) + ik * (ik * scale), "dwell bound", kin)
-    return bound
+    E, U, hbar, scale = kin.E, kin.U, kin.units.hbar, 2.0 * (math.sqrt(2.0) - 1.0)
+    plain = U / E * hbar / (scale * (U - E)) if kin._plain else 0.0
+    return _scaled("the dwell bound", plain, _dwell_factors, kin, U, 1.0, E, -0.5, U - E, -0.5, scale, -1.0)
 
 
 def libration_prefactor(kin: Kinematics, q: float) -> float:
-    """4 (1 + r^2) m (q + 1/kappa)/(hbar k), the microstate-free factor of t_L.
-
-    Where that overflows, it is evaluated as 4 (w + r (r w)) with
-    w = m (q + 1/kappa)/(hbar k); a prefactor beyond the double range is a
-    :class:`DomainError`.
-    """
-    return _in_range(_libration_prefactor(kin, q), "libration prefactor", kin)
+    """The microstate-free factor of t_L: 4 (1 + r^2) m (q + 1/kappa)/(hbar k) = (U/E) 4 (q + 1/kappa) sqrt(m/2E)."""
+    length, period = _period(kin, q)
+    value = kin.U / kin.E * period
+    return _scaled("the libration prefactor", value, _period_factors, kin, length, kin.U, 1.0, kin.E, -1.0)
 
 
-def _libration_prefactor(kin: Kinematics, q: float) -> float:
-    # libration_prefactor, reading inf beyond the double range
-    units = kin.units
-    r2 = kin.r * kin.r
-    prefactor = 4.0 * (1.0 + r2) * units.mass * (q + 1.0 / kin.kappa) / (units.hbar * kin.k)
-    if _overflowed(prefactor):
-        w = units.mass * (q + 1.0 / kin.kappa) / (units.hbar * kin.k)
-        prefactor = 4.0 * (w + kin.r * (kin.r * w))
-    return prefactor
-
-
-def _libration_value(a: float, b: float, c: float, kin: Kinematics, q: float) -> float:
-    """t_L by the plain formula, reading inf or NaN where r^4 or a^2 overflows."""
-    r2 = kin.r * kin.r
-    gauge = math.sqrt(a * b - 0.25 * c * c)
-    numerator = gauge * (a + b * r2)
-    denominator = a * a + (2.0 * a * b - c * c) * r2 + b * b * r2 * r2
-    return _libration_prefactor(kin, q) * numerator / denominator
+def _slice_peak(kin: Kinematics, q: float) -> tuple[float, float]:
+    """(prefactor/(2r), r) with r = Y/X: the largest c = 0 slice period, a double also where the prefactor is not."""
+    X, Y = _fractions(kin)
+    length, period, r = *_period(kin, q), Y / X
+    extra = kin.U, 1.0, kin.E, -1.0, 2.0, -1.0, r, -1.0
+    return _scaled("the slice peak", kin.U / kin.E * period / (2.0 * r), _period_factors, kin, length, *extra), r
 
 
 def libration_period(kin: Kinematics, q: float, ms: Microstate) -> float:
     """Round-trip period of microstate ``ms`` in a well of half-width ``q``.
 
-    The denominator equals (a + b r^2)^2 - c^2 r^2, which is bounded below by
-    4 r^2 on the normalized slice, so the exact period is always finite and
-    positive; a period beyond the double range is a :class:`DomainError`.
+    The microstate factor (1 + r^2) g (a + b r^2)/((a + b r^2)^2 - c^2 r^2)
+    is g s/(s^2 - (c X Y)^2) with s = a X^2 + b Y^2, and s^2 - (c X Y)^2 is
+    at least 4 (g X Y)^2 > 0 on the normalized slice; a period beyond the
+    double range is a :class:`DomainError`.
     """
-    check_half_width(q)
-    gauge_factor(ms)
+    length, period = _period(kin, q)
+    gauge = gauge_factor(ms)
     a, b, c = ms.a, ms.b, ms.c
-    t_L = _libration_value(a, b, c, kin, q)
-    if _overflowed(t_L):
-        # r^4 or a^2 overflowed.  With t = a/r^2 + b the microstate factor is
-        # (1 + 1/r^2) g t/(t^2 - c^2/r^2); dividing through by t leaves no square.
-        ir = 1.0 / kin.r
-        t = a * ir * ir + b
-        ratio = (1.0 + ir * ir) * math.sqrt(a * b - 0.25 * c * c) / (t - c * c * ir * ir / t)
-        t_L = _in_range(ratio * libration_period_monochromatic(kin, q), "libration period", kin)
-    return t_L
+    X, Y = _fractions(kin)
+    s = X * (a * X) + Y * (b * Y)
+    cxy = c * X * Y
+    denom = s - cxy * (cxy / s)
+    if not denom > 0.0:
+        raise DomainError(f"libration denominator {denom!r} is not positive")
+    ratio = gauge / denom
+    return _scaled("the libration period", ratio * period, _period_factors, kin, length, ratio, 1.0)
 
 
 def libration_period_monochromatic(kin: Kinematics, q: float) -> float:
-    """Monochromatic round-trip period: 4m(q + 1/kappa)/(hbar k).
+    """Monochromatic round-trip period: 4m(q + 1/kappa)/(hbar k) = 4 (q + 1/kappa) sqrt(m/(2E)).
 
     Decomposes exactly as 4 m q/(hbar k), the classical free transit across
     the well and back, plus 2 * 2m/(hbar kappa k), one monochromatic dwell
     per wall.
     """
-    check_half_width(q)
-    units = kin.units
-    return 4.0 * units.mass * (q + 1.0 / kin.kappa) / (units.hbar * kin.k)
+    length, period = _period(kin, q)
+    return _scaled("the monochromatic libration period", period, _period_factors, kin, length)
 
 
 def libration_supremum_bound(kin: Kinematics, q: float) -> float:
     """Least upper bound of the libration period over admissible microstates.
 
-    2^(3/2) (1 + r^2) m (q + 1/kappa)/(hbar kappa).  The 1 + r^2 coefficient
-    is forced by the maximizing family; see
-    :func:`libration_alternative_bound` for the rejected variant.  Where that
-    overflows, it is evaluated as 2^(3/2) (w/(hbar kappa) + r w/(hbar k)) with
-    w = m (q + 1/kappa).
+    2^(3/2) (1 + r^2) m (q + 1/kappa)/(hbar kappa), the prefactor over sqrt(2) r.
+    The 1 + r^2 coefficient is forced by the maximizing family; see
+    :func:`libration_alternative_bound` for the rejected variant.
     """
-    check_half_width(q)
-    units = kin.units
-    r2 = kin.r * kin.r
-    bound = 2.0**1.5 * (1.0 + r2) * units.mass * (q + 1.0 / kin.kappa) / (units.hbar * kin.kappa)
-    if _overflowed(bound):
-        w = units.mass * (q + 1.0 / kin.kappa)
-        bound = 2.0**1.5 * (w / (units.hbar * kin.kappa) + kin.r * (w / (units.hbar * kin.k)))
-        bound = _in_range(bound, "libration bound", kin)
-    return bound
+    length, period = _period(kin, q)
+    U, E, r = kin.U, kin.E, kin.r
+    value = U / E * period / math.sqrt(2.0) / r
+    return _scaled("the libration bound", value, _period_factors, kin, length, U, 1.0, E, -1.0, 2.0, -0.5, r, -1.0)
 
 
 def libration_alternative_bound(kin: Kinematics, q: float) -> float:
@@ -227,12 +206,16 @@ def libration_alternative_bound(kin: Kinematics, q: float) -> float:
     Recorded for comparison because it circulates as a printed form of the
     bound; it fails already for the monochromatic member once r >= 1 (at
     r = 1 it is zero while the period is positive), and the extremal report
-    flags whether it bounds the supremum.
+    flags whether it bounds the supremum.  It is the bound times
+    (1 - r^2)/(1 + r^2) = (2E - U)/U, a factor in (-1, 1).
     """
-    check_half_width(q)
-    units = kin.units
-    r2 = kin.r * kin.r
-    return 2.0**1.5 * (1.0 - r2) * units.mass * (q + 1.0 / kin.kappa) / (units.hbar * kin.kappa)
+    return libration_supremum_bound(kin, q) * _alternative_factor(kin)
+
+
+def _alternative_factor(kin: Kinematics) -> float:
+    """(2E - U)/U, with 2E - U exact: U - E is exact once E >= U/2, and 2E below."""
+    E, U, gap = kin.E, kin.U, kin.U - kin.E
+    return (E - gap if E >= gap else 2.0 * E - U) / U
 
 
 @dataclass(frozen=True)
@@ -279,29 +262,30 @@ def _check_epsilon(epsilon: float) -> None:
         raise DomainError(f"epsilon must lie in (0, 2), got {epsilon!r}")
 
 
+def _report(top: Microstate, sup: float, coarse: float, epsilon: float, bound: float, *extra) -> ExtremalReport:
+    """The report of a supremum ``sup`` at ``top``, and ``coarse`` at the inset |2 - 2 epsilon|."""
+    boundary = abs(top.c) >= 2.0 - epsilon - 1e-9
+    return ExtremalReport(top, sup, bound, epsilon, boundary, 2.0 * sup - coarse, *extra)
+
+
+def _tops(kin: Kinematics, epsilon: float) -> tuple[Microstate, Microstate]:
+    """The slice maximizers at c = 2 - epsilon and at the inset |2 - 2 epsilon|."""
+    _check_epsilon(epsilon)
+    return _slice_maximizer(kin, 2.0 - epsilon), _slice_maximizer(kin, abs(2.0 - 2.0 * epsilon))
+
+
 def max_dwell(kin: Kinematics, epsilon: float = 1e-6) -> ExtremalReport:
     """Dwell-time supremum over {normalized, |c| <= 2 - epsilon} x {+, -}.
 
     The two sign branches are images of each other under c -> -c, so their
     maxima coincide; the report is canonicalized to the representative with
-    c >= 0, which selects the "-" branch.  The maximum sits at
-    (a*, 2 - epsilon) (module docstring).  The attained value approaches the
-    analytic bound linearly in epsilon; ``supremum_extrapolated`` removes
-    that deficit with the maximum at the inset |2 - 2 epsilon|.
+    c >= 0, which selects the "-" branch.  The maximum sits at (a*, 2 - epsilon)
+    (module docstring).  The attained value approaches the analytic bound
+    linearly in epsilon; ``supremum_extrapolated`` removes that deficit.
     """
-    _check_epsilon(epsilon)
-    top = _slice_maximizer(kin, 2.0 - epsilon)
-    sup = dwell_time(kin, top, SIGN_MINUS).t_D
-    sup_coarse = dwell_time(kin, _slice_maximizer(kin, abs(2.0 - 2.0 * epsilon)), SIGN_MINUS).t_D
-    return ExtremalReport(
-        maximizer=top,
-        supremum=sup,
-        analytic_bound=dwell_supremum_bound(kin),
-        epsilon=epsilon,
-        attained_at_boundary=abs(top.c) >= 2.0 - epsilon - 1e-9,
-        supremum_extrapolated=2.0 * sup - sup_coarse,
-        sign=SIGN_MINUS,
-    )
+    top, inset = _tops(kin, epsilon)
+    sup, coarse = dwell_time(kin, top, SIGN_MINUS).t_D, dwell_time(kin, inset, SIGN_MINUS).t_D
+    return _report(top, sup, coarse, epsilon, dwell_supremum_bound(kin), SIGN_MINUS)
 
 
 def max_libration(kin: Kinematics, q: float, epsilon: float = 1e-6) -> ExtremalReport:
@@ -310,26 +294,13 @@ def max_libration(kin: Kinematics, q: float, epsilon: float = 1e-6) -> ExtremalR
     The period depends on c only through c^2; the maximizer is reported with
     c >= 0, at (a*, 2 - epsilon) (module docstring).  Both closed-form bound
     variants are evaluated and the report records whether the rejected
-    1 - r^2 form actually bounds the supremum.  ``supremum_extrapolated``
-    uses the maximum at the inset |2 - 2 epsilon|.
+    1 - r^2 form actually bounds the supremum.
     """
-    _check_epsilon(epsilon)
-    check_half_width(q)
-    top = _slice_maximizer(kin, 2.0 - epsilon)
-    sup = libration_period(kin, q, top)
-    sup_coarse = libration_period(kin, q, _slice_maximizer(kin, abs(2.0 - 2.0 * epsilon)))
-    alternative = libration_alternative_bound(kin, q)
-    return ExtremalReport(
-        maximizer=top,
-        supremum=sup,
-        analytic_bound=libration_supremum_bound(kin, q),
-        epsilon=epsilon,
-        attained_at_boundary=abs(top.c) >= 2.0 - epsilon - 1e-9,
-        supremum_extrapolated=2.0 * sup - sup_coarse,
-        sign=None,
-        alternative_bound=alternative,
-        alternative_bound_holds=sup <= alternative * (1.0 + 1e-9),
-    )
+    top, inset = _tops(kin, epsilon)
+    sup, coarse = libration_period(kin, q, top), libration_period(kin, q, inset)
+    bound = libration_supremum_bound(kin, q)
+    alternative = bound * _alternative_factor(kin)
+    return _report(top, sup, coarse, epsilon, bound, None, alternative, sup <= alternative * (1.0 + 1e-9))
 
 
 def libration_infimum_probe(kin: Kinematics, q: float, A: float) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ScanNotSettled
 from .microstate import Microstate, RawCoefficients, gauge_factor
-from .potential import FORBIDDEN, FREE, Kinematics
+from .potential import _NORMAL, FORBIDDEN, FREE, Kinematics, _product
 from .wavefield import RegionBasis, bilinear, check_basis, checked_denominator
 
 #: Grid points evaluated per numpy pass of the divergence-onset scan.  A pass
@@ -63,26 +63,28 @@ def _check_span(x: float, x_ref: float, basis: RegionBasis) -> None:
 
 def _numerator(ms: Microstate | RawCoefficients, basis: RegionBasis, kin: Kinematics) -> float:
     """N = hbar |W0| sqrt(ab - c^2/4), the constant numerator of W_x = N/D."""
-    return kin.units.hbar * abs(basis.wronskian) * gauge_factor(ms)
+    hbar, wronskian, gauge = kin.units.hbar, abs(basis.wronskian), gauge_factor(ms)
+    return hbar * wronskian * gauge if kin._plain else _product("hbar |W0| g", (hbar, 1), (wronskian, 1), (gauge, 1))
 
 
-def _wavenumber_energy_slope(basis: RegionBasis, kin: Kinematics) -> float:
-    """dw/dE: m/(hbar^2 k) in the free region, -m/(hbar^2 kappa) in the forbidden one."""
-    units = kin.units
-    if basis.region == FREE:
-        return units.mass / (units.hbar**2 * kin.k)
-    return -units.mass / (units.hbar**2 * kin.kappa)
+def _time_scale(ms: Microstate | RawCoefficients, basis: RegionBasis, kin: Kinematics) -> float:
+    """(N/w) dw/dE with dw/dE = k/(2E) free, -kappa/(2(U - E)) forbidden: +/- N/(2 E_w), no hbar^2."""
+    free = basis.region == FREE
+    energy = kin.E if free else kin.U - kin.E
+    factors = (kin.units.hbar, 1.0), (abs(basis.wronskian), 1.0), (gauge_factor(ms), 1.0), (2.0, -1.0), (energy, -1.0)
+    scale = _numerator(ms, basis, kin) / (2.0 * energy) if kin._plain else _product("the flight-time scale", *factors)
+    return scale if free else -scale
 
 
-def _slope(ms, N, w, dw_dE, phi1, phi2, g1, g2):
+def _slope(ms, scale, w, phi1, phi2, g1, g2):
     """(D, dW_x/dE) from the basis values and their w-gradients, as floats or arrays.
 
-    See :func:`momentum_energy_derivative` for the formula.
+    ``scale`` is :func:`_time_scale`; see :func:`momentum_energy_derivative`.
     """
     a, b, c = ms.a, ms.b, ms.c
     D = a * phi1 * phi1 + b * phi2 * phi2 + c * phi1 * phi2
     dD_dw = 2.0 * a * phi1 * g1 + 2.0 * b * phi2 * g2 + c * (g1 * phi2 + phi1 * g2)
-    return D, (N / w * D - N * dD_dw) / (D * D) * dw_dE
+    return D, scale * ((D - w * dD_dw) / (D * D))
 
 
 def _speed(slope: float) -> float:
@@ -169,8 +171,7 @@ def time_of_flight(
     _check_span(x, x_ref, basis)
     lever = 0.0 if math.isinf(x) else x / checked_denominator(bilinear(ms, basis, x), x)
     lever_ref = x_ref / checked_denominator(bilinear(ms, basis, x_ref), x_ref)
-    scale = _wavenumber_energy_slope(basis, kin) * (_numerator(ms, basis, kin) / basis.wavenumber)
-    raw = scale * (lever - lever_ref)
+    raw = _time_scale(ms, basis, kin) * (lever - lever_ref)
     orientation = 0 if raw == 0.0 else (1 if raw > 0.0 else -1)
     return FlightTime(t=abs(raw), orientation=orientation)
 
@@ -186,16 +187,14 @@ def momentum_energy_derivative(
     The only energy dependence of W_x is through the region wavenumber w
     (numerator |W0| is proportional to w; the basis functions carry w*x), so
 
-        dW_x/dE = [ (N/w) D - N dD/dw ] / D^2 * dw/dE
+        dW_x/dE = [ (N/w) D - N dD/dw ] / D^2 * dw/dE = (N/w) (dw/dE) (D - w dD/dw)/D^2
 
-    with dw/dE = m/(hbar^2 k) in the free region and -m/(hbar^2 kappa) in the
+    with dw/dE = k/(2E) in the free region and -kappa/(2(U - E)) in the
     forbidden one.
     """
     check_basis(basis, kin)
-    N = _numerator(ms, basis, kin)
-    dw_dE = _wavenumber_energy_slope(basis, kin)
     phi, grad = basis.values(x), basis.wavenumber_gradient(x)
-    return _slope(ms, N, basis.wavenumber, dw_dE, *phi, *grad)[1]
+    return _slope(ms, _time_scale(ms, basis, kin), basis.wavenumber, *phi, *grad)[1]
 
 
 def speed_at(
@@ -219,7 +218,8 @@ def sample_trajectory(
 
     Times are flight times from the first point of the range (t = 0 there).
     Each point evaluates the bilinear denominator D once and shares it
-    between t, W_x = N/D and dW_x/dE.
+    between t, W_x = N/D and dW_x/dE.  A sample value that is not a normal
+    double (t at the first point excepted) is a :class:`DomainError`.
     """
     x0, x1 = x_range
     if not (math.isfinite(x0) and math.isfinite(x1) and x1 > x0):
@@ -229,17 +229,19 @@ def sample_trajectory(
     check_basis(basis, kin)
     N = _numerator(ms, basis, kin)
     w = basis.wavenumber
-    dw_dE = _wavenumber_energy_slope(basis, kin)
-    scale = dw_dE * (N / w)
+    scale = _time_scale(ms, basis, kin)
     samples = []
     for i in range(n):
         x = x0 + (x1 - x0) * i / (n - 1)
-        D, slope = _slope(ms, N, w, dw_dE, *basis.values(x), *basis.wavenumber_gradient(x))
+        D, slope = _slope(ms, scale, w, *basis.values(x), *basis.wavenumber_gradient(x))
         lever = x / checked_denominator(D, x)
         if i == 0:
             lever0 = lever
         t = abs(scale * (lever - lever0))
-        samples.append(TrajectorySample(x=x, t=t, W_x=N / D, dWx_dE=slope, speed=_speed(slope)))
+        W_x, speed = N / D, _speed(slope)
+        if not (_NORMAL <= W_x < math.inf and _NORMAL <= speed <= 1 / _NORMAL and (not i or _NORMAL <= t < math.inf)):
+            raise DomainError(f"t, W_x, dW_x/dE = {t!r}, {W_x!r}, {slope!r} at x = {x!r}: not all normal doubles")
+        samples.append(TrajectorySample(x=x, t=t, W_x=W_x, dWx_dE=slope, speed=speed))
     return tuple(samples)
 
 
@@ -268,8 +270,7 @@ def divergence_onset(
     import numpy as np  # the one array scan here; every other function is scalar
 
     kappa, al, be = basis.wavenumber, basis.alpha, basis.beta
-    N = _numerator(ms, basis, kin)
-    dw_dE = _wavenumber_energy_slope(basis, kin)
+    scale = _time_scale(ms, basis, kin)
     du = 0.01
     last_below = -1  # grid index of the last speed at or below the floor
     start = 0
@@ -280,7 +281,7 @@ def divergence_onset(
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             decay, growth = np.exp(-kappa * x), np.exp(kappa * x)
             _, slope = _slope(
-                ms, N, kappa, dw_dE, al * decay, be * growth, -al * x * decay, be * x * growth
+                ms, scale, kappa, al * decay, be * growth, -al * x * decay, be * x * growth
             )
             speed = 1.0 / np.abs(slope)
         below = speed <= speed_floor

@@ -14,7 +14,8 @@ square-well eigenstates) used for coverage comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .errors import DegenerateMicrostate, DomainError
 from .microstate import Microstate, RawCoefficients, gauge_factor
@@ -28,6 +29,7 @@ from .potential import (
     Potential,
     Units,
     bound_state,
+    kinematics_from_energies,
 )
 
 BARRIER_SCATTERING = "barrier-scattering"
@@ -190,6 +192,12 @@ def momentum_derivatives(
     return W_x, W_xx, W_xxx
 
 
+@lru_cache(maxsize=16)
+def _unit_basis(region: str, alpha: float, beta: float) -> RegionBasis:
+    """The basis of ``region`` in u = w x (wavenumber 1), built once per (region, alpha, beta)."""
+    return RegionBasis(region, 1.0, alpha, beta)
+
+
 def qshje_residual(x: float, ms: Microstate | RawCoefficients, basis: RegionBasis, kin: Kinematics) -> float:
     """Residual of the stationary quantum Hamilton-Jacobi equation at ``x``.
 
@@ -198,22 +206,18 @@ def qshje_residual(x: float, ms: Microstate | RawCoefficients, basis: RegionBasi
         W_x^2/(2m) + V - E + (hbar^2/4m) [W_xxx/W_x - (3/2)(W_xx/W_x)^2] = 0,
 
     i.e. the classical stationary Hamilton-Jacobi form plus the quantum
-    correction bracket; the return value is the left-hand side.  V - E is
-    expressed through the region wavenumber (-(hbar k)^2/2m when free,
-    +(hbar kappa)^2/2m when forbidden), which keeps the check exact for the
-    kinematics the basis was built from.
+    correction bracket; the return value is the left-hand side.  In u = w x it is E_w = (hbar w)^2/2m
+    (E free, U - E forbidden) times (|W0| g/(w D))^2 + sigma + (-D_uu/D + (D_u/D)^2/2)/2, sigma = -1
+    free and +1 forbidden: no power of hbar or m, exact for the kinematics of the basis.
     """
     check_basis(basis, kin)
-    hbar, m = kin.units.hbar, kin.units.mass
-    if basis.region == FREE:
-        v_minus_e = -((hbar * kin.k) ** 2) / (2.0 * m)
-    else:
-        v_minus_e = (hbar * kin.kappa) ** 2 / (2.0 * m)
-    W_x, W_xx, W_xxx = momentum_derivatives(x, ms, basis, kin.units)
-    ratio1 = W_xxx / W_x
-    ratio2 = W_xx / W_x
-    quantum = (hbar * hbar / (4.0 * m)) * (ratio1 - 1.5 * ratio2 * ratio2)
-    return W_x * W_x / (2.0 * m) + v_minus_e + quantum
+    unit = _unit_basis(basis.region, basis.alpha, basis.beta)
+    D, D_u, D_uu = bilinear_with_derivatives(ms, unit, basis.wavenumber * x)
+    checked_denominator(D, x)
+    momentum = abs(unit.wronskian) * gauge_factor(ms) / D
+    slope = D_u / D
+    bracket = momentum * momentum + unit.curvature + 0.5 * (0.5 * slope * slope - D_uu / D)
+    return (kin.E if basis.region == FREE else kin.U - kin.E) * bracket
 
 
 @dataclass(frozen=True)
@@ -310,7 +314,8 @@ def barrier_scattering(kin: Kinematics, pot: Potential | None = None) -> Copenha
 def well_eigenstate(pot: Potential, units: Units = Units(), index: int = 0) -> CopenhagenState:
     """Normalized bound state number ``index`` (0-based, ascending energy)."""
     state = bound_state(pot, units, index)
-    kin = Kinematics(E=state.E, k=state.k, kappa=state.kappa, r=state.kappa / state.k, units=units)
+    kin = kinematics_from_energies(state.E, pot.U, units)  # E, U - E for the times; the ladder's k, kappa below
+    kin = replace(kin, k=state.k, kappa=state.kappa, r=state.kappa / state.k)
     return CopenhagenState(
         potential=pot, kinematics=kin, kind=WELL_EIGENSTATE, parity=state.parity, index=index
     )

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import trdwell
 from trdwell.cli import COMMANDS, _linspace, run
 from trdwell.microstate import normalize
-from trdwell.potential import Units, _well_scales, kinematics_from_energies, square_well
+from trdwell.potential import Units, bound_state, kinematics_from_energies, square_well
 from trdwell.times import SIGN_PLUS, dwell_time
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -418,7 +418,7 @@ class TestExitCodes:
         assert run(["energies", "--U", "1e308", "--q", "1e-150", "--hbar", "1e-300"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        message = "domain error: well wavenumber sqrt(2 m U)/hbar overflows a double at U = 1e+308\n"
+        message = "domain error: the well wavenumber sqrt(2 m U)/hbar is about 10^454.2: it overflows a double\n"
         assert captured.err == message
 
     def test_infeasible_connection_is_domain(self, capsys):
@@ -432,31 +432,31 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (  # the target period 5e-324 over the prefactor 21.7 underflows to 0
+            (  # the target period 5e-324 is no normal double, and over twice the peak 8.8 it is 0
                 ["connect", "--U", "1", "--q", "1", "--past", "0,0", "--present", "0.5,5e-324"],
-                "period 5e-324 underflows against the libration prefactor 21.669523935528776",
+                "period 5e-324 underflows against the slice peak 8.77488124002472",
             ),
             (
                 [
                     "coverage", "sw", "--U", "1", "--q", "1", "--state-index", "0",
                     "--past", "0,0", "--present", "0.5,5e-324",
                 ],
-                "period 5e-324 underflows against the libration prefactor 21.669523935528776",
+                "period 5e-324 underflows against the slice peak 8.77488124002472",
             ),
             (  # a slice ceiling of 5.1e-15 fits 1e300 into more periods than a double counts
                 [
                     "connect", "--U", "1e10", "--q", "1e-10", "--hbar", "1e-6", "--state-index", "5",
                     "--past", "0,0", "--present", "0,1e300",
                 ],
-                "elapsed time 1e+300 spans more slice periods (ceiling 5.120192411529899e-15)"
+                "elapsed time 1e+300 spans more slice periods (ceiling 5.1201924115298976e-15)"
                 " than a double counts",
             ),
-            (  # sqrt(m/2E)(q + 1/kappa) = 1e-350: the slice ceiling itself underflows to 0
+            (  # prefactor/(2r) = (U/E) 4 (q + 1/kappa) sqrt(m/2E)/(2r) = 8e-350: the peak is no double
                 [
                     "connect", "--U", "1e200", "--q", "1e-100", "--hbar", "1e-150", "--mass", "1e-300",
                     "--past", "0,0", "--present", "0,1",
                 ],
-                "elapsed time 1.0 spans more slice periods (ceiling 0.0) than a double counts",
+                "the slice peak is about 10^-349.1: it underflows the normal doubles",
             ),
         ],
     )
@@ -675,16 +675,14 @@ class TestOutputPlumbing:
         outputs = json.loads(captured.out)
         assert outputs["outputs"]["count"] == count
         inputs = outputs["inputs"]
-        # near the top kappa is ill-conditioned in k_max, so the oracle takes the double k_max
+        # near the top kappa is ill-conditioned in k_max: the tolerance grows with (k_max/kappa)^2
         U, q, hbar, mass = (inputs[name] for name in ("U", "q", "hbar", "mass"))
-        _, k_max = _well_scales(square_well(U, q), Units(hbar=hbar, mass=mass))
         with mpmath.workdps(40):
-            exact = mpmath.sqrt(2 * mpmath.mpf(mass) * mpmath.mpf(U)) / mpmath.mpf(hbar)
-            assert k_max == pytest.approx(float(exact), rel=1e-15)
-            k_max = mpmath.mpf(k_max)
+            k_max2 = 2 * mpmath.mpf(mass) * mpmath.mpf(U) / mpmath.mpf(hbar) ** 2
             for state in outputs["outputs"]["states"][:: max(count // 7, 1)]:
-                kappa = float(mpmath.sqrt(k_max**2 - mpmath.mpf(state["k"]) ** 2))
-                assert state["kappa"] == pytest.approx(kappa, rel=1e-14, abs=0.0)
+                kappa = mpmath.sqrt(k_max2 - mpmath.mpf(state["k"]) ** 2)
+                cond = float(max(1, k_max2 / kappa**2))
+                assert state["kappa"] == pytest.approx(float(kappa), rel=1e-14 * cond, abs=0.0)
                 assert math.isfinite(state["residual"]) and 0.0 < state["E"] < U
 
     def test_supremum_searches_at_r_far_above_one(self, capsys):
@@ -727,6 +725,73 @@ class TestOutputPlumbing:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "x,t,W_x,dWx_dE,speed"
         assert len(lines) == 4
+
+
+class TestClosedFormsAcrossTheDoubleRange:
+    """Inputs where k, kappa, r^2 or hbar^2 leave the doubles while the printed values do not."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kinematics"],
+            ["dwell"],
+            ["dwell-max"],
+            ["coverage", "sb", "--past", "0,0", "--present", "1e-100,1"],
+        ],
+    )
+    def test_a_wavenumber_below_the_doubles_is_named(self, argv, capsys):
+        # k = sqrt(2 E)/hbar = 1.4e-350: r = kappa/k used to divide by a k of 0
+        assert run([*argv, "--E", "1e-300", "--U", "1e300", "--hbar", "1e200"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = "k = sqrt(2 m E)/hbar is about 10^-349.8: it underflows the normal doubles"
+        assert captured.err == f"domain error: {message}\n"
+
+    def test_the_alternative_bound_is_a_double(self, capsys):
+        # 1 - r^2 = (2E - U)/E = -1e310 overflowed, but the bound times it is -2.0e305
+        assert run(["libration-max", "--E", "1e-300", "--U", "1e10", "--q", "1"]) == 0
+        outputs = json.loads(capsys.readouterr().out)["outputs"]
+        with mpmath.workdps(40):
+            E, U = mpmath.mpf("1e-300"), mpmath.mpf("1e10")
+            bound = 2 ** mpmath.mpf(1.5) * (U / E) * (1 + 1 / mpmath.sqrt(2 * (U - E))) / mpmath.sqrt(2 * (U - E))
+            alternative = float(bound * (2 * E - U) / U)
+        assert outputs["alternative_bound"] == pytest.approx(alternative, rel=1e-14, abs=0.0)
+        assert outputs["analytic_bound"] == pytest.approx(float(bound), rel=1e-14, abs=0.0)
+        assert outputs["alternative_bound_holds"] is False
+
+    def test_the_residual_and_trajectory_need_no_hbar_squared(self, capsys):
+        # hbar^2 = 1e400 overflowed: the residual read nan with within false, the trajectory exit 1
+        units = ["--E", "1", "--U", "2", "--hbar", "1e200", "--mass", "1e200", "--region", "free"]
+        assert run(["qshje-check", *units, "--x", "1e-200"]) == 0
+        outputs = json.loads(capsys.readouterr().out)["outputs"]
+        assert abs(outputs["residual"]) <= 1e-15 and outputs["within"] is True
+        assert run(["trajectory", *units, "--x-start", "0", "--x-stop", "1e-200", "--n", "2"]) == 0
+        samples = json.loads(capsys.readouterr().out)["outputs"]["samples"]
+        with mpmath.workdps(40):
+            k = mpmath.sqrt(2 * mpmath.mpf("1e200")) / mpmath.mpf("1e200")
+            momentum = mpmath.mpf("1e200") * k  # W_x = hbar k at (1, 1, 0)
+            slope = momentum / 2  # dW_x/dE = N/(2E) at x = 0 and, to 1e-200, at 1e-200
+            expected = {"W_x": momentum, "dWx_dE": slope, "speed": 1 / slope, "t": slope * mpmath.mpf("1e-200")}
+        for name, value in expected.items():
+            assert samples[1][name] == pytest.approx(float(value), rel=1e-14, abs=0.0), name
+
+    def test_the_slice_root_needs_no_r_squared(self, capsys):
+        # r = 9e154: r^2 overflowed and a read nan; the small root is 2 (tau r) r/(1 + root)
+        argv = ["connect", "--U", "1e300", "--q", "1", "--hbar", "1e-155", "--mass", "1e-300"]
+        assert run([*argv, "--past", "0,0", "--present", "0.5,1"]) == 0
+        outputs = json.loads(capsys.readouterr().out)["outputs"]
+        state = bound_state(square_well(1e300, 1.0), Units(hbar=1e-155, mass=1e-300), 0)
+        with mpmath.workdps(40):
+            E, U, q = mpmath.mpf(state.E), mpmath.mpf("1e300"), mpmath.mpf(1)
+            r = mpmath.sqrt((U - E) / E)
+            length = q + 1 / mpmath.mpf(state.kappa)
+            prefactor = 4 * (U / E) * length * mpmath.sqrt(mpmath.mpf("1e-300") / (2 * E))
+            fraction = q / (2 * length) * (mpmath.mpf(0.5) + q) / (2 * q) - q / (2 * length) * q / (2 * q)
+            tau_r = 1 / (1 + fraction) / prefactor * r
+            a = 2 * tau_r * r / (1 + mpmath.sqrt(1 - 4 * tau_r**2))
+        assert outputs["whole_periods"] == 1
+        assert outputs["microstate"]["a"] == pytest.approx(float(a), rel=1e-14, abs=0.0)
+        assert outputs["microstate"]["a"] == pytest.approx(3.5e144, rel=0.01)
 
 
 class TestConfigIntegration:

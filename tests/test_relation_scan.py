@@ -39,7 +39,7 @@ from trdwell.coverage import (
 from trdwell.errors import DomainError, TrdwellError
 from trdwell.microstate import normalize
 from trdwell.potential import Units, kinematics_from_energies, square_well
-from trdwell.times import dwell_supremum_bound, libration_period, libration_prefactor
+from trdwell.times import _fractions, dwell_supremum_bound, libration_period, libration_prefactor
 from trdwell.wavefield import find_nodes, well_eigenstate
 
 #: (U, q, hbar, mass, index): ordinary ground and excited states, slice
@@ -220,13 +220,14 @@ def _connect_textbook(past, present, state):
     s_present = crossing * (present.x + q) / (2.0 * q)
     phase_advance = (s_present - s_past) % 1.0
     elapsed = present.t - past.t
-    ceiling = libration_prefactor(kin, q) / (2.0 * kin.r) * (1.0 - 1e-12)
+    X, Y = _fractions(kin)
+    r = Y / X  # from the energies, as the times take it
+    ceiling = libration_prefactor(kin, q) / (2.0 * r) * (1.0 - 1e-12)
     n = max(1, math.ceil(elapsed / ceiling - phase_advance))
     while elapsed / (n + phase_advance) > ceiling:
         n += 1
-    tau = elapsed / (n + phase_advance) / libration_prefactor(kin, q)
-    r2 = kin.r * kin.r
-    a = 2.0 * tau * r2 / (1.0 + math.sqrt(max(1.0 - 4.0 * tau * tau * r2, 0.0)))
+    half = elapsed / (n + phase_advance) / (libration_prefactor(kin, q) / (2.0 * r)) / 2.0
+    a = 2.0 * half * r / (1.0 + math.sqrt(max((1.0 - 2.0 * half) * (1.0 + 2.0 * half), 0.0)))
     ms = normalize(a, 1.0 / a, 0.0)
     realized = libration_period(kin, q, ms)
     return ms, n, s_past * realized, realized, past.t + (n + phase_advance) * realized
@@ -254,6 +255,6 @@ def test_connect_matches_the_textbook_witness_bit_for_bit_on_the_c09_pairs():
 
 
 def test_slice_roots_reject_a_period_that_underflows_the_prefactor(kin):
-    # 5e-324/31.25 is 0: the larger root (1 + root)/(2 tau) would divide by it
-    with pytest.raises(DomainError, match="underflows against the libration prefactor"):
+    # 5e-324/(2 * 15.6) is 0: the larger root r (1 + root)/(2 tau r) would divide by it
+    with pytest.raises(DomainError, match="underflows against the slice peak"):
         slice_period_roots(kin, 1.0, 5e-324)

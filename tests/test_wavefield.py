@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from trdwell.coverage import NODE_DENSITY_FLOOR
 from trdwell.errors import DegenerateMicrostate, DomainError
 from trdwell.microstate import MONOCHROMATIC, BasisRescale, normalize, transform_basis
-from trdwell.potential import Units, kinematics_from_energies, square_well, step_barrier
+from trdwell.potential import Units, bound_state, kinematics_from_energies, square_well, step_barrier
 from trdwell.wavefield import (
     CopenhagenState,
     RegionBasis,
@@ -370,3 +370,16 @@ class TestClosedFormNodes:
         odd = states[5]
         assert 0.0 in find_nodes(odd, (-self.Q, self.Q))
         assert 0.0 not in find_nodes(odd, (0.0, self.Q)) + find_nodes(odd, (-self.Q, 0.0))
+
+
+@pytest.mark.parametrize("q", [1.11133, 2.2246300000000003, 3.33793])
+def test_an_eigenstate_just_below_the_top_keeps_its_ladder_wavenumbers(q):
+    # kappa/k_max is about 1e-3 here, where the ladder's kappa and sqrt((U - E)/E) k
+    # part by 1e-10: the bundle keeps the ladder's k and kappa and r = kappa/k
+    pot = square_well(1.0, q)
+    index = int(2.0 * math.sqrt(2.0) * q / math.pi)
+    state = well_eigenstate(pot, Units(), index)
+    ladder = bound_state(pot, Units(), index)
+    kin = state.kinematics
+    assert (kin.k, kin.kappa, kin.r) == (ladder.k, ladder.kappa, ladder.kappa / ladder.k)
+    assert kin.kappa < 2e-2 * kin.k and (kin.E, kin.U) == (ladder.E, 1.0)

@@ -25,7 +25,7 @@ import numpy as np
 
 from trdwell.errors import OptimizationFailure
 from trdwell.potential import Kinematics
-from trdwell.times import dwell_time_monochromatic, libration_prefactor
+from trdwell.times import _fractions, dwell_time_monochromatic, libration_period_monochromatic
 
 #: Two candidate maximizers closer than this (relative, in objective value)
 #: are considered tied and broken deterministically.
@@ -183,17 +183,19 @@ def dwell_values(a, b, c, kin: Kinematics, sign_factor):
     ``sign_factor`` (+1 or -1, or an array of them broadcasting against
     ``a``) selects the branch of the +/- in the denominator.
     """
-    r = kin.r
+    X, Y = _fractions(kin)
     gauge = np.sqrt(a * b - 0.25 * c * c)
-    return gauge * (1.0 + r * r) / (a + sign_factor * c * r + b * r * r) * dwell_time_monochromatic(kin)
+    ratio = gauge * (X * X + Y * Y) / (X * (a * X + sign_factor * c * Y) + b * Y * Y)
+    return ratio * dwell_time_monochromatic(kin)
 
 
 def libration_values(a, b, c, kin: Kinematics, q: float):
     """t_L on arrays, in the operation order of the plain formula of :func:`trdwell.times.libration_period`."""
-    r2 = kin.r * kin.r
-    numerator = np.sqrt(a * b - 0.25 * c * c) * (a + b * r2)
-    denominator = a * a + (2.0 * a * b - c * c) * r2 + b * b * r2 * r2
-    return libration_prefactor(kin, q) * numerator / denominator
+    X, Y = _fractions(kin)
+    s = X * (a * X) + Y * (b * Y)
+    cxy = c * X * Y
+    ratio = np.sqrt(a * b - 0.25 * c * c) / (s - cxy * (cxy / s))
+    return ratio * libration_period_monochromatic(kin, q)
 
 
 def on_slice(values, *args):
