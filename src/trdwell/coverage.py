@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from .errors import DomainError, Infeasible
 from .microstate import Microstate, normalize
 from .potential import _NORMAL, Kinematics, check_half_width
-from .times import _slice_peak, dwell_supremum_bound, libration_period
+from .times import _ratio, _slice_peak, dwell_supremum_bound, libration_period
 from .wavefield import (
     WELL_EIGENSTATE,
     CopenhagenState,
@@ -154,12 +154,12 @@ class _SliceKernel:
 
     def __init__(self, kin: Kinematics, q: float):
         check_half_width(q)
-        self.kin, self.q = kin, q
+        self.kin, self.q, self.r = kin, q, _ratio(kin)
         self.failure = None
         try:
-            self.peak, self.r = _slice_peak(kin, q)
+            self.peak = _slice_peak(kin, q)
         except DomainError as exc:
-            self.failure, self.peak, self.r = str(exc), math.inf, kin.r
+            self.failure, self.peak = str(exc), math.inf
         self.ceiling = self.peak * (1.0 - _PERIOD_MARGIN)
         # Cycle fraction of one interior crossing, q/(2(q + 1/kappa)); each wall
         # dwell takes (1/kappa)/(2(q + 1/kappa)), the monochromatic split in time.

@@ -165,8 +165,9 @@ class Kinematics:
     kappa  decay constant of the forbidden region, sqrt(2 m (U - E))/hbar
     r      the ratio kappa/k = sqrt((U - E)/E), the single dimensionless knob of most formulas
 
-    k, kappa and r must be positive normal doubles.  ``_plain`` records whether
-    E, U - E, hbar and m are all ordinary (``_ORDINARY``); it is worked out when not given.
+    k, kappa and r must be positive normal doubles.  Worked out once here:
+    ``_plain``, whether E, U - E, hbar and m are all ordinary (``_ORDINARY``),
+    and ``_fractions``, X = sqrt(E/U) and Y = sqrt((U - E)/U) for the times.
     """
 
     E: float
@@ -175,7 +176,8 @@ class Kinematics:
     kappa: float
     r: float
     units: Units
-    _plain: bool | None = field(default=None, repr=False, compare=False)
+    _plain: bool = field(init=False, repr=False, compare=False)
+    _fractions: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0.0 < self.E < self.U < math.inf):
@@ -183,11 +185,10 @@ class Kinematics:
         if not (_NORMAL <= min(self.k, self.kappa, self.r) and max(self.k, self.kappa, self.r) < math.inf):
             raise DomainError(f"k, kappa, r must be positive normal doubles: {self.k!r}, {self.kappa!r}, {self.r!r}")
         if abs(self.r - self.kappa / self.k) > 1e-12 * self.r:
-            raise DomainError(
-                f"inconsistent bundle: r={self.r!r} but kappa/k={self.kappa / self.k!r}"
-            )
-        if self._plain is None:
-            object.__setattr__(self, "_plain", _ordinary(self.E, self.U - self.E, self.units.hbar, self.units.mass))
+            raise DomainError(f"inconsistent bundle: r={self.r!r} but kappa/k={self.kappa / self.k!r}")
+        gap, root = self.U - self.E, math.sqrt(self.U)
+        object.__setattr__(self, "_plain", _ordinary(self.E, gap, self.units.hbar, self.units.mass))
+        object.__setattr__(self, "_fractions", (math.sqrt(self.E) / root, math.sqrt(gap) / root))
 
     def at_energy(self, E: float) -> "Kinematics":
         """Kinematics at a different energy under the same barrier and units."""
@@ -199,8 +200,7 @@ def kinematics_from_energies(E: float, U: float, units: Units = Units()) -> Kine
     if not 0.0 < E < U < math.inf:
         raise DomainError(f"E must be positive and below a finite U; got E={E!r}, U={U!r}")
     gap, hbar, m = U - E, units.hbar, units.mass
-    plain = _ordinary(E, gap, hbar, m)
-    if plain:
+    if _ordinary(E, gap, hbar, m):
         k = math.sqrt(2.0 * m * E) / hbar
         kappa = math.sqrt(2.0 * m * gap) / hbar
         r = math.sqrt(gap / E)
@@ -208,7 +208,7 @@ def kinematics_from_energies(E: float, U: float, units: Units = Units()) -> Kine
         k = _product("k = sqrt(2 m E)/hbar", (2.0, 0.5), (m, 0.5), (E, 0.5), (hbar, -1.0))
         kappa = _product("kappa = sqrt(2 m (U - E))/hbar", (2.0, 0.5), (m, 0.5), (gap, 0.5), (hbar, -1.0))
         r = _product("r = sqrt((U - E)/E)", (gap, 0.5), (E, -0.5))
-    return Kinematics(E=E, U=U, k=k, kappa=kappa, r=r, units=units, _plain=plain)
+    return Kinematics(E=E, U=U, k=k, kappa=kappa, r=r, units=units)
 
 
 def make_kinematics(E: float, pot: Potential, units: Units = Units()) -> Kinematics:

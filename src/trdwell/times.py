@@ -74,10 +74,10 @@ def _scaled(what: str, value: float, factors, *args) -> float:
     return value if _NORMAL <= value < math.inf else _product(what, *factors(*args))
 
 
-def _fractions(kin: Kinematics) -> tuple[float, float]:
-    """X = sqrt(E/U) and Y = sqrt((U - E)/U), so X^2 + Y^2 = 1 and r = Y/X."""
-    root = math.sqrt(kin.U)
-    return math.sqrt(kin.E) / root, math.sqrt(kin.U - kin.E) / root
+def _ratio(kin: Kinematics) -> float:
+    """r = Y/X, from the energies as every time takes it (a well state's kappa/k may differ in the last bits)."""
+    X, Y = kin._fractions
+    return Y / X
 
 
 def _dwell(kin: Kinematics) -> float:
@@ -115,7 +115,7 @@ def dwell_time(kin: Kinematics, ms: Microstate, sign: str = SIGN_PLUS) -> DwellR
     factor = _sign_factor(sign)
     gauge = gauge_factor(ms)
     a, b, c = ms.a, ms.b, ms.c
-    X, Y = _fractions(kin)
+    X, Y = kin._fractions
     denom = X * (a * X + factor * c * Y) + b * Y * Y
     if not denom > 0.0:
         raise DomainError(f"dwell denominator {denom!r} is not positive")
@@ -147,12 +147,12 @@ def libration_prefactor(kin: Kinematics, q: float) -> float:
     return _scaled("the libration prefactor", value, _period_factors, kin, length, kin.U, 1.0, kin.E, -1.0)
 
 
-def _slice_peak(kin: Kinematics, q: float) -> tuple[float, float]:
-    """(prefactor/(2r), r) with r = Y/X: the largest c = 0 slice period, a double also where the prefactor is not."""
-    X, Y = _fractions(kin)
-    length, period, r = *_period(kin, q), Y / X
+def _slice_peak(kin: Kinematics, q: float) -> float:
+    """prefactor/(2r), the largest c = 0 slice period: a double also where the prefactor is not."""
+    length, period = _period(kin, q)
+    r = _ratio(kin)
     extra = kin.U, 1.0, kin.E, -1.0, 2.0, -1.0, r, -1.0
-    return _scaled("the slice peak", kin.U / kin.E * period / (2.0 * r), _period_factors, kin, length, *extra), r
+    return _scaled("the slice peak", kin.U / kin.E * period / (2.0 * r), _period_factors, kin, length, *extra)
 
 
 def libration_period(kin: Kinematics, q: float, ms: Microstate) -> float:
@@ -166,7 +166,7 @@ def libration_period(kin: Kinematics, q: float, ms: Microstate) -> float:
     length, period = _period(kin, q)
     gauge = gauge_factor(ms)
     a, b, c = ms.a, ms.b, ms.c
-    X, Y = _fractions(kin)
+    X, Y = kin._fractions
     s = X * (a * X) + Y * (b * Y)
     cxy = c * X * Y
     denom = s - cxy * (cxy / s)
@@ -195,7 +195,7 @@ def libration_supremum_bound(kin: Kinematics, q: float) -> float:
     :func:`libration_alternative_bound` for the rejected variant.
     """
     length, period = _period(kin, q)
-    U, E, r = kin.U, kin.E, kin.r
+    U, E, r = kin.U, kin.E, _ratio(kin)
     value = U / E * period / math.sqrt(2.0) / r
     return _scaled("the libration bound", value, _period_factors, kin, length, U, 1.0, E, -1.0, 2.0, -0.5, r, -1.0)
 

@@ -14,7 +14,7 @@ square-well eigenstates) used for coverage comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DegenerateMicrostate, DomainError
@@ -29,7 +29,6 @@ from .potential import (
     Potential,
     Units,
     bound_state,
-    kinematics_from_energies,
 )
 
 BARRIER_SCATTERING = "barrier-scattering"
@@ -314,8 +313,7 @@ def barrier_scattering(kin: Kinematics, pot: Potential | None = None) -> Copenha
 def well_eigenstate(pot: Potential, units: Units = Units(), index: int = 0) -> CopenhagenState:
     """Normalized bound state number ``index`` (0-based, ascending energy)."""
     state = bound_state(pot, units, index)
-    kin = kinematics_from_energies(state.E, pot.U, units)  # E, U - E for the times; the ladder's k, kappa below
-    kin = replace(kin, k=state.k, kappa=state.kappa, r=state.kappa / state.k)
+    kin = Kinematics(E=state.E, U=pot.U, k=state.k, kappa=state.kappa, r=state.kappa / state.k, units=units)
     return CopenhagenState(
         potential=pot, kinematics=kin, kind=WELL_EIGENSTATE, parity=state.parity, index=index
     )

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import trdwell
 from trdwell.cli import COMMANDS, _linspace, run
 from trdwell.microstate import normalize
-from trdwell.potential import Units, bound_state, kinematics_from_energies, square_well
+from trdwell.potential import Units, _well_scales, bound_state, kinematics_from_energies, square_well
 from trdwell.times import SIGN_PLUS, dwell_time
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -675,14 +675,16 @@ class TestOutputPlumbing:
         outputs = json.loads(captured.out)
         assert outputs["outputs"]["count"] == count
         inputs = outputs["inputs"]
-        # near the top kappa is ill-conditioned in k_max: the tolerance grows with (k_max/kappa)^2
+        # near the top kappa is ill-conditioned in k_max, so the oracle takes the double k_max
         U, q, hbar, mass = (inputs[name] for name in ("U", "q", "hbar", "mass"))
+        _, k_max, _ = _well_scales(square_well(U, q), Units(hbar=hbar, mass=mass))
         with mpmath.workdps(40):
-            k_max2 = 2 * mpmath.mpf(mass) * mpmath.mpf(U) / mpmath.mpf(hbar) ** 2
+            exact = mpmath.sqrt(2 * mpmath.mpf(mass) * mpmath.mpf(U)) / mpmath.mpf(hbar)
+            assert k_max == pytest.approx(float(exact), rel=1e-15)
+            k_max = mpmath.mpf(k_max)
             for state in outputs["outputs"]["states"][:: max(count // 7, 1)]:
-                kappa = mpmath.sqrt(k_max2 - mpmath.mpf(state["k"]) ** 2)
-                cond = float(max(1, k_max2 / kappa**2))
-                assert state["kappa"] == pytest.approx(float(kappa), rel=1e-14 * cond, abs=0.0)
+                kappa = float(mpmath.sqrt(k_max**2 - mpmath.mpf(state["k"]) ** 2))
+                assert state["kappa"] == pytest.approx(kappa, rel=1e-14, abs=0.0)
                 assert math.isfinite(state["residual"]) and 0.0 < state["E"] < U
 
     def test_supremum_searches_at_r_far_above_one(self, capsys):

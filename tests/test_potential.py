@@ -19,6 +19,9 @@ from trdwell.potential import (
     Potential,
     Units,
     _bisect,
+    _kappa_in_well,
+    _ladder_size,
+    _well_scales,
     bound_state,
     bound_state_energies,
     kinematics_from_energies,
@@ -131,6 +134,13 @@ class TestKinematics:
     def test_rejects_direct_inconsistent_bundle(self, units):
         with pytest.raises(DomainError):
             Kinematics(E=0.18, U=0.5, k=0.6, kappa=-0.8, r=4.0 / 3.0, units=units)
+
+    def test_the_ordinary_flag_is_worked_out_never_given(self, units):
+        # a caller-set flag would send extreme inputs down the plain float path
+        with pytest.raises(TypeError):
+            Kinematics(E=0.18, U=0.5, k=0.6, kappa=0.8, r=4.0 / 3.0, units=units, _plain=True)
+        assert kinematics_from_energies(0.18, 0.5, units)._plain
+        assert not kinematics_from_energies(1e-300, 1e300, units)._plain
 
 
 class TestBoundStates:
@@ -296,58 +306,73 @@ class TestDeepLadder:
                 assert matching_residual(state, self.Q) == pytest.approx(distance, rel=1e-3), (i, offset)
 
 
-def _kappa_40(state, U, units):
-    """40-digit sqrt(k_max^2 - k^2) at the state's k, and its condition number in k_max."""
+def _k_max_40(U, units):
+    """40-digit sqrt(2 m U)/hbar."""
     with mpmath.workdps(40):
-        k_max2 = 2 * mpmath.mpf(units.mass) * U / mpmath.mpf(units.hbar) ** 2
-        kappa = mpmath.sqrt(k_max2 - mpmath.mpf(state.k) ** 2)
-        return float(kappa), float(max(1, k_max2 / kappa**2))
+        return float(mpmath.sqrt(2 * mpmath.mpf(units.mass) * mpmath.mpf(U)) / mpmath.mpf(units.hbar))
+
+
+def _kappa_40(k_max, k):
+    """40-digit sqrt(k_max^2 - k^2) at the double k_max: near the top kappa is ill-conditioned in k_max."""
+    with mpmath.workdps(40):
+        return float(mpmath.sqrt(mpmath.mpf(k_max) ** 2 - mpmath.mpf(k) ** 2))
 
 
 class TestWellScalesWhereSquaresOverflow:
     def test_kappa_where_k_max_squared_overflows(self):
         # k_max = 1.4e160: k_max^2 overflows, so the ladder bisects slot by slot on floats
         pot, units = square_well(1e300, 3e-160), Units(hbar=1e-10)
+        q, k_max, _ = _well_scales(pot, units)
+        assert k_max == pytest.approx(_k_max_40(1e300, units), rel=1e-15)
         ladder = bound_state_energies(pot, units)
         assert len(ladder) == 3
         assert list(ladder) == [bound_state(pot, units, i) for i in range(3)]
         for state in ladder:
-            kappa, cond = _kappa_40(state, 1e300, units)
-            assert state.kappa == pytest.approx(kappa, rel=1e-14 * cond, abs=0.0)
+            assert state.kappa == pytest.approx(_kappa_40(k_max, state.k), rel=1e-14, abs=0.0)
             # the bisection ends between adjacent floats around the root
-            assert abs(matching_residual(state, pot.q)) <= 4.0 * math.ulp(state.k)
+            assert abs(matching_residual(state, q)) <= 4.0 * math.ulp(state.k)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1e-300, 0.5, 1.0 - 2.0**-52])
+    def test_kappa_matches_40_digits_at_the_top_of_the_double_range(self, fraction):
+        for k_max in (1.5e154, 1e200, 1.7e308):  # k_max + k overflows at the last
+            k = fraction * k_max
+            assert _kappa_in_well(k, k_max) == pytest.approx(_kappa_40(k_max, k), rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("U, hbar", [(1.1e308, 1.0), (1e300, 1e-50), (1.4e308, 1e-154)])
-    def test_kappa_matches_40_digits_at_the_top_of_the_double_range(self, U, hbar):
+    def test_ladder_kappa_matches_40_digits_at_the_top_of_the_double_range(self, U, hbar):
         # k_max = 1.5e154, 1.4e200 and 1.7e308: k_max^2 overflows, and k_max + k at the last
         units = Units(hbar=hbar)
-        with mpmath.workdps(40):
-            k_max = float(mpmath.sqrt(2 * mpmath.mpf(U)) / hbar)
-        pot = square_well(U, 1.25 * math.pi / k_max)
+        pot = square_well(U, 1.25 * math.pi / _k_max_40(U, units))
+        q, k_max, _ = _well_scales(pot, units)
+        assert k_max == pytest.approx(_k_max_40(U, units), rel=1e-15)
         ladder = bound_state_energies(pot, units)
-        assert len(ladder) == 3
-        for state in ladder:
-            kappa, cond = _kappa_40(state, U, units)
-            assert state.kappa == pytest.approx(kappa, rel=1e-14 * cond, abs=0.0)
+        assert len(ladder) == _ladder_size(q, k_max) == 3
+        for i, state in enumerate(ladder):
+            assert state == bound_state(pot, units, i)
+            assert state.kappa == pytest.approx(_kappa_40(k_max, state.k), rel=1e-14, abs=0.0)
 
     def test_ceiling_where_2mU_overflows(self):
         pot, units = square_well(1e308, 1e-152), Units()
+        q, k_max, _ = _well_scales(pot, units)
+        assert k_max == pytest.approx(_k_max_40(1e308, units), rel=1e-15)
         ladder = bound_state_energies(pot, units)
-        assert len(ladder) == 91
+        assert len(ladder) == _ladder_size(q, k_max) == 91
         for i in (0, 1, 45, 89, 90):
             state = ladder[i]
             assert state == bound_state(pot, units, i)
-            kappa, cond = _kappa_40(state, 1e308, units)
             with mpmath.workdps(40):
                 energy = mpmath.mpf(state.k) ** 2 / 2
-            assert state.kappa == pytest.approx(kappa, rel=1e-14 * cond, abs=0.0)
+            assert state.kappa == pytest.approx(_kappa_40(k_max, state.k), rel=1e-14, abs=0.0)
             assert state.E == pytest.approx(float(energy), rel=1e-15, abs=0.0)
             assert 0.0 < state.E < pot.U
 
     @pytest.mark.parametrize("units", [Units(hbar=1e-300), Units(hbar=0.5, mass=1e308)])
     def test_ceiling_beyond_the_double_range_is_a_domain_error(self, units):
+        pot = square_well(1e308, 1e-150)
         with pytest.raises(DomainError, match="overflows"):
-            bound_state_energies(square_well(1e308, 1e-150), units)
+            _well_scales(pot, units)
+        with pytest.raises(DomainError, match="overflows"):
+            bound_state_energies(pot, units)
 
 
 class TestLadderSlots:
@@ -424,7 +449,7 @@ _SLOT_COUNTS = (1, 2047, 2048, 2049, 4097)
 @settings(max_examples=25, deadline=None)
 def test_every_ladder_state_is_bound_state_of_its_slot(slots, k_max, fill, parity, hbar, mass):
     pot, units = _well_with_slots(slots, k_max, fill, hbar, mass)
-    size = len(bound_state_energies(pot, units))
+    size = _ladder_size(*_well_scales(pot, units)[:2])
     assert size in (slots - 1, slots, slots + 1)  # rounding of k_max q can move one slot boundary
     indices = range(1 if parity == "odd" else 0, size, 1 if parity == "both" else 2)
     ladder = bound_state_energies(pot, units, parity)

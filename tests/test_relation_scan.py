@@ -39,7 +39,7 @@ from trdwell.coverage import (
 from trdwell.errors import DomainError, TrdwellError
 from trdwell.microstate import normalize
 from trdwell.potential import Units, kinematics_from_energies, square_well
-from trdwell.times import _fractions, dwell_supremum_bound, libration_period, libration_prefactor
+from trdwell.times import dwell_supremum_bound, libration_period, libration_prefactor
 from trdwell.wavefield import find_nodes, well_eigenstate
 
 #: (U, q, hbar, mass, index): ordinary ground and excited states, slice
@@ -220,7 +220,7 @@ def _connect_textbook(past, present, state):
     s_present = crossing * (present.x + q) / (2.0 * q)
     phase_advance = (s_present - s_past) % 1.0
     elapsed = present.t - past.t
-    X, Y = _fractions(kin)
+    X, Y = kin._fractions
     r = Y / X  # from the energies, as the times take it
     ceiling = libration_prefactor(kin, q) / (2.0 * r) * (1.0 - 1e-12)
     n = max(1, math.ceil(elapsed / ceiling - phase_advance))

@@ -13,6 +13,7 @@ from trdwell.coverage import NODE_DENSITY_FLOOR
 from trdwell.errors import DegenerateMicrostate, DomainError
 from trdwell.microstate import MONOCHROMATIC, BasisRescale, normalize, transform_basis
 from trdwell.potential import Units, bound_state, kinematics_from_energies, square_well, step_barrier
+from trdwell.times import _slice_peak, libration_supremum_bound
 from trdwell.wavefield import (
     CopenhagenState,
     RegionBasis,
@@ -383,3 +384,5 @@ def test_an_eigenstate_just_below_the_top_keeps_its_ladder_wavenumbers(q):
     kin = state.kinematics
     assert (kin.k, kin.kappa, kin.r) == (ladder.k, ladder.kappa, ladder.kappa / ladder.k)
     assert kin.kappa < 2e-2 * kin.k and (kin.E, kin.U) == (ladder.E, 1.0)
+    # the times take r = Y/X from the energies, so the slice peak and the bound share one r
+    assert libration_supremum_bound(kin, q) == pytest.approx(math.sqrt(2.0) * _slice_peak(kin, q), rel=1e-15)

@@ -25,7 +25,7 @@ import numpy as np
 
 from trdwell.errors import OptimizationFailure
 from trdwell.potential import Kinematics
-from trdwell.times import _fractions, dwell_time_monochromatic, libration_period_monochromatic
+from trdwell.times import dwell_time_monochromatic, libration_period_monochromatic
 
 #: Two candidate maximizers closer than this (relative, in objective value)
 #: are considered tied and broken deterministically.
@@ -183,7 +183,7 @@ def dwell_values(a, b, c, kin: Kinematics, sign_factor):
     ``sign_factor`` (+1 or -1, or an array of them broadcasting against
     ``a``) selects the branch of the +/- in the denominator.
     """
-    X, Y = _fractions(kin)
+    X, Y = kin._fractions
     gauge = np.sqrt(a * b - 0.25 * c * c)
     ratio = gauge * (X * X + Y * Y) / (X * (a * X + sign_factor * c * Y) + b * Y * Y)
     return ratio * dwell_time_monochromatic(kin)
@@ -191,7 +191,7 @@ def dwell_values(a, b, c, kin: Kinematics, sign_factor):
 
 def libration_values(a, b, c, kin: Kinematics, q: float):
     """t_L on arrays, in the operation order of the plain formula of :func:`trdwell.times.libration_period`."""
-    X, Y = _fractions(kin)
+    X, Y = kin._fractions
     s = X * (a * X) + Y * (b * Y)
     cxy = c * X * Y
     ratio = np.sqrt(a * b - 0.25 * c * c) / (s - cxy * (cxy / s))
