@@ -75,7 +75,7 @@ def _scaled(what: str, value: float, factors, *args) -> float:
 
 
 def _ratio(kin: Kinematics) -> float:
-    """r = Y/X, from the energies as every time takes it (a well state's kappa/k may differ in the last bits)."""
+    """r = Y/X from the energies, for every time that divides by r (a well state's kappa/k can part from it by 1e-10)."""
     X, Y = kin._fractions
     return Y / X
 
