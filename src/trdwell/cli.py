@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from . import __version__, _submodule
-from .config import DEFAULT_CONFIG, Config, ConfigError, load_config
+from .config import _SWEEP_PARAMS, DEFAULT_CONFIG, Config, ConfigError, SweepSpec, load_config
 from .errors import DomainError, TrdwellError
 from .potential import Units, bound_state_energies, kinematics_from_energies, matching_residual, square_well
 from .serialize import csv_dumps, json_dumps
@@ -81,7 +82,7 @@ _FLAGS = {
     "dts": {"metavar": "LIST", "help": "comma-separated positive time offsets"},
     "past-time": {"type": float, "help": "epoch of every past event (relation scan; default 0)"},
     "quantity": {"choices": tuple(_SWEEP_NEEDS), "help": "quantity to evaluate"},
-    "param": {"choices": ("E", "U", "q", "a", "b", "c", "A")},
+    "param": {"choices": _SWEEP_PARAMS},
     "start": {"type": float},
     "stop": {"type": float},
     "count": {"type": int},
@@ -144,12 +145,9 @@ def _parse_floats(text: str | None, flag: str) -> tuple[float, ...]:
     if text is None:
         raise UsageError(f"{flag} is required in relation-scan mode")
     try:
-        values = tuple(float(part) for part in text.split(","))
+        return tuple(float(part) for part in text.split(","))
     except ValueError as exc:
         raise UsageError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
-    if not values:
-        raise UsageError(f"{flag} must not be empty")
-    return values
 
 
 def _coverage_mode(args) -> str:
@@ -334,12 +332,11 @@ def _linspace(start, stop, count: int) -> list[float]:
 
 def _sweep(res) -> dict:
     quantity = _required(res.quantity, "--quantity is required")
-    spec = {name: _flag_or_config(res, name, "sweep") for name in ("param", "start", "stop", "count")}
+    spec = {field.name: _flag_or_config(res, field.name, "sweep") for field in fields(SweepSpec)}
     if None in spec.values():
         raise UsageError("--param, --start, --stop and --count are required (flags or config sweep)")
-    if spec["count"] < 2:
-        raise UsageError("--count must be at least 2")
-    param = spec["param"]
+    spec = SweepSpec(**spec)  # the rules of a config file's sweep; a ConfigError exits 1
+    param = spec.param
     base = {
         "E": res.args.E,
         "U": _flag_or_config(res, "U", "potential"),
@@ -370,9 +367,9 @@ def _sweep(res) -> dict:
             return times.dwell_time(kin, ms, res.branch).t_D
         return times.libration_period(kin, params["q"], ms)
 
-    values = _linspace(spec["start"], spec["stop"], spec["count"])
+    values = _linspace(spec.start, spec.stop, spec.count)
     return {
-        **spec,
+        **vars(spec),
         "base": {k: v for k, v in base.items() if v is not None},
         "points": [{"value": v, "result": evaluate(v)} for v in values],
     }

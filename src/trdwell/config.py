@@ -2,16 +2,25 @@
 
 A config file may pin the unit bundle, the potential, the epsilon of the
 extremal reports and a sweep; command-line flags override whatever it
-provides.  Validation is strict: unknown keys anywhere in the document are
-rejected by their dotted path, and a well without a half-width (or a step
-with one) is refused.
+provides.  :data:`_SECTIONS` declares each section once: what it builds and
+the JSON type of each key it may hold.  The parser checks only the shape of
+the document: objects where sections go, no key outside the table (an
+unknown key is named by its dotted path), every key the section's
+constructor requires, the JSON types, and numbers that fit a double.
+
+Every range rule belongs to the constructor the section builds: ``units``
+to :class:`Units` (finite, positive hbar and mass), ``potential`` to
+:class:`Potential` (a known kind, a finite positive U, a half-width exactly
+for the well), ``sweep`` to :class:`SweepSpec` and ``defaults`` to
+:class:`Config` (0 < epsilon < 2).  Their error becomes a
+:class:`ConfigError` that names the section.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .errors import DomainError
 from .potential import Potential, Units
@@ -51,107 +60,69 @@ class Config:
     epsilon: float = 1e-6
     sweep: SweepSpec | None = None
 
+    def __post_init__(self) -> None:
+        # The rule of times._check_epsilon, which is not imported: it would load times at every start.
+        if not 0.0 < self.epsilon < 2.0:
+            raise DomainError(f"epsilon must lie in (0, 2), got {self.epsilon!r}")
+
 
 DEFAULT_CONFIG = Config(units=Units())
 
+#: Each section of a config document: what it builds, and the JSON type of each key
+#: (``float`` a number, ``int`` an integer).  ``defaults`` holds fields of :class:`Config` itself.
+_SECTIONS = {
+    "units": (Units, {"hbar": float, "mass": float}),
+    "potential": (Potential, {"kind": str, "U": float, "q": float}),
+    "defaults": (Config, {"epsilon": float}),
+    "sweep": (SweepSpec, {"param": str, "start": float, "stop": float, "count": int}),
+}
 
-def _reject_unknown(mapping: dict, allowed: tuple[str, ...], path: str) -> None:
-    for key in mapping:
-        if key not in allowed:
-            where = f"{path}.{key}" if path else key
-            raise ConfigError(f"unknown config key {where!r}")
+_TYPE_NAMES = {str: "a string", float: "a number", int: "an integer"}
 
 
-def _number(mapping: dict, key: str, path: str, positive: bool = False) -> float:
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config key {path}.{key} must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value) or (positive and value <= 0.0):
-        raise ConfigError(f"config key {path}.{key} must be finite{' and positive' if positive else ''}")
+def _object(value, keys, path: str) -> dict:
+    """``value`` if it is a JSON object whose keys all lie in ``keys``."""
+    if not isinstance(value, dict):
+        document = "the config document must be a JSON object"
+        raise ConfigError(f"config key {path!r} must be an object" if path else document)
+    for key in value:
+        if key not in keys:
+            raise ConfigError(f"unknown config key {f'{path}.{key}' if path else key!r}")
     return value
+
+
+def _typed(value, kind: type, path: str):
+    """``value`` if its JSON type is ``kind``; a number as a float, which it must fit."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ConfigError(f"config key {path} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    if kind is str:
+        return value
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"config key {path} is too large for a double") from None
+    return number if kind is float else value
 
 
 def parse_config(document: dict) -> Config:
     """Validate a decoded JSON document into a :class:`Config`."""
-    if not isinstance(document, dict):
-        raise ConfigError("the config document must be a JSON object")
-    _reject_unknown(document, ("units", "potential", "defaults", "sweep"), "")
-
-    units = Units()
-    if "units" in document:
-        section = document["units"]
-        if not isinstance(section, dict):
-            raise ConfigError("config key 'units' must be an object")
-        _reject_unknown(section, ("hbar", "mass"), "units")
-        hbar = _number(section, "hbar", "units", positive=True) if "hbar" in section else 1.0
-        mass = _number(section, "mass", "units", positive=True) if "mass" in section else 1.0
-        units = Units(hbar=hbar, mass=mass)
-
-    potential = None
-    if "potential" in document:
-        section = document["potential"]
-        if not isinstance(section, dict):
-            raise ConfigError("config key 'potential' must be an object")
-        _reject_unknown(section, ("kind", "U", "q"), "potential")
-        kind = section.get("kind")
-        if kind not in ("step", "well"):
-            raise ConfigError(f"potential.kind must be 'step' or 'well', got {kind!r}")
-        if "U" not in section:
-            raise ConfigError("potential.U is required")
-        U = _number(section, "U", "potential", positive=True)
-        if kind == "well":
-            if "q" not in section:
-                raise ConfigError("potential.q is required for a well")
-            q = _number(section, "q", "potential", positive=True)
-        else:
-            if "q" in section:
-                raise ConfigError("potential.q is only meaningful for a well")
-            q = None
+    document, given = _object(document, _SECTIONS, ""), {}
+    for name, (build, types) in _SECTIONS.items():
+        if name not in document:
+            continue
+        section = _object(document[name], types, name)
+        values = {key: _typed(value, types[key], f"{name}.{key}") for key, value in section.items()}
+        for field in fields(build):
+            if field.name in types and field.name not in values and field.default is MISSING:
+                raise ConfigError(f"config key {name}.{field.name} is required")
         try:
-            potential = Potential(kind, U, q)
+            given.update(values if build is Config else {name: build(**values)})
         except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    epsilon = 1e-6
-    if "defaults" in document:
-        section = document["defaults"]
-        if not isinstance(section, dict):
-            raise ConfigError("config key 'defaults' must be an object")
-        _reject_unknown(section, ("epsilon",), "defaults")
-        if "epsilon" in section:
-            epsilon = _number(section, "epsilon", "defaults", positive=True)
-            if epsilon >= 2.0:
-                raise ConfigError("defaults.epsilon must be below 2")
-
-    sweep = None
-    if "sweep" in document:
-        section = document["sweep"]
-        if not isinstance(section, dict):
-            raise ConfigError("config key 'sweep' must be an object")
-        _reject_unknown(section, ("param", "start", "stop", "count"), "sweep")
-        for key in ("param", "start", "stop", "count"):
-            if key not in section:
-                raise ConfigError(f"sweep.{key} is required")
-        count = section["count"]
-        if isinstance(count, bool) or not isinstance(count, int):
-            raise ConfigError(f"sweep.count must be an integer, got {count!r}")
-        sweep = SweepSpec(
-            param=section["param"],
-            start=_number(section, "start", "sweep"),
-            stop=_number(section, "stop", "sweep"),
-            count=count,
-        )
-
+            raise ConfigError(f"{name}: {exc}") from exc
     try:
-        return Config(
-            units=units,
-            potential=potential,
-            epsilon=epsilon,
-            sweep=sweep,
-        )
+        return Config(**{"units": Units(), **given})
     except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"defaults: {exc}") from exc
 
 
 def load_config(path: str) -> Config:
@@ -161,6 +132,6 @@ def load_config(path: str) -> Config:
             document = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json.JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     return parse_config(document)

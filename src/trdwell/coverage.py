@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, Infeasible
 from .microstate import Microstate, normalize
-from .potential import _NORMAL, Kinematics, check_half_width
+from .potential import _NORMAL, Kinematics, check_positive
 from .times import _ratio, _slice_peak, dwell_supremum_bound, libration_period
 from .wavefield import (
     WELL_EIGENSTATE,
@@ -153,7 +153,7 @@ class _SliceKernel:
     __slots__ = ("kin", "q", "failure", "peak", "r", "ceiling", "crossing")
 
     def __init__(self, kin: Kinematics, q: float):
-        check_half_width(q)
+        check_positive("well half-width q", q)
         self.kin, self.q, self.r = kin, q, _ratio(kin)
         self.failure = None
         try:
@@ -189,8 +189,7 @@ class _SliceKernel:
         :class:`Infeasible` above the slice peak, and :class:`DomainError`
         where the period is not a normal double or h underflows to 0.
         """
-        if not (math.isfinite(period) and period > 0.0):
-            raise DomainError(f"period must be finite and positive, got {period!r}")
+        check_positive("period", period)
         if period > self.check().peak:
             raise Infeasible(f"period {period!r} exceeds the slice ceiling {self.peak!r}")
         half = period / self.peak / 2.0  # tau r for tau = period/prefactor

@@ -125,6 +125,12 @@ def admissible(ms: Microstate) -> bool:
     return ms.a > 0.0 and abs(ms.c) < ADMISSIBLE_C_LIMIT
 
 
+def check_nonzero(name: str, value: float) -> None:
+    """Raise :class:`DomainError`, naming ``name``, unless ``value`` is finite and nonzero."""
+    if not (math.isfinite(value) and value != 0.0):
+        raise DomainError(f"{name} must be finite and nonzero, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BasisRescale:
     """Diagonal change of basis phi1 -> alpha*phi1, phi2 -> beta*phi2."""
@@ -133,10 +139,8 @@ class BasisRescale:
     beta: float
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value == 0.0:
-                raise DomainError(f"{name} must be finite and nonzero, got {value!r}")
+        check_nonzero("alpha", self.alpha)
+        check_nonzero("beta", self.beta)
 
 
 def transform_basis(ms: Microstate, rescale: BasisRescale) -> tuple[RawCoefficients, float]:

@@ -51,10 +51,10 @@ _LADDER_PASS = 2048
 _SIGN_GUARD = 2.0**-40
 
 
-def check_half_width(q: float | None) -> None:
-    """Raise :class:`DomainError` unless ``q`` is a finite, positive well half-width."""
-    if q is None or not (math.isfinite(q) and q > 0.0):
-        raise DomainError(f"well half-width q must be finite and positive, got {q!r}")
+def check_positive(name: str, value: float | None) -> None:
+    """Raise :class:`DomainError`, naming ``name``, unless ``value`` is finite and positive."""
+    if value is None or not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,8 @@ class Units:
     mass: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("hbar", "mass"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise DomainError(f"{name} must be finite and positive, got {value!r}")
+        check_positive("hbar", self.hbar)
+        check_positive("mass", self.mass)
 
 
 @dataclass(frozen=True)
@@ -92,10 +90,9 @@ class Potential:
     def __post_init__(self) -> None:
         if self.kind not in (STEP_BARRIER, SQUARE_WELL):
             raise DomainError(f"unknown potential kind {self.kind!r}")
-        if not (math.isfinite(self.U) and self.U > 0.0):
-            raise DomainError(f"U must be finite and positive, got {self.U!r}")
+        check_positive("U", self.U)
         if self.kind == SQUARE_WELL:
-            check_half_width(self.q)
+            check_positive("well half-width q", self.q)
         elif self.q is not None:
             raise DomainError("q is only meaningful for the square well")
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, OptimizationFailure
 from .microstate import Microstate, gauge_factor, normalize
-from .potential import _NORMAL, _ORDINARY, Kinematics, _product, check_half_width
+from .potential import _NORMAL, _ORDINARY, Kinematics, _product, check_positive
 
 SIGN_PLUS = "+"
 SIGN_MINUS = "-"
@@ -93,7 +93,7 @@ def _dwell_factors(kin: Kinematics, *extra: float) -> tuple:
 
 def _period(kin: Kinematics, q: float) -> tuple[float, float]:
     """q + 1/kappa (kappa is a normal double), and 4m(q + 1/kappa)/(hbar k) over sqrt(2mE), 0 if not ordinary."""
-    check_half_width(q)
+    check_positive("well half-width q", q)
     length, m = q + 1.0 / kin.kappa, kin.units.mass
     plain = kin._plain and 1.0 / _ORDINARY <= length <= _ORDINARY
     return length, 4.0 * m * length / math.sqrt(2.0 * m * kin.E) if plain else 0.0
@@ -310,6 +310,5 @@ def libration_infimum_probe(kin: Kinematics, q: float, A: float) -> float:
     decays like 1/A, witnessing that the greatest lower bound over the
     admissible family is zero and is never attained.
     """
-    if not (math.isfinite(A) and A > 0.0):
-        raise DomainError(f"probe amplitude A must be finite and positive, got {A!r}")
+    check_positive("probe amplitude A", A)
     return libration_period(kin, q, normalize(A, 1.0 / A, 0.0))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, ScanNotSettled
 from .microstate import Microstate, RawCoefficients, gauge_factor
-from .potential import _NORMAL, FORBIDDEN, FREE, Kinematics, _product
+from .potential import _NORMAL, FORBIDDEN, FREE, Kinematics, _product, check_positive
 from .wavefield import RegionBasis, bilinear, check_basis, checked_denominator
 
 #: Grid points evaluated per numpy pass of the divergence-onset scan.  A pass
@@ -265,8 +265,7 @@ def divergence_onset(
     if basis.region != FORBIDDEN:
         raise DomainError("speed divergence is a forbidden-region phenomenon")
     check_basis(basis, kin)
-    if not (math.isfinite(speed_floor) and speed_floor > 0.0):
-        raise DomainError(f"speed_floor must be finite and positive, got {speed_floor!r}")
+    check_positive("speed_floor", speed_floor)
     import numpy as np  # the one array scan here; every other function is scalar
 
     kappa, al, be = basis.wavenumber, basis.alpha, basis.beta

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DegenerateMicrostate, DomainError
-from .microstate import Microstate, RawCoefficients, gauge_factor
+from .microstate import Microstate, RawCoefficients, check_nonzero, gauge_factor
 from .potential import (
     FORBIDDEN,
     FREE,
@@ -29,6 +29,7 @@ from .potential import (
     Potential,
     Units,
     bound_state,
+    check_positive,
 )
 
 BARRIER_SCATTERING = "barrier-scattering"
@@ -72,12 +73,9 @@ class RegionBasis:
     def __post_init__(self) -> None:
         if self.region not in (FREE, FORBIDDEN):
             raise DomainError(f"unknown region {self.region!r}")
-        if not (math.isfinite(self.wavenumber) and self.wavenumber > 0.0):
-            raise DomainError(f"wavenumber must be finite and positive, got {self.wavenumber!r}")
-        for name in ("alpha", "beta"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value == 0.0:
-                raise DomainError(f"{name} must be finite and nonzero, got {value!r}")
+        check_positive("wavenumber", self.wavenumber)
+        check_nonzero("alpha", self.alpha)
+        check_nonzero("beta", self.beta)
 
     @property
     def wronskian(self) -> float:
