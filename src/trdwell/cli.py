@@ -268,7 +268,7 @@ def _extremal(report) -> dict:
 
 def _qshje_check(res) -> dict:
     residual = res.wavefield.qshje_residual(res.x, res.ms, res.basis, res.kin)
-    threshold = 1e-8 * res.E
+    threshold = 1e-8 * (res.kin.E if res.region == "free" else res.kin.U - res.kin.E)  # the residual's scale E_w
     return {"residual": residual, "threshold": threshold, "within": abs(residual) <= threshold}
 
 

@@ -36,9 +36,13 @@ PARITY_EVEN = "even"
 PARITY_ODD = "odd"
 PARITY_BOTH = "both"
 
-#: Absolute bisection width at which an eigenvalue bracket is considered
-#: converged, in units of k.
+#: Widest bisection bracket, in k, at which an eigenvalue is considered
+#: converged.  A slot whose top k lies below 0.11 stops at the narrower
+#: width ``_EIGEN_K_RTOL`` times that top, so small k keep their digits.
 EIGEN_K_TOL = 1e-13
+
+#: Bracket width of a ladder slot relative to its top; 2^-40 times a double is exact.
+_EIGEN_K_RTOL = 2.0**-40
 
 #: Most ladder slots bisected together in one array pass.  Each pass keeps a
 #: few dozen 16 KB arrays; larger passes make the heap grow and shrink.
@@ -334,7 +338,8 @@ def _bisect_one(i: int, q: float, k_max: float) -> float:
     """
     bracket = _SLOT_KINDS[i % 2][0]
     hi = min(_slot_floor(i + 1, q), k_max)
-    return _bisect(lambda k: bracket(k, _kappa_in_well(k, k_max), q), _slot_floor(i, q), hi, EIGEN_K_TOL)
+    xtol = min(EIGEN_K_TOL, _EIGEN_K_RTOL * hi)
+    return _bisect(lambda k: bracket(k, _kappa_in_well(k, k_max), q), _slot_floor(i, q), hi, xtol)
 
 
 def _state_at(i: int, k: float, k_max: float, units: Units, plain: bool) -> BoundState:
@@ -373,7 +378,7 @@ def _bisect_slots(slots: range, q: float, k_max: float) -> list[float]:
     i = np.asarray(slots, dtype=float)
     lo = i * math.pi / (2.0 * q)
     hi = np.minimum((i + 1.0) * math.pi / (2.0 * q), k_max)
-    xtol = np.maximum(EIGEN_K_TOL, np.spacing(hi))
+    xtol = np.maximum(np.minimum(EIGEN_K_TOL, _EIGEN_K_RTOL * hi), np.spacing(hi))
     even = i % 2.0 == 0.0
     at = np.arange(len(slots))  # where in ``slots`` each slot still bisected sits
     k = np.empty(len(slots))
@@ -436,8 +441,8 @@ def bound_state_energies(
     is the single root in k q in (i pi/2, (i+1) pi/2): even parity for even
     i, odd parity for odd i.  Each slot is solved by bisection of a pole-free
     bracket (k sin(kq) - kappa cos(kq) for even parity, k cos(kq) +
-    kappa sin(kq) for odd) to ``EIGEN_K_TOL`` in k; ``parity`` keeps every
-    other slot.  The slots are bisected together in numpy passes of
+    kappa sin(kq) for odd) to a width of ``EIGEN_K_TOL`` in k, or 2^-40 of
+    the slot's top where that is narrower; ``parity`` keeps every other slot.  The slots are bisected together in numpy passes of
     ``_LADDER_PASS``, and every state equals ``bound_state`` of its slot.
     """
     if parity not in (PARITY_EVEN, PARITY_ODD, PARITY_BOTH):

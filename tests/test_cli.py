@@ -842,3 +842,60 @@ class TestConfigIntegration:
         )
         assert run(["sweep", "--quantity", "dwell-mono", "--config", str(cfg), "--format", "csv"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 5
+
+    def test_integer_beyond_a_double_is_usage_and_named(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"units": {"hbar": 1' + "0" * 400 + "}}")
+        assert run(["kinematics", "--E", "0.18", "--U", "0.5", "--config", str(cfg)]) == 1
+        assert "units.hbar" in capsys.readouterr().err
+        cfg.write_text('{"units": {"hbar": 1' + "0" * 5000 + "}}")  # too long for int() to read
+        assert run(["kinematics", "--E", "0.18", "--U", "0.5", "--config", str(cfg)]) == 1
+        assert "is not valid JSON" in capsys.readouterr().err
+
+
+class TestSweepRules:
+    """Flags and config merge into one SweepSpec, whose rules give one message and exit 1."""
+
+    BASE = ["sweep", "--quantity", "dwell-mono", "--U", "0.5", "--param", "E"]
+
+    @pytest.mark.parametrize(
+        "span, message",
+        [
+            (["--start", "0.1", "--stop", "0.4", "--count", "1"], "sweep.count must be an integer >= 2, got 1"),
+            (["--start", "inf", "--stop", "0.4", "--count", "3"], "sweep.start and sweep.stop must be finite"),
+            (["--start", "0.1", "--stop", "nan", "--count", "3"], "sweep.start and sweep.stop must be finite"),
+        ],
+    )
+    def test_flags_break_the_rules_of_a_config_sweep(self, span, message, capsys):
+        assert run([*self.BASE, *span]) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+
+    def test_config_sweep_breaks_the_same_rules(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"sweep": {"param": "E", "start": 0.1, "stop": 0.4, "count": 1}}))
+        assert run(["sweep", "--quantity", "dwell-mono", "--U", "0.5", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "usage error: sweep.count must be an integer >= 2, got 1\n"
+
+    def test_flags_complete_a_config_sweep(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"sweep": {"param": "E", "start": 0.1, "stop": 0.4, "count": 4}}))
+        assert run([*self.BASE, "--count", "3", "--config", str(cfg)]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert [record["inputs"][name] for name in ("param", "start", "stop", "count")] == ["E", 0.1, 0.4, 3]
+
+    def test_param_choices_are_the_sweep_params(self):
+        from trdwell import config
+        from trdwell.cli import _FLAGS
+
+        assert _FLAGS["param"]["choices"] is config._SWEEP_PARAMS
+
+
+def test_qshje_threshold_scales_with_the_region_energy(capsys):
+    # forbidden region: the residual is (U - E) times a bracket rounded near 1e-16
+    argv = ["qshje-check", "--E", "1e-10", "--U", "1", "--x", "0.9", "--a", "2", "--b", "1", "--c", "2"]
+    assert run([*argv, "--region", "forbidden"]) == 0
+    outputs = json.loads(capsys.readouterr().out)["outputs"]
+    assert outputs["threshold"] == 1e-8 * (1.0 - 1e-10)
+    assert abs(outputs["residual"]) < 1e-15 and outputs["within"] is True
+    assert run([*argv, "--region", "free"]) == 0
+    assert json.loads(capsys.readouterr().out)["outputs"]["threshold"] == 1e-8 * 1e-10

@@ -1,10 +1,12 @@
 """Strict run-configuration parsing."""
 
+import inspect
 import json
 
 import pytest
 
-from trdwell.config import DEFAULT_CONFIG, Config, ConfigError, SweepSpec, load_config, parse_config
+from trdwell.config import _SECTIONS, DEFAULT_CONFIG, Config, ConfigError, SweepSpec, load_config, parse_config
+from trdwell.potential import Potential, Units
 
 
 def test_minimal_document_fills_defaults():
@@ -76,6 +78,34 @@ def test_removed_tolerance_keys_are_unknown():
             parse_config({"defaults": {"tolerances": tolerances}})
     assert not hasattr(DEFAULT_CONFIG, "quad_rel")
     assert not hasattr(DEFAULT_CONFIG, "node_density_floor")
+
+
+def test_every_table_key_is_a_parameter_of_what_its_section_builds():
+    builds = {"units": Units, "potential": Potential, "defaults": Config, "sweep": SweepSpec}
+    assert {name: build for name, (build, _) in _SECTIONS.items()} == builds
+    for name, (build, types) in _SECTIONS.items():
+        assert set(types) <= set(inspect.signature(build).parameters), name
+        assert set(types.values()) <= {str, float, int}, name
+
+
+def test_range_errors_name_their_section():
+    with pytest.raises(ConfigError, match=r"^units: hbar must be finite and positive, got -1\.0$"):
+        parse_config({"units": {"hbar": -1.0}})
+    with pytest.raises(ConfigError, match=r"^potential: unknown potential kind 'slope'$"):
+        parse_config({"potential": {"kind": "slope", "U": 1.0}})
+    with pytest.raises(ConfigError, match=r"^defaults: epsilon must lie in \(0, 2\), got 2\.0$"):
+        parse_config({"defaults": {"epsilon": 2.0}})
+
+
+def test_shape_errors_name_their_key():
+    with pytest.raises(ConfigError, match=r"^config key potential\.U is required$"):
+        parse_config({"potential": {"kind": "step"}})
+    with pytest.raises(ConfigError, match=r"^config key potential\.kind must be a string, got 5$"):
+        parse_config({"potential": {"kind": 5, "U": 1.0}})
+    with pytest.raises(ConfigError, match=r"^config key units\.mass is too large for a double$"):
+        parse_config({"units": {"mass": 10**400}})
+    with pytest.raises(ConfigError, match=r"^config key sweep\.count is too large for a double$"):
+        parse_config({"sweep": {"param": "E", "start": 0.0, "stop": 1.0, "count": 10**400}})
 
 
 class TestSweep:

@@ -254,7 +254,7 @@ def _trajectory(rng):
 
 
 def _qshje(rng):
-    (E, _, _, _), ex, flags = _step(rng)
+    (E, U, _, _), ex, flags = _step(rng)
     region = rng.choice(["free", "forbidden"])
     a, b, c = _microstate(rng)
     x = float(rng.uniform(0.0, 3.0) / ex.region(region)[0])
@@ -264,10 +264,10 @@ def _qshje(rng):
         outputs = record["outputs"]
         noise = 64 * TOL * ex.region(region)[4] * (1 + (2 * max(a, b) / min(a, b)) ** 2)
         assert abs(outputs["residual"]) <= noise
-        # the threshold scales with E, the residual's rounding with E or U - E
-        assert outputs["threshold"] == 1e-8 * E
+        # the threshold and the residual's rounding both scale with E_w: E free, U - E forbidden
+        assert outputs["threshold"] == 1e-8 * (E if region == "free" else U - E)
         assert outputs["within"] is (abs(outputs["residual"]) <= outputs["threshold"])
-        assert outputs["within"] or noise > 1e-8 * E
+        assert outputs["within"] or noise > outputs["threshold"]
 
 
 def _coverage_sb(rng):

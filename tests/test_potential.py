@@ -1,5 +1,6 @@
 """Units, potentials, kinematic bundles and the square-well eigenvalue solver."""
 
+import json
 import math
 import pickle
 from dataclasses import FrozenInstanceError
@@ -373,6 +374,52 @@ class TestWellScalesWhereSquaresOverflow:
             _well_scales(pot, units)
         with pytest.raises(DomainError, match="overflows"):
             bound_state_energies(pot, units)
+
+
+def _ground_k_40(U, q, units):
+    """The 40-digit k of the ground state (the root in the first slot) of square_well(U, q).
+
+    The root lies within about 1/(k_max q) of the slot's top, relatively, so the digits grow with q."""
+    with mpmath.workdps(40 + max(0, round(math.log10(q)))):
+        q, k_max = mpmath.mpf(q), mpmath.sqrt(2 * mpmath.mpf(units.mass) * mpmath.mpf(U)) / mpmath.mpf(units.hbar)
+
+        def even(k):
+            return k * mpmath.sin(k * q) - mpmath.sqrt(k_max**2 - k**2) * mpmath.cos(k * q)
+
+        return mpmath.findroot(even, (0, min(mpmath.pi / (2 * q), k_max)), solver="illinois")
+
+
+class TestNarrowSlots:
+    """Slots narrower than EIGEN_K_TOL are bisected to 2^-40 of their top, not to EIGEN_K_TOL."""
+
+    WELLS = [
+        (1.0, 1e12, Units()),
+        (0.5, 1e300, Units()),
+        (1.5367370897293758e-231, 2402627081126.371, Units(hbar=3.862634705702233e-145, mass=1.879273391129294e-77)),
+    ]
+
+    @pytest.mark.parametrize("U, q, units", WELLS)
+    def test_ground_state_matches_40_digits(self, U, q, units):
+        root = _ground_k_40(U, q, units)
+        state = bound_state(square_well(U, q), units)
+        assert abs(state.k - float(root)) <= 1e-12 * float(root)
+        with mpmath.workdps(40):
+            E = (mpmath.mpf(units.hbar) * root) ** 2 / (2 * mpmath.mpf(units.mass))
+        assert state.E == pytest.approx(float(E), rel=1e-12, abs=0.0)
+
+    def test_cli_prints_the_40_digit_ground_states(self, capsys):
+        from trdwell.cli import run
+
+        assert run(["coverage", "sw", "--U", "1", "--q", "1e12", "--past", "0,0", "--present", "0.5,1"]) == 0
+        E = json.loads(capsys.readouterr().out)["inputs"]["E"]
+        assert E == pytest.approx(1.2337005501344251e-24, rel=1e-12, abs=0.0)
+        U, q, units = self.WELLS[2]
+        argv = ["energies", "--U", repr(U), "--q", repr(q), "--hbar", repr(units.hbar), "--mass", repr(units.mass)]
+        assert run(argv) == 0
+        k = json.loads(capsys.readouterr().out)["outputs"]["states"][0]["k"]  # from the ladder of 951 states
+        assert k == bound_state(square_well(U, q), units).k
+        assert k == pytest.approx(6.5334577806650341e-13, rel=1e-12, abs=0.0)
+        assert k == pytest.approx(float(_ground_k_40(U, q, units)), rel=1e-12, abs=0.0)
 
 
 class TestLadderSlots:
