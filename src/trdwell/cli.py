@@ -103,11 +103,8 @@ def _required(value, message: str):
 
 def _flag_or_config(res, name: str, section: str):
     """``--name`` if given, else ``name`` of the config section, else None."""
-    value = getattr(res.args, name)
-    source = getattr(res.cfg, section)
-    if value is None and source is not None:
-        value = getattr(source, name)
-    return value
+    value, source = getattr(res.args, name), getattr(res.cfg, section)
+    return getattr(source, name) if value is None and source is not None else value
 
 
 def _resolve_units(res) -> Units:

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+import sys
+from dataclasses import MISSING, dataclass, fields, replace
 
 from .errors import DomainError
 from .potential import Potential, Units
@@ -92,21 +93,17 @@ def _object(value, keys, path: str) -> dict:
 
 
 def _typed(value, kind: type, path: str):
-    """``value`` if its JSON type is ``kind``; a number as a float, which it must fit."""
+    """``value`` if its JSON type is ``kind`` and an integer fits a double; a number as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise ConfigError(f"config key {path} must be {_TYPE_NAMES[kind]}, got {value!r}")
-    if kind is str:
-        return value
-    try:
-        number = float(value)
-    except OverflowError:
-        raise ConfigError(f"config key {path} is too large for a double") from None
-    return number if kind is float else value
+    if isinstance(value, int) and abs(value) > sys.float_info.max:  # a float is a double already
+        raise ConfigError(f"config key {path} is too large for a double")
+    return float(value) if kind is float else value
 
 
 def parse_config(document: dict) -> Config:
     """Validate a decoded JSON document into a :class:`Config`."""
-    document, given = _object(document, _SECTIONS, ""), {}
+    document, config = _object(document, _SECTIONS, ""), DEFAULT_CONFIG
     for name, (build, types) in _SECTIONS.items():
         if name not in document:
             continue
@@ -116,13 +113,10 @@ def parse_config(document: dict) -> Config:
             if field.name in types and field.name not in values and field.default is MISSING:
                 raise ConfigError(f"config key {name}.{field.name} is required")
         try:
-            given.update(values if build is Config else {name: build(**values)})
+            config = replace(config, **(values if build is Config else {name: build(**values)}))
         except DomainError as exc:
             raise ConfigError(f"{name}: {exc}") from exc
-    try:
-        return Config(**{"units": Units(), **given})
-    except DomainError as exc:
-        raise ConfigError(f"defaults: {exc}") from exc
+    return config
 
 
 def load_config(path: str) -> Config:

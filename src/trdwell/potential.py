@@ -442,7 +442,8 @@ def bound_state_energies(
     i, odd parity for odd i.  Each slot is solved by bisection of a pole-free
     bracket (k sin(kq) - kappa cos(kq) for even parity, k cos(kq) +
     kappa sin(kq) for odd) to a width of ``EIGEN_K_TOL`` in k, or 2^-40 of
-    the slot's top where that is narrower; ``parity`` keeps every other slot.  The slots are bisected together in numpy passes of
+    the slot's top where that is narrower; ``parity`` keeps every other
+    slot.  The slots are bisected together in numpy passes of
     ``_LADDER_PASS``, and every state equals ``bound_state`` of its slot.
     """
     if parity not in (PARITY_EVEN, PARITY_ODD, PARITY_BOTH):

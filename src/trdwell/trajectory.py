@@ -254,13 +254,26 @@ def divergence_onset(
     """Smallest depth X beyond which the forbidden-region speed stays above ``speed_floor``.
 
     Scans the local speed on a fixed grid (du = 0.01 in the dimensionless
-    depth u = 2*kappa*x) and returns one grid step past the last point at or
-    below the floor.  The exponential growth of the speed guarantees the tail
-    stays above any finite floor, which the scan confirms over a 20-unit
-    trailing window once u >= 60; the fixed grid makes X monotone in the
-    floor.  The grid is evaluated in numpy chunks; points whose speed lies
-    within 1e-9 of the floor are re-evaluated with :func:`speed_at`, so the
-    verdict at every grid point is the scalar one.
+    depth u = 2 kappa x) and returns one grid step past the last point at or
+    below the floor; the fixed grid makes X monotone in the floor.
+
+    The scan starts at a proven end.  With v = kappa x, P = a' e^(-2v) and
+    Q = b' e^(2v) (a' = a alpha^2, b' = b beta^2, c' = c alpha beta, so
+    |c'| < 2 sqrt(PQ)), the denominator is D = P + Q + c' and the speed is
+    D^2/(|scale| |G|), G = D - v dD/dv = (1 + 2v) P + (1 - 2v) Q + c', with
+    ``scale`` from :func:`_time_scale`.  For v >= max(1, ln(4a'/b')/4),
+    D >= Q/4 and |G| <= 2.75 v Q, so the speed is at least
+    b' e^(2v)/(44 v |scale|), above the floor wherever 2v - ln v > L =
+    ln(44 |scale| floor/b').  2v - ln v grows with v and exceeds L at
+    v = (L + ln L)/2 (L > 1), so no speed at or past v_end = max(1,
+    ln(4a'/b')/4, (L + ln L)/2) is at or below the floor.  From there the grid
+    is evaluated downwards in numpy passes of ``_ONSET_CHUNK`` points, and
+    the first pass that holds a point at or below the floor ends the scan.
+    Points whose speed lies within 1e-9 of the floor are re-evaluated with
+    :func:`speed_at`, so the verdict at every grid point is the scalar one.
+    Where D^2 leaves the doubles (e^(4v) overflows near v = 177 in the
+    canonical basis) no speed is computed; if such a point lies above the
+    last one at or below the floor, the scan raises :class:`ScanNotSettled`.
     """
     if basis.region != FORBIDDEN:
         raise DomainError("speed divergence is a forbidden-region phenomenon")
@@ -270,32 +283,31 @@ def divergence_onset(
 
     kappa, al, be = basis.wavenumber, basis.alpha, basis.beta
     scale = _time_scale(ms, basis, kin)
+    if scale == 0.0:  # dW_x/dE vanishes: the speed is infinite at every depth
+        return 0.0
+    # v_end in logarithms: a'/b' and 44 |scale| floor/b' may lie beyond the doubles
+    log_a = math.log(ms.a) + 2.0 * math.log(abs(al))
+    log_b = math.log(ms.b) + 2.0 * math.log(abs(be))
+    L = math.log(44.0) + math.log(abs(scale)) + math.log(speed_floor) - log_b
+    v_end = max(1.0, 0.25 * (math.log(4.0) + log_a - log_b), 0.5 * (L + math.log(L)) if L > 1.0 else 1.0)
     du = 0.01
-    last_below = -1  # grid index of the last speed at or below the floor
-    start = 0
-    while True:
-        i = np.arange(start, start + _ONSET_CHUNK)
-        u = i * du
-        x = u / (2.0 * kappa)
+    stop = math.ceil(2.0 * v_end / du) + 1  # grid indices from here on hold speeds above the floor
+    while stop > 0:
+        i = np.arange(max(stop - _ONSET_CHUNK, 0), stop)
+        x = i * du / (2.0 * kappa)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             decay, growth = np.exp(-kappa * x), np.exp(kappa * x)
-            _, slope = _slope(
-                ms, scale, kappa, al * decay, be * growth, -al * x * decay, be * x * growth
-            )
+            D, slope = _slope(ms, scale, kappa, al * decay, be * growth, -al * x * decay, be * x * growth)
             speed = 1.0 / np.abs(slope)
+            unknown = ~np.isfinite(D * D)  # D^2 is no double: no speed is computed there
         below = speed <= speed_floor
         for j in np.flatnonzero(np.abs(speed - speed_floor) <= 1e-9 * speed_floor):
             below[j] = speed_at(float(x[j]), ms, basis, kin) <= speed_floor
-        last = np.maximum.accumulate(np.where(below, i, last_below))
-        settled = (u >= 60.0) & (i - last >= 2000)
-        hits = np.flatnonzero(settled | (u > 5000.0))
+        hits = np.flatnonzero(below | unknown)
         if hits.size:
-            if not settled[hits[0]]:
-                raise ScanNotSettled("speed never settled above the floor within the scan range")
-            last_below = int(last[hits[0]])
-            break
-        last_below = int(last[-1])
-        start += _ONSET_CHUNK
-    if last_below < 0:
-        return 0.0
-    return (last_below * du + du) / (2.0 * kappa)
+            if unknown[hits[-1]]:
+                deep = float(x[hits[-1]])
+                raise ScanNotSettled(f"the speed at x = {deep!r} is no double, and not proven above the floor")
+            return (int(i[hits[-1]]) * du + du) / (2.0 * kappa)
+        stop -= _ONSET_CHUNK
+    return 0.0

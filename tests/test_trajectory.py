@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from trdwell.errors import DegenerateMicrostate, DomainError, ScanNotSettled
-from trdwell.microstate import MONOCHROMATIC, BasisRescale, RawCoefficients, normalize, transform_basis
+from trdwell.microstate import MONOCHROMATIC, BasisRescale, Microstate, RawCoefficients, normalize, transform_basis
 from trdwell.potential import Units, kinematics_from_energies
 from trdwell.trajectory import (
     divergence_onset,
@@ -361,6 +361,26 @@ class TestDivergenceOnset:
             divergence_onset(kin, MONOCHROMATIC, basis, 0.0)
         with pytest.raises(DomainError):
             divergence_onset(kin, MONOCHROMATIC, basis, math.inf)
+
+    @pytest.mark.parametrize("a, onset", [(1e30, 37.035), (1e36, 44.03), (1e40, 48.685)])
+    def test_speed_that_falls_below_the_floor_again_deep_in(self, a, onset):
+        # a >> b: the speed rises, falls to the floor again past u = 60 and only then diverges
+        kin = kinematics_from_energies(0.5, 1.0)
+        basis, ms = canonical_basis("forbidden", kin), Microstate(a, 1.0 / a, 0.0)
+        speed = _grid_speed(kin, ms, basis)
+        last = max(i for i in range(20_000) if speed(i) <= 1.0)  # brute force up to u = 200
+        assert last < 10_000
+        X = divergence_onset(kin, ms, basis, 1.0)
+        assert X == (last * 0.01 + 0.01) / (2.0 * kin.kappa)
+        assert X == pytest.approx(onset, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("floor", [1e200, 1e300])
+    def test_floor_beyond_the_computed_speeds_is_not_settled(self, kin, floor):
+        # past u = 2 kappa x of about 355 the denominator's square overflows and speed_at reads inf
+        basis = canonical_basis("forbidden", kin)
+        assert speed_at(180.0 / kin.kappa, MONOCHROMATIC, basis, kin) == math.inf
+        with pytest.raises(ScanNotSettled):
+            divergence_onset(kin, MONOCHROMATIC, basis, floor)
 
     def test_tiny_floor_is_exceeded_from_the_start(self, kin):
         basis = canonical_basis("forbidden", kin)
