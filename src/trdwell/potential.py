@@ -37,7 +37,7 @@ PARITY_ODD = "odd"
 PARITY_BOTH = "both"
 
 #: Widest bisection bracket, in k, at which an eigenvalue is considered
-#: converged.  A slot whose top k lies below 0.11 stops at the narrower
+#: converged.  A slot whose top k lies below about 0.11 stops at the narrower
 #: width ``_EIGEN_K_RTOL`` times that top, so small k keep their digits.
 EIGEN_K_TOL = 1e-13
 
