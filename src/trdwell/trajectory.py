@@ -271,7 +271,7 @@ def divergence_onset(
     the first pass that holds a point at or below the floor ends the scan.
     Points whose speed lies within 1e-9 of the floor are re-evaluated with
     :func:`speed_at`, so the verdict at every grid point is the scalar one.
-    Where D^2 leaves the doubles (e^(4v) overflows near v = 177 in the
+    Where D^2 is no normal double (e^(4v) overflows near v = 177 in the
     canonical basis) no speed is computed; if such a point lies above the
     last one at or below the floor, the scan raises :class:`ScanNotSettled`.
     """
@@ -283,8 +283,8 @@ def divergence_onset(
 
     kappa, al, be = basis.wavenumber, basis.alpha, basis.beta
     scale = _time_scale(ms, basis, kin)
-    if scale == 0.0:  # dW_x/dE vanishes: the speed is infinite at every depth
-        return 0.0
+    if scale == 0.0:  # N = hbar |W0| g > 0 underflowed: no speed can be computed
+        raise DomainError("the flight-time scale underflows to 0")
     # v_end in logarithms: a'/b' and 44 |scale| floor/b' may lie beyond the doubles
     log_a = math.log(ms.a) + 2.0 * math.log(abs(al))
     log_b = math.log(ms.b) + 2.0 * math.log(abs(be))
@@ -299,7 +299,8 @@ def divergence_onset(
             decay, growth = np.exp(-kappa * x), np.exp(kappa * x)
             D, slope = _slope(ms, scale, kappa, al * decay, be * growth, -al * x * decay, be * x * growth)
             speed = 1.0 / np.abs(slope)
-            unknown = ~np.isfinite(D * D)  # D^2 is no double: no speed is computed there
+            square = D * D
+            unknown = ~((_NORMAL <= square) & (square < math.inf))  # no speed is computed there
         below = speed <= speed_floor
         for j in np.flatnonzero(np.abs(speed - speed_floor) <= 1e-9 * speed_floor):
             below[j] = speed_at(float(x[j]), ms, basis, kin) <= speed_floor

@@ -382,6 +382,17 @@ class TestDivergenceOnset:
         with pytest.raises(ScanNotSettled):
             divergence_onset(kin, MONOCHROMATIC, basis, floor)
 
+    def test_basis_whose_scale_or_square_underflows_is_an_error(self):
+        # Rescaling both basis functions by s leaves W_x, so the speed, unchanged, but the
+        # flight-time scale (s^2) or the denominator's square (s^4) underflows; no onset is guessed.
+        kin = kinematics_from_energies(0.5, 1.0)
+        basis = canonical_basis("forbidden", kin)
+        assert divergence_onset(kin, MONOCHROMATIC, basis, 100.0) == pytest.approx(3.555, rel=1e-12, abs=0.0)
+        with pytest.raises(ScanNotSettled):
+            divergence_onset(kin, MONOCHROMATIC, basis.rescaled(1e-100, 1e-100), 100.0)
+        with pytest.raises(DomainError, match="underflows to 0"):
+            divergence_onset(kin, MONOCHROMATIC, basis.rescaled(1e-170, 1e-170), 100.0)
+
     def test_tiny_floor_is_exceeded_from_the_start(self, kin):
         basis = canonical_basis("forbidden", kin)
         # the monochromatic speed already starts above floors below its x=0 value
