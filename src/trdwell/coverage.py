@@ -60,6 +60,11 @@ NODE_DENSITY_FLOOR = 1e-20
 #: connecting quadratic stays safely non-degenerate.
 _PERIOD_MARGIN = 1e-12
 
+#: The first whole-period count n whose ulp is 1: from there n + phase_advance
+#: rounds to a whole number, so the witness no longer depends on where the
+#: present lies.  Below it the advance keeps at least one bit.
+_PHASE_CARRY = 2**52
+
 
 def _check_event(x: float, t: float) -> None:
     if not (math.isfinite(x) and math.isfinite(t)):
@@ -205,8 +210,9 @@ class _SliceKernel:
         smallest count >= 1 that keeps the period at or below the ceiling, and
         a is the smaller root for that period.  Raises, in this order: a
         position outside the well, an elapsed time that is not positive and
-        finite, a peak or whole-period count that is not a double, and
-        any a for which a and 1/a are not both positive finite doubles.  Where
+        finite, a peak or whole-period count that is not a double, a count of
+        ``_PHASE_CARRY`` or more, and any a for which a and 1/a are not both
+        positive finite doubles.  Where
         it returns, the witness (a, 1/a, 0) normalizes and has a finite period.
         """
         q = self.q
@@ -223,9 +229,13 @@ class _SliceKernel:
                 f"elapsed time {elapsed!r} spans more slice periods (ceiling {ceiling!r}) than a double counts"
             )
         n = max(1, math.ceil(periods - phase_advance))
-        while elapsed / (n + phase_advance) > ceiling:
-            # n + 1 until n + phase_advance stops resolving units; then its next double
-            n = max(n + 1, math.ceil(math.nextafter(n + phase_advance, math.inf) - phase_advance))
+        while n < _PHASE_CARRY and elapsed / (n + phase_advance) > ceiling:
+            n += 1
+        if n >= _PHASE_CARRY:
+            raise DomainError(
+                f"elapsed time {elapsed!r} spans at least 2^52 slice periods (ceiling {ceiling!r}):"
+                " n + phase advance no longer carries the phase"
+            )
         period = elapsed / (n + phase_advance)
         a, _ = self.roots(period)
         if not (0.0 < a < math.inf and 1.0 / a < math.inf):

@@ -9,17 +9,23 @@ classically forbidden region carries the decay constant kappa.
 Square-well bound states need no scan: each parity has exactly one root of
 its matching condition in every other pi/2 interval of k q, so state i is
 found by one bisection inside its own interval.  A single state
-(:func:`bound_state`) is bisected on floats with ``math``.  The whole ladder
-(:func:`bound_state_energies`) is bisected as numpy arrays, imported on first
-use, in passes of at most 2,048 slots: every slot takes the same midpoints
-and stops by the same test as the scalar bisection.  np.sin and np.cos may
-differ from ``math`` in the last bit, so any bracket value too close to zero
-for its sign to be certain is evaluated again with ``math``; every ladder
-state is therefore bit for bit the state :func:`bound_state` returns.
+(:func:`bound_state`) is bisected on floats with ``math``, without numpy.
+The whole ladder (:func:`bound_state_energies`) is bisected as numpy arrays,
+imported on first use, in passes of at most 2,048 slots: every slot takes the
+same midpoints and stops by the same test as the scalar bisection, width
+first.  Each slot first verifies a narrow band around a Newton estimate of
+its root; a midpoint outside that band takes the sign its side is proven to
+have, and only midpoints inside it are evaluated (see :func:`_bisect_slots`).
+np.sin and np.cos may differ from ``math`` in the last bit, so any bracket
+value too close to zero for its sign to be certain is evaluated again with
+``math``.  The states are then built from the arrays of k by the float
+operations of the scalar path, so every ladder state is bit for bit the
+state :func:`bound_state` returns.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -345,8 +351,8 @@ def _bisect_one(i: int, q: float, k_max: float) -> float:
 def _state_at(i: int, k: float, k_max: float, units: Units, plain: bool) -> BoundState:
     """The state of ladder slot ``i`` whose bisection ended at ``k``.
 
-    Both ladder paths build their states here on Python floats, so a state
-    depends on its k alone, not on how k was found.  ``plain`` is from :func:`_well_scales`.
+    A state depends on its k alone, not on how k was found; :func:`_ladder_states`
+    repeats these operations on arrays.  ``plain`` is from :func:`_well_scales`.
     """
     # A last slot narrower than the tolerance can return its upper end k_max;
     # the state still lies below the threshold, so keep kappa positive.
@@ -359,63 +365,131 @@ def _state_at(i: int, k: float, k_max: float, units: Units, plain: bool) -> Boun
     return BoundState(E, _SLOT_KINDS[i % 2][1], k, _kappa_in_well(k, k_max))
 
 
-def _bisect_slots(slots: range, q: float, k_max: float) -> list[float]:
-    """The k at which :func:`_bisect` ends in every ladder slot of ``slots``.
+def _bisect_slots(slots: range, q: float, k_max: float):
+    """The k at which :func:`_bisect` ends in every ladder slot of ``slots``, as an array.
 
-    One numpy bisection over all the slots: each takes the same bracket
-    values, midpoints, exact-zero exits and width test as its scalar
-    bisection, and leaves the arrays when its own test stops it.  Only the
-    sign and zeroness of the bracket steer a bisection.  np.sin/np.cos may
-    differ from ``math`` by a few ulp, which moves a bracket value by far less
-    than ``_SIGN_GUARD * k_max``, so values below that come from the scalar
+    One numpy bisection over all the slots, for k_max^2 a normal double: each
+    slot takes the same midpoints, exact-zero exits and width test as its
+    scalar bisection, width first, and leaves the arrays when its own test
+    stops it.  Only the sign and zeroness of the bracket f steer a
+    bisection, and the sign of f at the slot's lower end never changes, so
+    only that sign is carried.  np.sin/np.cos may differ from ``math`` by a
+    few ulp, which moves a bracket value by far less than ``guard`` =
+    ``_SIGN_GUARD * k_max``, so values below that come from the scalar
     bracket instead.
+
+    Most midpoints need no bracket at all.  Both parities solve
+    h(k) = kq - i pi/2 - atan2(kappa, k) = 0 with h' = q + 1/kappa; three
+    Newton steps from the slot's middle, clipped to the slot, estimate the
+    root r.  With err = k_max (hi q + 4) 2^-52 and
+    delta = 1.5 (2 err + guard)/(q k_max), the band [a, b] = [r - delta,
+    r + delta], clipped to the slot, is verified when |f(a)| and |f(b)| both
+    exceed 2 err + guard, f(a) has the sign of f(lo) and f(b) the other.  A
+    midpoint outside a verified band takes its side's sign unevaluated; one
+    inside is evaluated.  A slot whose band fails gets the whole slot as its
+    band and is bisected exactly as before.  The replay is exact:
+
+    * Let kappa^(x) = sqrt(max(k_max^2 (-) x (*) x, 0)), the kappa the
+      ``math`` bracket computes, which does not increase with x, and
+      g(x) = x sin(xq) - kappa^ cos(xq) (even slots) or
+      x cos(xq) + kappa^ sin(xq) (odd).  Across the slot's exact
+      half-period, +/-g is x |sin| - kappa^ |cos| (or x |cos| - kappa^ |sin|),
+      which never decreases, so |g| grows away from the root.
+    * The ``math`` bracket differs from g by at most err / sqrt(2): rounding
+      xq moves the trig by u xq (u = 2^-53), each trig value is within an ulp,
+      and three roundings follow, all times x + kappa^ <= sqrt(2) k_max.
+    * So a verified edge has |g| > (2 - 1/sqrt(2)) err, and every float beyond
+      it within the half-period has a larger |g| and the ``math`` sign of the
+      edge, never 0.  lo and hi may overhang the exact half-period by a few
+      ulp; there +/-g is kappa^ cos t + x sin t (below) or
+      x cos t + kappa^ sin t (above) for a t of a few ulp, at least cos t times
+      its value at the edge, and the sqrt(2) slack in err covers that factor.
     """
-    k2 = k_max * k_max
-    if not _NORMAL <= k2 < math.inf:  # the scalar bracket takes kappa from _product
-        return [_bisect_one(i, q, k_max) for i in slots]
     import numpy as np
 
+    k2 = k_max * k_max
     i = np.asarray(slots, dtype=float)
     lo = i * math.pi / (2.0 * q)
     hi = np.minimum((i + 1.0) * math.pi / (2.0 * q), k_max)
     xtol = np.maximum(np.minimum(EIGEN_K_TOL, _EIGEN_K_RTOL * hi), np.spacing(hi))
     even = i % 2.0 == 0.0
-    at = np.arange(len(slots))  # where in ``slots`` each slot still bisected sits
-    k = np.empty(len(slots))
     guard = _SIGN_GUARD * k_max
 
-    def bracket(x):
+    def bracket(x, even):
         kappa = np.sqrt(k2 - x * x)  # x <= k_max, so never the root of a negative
         sin, cos = np.sin(x * q), np.cos(x * q)
         value = np.where(even, x * sin - kappa * cos, x * cos + kappa * sin)
         for j in np.flatnonzero(np.abs(value) <= guard).tolist():
             xj = float(x[j])
-            value[j] = _SLOT_KINDS[slots[at[j]] % 2][0](xj, _kappa_in_well(xj, k_max), q)
+            value[j] = _SLOT_KINDS[0 if even[j] else 1][0](xj, _kappa_in_well(xj, k_max), q)
         return value
 
-    def settle(done, x):
-        # slots ``done`` end at ``x`` and leave the arrays
-        nonlocal at, lo, hi, flo, xtol, even
-        if done.any():
-            k[at[done]] = x[done]
-            left = ~done
-            at, lo, hi, flo, xtol, even = (v[left] for v in (at, lo, hi, flo, xtol, even))
+    r = 0.5 * lo + 0.5 * hi
+    for _ in range(3):  # Newton on h; h/h' = h kappa/(q kappa + 1) has no pole at kappa = 0
+        kappa = np.sqrt(k2 - r * r)
+        h = r * q - i * (0.5 * math.pi) - np.arctan2(kappa, r)
+        r = np.minimum(np.maximum(r - h * kappa / (q * kappa + 1.0), lo), hi)
+    floor = 2.0 * k_max * (hi * q + 4.0) * 2.0**-52 + guard
+    delta = 1.5 * floor / (q * k_max)
+    a, b = np.maximum(r - delta, lo), np.minimum(r + delta, hi)
+    flo, fa, fb = bracket(lo, even), bracket(a, even), bracket(b, even)
+    neg = flo < 0.0
+    band = (np.abs(fa) > floor) & (np.abs(fb) > floor) & ((fa < 0.0) == neg) & ((fb < 0.0) != neg)
+    a, b = np.where(band, a, lo), np.where(band, b, hi)
 
-    flo = bracket(lo)
-    settle(flo == 0.0, lo)
+    at = np.arange(len(slots))  # where in ``slots`` each slot still bisected sits
+    k = np.empty(len(slots))
+
+    def settle(done, x):
+        # the slots at positions ``done`` end at ``x`` and leave the arrays; ``x`` of the others is returned
+        nonlocal at, lo, hi, xtol, even, a, b, neg
+        if not done.size:
+            return x
+        k[at[done]] = x[done]
+        left = np.ones(at.size, dtype=bool)
+        left[done] = False
+        at, lo, hi, xtol, even, a, b, neg, x = (v[left] for v in (at, lo, hi, xtol, even, a, b, neg, x))
+        return x
+
+    settle(np.flatnonzero(flo == 0.0), lo)
     for _ in range(_BISECT_STEPS):
+        mid = settle(np.flatnonzero(hi - lo <= xtol), 0.5 * lo + 0.5 * hi)
         if not at.size:
             break
-        mid = 0.5 * lo + 0.5 * hi
-        fmid = bracket(mid)
-        done = (hi - lo <= xtol) | (fmid == 0.0)
-        up = (flo < 0.0) != (fmid < 0.0)
-        hi = np.where(up, mid, hi)
-        lo = np.where(up, lo, mid)
-        flo = np.where(up, flo, fmid)
-        settle(done, mid)
+        up = mid > b  # past the band f has the sign opposite to f(lo); before it, that of f(lo)
+        inside = np.flatnonzero((a <= mid) & ~up)
+        if inside.size:
+            fmid = bracket(mid[inside], even[inside])
+            up[inside] = neg[inside] != (fmid < 0.0)
+        hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
+        if inside.size:
+            settle(inside[fmid == 0.0], mid)
     k[at] = 0.5 * lo + 0.5 * hi
-    return k.tolist()
+    return k
+
+
+def _ladder_states(slots: range, q: float, k_max: float, units: Units, plain: bool) -> list[BoundState]:
+    """The states of ladder slots ``slots``, each bit for bit :func:`bound_state` of its slot.
+
+    Where k_max^2 is a normal double the slots are bisected as arrays; for a
+    plain well (``plain`` from :func:`_well_scales`) the states are then also
+    built from arrays, by the operations of :func:`_state_at` in its order:
+    elementwise IEEE arithmetic and sqrt round as Python floats do.
+    """
+    k2 = k_max * k_max
+    if not _NORMAL <= k2 < math.inf:  # the scalar bracket takes kappa from _product
+        return [_state_at(i, _bisect_one(i, q, k_max), k_max, units, plain) for i in slots]
+    k = _bisect_slots(slots, q, k_max)
+    if not plain:
+        return [_state_at(i, x, k_max, units, plain) for i, x in zip(slots, k.tolist())]
+    import numpy as np
+
+    k = np.minimum(k, math.nextafter(k_max, 0.0))
+    hk = units.hbar * k
+    E = hk * hk / (2.0 * units.mass)
+    kappa = np.sqrt(np.maximum(k2 - k * k, 0.0))
+    parities = itertools.cycle([_SLOT_KINDS[i % 2][1] for i in slots[:2]])  # map stops at the shortest
+    return list(map(BoundState, E.tolist(), parities, k.tolist(), kappa.tolist()))
 
 
 def bound_state(pot: Potential, units: Units = Units(), index: int = 0) -> BoundState:
@@ -444,7 +518,11 @@ def bound_state_energies(
     kappa sin(kq) for odd) to a width of ``EIGEN_K_TOL`` in k, or 2^-40 of
     the slot's top where that is narrower; ``parity`` keeps every other
     slot.  The slots are bisected together in numpy passes of
-    ``_LADDER_PASS``, and every state equals ``bound_state`` of its slot.
+    ``_LADDER_PASS``: the width test comes first, a midpoint outside the
+    slot's verified root band replays the sign proven for its side, and only
+    midpoints inside the band evaluate the bracket.  For plain wells the
+    states are built from the arrays of k.  Every state equals
+    ``bound_state`` of its slot bit for bit.
     """
     if parity not in (PARITY_EVEN, PARITY_ODD, PARITY_BOTH):
         raise DomainError(f"parity must be even, odd or both, got {parity!r}")
@@ -456,6 +534,4 @@ def bound_state_energies(
         raise DomainError(f"the well holds about {float(size):.3g} states, more than a list holds")
     slots = range(first, size, stride)
     passes = (slots[start : start + _LADDER_PASS] for start in range(0, len(slots), _LADDER_PASS))
-    return tuple(
-        _state_at(i, k, k_max, units, plain) for batch in passes for i, k in zip(batch, _bisect_slots(batch, q, k_max))
-    )
+    return tuple(itertools.chain.from_iterable(_ladder_states(batch, q, k_max, units, plain) for batch in passes))

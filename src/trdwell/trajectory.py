@@ -84,7 +84,7 @@ def _slope(ms, scale, w, phi1, phi2, g1, g2):
     a, b, c = ms.a, ms.b, ms.c
     D = a * phi1 * phi1 + b * phi2 * phi2 + c * phi1 * phi2
     dD_dw = 2.0 * a * phi1 * g1 + 2.0 * b * phi2 * g2 + c * (g1 * phi2 + phi1 * g2)
-    return D, scale * ((D - w * dD_dw) / (D * D))
+    return D, scale * ((D - w * dD_dw) / D / D)  # D * D would overflow where D passes 1.3e154
 
 
 def _speed(slope: float) -> float:
@@ -271,9 +271,10 @@ def divergence_onset(
     the first pass that holds a point at or below the floor ends the scan.
     Points whose speed lies within 1e-9 of the floor are re-evaluated with
     :func:`speed_at`, so the verdict at every grid point is the scalar one.
-    Where D^2 is no normal double (e^(4v) overflows near v = 177 in the
-    canonical basis) no speed is computed; if such a point lies above the
-    last one at or below the floor, the scan raises :class:`ScanNotSettled`.
+    Where D or the slope dW_x/dE is no normal double (e^(2v) overflows near
+    v = 355 in the canonical basis) no speed is computed; if such a point
+    lies above the last one at or below the floor, the scan raises
+    :class:`ScanNotSettled`.
     """
     if basis.region != FORBIDDEN:
         raise DomainError("speed divergence is a forbidden-region phenomenon")
@@ -298,9 +299,9 @@ def divergence_onset(
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             decay, growth = np.exp(-kappa * x), np.exp(kappa * x)
             D, slope = _slope(ms, scale, kappa, al * decay, be * growth, -al * x * decay, be * x * growth)
-            speed = 1.0 / np.abs(slope)
-            square = D * D
-            unknown = ~((_NORMAL <= square) & (square < math.inf))  # no speed is computed there
+            size = np.abs(slope)
+            speed = 1.0 / size
+            unknown = ~((_NORMAL <= D) & (D < math.inf) & (_NORMAL <= size) & (size < math.inf))
         below = speed <= speed_floor
         for j in np.flatnonzero(np.abs(speed - speed_floor) <= 1e-9 * speed_floor):
             below[j] = speed_at(float(x[j]), ms, basis, kin) <= speed_floor

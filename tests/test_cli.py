@@ -464,12 +464,28 @@ class TestExitCodes:
         assert run(argv) == 2
         assert capsys.readouterr() == ("", f"domain error: {message}\n")
 
-    def test_a_connection_over_1e100_periods_arrives(self, capsys):
-        # n + 1 no longer moves n + phase_advance there; the count steps to its next double
-        argv = ["connect", "--U", "1", "--q", "1", "--past", "0,0", "--present", "0.3,1e100"]
-        assert run(argv) == 0
-        outputs = json.loads(capsys.readouterr().out)["outputs"]
-        assert outputs["arrival_time"] == pytest.approx(1e100, rel=1e-15)
+    @pytest.mark.parametrize("elapsed", ["1e20", "1e100"])
+    def test_a_connection_past_2_52_periods_has_lost_its_phase(self, elapsed, capsys):
+        # n + phase_advance rounds to a whole number: the same a for every present position
+        for x in ("0.3", "-0.7", "0.9"):
+            assert run(["connect", "--U", "1", "--q", "1", "--past", "0,0", f"--present={x},{elapsed}"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"domain error: elapsed time {float(elapsed)!r} spans at least 2^52 slice periods"
+                " (ceiling 8.774881240015945): n + phase advance no longer carries the phase\n"
+            )
+
+    def test_a_connection_over_1e13_periods_keeps_its_phase(self, capsys):
+        # n is about 1.1e14 < 2^52: each present position has its own witness
+        witnesses = set()
+        for x in ("0.3", "-0.7", "0.9"):
+            assert run(["connect", "--U", "1", "--q", "1", "--past", "0,0", f"--present={x},1e15"]) == 0
+            outputs = json.loads(capsys.readouterr().out)["outputs"]
+            assert 1e14 < outputs["whole_periods"] < 2**52
+            assert outputs["arrival_time"] == pytest.approx(1e15, rel=1e-15)
+            witnesses.add(outputs["microstate"]["a"])
+        assert len(witnesses) == 3
 
     def test_spec_is_an_event_pair_or_a_grid_not_both(self, capsys):
         assert (
@@ -776,6 +792,23 @@ class TestClosedFormsAcrossTheDoubleRange:
             expected = {"W_x": momentum, "dWx_dE": slope, "speed": 1 / slope, "t": slope * mpmath.mpf("1e-200")}
         for name, value in expected.items():
             assert samples[1][name] == pytest.approx(float(value), rel=1e-14, abs=0.0), name
+
+    def test_a_trajectory_past_the_square_of_its_denominator(self, capsys):
+        # D = 1.1e160 at kappa x = 184: D * D overflowed, so dW_x/dE read 0.0 and the command exit 2
+        flags = ["--E", "0.18", "--U", "0.5", "--region", "forbidden", "--x-start", "0", "--x-stop", "230"]
+        assert run(["trajectory", *flags, "--n", "2"]) == 0
+        sample = json.loads(capsys.readouterr().out)["outputs"]["samples"][1]
+        with mpmath.workdps(40):
+            E, U, x = mpmath.mpf("0.18"), mpmath.mpf("0.5"), mpmath.mpf(230)
+            kappa = mpmath.sqrt(2 * (U - E))
+            D = mpmath.exp(-2 * kappa * x) + mpmath.exp(2 * kappa * x)  # (1, 1, 0) on the canonical basis
+            dD = 2 * x * (mpmath.exp(2 * kappa * x) - mpmath.exp(-2 * kappa * x))  # dD/dkappa
+            N = 2 * kappa  # hbar |W0| g with W0 = -2 kappa and g = 1
+            slope = (N / kappa * D - N * dD) / D**2 * (-kappa / (2 * (U - E)))
+            lever = N / kappa * (x / D) * (-kappa / (2 * (U - E)))  # t = |scale (x/D - 0/D(0))|
+            expected = {"W_x": N / D, "dWx_dE": slope, "speed": 1 / abs(slope), "t": abs(lever)}
+        for name, value in expected.items():
+            assert sample[name] == pytest.approx(float(value), rel=1e-14, abs=0.0), name
 
     def test_the_slice_root_needs_no_r_squared(self, capsys):
         # r = 9e154: r^2 overflowed and a read nan; the small root is 2 (tau r) r/(1 + root)

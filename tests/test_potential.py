@@ -524,6 +524,40 @@ def test_ladder_keeps_its_bits_when_numpy_trig_is_off_by_ulps(monkeypatch):
         ]
 
 
+def _every_state_is_its_bound_state(pot, units, parity="both"):
+    first, stride = {"both": (0, 1), "even": (0, 2), "odd": (1, 2)}[parity]
+    size = _ladder_size(*_well_scales(pot, units)[:2])
+    ladder = bound_state_energies(pot, units, parity)
+    assert [_fields(s) for s in ladder] == [_fields(bound_state(pot, units, i)) for i in range(first, size, stride)]
+    return ladder
+
+
+@pytest.mark.parametrize("k_max", [60.0, 5e4])  # above 512 every bisection runs to adjacent floats
+def test_every_state_of_a_4097_slot_ladder_is_bound_state_of_its_slot(k_max):
+    assert len(_every_state_is_its_bound_state(*_well_with_slots(4097, k_max, 0.5, 1.0, 1.0))) == 4097
+
+
+@pytest.mark.parametrize("offsets", [(0.7,), (0.0, 0.7, -0.7, 1e-12)])
+def test_ladder_keeps_its_bits_when_the_root_estimates_are_wrong(monkeypatch, offsets):
+    # atan2 off by up to 0.7 moves the Newton estimates of the slots' roots far from the roots;
+    # the check of each band, not the estimate, makes the ladder equal bound_state
+    np_arctan2 = np.arctan2
+    monkeypatch.setattr(np, "arctan2", lambda y, x: np_arctan2(y, x) + np.resize(offsets, np.shape(y)))
+    for parity in ("both", "odd"):
+        _every_state_is_its_bound_state(*_well_with_slots(2049, 60.0, 0.5, 1.0, 1.0), parity)
+        _every_state_is_its_bound_state(*_well_with_slots(300, 5e4, 1e-11, 0.7, 1.3), parity)
+
+
+def test_ladder_evaluates_few_bracket_points_per_state(monkeypatch):
+    # the bisection replays the signs of a verified band around each root: f at the slot's
+    # lower end and at the band's two ends, and the few midpoints inside the band
+    points = []
+    np_sin = np.sin
+    monkeypatch.setattr(np, "sin", lambda x: points.append(np.size(x)) or np_sin(x))
+    ladder = bound_state_energies(*_well_with_slots(4097, 60.0, 0.5, 1.0, 1.0))
+    assert sum(points) <= 10 * len(ladder)
+
+
 class TestBoundStateRecord:
     STATE = BoundState(0.25, "even", 0.7071067811865476, 1.2247448713915890)
 

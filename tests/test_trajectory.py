@@ -374,22 +374,48 @@ class TestDivergenceOnset:
         assert X == (last * 0.01 + 0.01) / (2.0 * kin.kappa)
         assert X == pytest.approx(onset, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("floor", [1e200, 1e300])
-    def test_floor_beyond_the_computed_speeds_is_not_settled(self, kin, floor):
-        # past u = 2 kappa x of about 355 the denominator's square overflows and speed_at reads inf
+    def test_speed_where_the_square_of_the_denominator_overflows(self, kin):
+        # at v = kappa x = 180, D = 3.6e156: D * D overflowed and the speed read inf
         basis = canonical_basis("forbidden", kin)
-        assert speed_at(180.0 / kin.kappa, MONOCHROMATIC, basis, kin) == math.inf
-        with pytest.raises(ScanNotSettled):
-            divergence_onset(kin, MONOCHROMATIC, basis, floor)
+        x = 180.0 / kin.kappa
+        with mpmath.workdps(40):
+            (a, b, c), phi, w0, N_over_w, dw_dE, _ = _mp_parts(MONOCHROMATIC, basis, kin)
 
-    def test_basis_whose_scale_or_square_underflows_is_an_error(self):
+            def W_x(w):
+                p1, p2 = phi(mpmath.mpf(x), w)
+                return N_over_w * w / (a * p1 * p1 + b * p2 * p2 + c * p1 * p2)
+
+            speed = 1 / abs(mpmath.diff(W_x, w0) * dw_dE)
+        assert speed_at(x, MONOCHROMATIC, basis, kin) == pytest.approx(float(speed), rel=1e-13, abs=0.0)
+        assert float(speed) == pytest.approx(2.4716047883438e153, rel=1e-12)
+
+    @pytest.mark.parametrize("floor", [1e200, 1e300])
+    def test_floor_below_the_largest_computed_speed_is_answered(self, kin, floor):
+        # D stays a double up to v = 354.9, where the speed reaches about 1e305
+        basis = canonical_basis("forbidden", kin)
+        X = divergence_onset(kin, MONOCHROMATIC, basis, floor)
+        step = 0.01 / (2.0 * kin.kappa)
+        assert speed_at(X - step, MONOCHROMATIC, basis, kin) <= floor
+        assert all(speed_at(X + j * step, MONOCHROMATIC, basis, kin) > floor for j in range(0, 300, 7))
+
+    def test_floor_beyond_the_computed_speeds_is_not_settled(self, kin):
+        # the proven end lies past v = 354.9, where e^(2v) and so D overflow: no speed is computed there
+        basis = canonical_basis("forbidden", kin)
+        with pytest.raises(ScanNotSettled):
+            divergence_onset(kin, MONOCHROMATIC, basis, 1e307)
+
+    def test_basis_whose_scale_or_denominator_underflows_is_an_error(self):
         # Rescaling both basis functions by s leaves W_x, so the speed, unchanged, but the
-        # flight-time scale (s^2) or the denominator's square (s^4) underflows; no onset is guessed.
+        # flight-time scale (s^2) or the denominator (s^2) underflows; no onset is guessed.
         kin = kinematics_from_energies(0.5, 1.0)
         basis = canonical_basis("forbidden", kin)
         assert divergence_onset(kin, MONOCHROMATIC, basis, 100.0) == pytest.approx(3.555, rel=1e-12, abs=0.0)
-        with pytest.raises(ScanNotSettled):
-            divergence_onset(kin, MONOCHROMATIC, basis.rescaled(1e-100, 1e-100), 100.0)
+        # D = 2e-200 is a normal double, so the scan finds the unscaled onset
+        assert divergence_onset(kin, MONOCHROMATIC, basis.rescaled(1e-100, 1e-100), 100.0) == pytest.approx(
+            3.555, rel=1e-12, abs=0.0
+        )
+        with pytest.raises(ScanNotSettled):  # D = 2e-320 is subnormal
+            divergence_onset(kin, MONOCHROMATIC, basis.rescaled(1e-160, 1e-160), 100.0)
         with pytest.raises(DomainError, match="underflows to 0"):
             divergence_onset(kin, MONOCHROMATIC, basis.rescaled(1e-170, 1e-170), 100.0)
 
