@@ -212,8 +212,8 @@ class _SliceKernel:
         position outside the well, an elapsed time that is not positive and
         finite, a peak or whole-period count that is not a double, a count of
         ``_PHASE_CARRY`` or more, and any a for which a and 1/a are not both
-        positive finite doubles.  Where
-        it returns, the witness (a, 1/a, 0) normalizes and has a finite period.
+        positive finite doubles.  Where it returns, the witness (a, 1/a, 0)
+        normalizes and has a finite period.
         """
         q = self.q
         for name, x in (("past", x_past), ("present", x_present)):

@@ -398,12 +398,14 @@ def _bisect_slots(slots: range, q: float, k_max: float):
     * The ``math`` bracket differs from g by at most err / sqrt(2): rounding
       xq moves the trig by u xq (u = 2^-53), each trig value is within an ulp,
       and three roundings follow, all times x + kappa^ <= sqrt(2) k_max.
-    * So a verified edge has |g| > (2 - 1/sqrt(2)) err, and every float beyond
-      it within the half-period has a larger |g| and the ``math`` sign of the
-      edge, never 0.  lo and hi may overhang the exact half-period by a few
-      ulp; there +/-g is kappa^ cos t + x sin t (below) or
-      x cos t + kappa^ sin t (above) for a t of a few ulp, at least cos t times
-      its value at the edge, and the sqrt(2) slack in err covers that factor.
+    * At a verified edge the ``math`` value exceeds 2 err (the guard covers
+      numpy against ``math``), so |g| > (2 - 1/sqrt(2)) err there, and every
+      float beyond the edge within the half-period has a larger |g| and the
+      ``math`` sign of the edge, never 0.
+    * lo and hi may overhang the exact half-period by a few ulp.  There +/-g
+      is kappa^ cos t + x sin t (below) or x cos t + kappa^ sin t (above) for
+      a t of a few ulp, at least cos t times its value at the edge, and the
+      sqrt(2) slack in err covers that factor.
     """
     import numpy as np
 
@@ -441,7 +443,7 @@ def _bisect_slots(slots: range, q: float, k_max: float):
     k = np.empty(len(slots))
 
     def settle(done, x):
-        # the slots at positions ``done`` end at ``x`` and leave the arrays; ``x`` of the others is returned
+        # the slots at positions ``done`` end at ``x`` and leave the arrays; returns ``x`` of the rest
         nonlocal at, lo, hi, xtol, even, a, b, neg
         if not done.size:
             return x

@@ -476,7 +476,7 @@ class TestExitCodes:
                 " (ceiling 8.774881240015945): n + phase advance no longer carries the phase\n"
             )
 
-    def test_a_connection_over_1e13_periods_keeps_its_phase(self, capsys):
+    def test_a_connection_over_1e14_periods_keeps_its_phase(self, capsys):
         # n is about 1.1e14 < 2^52: each present position has its own witness
         witnesses = set()
         for x in ("0.3", "-0.7", "0.9"):
