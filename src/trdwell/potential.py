@@ -432,7 +432,7 @@ def _bisect_slots(slots: range, q: float, k_max: float):
         h = r * q - i * (0.5 * math.pi) - np.arctan2(kappa, r)
         r = np.minimum(np.maximum(r - h * kappa / (q * kappa + 1.0), lo), hi)
     floor = 2.0 * k_max * (hi * q + 4.0) * 2.0**-52 + guard
-    delta = 1.5 * floor / (q * k_max)
+    delta = 1.5 * floor / k_max / q  # q * k_max can underflow; this overflows only where hi already did
     a, b = np.maximum(r - delta, lo), np.minimum(r + delta, hi)
     flo, fa, fb = bracket(lo, even), bracket(a, even), bracket(b, even)
     neg = flo < 0.0
