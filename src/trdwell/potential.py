@@ -10,21 +10,27 @@ Square-well bound states need no scan: each parity has exactly one root of
 its matching condition in every other pi/2 interval of k q, so state i is
 found by one bisection inside its own interval.  A single state
 (:func:`bound_state`) is bisected on floats with ``math``, without numpy.
-The whole ladder (:func:`bound_state_energies`) is bisected as numpy arrays,
-imported on first use, in passes of at most 2,048 slots: every slot takes the
-same midpoints and stops by the same test as the scalar bisection, width
-first.  Each slot first verifies a narrow band around a Newton estimate of
-its root; a midpoint outside that band takes the sign its side is proven to
-have, and only midpoints inside it are evaluated (see :func:`_bisect_slots`).
+The whole ladder (:func:`bound_state_energies`) is solved in passes of at
+most 2,048 slots.  A pass of fewer than ``_SCALAR_SLOTS`` slots is solved
+slot by slot as :func:`bound_state` solves one, so shallow wells need no
+numpy.  A longer pass is bisected as numpy arrays, imported on first use:
+every slot takes the same midpoints and stops by the same test as the
+scalar bisection, width first.  Each slot first verifies a narrow band
+around a Newton estimate of its root; a midpoint outside that band takes the
+sign its side is proven to have, and only midpoints inside it are evaluated
+(see :func:`_bisect_slots`).
 np.sin and np.cos may differ from ``math`` in the last bit, so any bracket
 value too close to zero for its sign to be certain is evaluated again with
-``math``.  The states are then built from the arrays of k by the float
+``math``.  The states are then worked out from the arrays of k by the float
 operations of the scalar path, so every ladder state is bit for bit the
-state :func:`bound_state` returns.
+state :func:`bound_state` returns, and their records are filled in through
+the slot descriptors of :class:`BoundState` rather than its frozen
+``__init__``.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import sys
@@ -53,6 +59,12 @@ _EIGEN_K_RTOL = 2.0**-40
 #: Most ladder slots bisected together in one array pass.  Each pass keeps a
 #: few dozen 16 KB arrays; larger passes make the heap grow and shrink.
 _LADDER_PASS = 2048
+
+#: Passes of fewer slots are bisected by the scalar code, without numpy.
+#: Warm, on 2 vCPU Xeon: 2 slots take 0.09-0.13 ms scalar against 1.6-2.4 ms
+#: as arrays, 16 slots 0.46-0.56 against 0.76-1.37 ms, 24 slots 0.89-1.07
+#: against 0.94-1.34 ms, and 32 slots 1.2-1.8 against 1.2-1.4 ms.
+_SCALAR_SLOTS = 24
 
 #: An array bracket value k sin - kappa cos (or k cos + kappa sin) is trusted
 #: for its sign only above this multiple of k_max >= (k + kappa)/sqrt(2):
@@ -234,6 +246,10 @@ class BoundState:
     parity: str
     k: float
     kappa: float
+
+
+#: The slot descriptors of BoundState's fields, in field order.
+_BOUND_STATE_FIELDS = (BoundState.E, BoundState.parity, BoundState.k, BoundState.kappa)
 
 
 def _even_bracket(k: float, kappa: float, q: float) -> float:
@@ -473,13 +489,16 @@ def _bisect_slots(slots: range, q: float, k_max: float):
 def _ladder_states(slots: range, q: float, k_max: float, units: Units, plain: bool) -> list[BoundState]:
     """The states of ladder slots ``slots``, each bit for bit :func:`bound_state` of its slot.
 
-    Where k_max^2 is a normal double the slots are bisected as arrays; for a
-    plain well (``plain`` from :func:`_well_scales`) the states are then also
-    built from arrays, by the operations of :func:`_state_at` in its order:
-    elementwise IEEE arithmetic and sqrt round as Python floats do.
+    A pass of at least ``_SCALAR_SLOTS`` slots, where k_max^2 is a normal
+    double, is bisected as arrays; for a plain well (``plain`` from
+    :func:`_well_scales`) its states are then also worked out as arrays, by
+    the operations of :func:`_state_at` in its order: elementwise IEEE
+    arithmetic and sqrt round as Python floats do.  Other passes are solved
+    slot by slot, as :func:`bound_state` solves one.
     """
     k2 = k_max * k_max
-    if not _NORMAL <= k2 < math.inf:  # the scalar bracket takes kappa from _product
+    # where k_max^2 is no normal double, the scalar bracket takes kappa from _product
+    if len(slots) < _SCALAR_SLOTS or not _NORMAL <= k2 < math.inf:
         return [_state_at(i, _bisect_one(i, q, k_max), k_max, units, plain) for i in slots]
     k = _bisect_slots(slots, q, k_max)
     if not plain:
@@ -491,7 +510,12 @@ def _ladder_states(slots: range, q: float, k_max: float, units: Units, plain: bo
     E = hk * hk / (2.0 * units.mass)
     kappa = np.sqrt(np.maximum(k2 - k * k, 0.0))
     parities = itertools.cycle([_SLOT_KINDS[i % 2][1] for i in slots[:2]])  # map stops at the shortest
-    return list(map(BoundState, E.tolist(), parities, k.tolist(), kappa.tolist()))
+    # The generated __init__ of the frozen class sets each field through object.__setattr__;
+    # the slot descriptors set the same fields at about half the cost.
+    states = list(map(object.__new__, itertools.repeat(BoundState, len(slots))))
+    for column, values in zip(_BOUND_STATE_FIELDS, (E.tolist(), parities, k.tolist(), kappa.tolist())):
+        collections.deque(map(column.__set__, states, values), maxlen=0)
+    return states
 
 
 def bound_state(pot: Potential, units: Units = Units(), index: int = 0) -> BoundState:
@@ -519,12 +543,15 @@ def bound_state_energies(
     bracket (k sin(kq) - kappa cos(kq) for even parity, k cos(kq) +
     kappa sin(kq) for odd) to a width of ``EIGEN_K_TOL`` in k, or 2^-40 of
     the slot's top where that is narrower; ``parity`` keeps every other
-    slot.  The slots are bisected together in numpy passes of
-    ``_LADDER_PASS``: the width test comes first, a midpoint outside the
-    slot's verified root band replays the sign proven for its side, and only
-    midpoints inside the band evaluate the bracket.  For plain wells the
-    states are built from the arrays of k.  Every state equals
-    ``bound_state`` of its slot bit for bit.
+    slot.  The slots are solved in passes of ``_LADDER_PASS``.  A pass of
+    fewer than ``_SCALAR_SLOTS`` slots is solved slot by slot, on floats and
+    without numpy.  A longer one is bisected as numpy arrays: the width test
+    comes first, a midpoint outside the slot's verified root band replays
+    the sign proven for its side, and only midpoints inside the band
+    evaluate the bracket.  For plain wells the states are then worked out
+    from the arrays of k and filled into records through the slot
+    descriptors.  Every state equals ``bound_state`` of its slot bit for
+    bit.
     """
     if parity not in (PARITY_EVEN, PARITY_ODD, PARITY_BOTH):
         raise DomainError(f"parity must be even, odd or both, got {parity!r}")

@@ -17,7 +17,15 @@ from hypothesis import strategies as st
 import trdwell
 from trdwell.cli import COMMANDS, _linspace, run
 from trdwell.microstate import normalize
-from trdwell.potential import Units, _well_scales, bound_state, kinematics_from_energies, square_well
+from trdwell.potential import (
+    _SCALAR_SLOTS,
+    Units,
+    _well_scales,
+    bound_state,
+    bound_state_energies,
+    kinematics_from_energies,
+    square_well,
+)
 from trdwell.times import SIGN_PLUS, dwell_time
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -220,15 +228,13 @@ ERROR_CASES = [
 ]
 
 
-@pytest.mark.parametrize("array_case", ["energies.json"])
-def test_numpy_loads_only_for_the_array_layers(array_case):
-    # only the well ladder and the divergence-onset scan work on arrays:
-    # importing the package and every other golden or error invocation (the
-    # extremal reports are closed forms; connect and coverage sw solve single
-    # states) must not load numpy, and ``array_case`` run after them still must
-    arrays = ("energies.json",)
-    cases = [(argv, 0) for name, argv in GOLDEN_CASES if name not in arrays] + ERROR_CASES
-    cases.append((dict(GOLDEN_CASES)[array_case], 0))
+def test_numpy_loads_only_for_the_array_layers():
+    # only ladders of at least _SCALAR_SLOTS slots and the divergence-onset scan work on
+    # arrays: importing the package and every golden or error invocation (the extremal
+    # reports are closed forms; the 2-state energies golden, connect and coverage sw solve
+    # slot by slot) must not load numpy, and a ladder of 37 slots run after them still must
+    assert len(bound_state_energies(square_well(1.0, 40.0))) == 37 >= _SCALAR_SLOTS
+    cases = [(argv, 0) for _, argv in GOLDEN_CASES] + ERROR_CASES + [(["energies", "--U", "1", "--q", "40"], 0)]
     after_import, runs = _modules_loaded([argv for argv, _ in cases], ("numpy",))
     assert after_import == []
     assert runs == [(code, []) for _, code in cases[:-1]] + [(0, ["numpy"])]
@@ -240,7 +246,7 @@ _TIMES = ("microstate", "times")
 _COVERAGE = ("microstate", "wavefield", "times", "coverage")
 LAYERS_BY_COMMAND = {
     "kinematics": (),
-    "energies": ("numpy",),
+    "energies": (),
     "dwell": _TIMES,
     "dwell-max": _TIMES,
     "libration": _TIMES,
@@ -827,6 +833,18 @@ class TestClosedFormsAcrossTheDoubleRange:
         assert outputs["whole_periods"] == 1
         assert outputs["microstate"]["a"] == pytest.approx(float(a), rel=1e-14, abs=0.0)
         assert outputs["microstate"]["a"] == pytest.approx(3.5e144, rel=0.01)
+
+    def test_a_subnormal_half_width_warns_nothing(self, capsys):
+        # the one slot is solved on floats; as arrays its top (i + 1) pi/(2q) overflowed with a RuntimeWarning
+        argv = ["energies", "--U", "1", "--q", "1e-310"]
+        assert run(argv) == 0
+        expected = capsys.readouterr().out
+        assert json.loads(expected)["outputs"]["count"] == 1
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "trdwell.cli", *argv],
+            capture_output=True, text=True, env=_child_env(), timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
 
 
 class TestConfigIntegration:

@@ -14,12 +14,15 @@ from scipy.optimize import brentq
 
 from trdwell.errors import DomainError
 from trdwell.potential import (
+    _LADDER_PASS,
+    _SCALAR_SLOTS,
     EIGEN_K_TOL,
     BoundState,
     Kinematics,
     Potential,
     Units,
     _bisect,
+    _bisect_slots,
     _kappa_in_well,
     _ladder_size,
     _well_scales,
@@ -476,7 +479,8 @@ def _well_with_slots(slots: int, k_max: float, fill: float, hbar: float, mass: f
     return square_well((hbar * k_max) ** 2 / (2.0 * mass), (slots - 1 + fill) * math.pi / (2.0 * k_max)), units
 
 
-# passes are 2,048 slots: one slot, a pass less one, one exact pass, one slot over, two passes and one over
+# passes are 2,048 slots: one slot (solved slot by slot), a pass less one, one exact pass, one slot over,
+# two passes and one over
 _SLOT_COUNTS = (1, 2047, 2048, 2049, 4097)
 
 
@@ -556,6 +560,55 @@ def test_ladder_evaluates_few_bracket_points_per_state(monkeypatch):
     monkeypatch.setattr(np, "sin", lambda x: points.append(np.size(x)) or np_sin(x))
     ladder = bound_state_energies(*_well_with_slots(4097, 60.0, 0.5, 1.0, 1.0))
     assert sum(points) <= 10 * len(ladder)
+
+
+@pytest.mark.parametrize(
+    "slots, arrays",
+    [
+        (_SCALAR_SLOTS - 1, ()),
+        (_SCALAR_SLOTS, (range(_SCALAR_SLOTS),)),
+        (_SCALAR_SLOTS + 1, (range(_SCALAR_SLOTS + 1),)),
+        (_LADDER_PASS + _SCALAR_SLOTS - 1, (range(_LADDER_PASS),)),
+    ],
+    ids=["below-the-limit", "at-the-limit", "above-the-limit", "a-full-pass-and-a-short-one"],
+)
+def test_passes_shorter_than_the_scalar_limit_are_solved_slot_by_slot(monkeypatch, slots, arrays):
+    # bound_state evaluates no np.sin, so the ladder's np.sin calls must be exactly those of
+    # bisecting ``arrays`` as arrays: none for a pass below _SCALAR_SLOTS, all for the others
+    pot, units = _well_with_slots(slots, 60.0, 0.5, 1.0, 1.0)
+    q, k_max, _ = _well_scales(pot, units)
+    sizes = []
+    np_sin = np.sin
+    monkeypatch.setattr(np, "sin", lambda x: sizes.append(np.size(x)) or np_sin(x))
+    for batch in arrays:
+        _bisect_slots(batch, q, k_max)
+    expected, sizes[:] = sizes[:], []
+    assert len(_every_state_is_its_bound_state(pot, units)) == slots
+    assert sizes == expected and bool(sizes) == bool(arrays)
+
+
+@pytest.mark.parametrize(
+    "well, plain",
+    [
+        ((4097, 60.0, 0.5, 1.0, 1.0), True),  # bisected and built as arrays
+        ((_SCALAR_SLOTS + 16, 3.0, 0.5, 1e-70, 1.0), False),  # hbar outside the ordinary box: bisected as arrays
+        ((_SCALAR_SLOTS - 1, 3.0, 0.5, 1.0, 1.0), True),  # one short pass, slot by slot
+    ],
+    ids=["plain-arrays", "arrays-beyond-the-ordinary-box", "slot-by-slot"],
+)
+def test_ladder_states_are_bound_state_records_like_any_other(well, plain):
+    pot, units = _well_with_slots(*well)
+    assert _well_scales(pot, units)[2] is plain
+    ladder = bound_state_energies(pot, units)
+    assert len(ladder) == well[0]
+    for state in ladder:
+        built = BoundState(state.E, state.parity, state.k, state.kappa)
+        assert type(state) is BoundState
+        assert state == built and hash(state) == hash(built) and repr(state) == repr(built)
+        assert pickle.loads(pickle.dumps(state)) == state
+    for name in BoundState.__slots__:
+        with pytest.raises(FrozenInstanceError):
+            setattr(ladder[-1], name, 1.0)
 
 
 class TestBoundStateRecord:
