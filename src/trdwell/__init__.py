@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "config": "Config ConfigError SweepSpec load_config",
     "coverage": (
-        "BOTH_ALLOW COPENHAGEN_ONLY NEITHER_ALLOW NODE_DENSITY_FLOOR TR_ONLY ConnectionSolution"
+        "BOTH_ALLOW COPENHAGEN_ONLY NEITHER_ALLOW TR_ONLY ConnectionSolution"
         " CoverageVerdict Event GridSpec RelationReport connect sb_verdict set_relation_report"
         " slice_period_max slice_period_roots sw_verdict"
     ),

@@ -477,7 +477,6 @@ COMMANDS = {
             "pair": _VERDICT_CSV + " witness_a witness_b witness_c present_density",
             "grid": _RELATION_CSV,
         },
-        meta={"node_density_floor": "coverage.NODE_DENSITY_FLOOR"},
     ),
     "connect": _Command(
         "microstate linking two well events", "U q state-index past present", "U q state", _connect,

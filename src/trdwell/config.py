@@ -24,7 +24,7 @@ import sys
 from dataclasses import MISSING, dataclass, fields, replace
 
 from .errors import DomainError
-from .potential import Potential, Units
+from .potential import Potential, Units, check_epsilon
 
 
 class ConfigError(Exception):
@@ -62,9 +62,7 @@ class Config:
     sweep: SweepSpec | None = None
 
     def __post_init__(self) -> None:
-        # The rule of times._check_epsilon, which is not imported: it would load times at every start.
-        if not 0.0 < self.epsilon < 2.0:
-            raise DomainError(f"epsilon must lie in (0, 2), got {self.epsilon!r}")
+        check_epsilon(self.epsilon)
 
 
 DEFAULT_CONFIG = Config(units=Units())

@@ -19,7 +19,8 @@ Inside the well every connection runs through one kernel per state
 the slice peak and ceiling and the crossing fraction.  Its ``split`` maps
 each pair to its whole periods, phase advance and slice coefficient a.
 :func:`connect` builds its witness; :func:`set_relation_report` runs only
-the split per pair, and judges density support once per present position.
+the split per pair.  Density support is judged from the closed-form node
+phase of the present, never from a float density.
 """
 
 from __future__ import annotations
@@ -29,13 +30,9 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError, Infeasible
 from .microstate import Microstate, normalize
-from .potential import _NORMAL, Kinematics, check_positive
+from .potential import _EIGEN_K_RTOL, _NORMAL, Kinematics, check_positive
 from .times import _ratio, _slice_peak, dwell_supremum_bound, libration_period
-from .wavefield import (
-    WELL_EIGENSTATE,
-    CopenhagenState,
-    copenhagen_density,
-)
+from .wavefield import WELL_EIGENSTATE, CopenhagenState, _node_offset
 
 BOTH_ALLOW = "BothAllow"
 COPENHAGEN_ONLY = "CopenhagenOnly"
@@ -50,11 +47,6 @@ RELATION_UNION_EXCEEDS_TR = "{TR} union {Copenhagen} != {TR}"
 RELATION_UNION_IS_TR = "{TR} union {Copenhagen} = {TR}"
 RELATION_UNION_EXCEEDS_COPENHAGEN = "{TR} union {Copenhagen} != {Copenhagen}"
 RELATION_MIXED = "{TR} union {Copenhagen} != {TR} and != {Copenhagen}"
-
-#: Densities at or below this threshold count as excluded support for a
-#: unit-normalized state.  The density at a closed-form node sits many orders
-#: below it; any point a distance > 1e-9 from a node sits above it.
-NODE_DENSITY_FLOOR = 1e-20
 
 #: Target periods are kept this far (relative) below the slice ceiling so the
 #: connecting quadratic stays safely non-degenerate.
@@ -73,11 +65,10 @@ def _check_event(x: float, t: float) -> None:
 
 @dataclass(frozen=True)
 class Event:
-    """A position/epoch pair, optionally tagged with the region it sits in."""
+    """A position/epoch pair."""
 
     x: float
     t: float
-    region: str = ""
 
     def __post_init__(self) -> None:
         _check_event(self.x, self.t)
@@ -295,8 +286,18 @@ def connect(past: Event, present: Event, state: CopenhagenState) -> ConnectionSo
 
 
 def _density_support(state: CopenhagenState, x: float) -> bool:
-    # The one place the density view decides support inside the well.
-    return copenhagen_density(state, x) > NODE_DENSITY_FLOOR
+    # The one place the density view decides support inside the well: |psi|^2
+    # vanishes only at the nodes, k x/pi = j + offset, and state n has its n nodes
+    # at the n such phases nearest 0, |j + offset| <= (n - 1)/2 (the rest lie past
+    # the walls).  The ladder's k is within _EIGEN_K_RTOL of its root, so a node
+    # phase is met to within that share of k x/pi; twice it also covers rounding.
+    # A band of half a turn would take in the antinodes too: no verdict is left.
+    offset = _node_offset(state)
+    phase = state.kinematics.k * x / math.pi
+    node, band = round(phase - offset) + offset, 2.0 * _EIGEN_K_RTOL * abs(phase)
+    if band >= 0.5:
+        raise DomainError(f"the ladder's k cannot tell a node from an antinode at x={x!r}: k x/pi = {phase!r}")
+    return abs(phase - node) > band or 2.0 * abs(node) > state.index - 1
 
 
 def sw_verdict(past: Event, present: Event, state: CopenhagenState) -> CoverageVerdict:
@@ -304,8 +305,11 @@ def sw_verdict(past: Event, present: Event, state: CopenhagenState) -> CoverageV
 
     The trajectory view always admits the pair — :func:`connect` produces an
     explicit witness microstate — while the density view requires the present
-    to carry probability support: its density must exceed
-    ``NODE_DENSITY_FLOOR``, which excludes the nodes of excited states.
+    to carry probability support, which excludes exactly the closed-form
+    nodes of excited states, k x = j pi (odd) or (j + 1/2) pi (even) with
+    |x| < q, to within the ladder's relative accuracy in k: a rule free of
+    units.  Raises :class:`DomainError` where that accuracy cannot tell a
+    node from an antinode.
     """
     solution = connect(past, present, state)
     copenhagen_allowed = _density_support(state, present.x)
@@ -359,8 +363,8 @@ _SB_IDEALIZATION_NOTE = (
     "concerns which pasts are reachable, not laboratory count rates"
 )
 _SW_NODE_NOTE = (
-    "density support is judged against a floor of 1e-20, far below any "
-    "non-node value on the scan and far above the density at the closed-form nodes"
+    "density support is excluded exactly at the closed-form nodes, k x = j pi (odd states) "
+    "or (j + 1/2) pi (even states) with |x| < q, to within the ladder's relative accuracy in k"
 )
 
 
@@ -381,14 +385,10 @@ def _sb_classifier(kin: Kinematics):
 def _sw_classifier(state: CopenhagenState):
     """Classification of one well pair: the kernel's split, then support at the present."""
     kernel = _well_kernel(state)
-    support: dict[float, bool] = {}
 
     def classify(x_past: float, x_present: float, elapsed: float) -> str:
         kernel.split(x_past, x_present, elapsed)
-        allowed = support.get(x_present)
-        if allowed is None:
-            allowed = support[x_present] = _density_support(state, x_present)
-        return _classify(True, allowed)
+        return _classify(True, _density_support(state, x_present))
 
     return classify
 
@@ -412,9 +412,8 @@ def set_relation_report(
     The counts, and the first error, are those of :func:`sb_verdict` or
     :func:`sw_verdict` run on every pair in grid order, but the work is
     shared.  SB evaluates the dwell bound once per report.  SW builds the
-    state's slice kernel once per report, runs only its split per pair (the
-    witness it would build is not kept), and judges density support once per
-    distinct present position.
+    state's slice kernel once per report, and runs only its split per pair
+    (the witness it would build is not kept).
     """
     if scenario == SCENARIO_SB:
         if kin is None:

@@ -79,6 +79,12 @@ def check_positive(name: str, value: float | None) -> None:
         raise DomainError(f"{name} must be finite and positive, got {value!r}")
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Raise :class:`DomainError` unless the extremal reports' boundary offset lies in (0, 2)."""
+    if not 0.0 < epsilon < 2.0:
+        raise DomainError(f"epsilon must lie in (0, 2), got {epsilon!r}")
+
+
 @dataclass(frozen=True)
 class Units:
     """Reduced Planck constant and particle mass, carried symbolically.

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, OptimizationFailure
 from .microstate import Microstate, gauge_factor, normalize
-from .potential import _NORMAL, _ORDINARY, Kinematics, _product, check_positive
+from .potential import _NORMAL, _ORDINARY, Kinematics, _product, check_epsilon, check_positive
 
 SIGN_PLUS = "+"
 SIGN_MINUS = "-"
@@ -257,11 +257,6 @@ def _slice_maximizer(kin: Kinematics, c: float) -> Microstate:
     return Microstate(a, (1.0 + 0.25 * c * c) / a, c)
 
 
-def _check_epsilon(epsilon: float) -> None:
-    if not (0.0 < epsilon < 2.0):
-        raise DomainError(f"epsilon must lie in (0, 2), got {epsilon!r}")
-
-
 def _report(top: Microstate, sup: float, coarse: float, epsilon: float, bound: float, *extra) -> ExtremalReport:
     """The report of a supremum ``sup`` at ``top``, and ``coarse`` at the inset |2 - 2 epsilon|."""
     boundary = abs(top.c) >= 2.0 - epsilon - 1e-9
@@ -270,7 +265,7 @@ def _report(top: Microstate, sup: float, coarse: float, epsilon: float, bound: f
 
 def _tops(kin: Kinematics, epsilon: float) -> tuple[Microstate, Microstate]:
     """The slice maximizers at c = 2 - epsilon and at the inset |2 - 2 epsilon|."""
-    _check_epsilon(epsilon)
+    check_epsilon(epsilon)
     return _slice_maximizer(kin, 2.0 - epsilon), _slice_maximizer(kin, abs(2.0 - 2.0 * epsilon))
 
 

@@ -324,15 +324,19 @@ def copenhagen_density(state: CopenhagenState, x: float) -> float:
     return state.density(x)
 
 
+def _node_offset(state: CopenhagenState) -> float:
+    """Offset of a well eigenstate's nodes, k x/pi = j + offset with |x| < q: 0 for odd states
+    (interior sin kx), 1/2 for even ones (cos kx).  The exterior tails never vanish."""
+    return 0.0 if state.parity == PARITY_ODD else 0.5
+
+
 def find_nodes(state: CopenhagenState, interval: tuple[float, float]) -> tuple[float, ...]:
     """All zeros of the eigenstate wavefunction inside the open interval, ascending.
 
     Defined for well eigenstates only: the support question the step scenario
     asks concerns the forbidden side x >= 0, where the density
     |T|^2 exp(-2 kappa x) never vanishes, so nodes play no role there.  The
-    exterior tails never vanish either, and the interior wavefunction is
-    sin(kx) for odd states and cos(kx) for even ones, so the nodes are the
-    closed forms x = j pi/k (odd) and x = (j + 1/2) pi/k (even) with |x| < q.
+    nodes are the closed forms x = (j + offset) pi/k of :func:`_node_offset`.
     The ground state returns ().
     """
     if state.kind != WELL_EIGENSTATE:
@@ -346,7 +350,7 @@ def find_nodes(state: CopenhagenState, interval: tuple[float, float]) -> tuple[f
     lo, hi = max(lo, -q), min(hi, q)
     if lo >= hi:
         return ()
-    offset = 0.0 if state.parity == PARITY_ODD else 0.5
+    offset = _node_offset(state)
     j_lo = math.floor(lo * k / math.pi - offset)
     j_hi = math.ceil(hi * k / math.pi - offset)
     nodes = ((j + offset) * math.pi / k for j in range(j_lo, j_hi + 1))

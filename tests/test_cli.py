@@ -264,7 +264,7 @@ PUBLIC_NAMES = """
 BOTH_ALLOW BasisRescale BoundState COPENHAGEN_ONLY Config ConfigError ConnectionSolution
 CopenhagenState CoverageVerdict DegenerateMicrostate DomainError DwellResult Event
 ExtremalReport FORBIDDEN FREE FlightTime GridSpec Infeasible Kinematics MONOCHROMATIC Microstate
-NEITHER_ALLOW NODE_DENSITY_FLOOR OptimizationFailure Potential RawCoefficients RegionBasis
+NEITHER_ALLOW OptimizationFailure Potential RawCoefficients RegionBasis
 RelationReport SIGN_MINUS SIGN_PLUS SQUARE_WELL STEP_BARRIER ScanNotSettled StepUnderflow
 SweepSpec TR_ONLY TrajectorySample TrdwellError Units admissible barrier_scattering bilinear
 bound_state_energies canonical_basis conjugate_momentum connect copenhagen_density

@@ -72,7 +72,7 @@ def test_epsilon_range():
 
 def test_removed_tolerance_keys_are_unknown():
     # quad_rel went with the action quadrature; node_density_floor was never
-    # read (coverage uses NODE_DENSITY_FLOOR).  Old files fail loudly.
+    # read (coverage reads the node phase).  Old files fail loudly.
     for tolerances in ({"quad_rel": 1e-8}, {"node_density_floor": 1e-18}, {}):
         with pytest.raises(ConfigError, match="defaults.tolerances"):
             parse_config({"defaults": {"tolerances": tolerances}})

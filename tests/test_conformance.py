@@ -6,11 +6,14 @@ at most 10^4 states.  Every value an exit-0 call prints must lie within 1e-14
 of its 40-digit value: relative to the value, times the condition number of
 the closed form where the value is a difference of larger terms (``cond``).
 Exit 2 must happen exactly where some printed value, or the command's k or
-kappa, is not a positive normal double; exit 1 never happens.
+kappa, is not a positive normal double; exit 1 never happens.  An exit-0 call
+writes nothing on stderr, and raises no warning.
 
 A well state's k and kappa are the ladder's own (the bisection's root and
 sqrt(k_max^2 - k^2) at it); every other value of a well command is checked
-against them.
+against them.  So is density support: a present has none exactly at one of
+the state's nodes, k x/pi = j + offset, to within twice the ladder's relative
+accuracy in k.
 """
 
 import contextlib
@@ -18,12 +21,13 @@ import io
 import json
 import math
 import random
+import warnings
 
 import mpmath
 import pytest
 
 from trdwell.cli import run
-from trdwell.potential import EIGEN_K_TOL, Units, bound_state, square_well
+from trdwell.potential import _EIGEN_K_RTOL, EIGEN_K_TOL, Units, bound_state, square_well
 
 mpf = mpmath.mpf
 TOL = 1e-14
@@ -128,9 +132,11 @@ class Exact:
 
 
 def _call(argv) -> tuple[int, dict | None]:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
         code = run(argv)
+    assert code != 0 or err.getvalue() == "", (argv, err.getvalue())
     return code, json.loads(out.getvalue()) if code == 0 else None
 
 
@@ -376,6 +382,18 @@ def _connection(rng, command):
         record = _checked(argv, [(("witness", "a"), a, cond), (("witness", "b"), 1 / a, cond)], _gates(ex))
         if record is not None:
             assert record["inputs"]["E"] == state.E and record["outputs"]["tr_allowed"] is True
+            offset = 0 if state.parity == "odd" else mpf(1) / 2
+            turns = ex.k * mpf(x_present) / mpmath.pi - offset
+            distance = abs(turns - mpmath.nint(turns))
+            interior = 2 * abs(mpmath.nint(turns) + offset) <= index - 1  # state n has n nodes
+            on_node = interior and distance <= 2 * _EIGEN_K_RTOL * abs(turns + offset)
+            assert record["outputs"]["copenhagen_allowed"] is not on_node, (argv, distance)
+            # the nearest node itself, where one lies inside the well, has no support
+            node = float((mpmath.nint(turns) + offset) * mpmath.pi / ex.k)
+            if abs(node) < q:
+                argv[-1] = f"--present={node!r},{elapsed!r}"
+                code, record = _call(argv)
+                assert code == 0 and record["outputs"]["copenhagen_allowed"] is False, (argv, code)
 
 
 COMMANDS = {

@@ -216,6 +216,23 @@ class TestWellVerdicts:
             v = sw_verdict(Event(-1.0, 0.0), Event(x, 40.0), excited)
             assert v.classification == BOTH_ALLOW
 
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_deep_well_states_keep_support_up_to_their_walls(self, index):
+        # kappa/k ~ 1e15: k x near the walls meets the next node phase, pi/2 (ground
+        # state, cos) or pi (state 1, sin), to within k's accuracy, but that zero
+        # lies past the wall; the ground state's density is 2e-27 at the wall
+        deep = well_eigenstate(square_well(1e30, 1.0), Units(), index)
+        for x in (-1.0, 1.0, -(1.0 - 1e-13), 1.0 - 1e-13):
+            assert sw_verdict(Event(0.0, 0.0), Event(x, 1.0), deep).classification == BOTH_ALLOW
+
+    def test_presents_whose_node_phase_the_ladder_cannot_resolve_are_refused(self):
+        # k x/pi = 3.6e11 at x = 9e11: k's 2^-40 accuracy spans more than half a turn
+        # there, so an antinode, where the density peaks, would pass for a node
+        deep = well_eigenstate(square_well(1.0, 1e12), Units(), 800_000_000_000)
+        assert sw_verdict(Event(0.0, 0.0), Event(3e11, 1e14), deep).classification == BOTH_ALLOW
+        with pytest.raises(DomainError, match="cannot tell a node from an antinode"):
+            sw_verdict(Event(0.0, 0.0), Event(9e11, 1e14), deep)
+
 
 class TestGridSpec:
     def test_rejects_empty_axes(self):

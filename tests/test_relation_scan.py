@@ -1,11 +1,11 @@
 """The relation scan and the well connection kernel against per-pair oracles.
 
 ``set_relation_report`` shares work across a grid: one slice kernel per well
-state, one density decision per present position, one dwell bound per step
-report.  Its oracle is the plain scan, one ``sb_verdict``/``sw_verdict`` per
-pair in grid order.  Both must give the same counts and relation, or fail on
-the same pair with the same exception.  ``connect`` is checked bit for bit
-against the textbook form of the slice connection.
+state, one dwell bound per step report.  Its oracle is the plain scan, one
+``sb_verdict``/``sw_verdict`` per pair in grid order.  Both must give the same
+counts and relation, or fail on the same pair with the same exception.
+``connect`` is checked bit for bit against the textbook form of the slice
+connection.  Neither view's verdicts may depend on the choice of units.
 """
 
 import math
@@ -258,3 +258,51 @@ def test_slice_roots_reject_a_period_that_underflows_the_prefactor(kin):
     # 5e-324/(2 * 15.6) is 0: the larger root r (1 + root)/(2 tau r) would divide by it
     with pytest.raises(DomainError, match="underflows against the slice peak"):
         slice_period_roots(kin, 1.0, 5e-324)
+
+
+def _scaled_grid(grid: GridSpec, j: int) -> GridSpec:
+    """``grid`` with lengths scaled by 2^j and times by 2^2j."""
+    length, time = (lambda v: math.ldexp(v, j)), (lambda v: math.ldexp(v, 2 * j))
+    return GridSpec(
+        tuple(map(length, grid.past_positions)), tuple(map(length, grid.present_positions)),
+        tuple(map(time, grid.time_offsets)), time(grid.past_time),
+    )
+
+
+def _well_verdicts(index: int, j: int):
+    """Report and per-pair classifications of the golden well grid, lengths scaled by 2^j."""
+    state = well_eigenstate(square_well(math.ldexp(1.0, -2 * j), math.ldexp(2.0, j)), Units(), index)
+    grid = _scaled_grid(GridSpec((-1.0,), (-0.5, 0.0, 1.0), (10.0, 25.0, 40.0, 55.0)), j)
+    report = set_relation_report(SCENARIO_SW_EXCITED if index else SCENARIO_SW_BOUND, grid, state=state)
+    classes = [
+        sw_verdict(Event(x_past, grid.past_time), Event(x_present, grid.past_time + dt), state).classification
+        for x_past in grid.past_positions
+        for x_present in grid.present_positions
+        for dt in grid.time_offsets
+    ]
+    return report, report.counts, classes
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_well_verdicts_do_not_depend_on_the_choice_of_units(index):
+    # Lengths by 2^j, energies by 2^-2j and times by 2^2j, with hbar and m fixed,
+    # is a change of units: k x and every verdict stay put.  |j| <= 70 reaches past
+    # j = 63 and 65, where a density floor in units of 1/length would drop the
+    # support of the excited state's off-node presents and of the ground state.
+    expected = _well_verdicts(index, 0)
+    for j in range(-70, 71):
+        assert _well_verdicts(index, j) == expected, j
+
+
+def test_step_report_and_dwell_bound_scale_with_the_units():
+    # Energies 2^+-140 stay inside the ordinary box (2^+-200), where no operation
+    # of the bound's closed form leaves the normal doubles, so each rounding
+    # commutes with the power-of-two scaling and the bound scales exactly.
+    grid = GridSpec((0.0,), (0.3, 1.2), (2.0, 8.0, 11.0, 14.0))
+    bound = dwell_supremum_bound(_STEPS[0])
+    expected = set_relation_report(SCENARIO_SB, grid, kin=_STEPS[0])
+    for j in range(-70, 71):
+        kin = kinematics_from_energies(math.ldexp(0.18, -2 * j), math.ldexp(0.5, -2 * j))
+        assert dwell_supremum_bound(kin) == math.ldexp(bound, 2 * j), j
+        report = set_relation_report(SCENARIO_SB, _scaled_grid(grid, j), kin=kin)
+        assert (report, report.counts) == (expected, expected.counts), j

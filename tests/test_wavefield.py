@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from trdwell.coverage import NODE_DENSITY_FLOOR
+from trdwell.coverage import _density_support
 from trdwell.errors import DegenerateMicrostate, DomainError
 from trdwell.microstate import MONOCHROMATIC, BasisRescale, normalize, transform_basis
 from trdwell.potential import Units, bound_state, kinematics_from_energies, square_well, step_barrier
@@ -345,8 +345,12 @@ class TestClosedFormNodes:
 
     def test_density_at_nodes_is_below_the_floor(self, states):
         for state in states:
-            for node in find_nodes(state, (-self.Q, self.Q)):
-                assert copenhagen_density(state, node) < NODE_DENSITY_FLOOR
+            nodes = find_nodes(state, (-self.Q, self.Q))
+            for node in nodes:
+                assert copenhagen_density(state, node) < 1e-20
+                assert not _density_support(state, node)
+            cuts = [-self.Q, *nodes, self.Q]
+            assert all(_density_support(state, 0.5 * (a + b)) for a, b in zip(cuts, cuts[1:]))
 
     def test_intervals_reaching_outside_the_well(self, states):
         for state in states:
