@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
 
 from . import __version__, _submodule
 from .config import _SWEEP_PARAMS, DEFAULT_CONFIG, Config, ConfigError, SweepSpec, load_config
@@ -256,11 +255,11 @@ def _energies(res) -> dict:
 
 def _trajectory(res) -> dict:
     samples = res.trajectory.sample_trajectory((res.x_start, res.x_stop), res.n, res.ms, res.basis, res.kin)
-    return {"samples": [vars(s) for s in samples]}
+    return {"samples": [s._asdict() for s in samples]}
 
 
 def _extremal(report) -> dict:
-    return {**vars(report), **_nested("maximizer", vars(report.maximizer))}
+    return {**report._asdict(), **_nested("maximizer", report.maximizer._asdict())}
 
 
 def _qshje_check(res) -> dict:
@@ -277,7 +276,7 @@ def _relation(res, scenario: str, **where) -> dict:
         "presents": list(grid.present_positions),
         "dts": list(grid.time_offsets),
         "past_time": grid.past_time,
-        **vars(report),
+        **report._asdict(),
         **report.counts,
     }
 
@@ -287,7 +286,7 @@ def _coverage_sb(res) -> dict:
         return _relation(res, res.coverage.SCENARIO_SB, kin=res.kin)
     verdict = res.coverage.sb_verdict(res.past, res.present, res.kin)
     return {
-        **vars(verdict),
+        **verdict._asdict(),
         **_events(res),
         "elapsed": res.present.t - res.past.t,
         "dwell_bound": res.times.dwell_supremum_bound(res.kin),
@@ -302,16 +301,16 @@ def _coverage_sw(res) -> dict:
     verdict = res.coverage.sw_verdict(res.past, res.present, res.state)
     return {
         **state,
-        **vars(verdict),
+        **verdict._asdict(),
         **_events(res),
-        **_nested("witness", vars(verdict.witness), "witness_"),
+        **_nested("witness", verdict.witness._asdict(), "witness_"),
         "present_density": res.wavefield.copenhagen_density(res.state, res.present.x),
     }
 
 
 def _connect(res) -> dict:
     solution = res.coverage.connect(res.past, res.present, res.state)
-    return {**vars(solution), **_nested("microstate", vars(solution.ms)), **_events(res)}
+    return {**solution._asdict(), **_nested("microstate", solution.ms._asdict()), **_events(res)}
 
 
 def _linspace(start, stop, count: int) -> list[float]:
@@ -329,7 +328,7 @@ def _linspace(start, stop, count: int) -> list[float]:
 
 def _sweep(res) -> dict:
     quantity = _required(res.quantity, "--quantity is required")
-    spec = {field.name: _flag_or_config(res, field.name, "sweep") for field in fields(SweepSpec)}
+    spec = {name: _flag_or_config(res, name, "sweep") for name in SweepSpec._fields}
     if None in spec.values():
         raise UsageError("--param, --start, --stop and --count are required (flags or config sweep)")
     spec = SweepSpec(**spec)  # the rules of a config file's sweep; a ConfigError exits 1
@@ -366,7 +365,7 @@ def _sweep(res) -> dict:
 
     values = _linspace(spec.start, spec.stop, spec.count)
     return {
-        **vars(spec),
+        **spec._asdict(),
         "base": {k: v for k, v in base.items() if v is not None},
         "points": [{"value": v, "result": evaluate(v)} for v in values],
     }

@@ -21,9 +21,8 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, fields, replace
 
-from .errors import DomainError
+from .errors import DomainError, _Record
 from .potential import Potential, Units, check_epsilon
 
 
@@ -34,35 +33,37 @@ class ConfigError(Exception):
 _SWEEP_PARAMS = ("E", "U", "q", "a", "b", "c", "A")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Record):
     """One-parameter sweep: ``param`` runs over ``count`` points of [start, stop]."""
 
-    param: str
-    start: float
-    stop: float
-    count: int
+    __slots__ = ("param", "start", "stop", "count")
 
-    def __post_init__(self) -> None:
-        if self.param not in _SWEEP_PARAMS:
-            raise ConfigError(f"sweep.param must be one of {_SWEEP_PARAMS}, got {self.param!r}")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+    def __init__(self, param: str, start: float, stop: float, count: int):
+        if param not in _SWEEP_PARAMS:
+            raise ConfigError(f"sweep.param must be one of {_SWEEP_PARAMS}, got {param!r}")
+        if not (math.isfinite(start) and math.isfinite(stop)):
             raise ConfigError("sweep.start and sweep.stop must be finite")
-        if not (isinstance(self.count, int) and self.count >= 2):
-            raise ConfigError(f"sweep.count must be an integer >= 2, got {self.count!r}")
+        if not (isinstance(count, int) and count >= 2):
+            raise ConfigError(f"sweep.count must be an integer >= 2, got {count!r}")
+        object.__setattr__(self, "param", param)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "stop", stop)
+        object.__setattr__(self, "count", count)
 
 
-@dataclass(frozen=True)
-class Config:
+class Config(_Record):
     """Resolved run configuration with every default filled in."""
 
-    units: Units
-    potential: Potential | None = None
-    epsilon: float = 1e-6
-    sweep: SweepSpec | None = None
+    __slots__ = ("units", "potential", "epsilon", "sweep")
 
-    def __post_init__(self) -> None:
-        check_epsilon(self.epsilon)
+    def __init__(
+        self, units: Units, potential: Potential | None = None, epsilon: float = 1e-6, sweep: SweepSpec | None = None
+    ):
+        check_epsilon(epsilon)
+        object.__setattr__(self, "units", units)
+        object.__setattr__(self, "potential", potential)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "sweep", sweep)
 
 
 DEFAULT_CONFIG = Config(units=Units())
@@ -107,11 +108,12 @@ def parse_config(document: dict) -> Config:
             continue
         section = _object(document[name], types, name)
         values = {key: _typed(value, types[key], f"{name}.{key}") for key, value in section.items()}
-        for field in fields(build):
-            if field.name in types and field.name not in values and field.default is MISSING:
-                raise ConfigError(f"config key {name}.{field.name} is required")
+        required = build._fields[: len(build._fields) - len(build.__init__.__defaults__ or ())]
+        for key in required:
+            if key in types and key not in values:
+                raise ConfigError(f"config key {name}.{key} is required")
         try:
-            config = replace(config, **(values if build is Config else {name: build(**values)}))
+            config = Config(**{**config._asdict(), **(values if build is Config else {name: build(**values)})})
         except DomainError as exc:
             raise ConfigError(f"{name}: {exc}") from exc
     return config

@@ -26,9 +26,8 @@ phase of the present, never from a float density.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
-from .errors import DomainError, Infeasible
+from .errors import DomainError, Infeasible, _Record
 from .microstate import Microstate, normalize
 from .potential import _EIGEN_K_RTOL, _NORMAL, Kinematics, check_positive
 from .times import _ratio, _slice_peak, dwell_supremum_bound, libration_period
@@ -63,25 +62,29 @@ def _check_event(x: float, t: float) -> None:
         raise DomainError(f"event coordinates must be finite, got ({x!r}, {t!r})")
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(_Record):
     """A position/epoch pair."""
 
-    x: float
-    t: float
+    __slots__ = ("x", "t")
 
-    def __post_init__(self) -> None:
-        _check_event(self.x, self.t)
+    def __init__(self, x: float, t: float):
+        _check_event(x, t)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "t", t)
 
 
-@dataclass(frozen=True)
-class CoverageVerdict:
+class CoverageVerdict(_Record):
     """Admissibility of one past/present pair under the two views."""
 
-    tr_allowed: bool
-    copenhagen_allowed: bool
-    classification: str
-    witness: Microstate | None = None
+    __slots__ = ("tr_allowed", "copenhagen_allowed", "classification", "witness")
+
+    def __init__(
+        self, tr_allowed: bool, copenhagen_allowed: bool, classification: str, witness: Microstate | None = None
+    ):
+        object.__setattr__(self, "tr_allowed", tr_allowed)
+        object.__setattr__(self, "copenhagen_allowed", copenhagen_allowed)
+        object.__setattr__(self, "classification", classification)
+        object.__setattr__(self, "witness", witness)
 
 
 def _classify(tr_allowed: bool, copenhagen_allowed: bool) -> str:
@@ -124,15 +127,19 @@ def sb_verdict(past: Event, present: Event, kin: Kinematics) -> CoverageVerdict:
     )
 
 
-@dataclass(frozen=True)
-class ConnectionSolution:
+class ConnectionSolution(_Record):
     """A microstate whose libration carries a well trajectory between two events."""
 
-    ms: Microstate
-    whole_periods: int
-    phase_offset: float
-    realized_period: float
-    arrival_time: float
+    __slots__ = ("ms", "whole_periods", "phase_offset", "realized_period", "arrival_time")
+
+    def __init__(
+        self, ms: Microstate, whole_periods: int, phase_offset: float, realized_period: float, arrival_time: float
+    ):
+        object.__setattr__(self, "ms", ms)
+        object.__setattr__(self, "whole_periods", whole_periods)
+        object.__setattr__(self, "phase_offset", phase_offset)
+        object.__setattr__(self, "realized_period", realized_period)
+        object.__setattr__(self, "arrival_time", arrival_time)
 
 
 class _SliceKernel:
@@ -321,37 +328,44 @@ def sw_verdict(past: Event, present: Event, state: CopenhagenState) -> CoverageV
     )
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Record):
     """Cartesian scan grid for relation reports."""
 
-    past_positions: tuple[float, ...]
-    present_positions: tuple[float, ...]
-    time_offsets: tuple[float, ...]
-    past_time: float = 0.0
+    __slots__ = ("past_positions", "present_positions", "time_offsets", "past_time")
 
-    def __post_init__(self) -> None:
-        for name in ("past_positions", "present_positions", "time_offsets"):
-            values = getattr(self, name)
+    def __init__(
+        self, past_positions: tuple[float, ...], present_positions: tuple[float, ...], time_offsets: tuple[float, ...],
+        past_time: float = 0.0,
+    ):
+        for name, values in zip(self.__slots__, (past_positions, present_positions, time_offsets)):
             if len(values) == 0:
                 raise DomainError(f"{name} must not be empty")
             if not all(math.isfinite(v) for v in values):
                 raise DomainError(f"{name} must be finite, got {values!r}")
-        if not all(dt > 0.0 for dt in self.time_offsets):
+        if not all(dt > 0.0 for dt in time_offsets):
             raise DomainError("time offsets must be positive")
-        if not math.isfinite(self.past_time):
-            raise DomainError(f"past_time must be finite, got {self.past_time!r}")
+        if not math.isfinite(past_time):
+            raise DomainError(f"past_time must be finite, got {past_time!r}")
+        object.__setattr__(self, "past_positions", past_positions)
+        object.__setattr__(self, "present_positions", present_positions)
+        object.__setattr__(self, "time_offsets", time_offsets)
+        object.__setattr__(self, "past_time", past_time)
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    """Counts and the set relation sustained by a verdict scan."""
+class RelationReport(_Record):
+    """Counts and the set relation sustained by a verdict scan; ``counts`` is left out of equality."""
 
-    scenario: str
-    relation: str
-    counts: dict[str, int] = field(compare=False)
-    total: int = 0
-    notes: tuple[str, ...] = ()
+    __slots__ = ("scenario", "relation", "counts", "total", "notes")
+    _uncompared = ("counts",)
+
+    def __init__(
+        self, scenario: str, relation: str, counts: dict[str, int], total: int = 0, notes: tuple[str, ...] = ()
+    ):
+        object.__setattr__(self, "scenario", scenario)
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "notes", notes)
 
 
 _EXISTENTIAL_NOTE = (

@@ -10,10 +10,9 @@ state of the same energy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DegenerateMicrostate, DomainError
+from .errors import DegenerateMicrostate, DomainError, _Record
 
 #: Tolerance on |ab - c^2/4 - 1| accepted by the Microstate constructor.
 NORMALIZATION_TOL = 1e-12
@@ -22,33 +21,33 @@ NORMALIZATION_TOL = 1e-12
 ADMISSIBLE_C_LIMIT = 2.0
 
 
-@dataclass(frozen=True)
-class Microstate:
+class Microstate(_Record):
     """Normalized coefficient triple: a > 0, b > 0 and ab - c^2/4 = 1.
 
     Construct directly only with already-normalized values; use
     :func:`normalize` to rescale a raw triple onto the physical slice.
     """
 
-    a: float
-    b: float
-    c: float
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in (self.a, self.b, self.c)):
+    def __init__(self, a: float, b: float, c: float):
+        if not all(math.isfinite(v) for v in (a, b, c)):
             raise DomainError("microstate coefficients must be finite")
-        if self.a <= 0.0:
-            raise DomainError(f"coefficient a must be positive, got {self.a!r}")
-        if self.b <= 0.0:
-            raise DomainError(f"coefficient b must be positive, got {self.b!r}")
-        norm = self.a * self.b - 0.25 * self.c * self.c
+        if a <= 0.0:
+            raise DomainError(f"coefficient a must be positive, got {a!r}")
+        if b <= 0.0:
+            raise DomainError(f"coefficient b must be positive, got {b!r}")
+        norm = a * b - 0.25 * c * c
         # The two products cancel down to 1, so the achievable accuracy of the
         # residual is set by their own magnitude, not by 1.
-        scale = max(1.0, self.a * self.b + 0.25 * self.c * self.c)
+        scale = max(1.0, a * b + 0.25 * c * c)
         if abs(norm - 1.0) > NORMALIZATION_TOL * scale:
             raise DomainError(
                 f"coefficients are not normalized: ab - c^2/4 = {norm!r}; use normalize()"
             )
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
 
     @property
     def discriminant(self) -> float:
@@ -131,16 +130,16 @@ def check_nonzero(name: str, value: float) -> None:
         raise DomainError(f"{name} must be finite and nonzero, got {value!r}")
 
 
-@dataclass(frozen=True)
-class BasisRescale:
+class BasisRescale(_Record):
     """Diagonal change of basis phi1 -> alpha*phi1, phi2 -> beta*phi2."""
 
-    alpha: float
-    beta: float
+    __slots__ = ("alpha", "beta")
 
-    def __post_init__(self) -> None:
-        check_nonzero("alpha", self.alpha)
-        check_nonzero("beta", self.beta)
+    def __init__(self, alpha: float, beta: float):
+        check_nonzero("alpha", alpha)
+        check_nonzero("beta", beta)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
 
 def transform_basis(ms: Microstate, rescale: BasisRescale) -> tuple[RawCoefficients, float]:

@@ -34,9 +34,8 @@ import collections
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
 
-from .errors import DomainError
+from .errors import DomainError, _Record
 
 STEP_BARRIER = "step"
 SQUARE_WELL = "well"
@@ -85,8 +84,7 @@ def check_epsilon(epsilon: float) -> None:
         raise DomainError(f"epsilon must lie in (0, 2), got {epsilon!r}")
 
 
-@dataclass(frozen=True)
-class Units:
+class Units(_Record):
     """Reduced Planck constant and particle mass, carried symbolically.
 
     Defaults give the dimensionless convention hbar = mass = 1 used by all
@@ -94,16 +92,16 @@ class Units:
     so any consistent unit system works.
     """
 
-    hbar: float = 1.0
-    mass: float = 1.0
+    __slots__ = ("hbar", "mass")
 
-    def __post_init__(self) -> None:
-        check_positive("hbar", self.hbar)
-        check_positive("mass", self.mass)
+    def __init__(self, hbar: float = 1.0, mass: float = 1.0):
+        check_positive("hbar", hbar)
+        check_positive("mass", mass)
+        object.__setattr__(self, "hbar", hbar)
+        object.__setattr__(self, "mass", mass)
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(_Record):
     """A piecewise-constant potential of height ``U``.
 
     ``kind`` is ``"step"`` (forbidden half-line x >= 0) or ``"well"``
@@ -111,18 +109,19 @@ class Potential:
     present exactly when the kind is ``"well"``.
     """
 
-    kind: str
-    U: float
-    q: float | None = None
+    __slots__ = ("kind", "U", "q")
 
-    def __post_init__(self) -> None:
-        if self.kind not in (STEP_BARRIER, SQUARE_WELL):
-            raise DomainError(f"unknown potential kind {self.kind!r}")
-        check_positive("U", self.U)
-        if self.kind == SQUARE_WELL:
-            check_positive("well half-width q", self.q)
-        elif self.q is not None:
+    def __init__(self, kind: str, U: float, q: float | None = None):
+        if kind not in (STEP_BARRIER, SQUARE_WELL):
+            raise DomainError(f"unknown potential kind {kind!r}")
+        check_positive("U", U)
+        if kind == SQUARE_WELL:
+            check_positive("well half-width q", q)
+        elif q is not None:
             raise DomainError("q is only meaningful for the square well")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "q", q)
 
     def energy_at(self, x: float) -> float:
         """Potential energy at position ``x``."""
@@ -180,8 +179,7 @@ def _product(what: str, *factors: tuple[float, float]) -> float:
     return math.ldexp(mantissa, exponent)
 
 
-@dataclass(frozen=True)
-class Kinematics:
+class Kinematics(_Record):
     """Wavenumber bundle for one sub-barrier energy.
 
     E      the energy, 0 < E < U
@@ -195,25 +193,30 @@ class Kinematics:
     and ``_fractions``, X = sqrt(E/U) and Y = sqrt((U - E)/U) for the times.
     """
 
-    E: float
-    U: float
-    k: float
-    kappa: float
-    r: float
-    units: Units
-    _plain: bool = field(init=False, repr=False, compare=False)
-    _fractions: tuple[float, float] = field(init=False, repr=False, compare=False)
+    __slots__ = ("E", "U", "k", "kappa", "r", "units", "_plain", "_fractions")
 
-    def __post_init__(self) -> None:
-        if not (0.0 < self.E < self.U < math.inf):
-            raise DomainError(f"E must be positive and below a finite U; got E={self.E!r}, U={self.U!r}")
-        if not (_NORMAL <= min(self.k, self.kappa, self.r) and max(self.k, self.kappa, self.r) < math.inf):
-            raise DomainError(f"k, kappa, r must be positive normal doubles: {self.k!r}, {self.kappa!r}, {self.r!r}")
-        if abs(self.r - self.kappa / self.k) > 1e-12 * self.r:
-            raise DomainError(f"inconsistent bundle: r={self.r!r} but kappa/k={self.kappa / self.k!r}")
-        gap, root = self.U - self.E, math.sqrt(self.U)
-        object.__setattr__(self, "_plain", _ordinary(self.E, gap, self.units.hbar, self.units.mass))
-        object.__setattr__(self, "_fractions", (math.sqrt(self.E) / root, math.sqrt(gap) / root))
+    def __init__(self, E: float, U: float, k: float, kappa: float, r: float, units: Units):
+        self._fill(E, U, k, kappa, r, units, None)
+
+    def _fill(self, E: float, U: float, k: float, kappa: float, r: float, units: Units, plain: bool | None) -> None:
+        # __init__; kinematics_from_energies passes ``plain``, having tested the ordinary box already
+        if not (0.0 < E < U < math.inf):
+            raise DomainError(f"E must be positive and below a finite U; got E={E!r}, U={U!r}")
+        if not (_NORMAL <= min(k, kappa, r) and max(k, kappa, r) < math.inf):
+            raise DomainError(f"k, kappa, r must be positive normal doubles: {k!r}, {kappa!r}, {r!r}")
+        if abs(r - kappa / k) > 1e-12 * r:
+            raise DomainError(f"inconsistent bundle: r={r!r} but kappa/k={kappa / k!r}")
+        if plain is None:
+            plain = _ordinary(E, U - E, units.hbar, units.mass)
+        root = math.sqrt(U)
+        object.__setattr__(self, "E", E)
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "units", units)
+        object.__setattr__(self, "_plain", plain)
+        object.__setattr__(self, "_fractions", (math.sqrt(E) / root, math.sqrt(U - E) / root))
 
     def at_energy(self, E: float) -> "Kinematics":
         """Kinematics at a different energy under the same barrier and units."""
@@ -225,7 +228,8 @@ def kinematics_from_energies(E: float, U: float, units: Units = Units()) -> Kine
     if not 0.0 < E < U < math.inf:
         raise DomainError(f"E must be positive and below a finite U; got E={E!r}, U={U!r}")
     gap, hbar, m = U - E, units.hbar, units.mass
-    if _ordinary(E, gap, hbar, m):
+    plain = _ordinary(E, gap, hbar, m)
+    if plain:
         k = math.sqrt(2.0 * m * E) / hbar
         kappa = math.sqrt(2.0 * m * gap) / hbar
         r = math.sqrt(gap / E)
@@ -233,7 +237,9 @@ def kinematics_from_energies(E: float, U: float, units: Units = Units()) -> Kine
         k = _product("k = sqrt(2 m E)/hbar", (2.0, 0.5), (m, 0.5), (E, 0.5), (hbar, -1.0))
         kappa = _product("kappa = sqrt(2 m (U - E))/hbar", (2.0, 0.5), (m, 0.5), (gap, 0.5), (hbar, -1.0))
         r = _product("r = sqrt((U - E)/E)", (gap, 0.5), (E, -0.5))
-    return Kinematics(E=E, U=U, k=k, kappa=kappa, r=r, units=units)
+    kin = object.__new__(Kinematics)
+    kin._fill(E, U, k, kappa, r, units, plain)
+    return kin
 
 
 def make_kinematics(E: float, pot: Potential, units: Units = Units()) -> Kinematics:
@@ -244,14 +250,19 @@ def make_kinematics(E: float, pot: Potential, units: Units = Units()) -> Kinemat
     return kinematics_from_energies(E, pot.U, units)
 
 
-@dataclass(frozen=True, slots=True)
-class BoundState:
+class BoundState(_Record):
     """One square-well eigenstate: energy, parity, and its wavenumber pair."""
 
-    E: float
-    parity: str
-    k: float
-    kappa: float
+    __slots__ = ("E", "parity", "k", "kappa")
+
+    def __init__(self, E: float, parity: str, k: float, kappa: float):
+        object.__setattr__(self, "E", E)
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "kappa", kappa)
+
+    def __getstate__(self) -> list:
+        return [self.E, self.parity, self.k, self.kappa]  # the state of the slotted dataclass it replaces
 
 
 #: The slot descriptors of BoundState's fields, in field order.
@@ -516,7 +527,7 @@ def _ladder_states(slots: range, q: float, k_max: float, units: Units, plain: bo
     E = hk * hk / (2.0 * units.mass)
     kappa = np.sqrt(np.maximum(k2 - k * k, 0.0))
     parities = itertools.cycle([_SLOT_KINDS[i % 2][1] for i in slots[:2]])  # map stops at the shortest
-    # The generated __init__ of the frozen class sets each field through object.__setattr__;
+    # BoundState's __init__ sets each field through object.__setattr__;
     # the slot descriptors set the same fields at about half the cost.
     states = list(map(object.__new__, itertools.repeat(BoundState, len(slots))))
     for column, values in zip(_BOUND_STATE_FIELDS, (E.tolist(), parities, k.tolist(), kappa.tolist())):

@@ -41,9 +41,8 @@ a time that is not a normal double is a :class:`DomainError`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError, OptimizationFailure
+from .errors import DomainError, OptimizationFailure, _Record
 from .microstate import Microstate, gauge_factor, normalize
 from .potential import _NORMAL, _ORDINARY, Kinematics, _product, check_epsilon, check_positive
 
@@ -59,14 +58,16 @@ def _sign_factor(sign: str) -> float:
     raise DomainError(f'sign must be "+" or "-", got {sign!r}')
 
 
-@dataclass(frozen=True)
-class DwellResult:
+class DwellResult(_Record):
     """Dwell time of one microstate at one energy, with its inputs echoed."""
 
-    t_D: float
-    sign: str
-    ms: Microstate
-    kin: Kinematics
+    __slots__ = ("t_D", "sign", "ms", "kin")
+
+    def __init__(self, t_D: float, sign: str, ms: Microstate, kin: Kinematics):
+        object.__setattr__(self, "t_D", t_D)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "ms", ms)
+        object.__setattr__(self, "kin", kin)
 
 
 def _scaled(what: str, value: float, factors, *args) -> float:
@@ -218,8 +219,7 @@ def _alternative_factor(kin: Kinematics) -> float:
     return (E - gap if E >= gap else 2.0 * E - U) / U
 
 
-@dataclass(frozen=True)
-class ExtremalReport:
+class ExtremalReport(_Record):
     """Supremum of a time over the admissible microstates with |c| <= 2 - epsilon.
 
     ``supremum`` is the value attained at the boundary |c| = 2 - epsilon;
@@ -229,23 +229,29 @@ class ExtremalReport:
     rejected bound variant and its verdict are attached.
     """
 
-    maximizer: Microstate
-    supremum: float
-    analytic_bound: float
-    epsilon: float
-    attained_at_boundary: bool
-    supremum_extrapolated: float
-    sign: str | None = None
-    alternative_bound: float | None = None
-    alternative_bound_holds: bool | None = None
+    __slots__ = (
+        "maximizer", "supremum", "analytic_bound", "epsilon", "attained_at_boundary", "supremum_extrapolated",
+        "sign", "alternative_bound", "alternative_bound_holds",
+    )
 
-    def __post_init__(self) -> None:
-        if not self.supremum > 0.0:
-            raise OptimizationFailure(f"non-positive supremum {self.supremum!r}")
-        if self.supremum > self.analytic_bound * (1.0 + 1e-9):
-            raise OptimizationFailure(
-                f"supremum {self.supremum!r} exceeds the analytic bound {self.analytic_bound!r}"
-            )
+    def __init__(
+        self, maximizer: Microstate, supremum: float, analytic_bound: float, epsilon: float,
+        attained_at_boundary: bool, supremum_extrapolated: float, sign: str | None = None,
+        alternative_bound: float | None = None, alternative_bound_holds: bool | None = None,
+    ):
+        if not supremum > 0.0:
+            raise OptimizationFailure(f"non-positive supremum {supremum!r}")
+        if supremum > analytic_bound * (1.0 + 1e-9):
+            raise OptimizationFailure(f"supremum {supremum!r} exceeds the analytic bound {analytic_bound!r}")
+        object.__setattr__(self, "maximizer", maximizer)
+        object.__setattr__(self, "supremum", supremum)
+        object.__setattr__(self, "analytic_bound", analytic_bound)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "attained_at_boundary", attained_at_boundary)
+        object.__setattr__(self, "supremum_extrapolated", supremum_extrapolated)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "alternative_bound", alternative_bound)
+        object.__setattr__(self, "alternative_bound_holds", alternative_bound_holds)
 
 
 def _slice_maximizer(kin: Kinematics, c: float) -> Microstate:

@@ -14,12 +14,11 @@ libration) comes from closed forms that already encode it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError, ScanNotSettled
+from .errors import DomainError, ScanNotSettled, _Record
 from .microstate import Microstate, RawCoefficients, gauge_factor
 from .potential import _NORMAL, FORBIDDEN, FREE, Kinematics, _product, check_positive
-from .wavefield import RegionBasis, bilinear, check_basis, checked_denominator
+from .wavefield import RegionBasis, _form, bilinear, check_basis, checked_denominator
 
 #: Grid points evaluated per numpy pass of the divergence-onset scan.  A pass
 #: holds about a dozen temporary arrays, some 200 KB at this size.  At 8,192
@@ -28,19 +27,20 @@ from .wavefield import RegionBasis, bilinear, check_basis, checked_denominator
 _ONSET_CHUNK = 2048
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
+class TrajectorySample(_Record):
     """State of the trajectory at one position."""
 
-    x: float
-    t: float
-    W_x: float
-    dWx_dE: float
-    speed: float
+    __slots__ = ("x", "t", "W_x", "dWx_dE", "speed")
+
+    def __init__(self, x: float, t: float, W_x: float, dWx_dE: float, speed: float):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "W_x", W_x)
+        object.__setattr__(self, "dWx_dE", dWx_dE)
+        object.__setattr__(self, "speed", speed)
 
 
-@dataclass(frozen=True)
-class FlightTime:
+class FlightTime(_Record):
     """Magnitude and orientation of an energy-derivative flight time.
 
     ``t`` is |dW/dE| for the accumulated reduced action; ``orientation`` is
@@ -48,8 +48,11 @@ class FlightTime:
     derivative in this region's local coordinates.
     """
 
-    t: float
-    orientation: int
+    __slots__ = ("t", "orientation")
+
+    def __init__(self, t: float, orientation: int):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "orientation", orientation)
 
 
 def _check_span(x: float, x_ref: float, basis: RegionBasis) -> None:
@@ -76,15 +79,14 @@ def _time_scale(ms: Microstate | RawCoefficients, basis: RegionBasis, kin: Kinem
     return scale if free else -scale
 
 
-def _slope(ms, scale, w, phi1, phi2, g1, g2):
-    """(D, dW_x/dE) from the basis values and their w-gradients, as floats or arrays.
+def _slope(ms, scale, w, D, phi1, phi2, g1, g2):
+    """dW_x/dE from the bilinear denominator D, the basis values and their w-gradients, as floats or arrays.
 
     ``scale`` is :func:`_time_scale`; see :func:`momentum_energy_derivative`.
     """
     a, b, c = ms.a, ms.b, ms.c
-    D = a * phi1 * phi1 + b * phi2 * phi2 + c * phi1 * phi2
     dD_dw = 2.0 * a * phi1 * g1 + 2.0 * b * phi2 * g2 + c * (g1 * phi2 + phi1 * g2)
-    return D, scale * ((D - w * dD_dw) / D / D)  # D * D would overflow where D passes 1.3e154
+    return scale * ((D - w * dD_dw) / D / D)  # D * D would overflow where D passes 1.3e154
 
 
 def _speed(slope: float) -> float:
@@ -193,8 +195,9 @@ def momentum_energy_derivative(
     forbidden one.
     """
     check_basis(basis, kin)
-    phi, grad = basis.values(x), basis.wavenumber_gradient(x)
-    return _slope(ms, _time_scale(ms, basis, kin), basis.wavenumber, *phi, *grad)[1]
+    phi1, phi2, _, _, g1, g2 = basis._functions(x)
+    scale = _time_scale(ms, basis, kin)
+    return _slope(ms, scale, basis.wavenumber, checked_denominator(_form(ms, phi1, phi2), x), phi1, phi2, g1, g2)
 
 
 def speed_at(
@@ -233,8 +236,10 @@ def sample_trajectory(
     samples = []
     for i in range(n):
         x = x0 + (x1 - x0) * i / (n - 1)
-        D, slope = _slope(ms, scale, w, *basis.values(x), *basis.wavenumber_gradient(x))
-        lever = x / checked_denominator(D, x)
+        phi1, phi2, _, _, g1, g2 = basis._functions(x)
+        D = checked_denominator(_form(ms, phi1, phi2), x)
+        slope = _slope(ms, scale, w, D, phi1, phi2, g1, g2)
+        lever = x / D
         if i == 0:
             lever0 = lever
         t = abs(scale * (lever - lever0))
@@ -286,6 +291,8 @@ def divergence_onset(
     scale = _time_scale(ms, basis, kin)
     if scale == 0.0:  # N = hbar |W0| g > 0 underflowed: no speed can be computed
         raise DomainError("the flight-time scale underflows to 0")
+    if math.isinf(scale):  # |W0| = 2 kappa |alpha beta| overflowed: neither can v_end
+        raise DomainError("the flight-time scale overflows the doubles")
     # v_end in logarithms: a'/b' and 44 |scale| floor/b' may lie beyond the doubles
     log_a = math.log(ms.a) + 2.0 * math.log(abs(al))
     log_b = math.log(ms.b) + 2.0 * math.log(abs(be))
@@ -298,7 +305,9 @@ def divergence_onset(
         x = i * du / (2.0 * kappa)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             decay, growth = np.exp(-kappa * x), np.exp(kappa * x)
-            D, slope = _slope(ms, scale, kappa, al * decay, be * growth, -al * x * decay, be * x * growth)
+            phi1, phi2 = al * decay, be * growth
+            D = _form(ms, phi1, phi2)
+            slope = _slope(ms, scale, kappa, D, phi1, phi2, -al * x * decay, be * x * growth)
             size = np.abs(slope)
             speed = 1.0 / size
             unknown = ~((_NORMAL <= D) & (D < math.inf) & (_NORMAL <= size) & (size < math.inf))

@@ -14,10 +14,9 @@ square-well eigenstates) used for coverage comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DegenerateMicrostate, DomainError
+from .errors import DegenerateMicrostate, DomainError, _Record
 from .microstate import Microstate, RawCoefficients, check_nonzero, gauge_factor
 from .potential import (
     FORBIDDEN,
@@ -52,8 +51,7 @@ def _exp(v: float) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
-class RegionBasis:
+class RegionBasis(_Record):
     """Two independent stationary solutions on one region, in local coordinates.
 
     free:       phi1 = alpha sin(w xi),   phi2 = beta cos(w xi),    W0 = -w alpha beta
@@ -65,17 +63,18 @@ class RegionBasis:
     rescaling them jointly with the microstate coefficients.
     """
 
-    region: str
-    wavenumber: float
-    alpha: float = 1.0
-    beta: float = 1.0
+    __slots__ = ("region", "wavenumber", "alpha", "beta")
 
-    def __post_init__(self) -> None:
-        if self.region not in (FREE, FORBIDDEN):
-            raise DomainError(f"unknown region {self.region!r}")
-        check_positive("wavenumber", self.wavenumber)
-        check_nonzero("alpha", self.alpha)
-        check_nonzero("beta", self.beta)
+    def __init__(self, region: str, wavenumber: float, alpha: float = 1.0, beta: float = 1.0):
+        if region not in (FREE, FORBIDDEN):
+            raise DomainError(f"unknown region {region!r}")
+        check_positive("wavenumber", wavenumber)
+        check_nonzero("alpha", alpha)
+        check_nonzero("beta", beta)
+        object.__setattr__(self, "region", region)
+        object.__setattr__(self, "wavenumber", wavenumber)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
 
     @property
     def wronskian(self) -> float:
@@ -89,24 +88,24 @@ class RegionBasis:
         w2 = self.wavenumber * self.wavenumber
         return -w2 if self.region == FREE else w2
 
-    def values(self, x: float) -> tuple[float, float]:
-        w = self.wavenumber
+    def _functions(self, x: float) -> tuple[float, float, float, float, float, float]:
+        """phi1, phi2, their x-derivatives and their w-gradients at ``x``, from one sin/cos or exp pair."""
+        w, al, be = self.wavenumber, self.alpha, self.beta
         if self.region == FREE:
-            return self.alpha * math.sin(w * x), self.beta * math.cos(w * x)
-        return self.alpha * _exp(-w * x), self.beta * _exp(w * x)
+            s, c = math.sin(w * x), math.cos(w * x)
+            return al * s, be * c, al * w * c, -be * w * s, al * x * c, -be * x * s
+        e1, e2 = _exp(-w * x), _exp(w * x)
+        return al * e1, be * e2, -al * w * e1, be * w * e2, -al * x * e1, be * x * e2
+
+    def values(self, x: float) -> tuple[float, float]:
+        return self._functions(x)[:2]
 
     def derivatives(self, x: float) -> tuple[float, float]:
-        w = self.wavenumber
-        if self.region == FREE:
-            return self.alpha * w * math.cos(w * x), -self.beta * w * math.sin(w * x)
-        return -self.alpha * w * _exp(-w * x), self.beta * w * _exp(w * x)
+        return self._functions(x)[2:4]
 
     def wavenumber_gradient(self, x: float) -> tuple[float, float]:
         """d(phi1)/dw and d(phi2)/dw at fixed position."""
-        w = self.wavenumber
-        if self.region == FREE:
-            return self.alpha * x * math.cos(w * x), -self.beta * x * math.sin(w * x)
-        return -self.alpha * x * _exp(-w * x), self.beta * x * _exp(w * x)
+        return self._functions(x)[4:]
 
     def rescaled(self, alpha: float, beta: float) -> "RegionBasis":
         return RegionBasis(self.region, self.wavenumber, self.alpha * alpha, self.beta * beta)
@@ -121,10 +120,14 @@ def canonical_basis(region: str, kin: Kinematics) -> RegionBasis:
     raise DomainError(f"unknown region {region!r}")
 
 
+def _form(ms: Microstate | RawCoefficients, phi1, phi2):
+    """a phi1^2 + b phi2^2 + c phi1 phi2, as floats or arrays."""
+    return ms.a * phi1 * phi1 + ms.b * phi2 * phi2 + ms.c * phi1 * phi2
+
+
 def bilinear(ms: Microstate | RawCoefficients, basis: RegionBasis, x: float) -> float:
     """Denominator a phi1^2 + b phi2^2 + c phi1 phi2 at position ``x``."""
-    phi1, phi2 = basis.values(x)
-    return ms.a * phi1 * phi1 + ms.b * phi2 * phi2 + ms.c * phi1 * phi2
+    return _form(ms, *basis.values(x))
 
 
 def checked_denominator(D: float, x: float) -> float:
@@ -133,7 +136,8 @@ def checked_denominator(D: float, x: float) -> float:
     Raises :class:`DegenerateMicrostate` otherwise.
     """
     if not (D > 0.0 and math.isfinite(D)):
-        raise DegenerateMicrostate(f"bilinear denominator {D!r} at x={x!r} is not positive")
+        problem = "overflows the doubles" if D == math.inf else "is not positive"
+        raise DegenerateMicrostate(f"bilinear denominator {D!r} at x={x!r} {problem}")
     return D
 
 
@@ -151,9 +155,8 @@ def bilinear_with_derivatives(
 ) -> tuple[float, float, float]:
     """(D, D', D'') of the bilinear denominator, using phi'' = curvature*phi."""
     a, b, c = ms.a, ms.b, ms.c
-    phi1, phi2 = basis.values(x)
-    d1, d2 = basis.derivatives(x)
-    D = a * phi1 * phi1 + b * phi2 * phi2 + c * phi1 * phi2
+    phi1, phi2, d1, d2, _, _ = basis._functions(x)
+    D = _form(ms, phi1, phi2)
     Dp = 2.0 * a * phi1 * d1 + 2.0 * b * phi2 * d2 + c * (d1 * phi2 + phi1 * d2)
     Dpp = 2.0 * (a * d1 * d1 + b * d2 * d2 + c * d1 * d2) + 2.0 * basis.curvature * D
     return D, Dp, Dpp
@@ -217,8 +220,7 @@ def qshje_residual(x: float, ms: Microstate | RawCoefficients, basis: RegionBasi
     return (kin.E if basis.region == FREE else kin.U - kin.E) * bracket
 
 
-@dataclass(frozen=True)
-class CopenhagenState:
+class CopenhagenState(_Record):
     """A conventional probability-density state for one spectral problem.
 
     kind ``"barrier-scattering"``: unit-amplitude wave incident from x < 0 on
@@ -227,22 +229,25 @@ class CopenhagenState:
     identified by its index in the ascending energy ladder.
     """
 
-    potential: Potential
-    kinematics: Kinematics
-    kind: str
-    parity: str | None = None
-    index: int | None = None
+    __slots__ = ("potential", "kinematics", "kind", "parity", "index")
 
-    def __post_init__(self) -> None:
-        if self.kind not in (BARRIER_SCATTERING, WELL_EIGENSTATE):
-            raise DomainError(f"unknown state kind {self.kind!r}")
-        if self.kind == BARRIER_SCATTERING and self.potential.kind != STEP_BARRIER:
+    def __init__(
+        self, potential: Potential, kinematics: Kinematics, kind: str, parity: str | None = None, index: int | None = None
+    ):
+        if kind not in (BARRIER_SCATTERING, WELL_EIGENSTATE):
+            raise DomainError(f"unknown state kind {kind!r}")
+        if kind == BARRIER_SCATTERING and potential.kind != STEP_BARRIER:
             raise DomainError("barrier scattering requires a step potential")
-        if self.kind == WELL_EIGENSTATE:
-            if self.potential.kind != SQUARE_WELL:
+        if kind == WELL_EIGENSTATE:
+            if potential.kind != SQUARE_WELL:
                 raise DomainError("well eigenstates require a square-well potential")
-            if self.parity is None or self.index is None:
+            if parity is None or index is None:
                 raise DomainError("well eigenstates carry a parity and a ladder index")
+        object.__setattr__(self, "potential", potential)
+        object.__setattr__(self, "kinematics", kinematics)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "index", index)
 
     # -- scattering amplitudes (step) ------------------------------------
 

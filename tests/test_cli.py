@@ -280,25 +280,36 @@ sw_verdict time_of_flight transform_basis well_eigenstate
 
 def _cold_imports(argv) -> tuple[int, set[str]]:
     """Exit code of a fresh ``python -m trdwell.cli *argv``, and the ``trdwell`` submodules
-    (plus numpy) it loaded, read from the ``import 'name'`` lines of ``python -v``."""
+    (plus numpy, dataclasses and inspect) it loaded, read from the ``import 'name'`` lines of ``python -v``."""
     proc = subprocess.run(
         [sys.executable, "-v", "-m", "trdwell.cli", *argv],
         capture_output=True, text=True, env=_child_env(), timeout=60,
     )
     names = {line.split("'")[1] for line in proc.stderr.splitlines() if line.startswith("import '")}
     submodules = {name.removeprefix("trdwell.") for name in names if name.startswith("trdwell.")}
-    return proc.returncode, submodules | (names & {"numpy"})
+    return proc.returncode, submodules | (names & {"numpy", "dataclasses", "inspect"})
 
 
 def test_each_invocation_imports_only_the_layers_it_runs():
     # one cold interpreter per golden fixture and per C13 error exit; the error exits
-    # (usage errors, and a dwell whose kinematics are rejected) stop before any layer loads
+    # (usage errors, and a dwell whose kinematics are rejected) stop before any layer loads.
+    # None loads dataclasses or inspect: the records are plain slotted classes.
     cases = [(argv, 0, LAYERS_BY_COMMAND[argv[0]]) for _, argv in GOLDEN_CASES]
     cases += [(argv, code, ()) for argv, code in ERROR_CASES]
     with ThreadPoolExecutor(max_workers=2) as pool:
         got = list(pool.map(_cold_imports, [argv for argv, _, _ in cases]))
     always = {"config", "errors", "potential", "serialize"}
     assert got == [(code, always | set(layers)) for _, code, layers in cases]
+
+
+def test_subnormal_well_width_lists_its_states_with_empty_stderr():
+    # one slot, so the pass is solved without numpy, whose slot top (i + 1) pi/(2q) overflowed with a warning
+    proc = subprocess.run(
+        [sys.executable, "-m", "trdwell.cli", "energies", "--U", "1", "--q", "1e-310"],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["outputs"]["count"] == 1
 
 
 def test_package_exports_load_the_library_on_first_access():

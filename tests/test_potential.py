@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from trdwell import potential
 from trdwell.errors import DomainError
 from trdwell.potential import (
     _LADDER_PASS,
@@ -145,6 +146,16 @@ class TestKinematics:
             Kinematics(E=0.18, U=0.5, k=0.6, kappa=0.8, r=4.0 / 3.0, units=units, _plain=True)
         assert kinematics_from_energies(0.18, 0.5, units)._plain
         assert not kinematics_from_energies(1e-300, 1e300, units)._plain
+
+    @pytest.mark.parametrize("E,U", [(0.18, 0.5), (1e-300, 1e300)])
+    def test_a_bundle_from_energies_tests_the_ordinary_box_once(self, E, U, units, monkeypatch):
+        calls = []
+        ordinary = potential._ordinary
+        monkeypatch.setattr(potential, "_ordinary", lambda *values: calls.append(values) or ordinary(*values))
+        kin = kinematics_from_energies(E, U, units)
+        assert calls == [(E, U - E, units.hbar, units.mass)]
+        assert kin == Kinematics(kin.E, kin.U, kin.k, kin.kappa, kin.r, units) and kin._plain is ordinary(*calls[0])
+        assert kin._fractions == Kinematics(kin.E, kin.U, kin.k, kin.kappa, kin.r, units)._fractions
 
 
 class TestBoundStates:

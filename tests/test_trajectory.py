@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from trdwell.errors import DegenerateMicrostate, DomainError, ScanNotSettled
+from trdwell.errors import DegenerateMicrostate, DomainError, ScanNotSettled, TrdwellError
 from trdwell.microstate import MONOCHROMATIC, BasisRescale, Microstate, RawCoefficients, normalize, transform_basis
 from trdwell.potential import Units, kinematics_from_energies
 from trdwell.trajectory import (
@@ -21,7 +21,7 @@ from trdwell.trajectory import (
     speed_at,
     time_of_flight,
 )
-from trdwell.wavefield import canonical_basis, conjugate_momentum
+from trdwell.wavefield import canonical_basis, conjugate_momentum, momentum_derivatives, qshje_residual
 
 
 def _mono_action(x, kin):
@@ -299,6 +299,34 @@ def test_negative_definite_triple_is_degenerate(evaluate, kin):
     # accepting it would return the mirror image of the (1, 1, 0) answers.
     with pytest.raises(DegenerateMicrostate):
         evaluate(RawCoefficients(-1.0, -1.0, 0.0), canonical_basis("forbidden", kin), kin)
+
+
+_ENTRY_POINTS = {
+    "sample_trajectory": lambda basis, kin: sample_trajectory((0.0, 2.0), 5, MONOCHROMATIC, basis, kin),
+    "momentum_energy_derivative": lambda basis, kin: momentum_energy_derivative(0.5, MONOCHROMATIC, basis, kin),
+    "speed_at": lambda basis, kin: speed_at(0.5, MONOCHROMATIC, basis, kin),
+    "divergence_onset": lambda basis, kin: divergence_onset(kin, MONOCHROMATIC, basis, 10.0),
+    "qshje_residual": lambda basis, kin: qshje_residual(0.5, MONOCHROMATIC, basis, kin),
+    "conjugate_momentum": lambda basis, kin: conjugate_momentum(0.5, MONOCHROMATIC, basis, kin.units),
+    "momentum_derivatives": lambda basis, kin: momentum_derivatives(0.5, MONOCHROMATIC, basis, kin.units),
+    "time_of_flight": lambda basis, kin: time_of_flight(0.5, 0.0, MONOCHROMATIC, basis, kin),
+    "reduced_action": lambda basis, kin: reduced_action(0.5, 0.0, MONOCHROMATIC, basis, kin),
+}
+
+
+@pytest.mark.parametrize("gauge", [1e-200, 1e200])
+@pytest.mark.parametrize("region", ["free", "forbidden"])
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_extreme_gauge_gives_a_value_or_a_typed_error(name, region, gauge, kin):
+    # alpha = beta = 1e-200 underflows the bilinear denominator D to 0, and 1e200 overflows D and |W0|
+    basis = canonical_basis(region, kin).rescaled(gauge, gauge)
+    try:
+        value = _ENTRY_POINTS[name](basis, kin)
+    except TrdwellError as exc:
+        if "bilinear denominator inf" in str(exc):
+            assert "overflows" in str(exc)
+        return
+    assert not any(math.isnan(v) for v in (value if isinstance(value, tuple) else (value,)))
 
 
 class TestSampling:
