@@ -262,7 +262,7 @@ class BoundState(_Record):
         object.__setattr__(self, "kappa", kappa)
 
     def __getstate__(self) -> list:
-        return [self.E, self.parity, self.k, self.kappa]  # the state of the slotted dataclass it replaces
+        return [self.E, self.parity, self.k, self.kappa]  # the state that BoundState pickles have always held
 
 
 #: The slot descriptors of BoundState's fields, in field order.
