@@ -16,11 +16,11 @@ of excited states).
 
 Inside the well every connection runs through one kernel per state
 (:class:`_SliceKernel`).  It computes the state's constants once per call:
-the slice peak and ceiling and the crossing fraction.  Its ``split`` maps
-each pair to its whole periods, phase advance and slice coefficient a.
-:func:`connect` builds its witness; :func:`set_relation_report` runs only
-the split per pair.  Density support is judged from the closed-form node
-phase of the present, never from a float density.
+the crossing fraction at once, the slice peak and ceiling on first need.
+Its ``split`` maps each pair to its whole periods, phase advance and slice
+coefficient a.  :func:`connect` builds its witness; :func:`set_relation_report`
+runs only the split per pair.  Density support is judged from the
+closed-form node phase of the present, never from a float density.
 """
 
 from __future__ import annotations
@@ -146,32 +146,27 @@ class _SliceKernel:
     """The constants of one state on the c = 0, b = 1/a slice, and the per-pair split.
 
     On that slice the libration period collapses to prefactor * a/(a^2 + r^2),
-    which peaks at a = r with the value prefactor/(2r).  A peak beyond
-    the double range is reported where the per-pair code first needs it,
-    after the pair's own checks, so a scan fails on the same pair, with the
-    same error, as a loop over :func:`connect`.  Nothing here outlives the
-    call that builds it.
+    which peaks at a = r with the value prefactor/(2r).  The peak and the
+    ceiling are computed where the per-pair code first needs them, after the
+    pair's own checks, so a peak beyond the double range fails a scan on the
+    same pair, with the same error, as a loop over :func:`connect`.  Nothing
+    here outlives the call that builds it.
     """
 
-    __slots__ = ("kin", "q", "failure", "peak", "r", "ceiling", "crossing")
+    __slots__ = ("kin", "q", "peak", "r", "ceiling", "crossing")
 
     def __init__(self, kin: Kinematics, q: float):
         check_positive("well half-width q", q)
-        self.kin, self.q, self.r = kin, q, _ratio(kin)
-        self.failure = None
-        try:
-            self.peak = _slice_peak(kin, q)
-        except DomainError as exc:
-            self.failure, self.peak = str(exc), math.inf
-        self.ceiling = self.peak * (1.0 - _PERIOD_MARGIN)
+        self.kin, self.q, self.r, self.peak = kin, q, _ratio(kin), None
         # Cycle fraction of one interior crossing, q/(2(q + 1/kappa)); each wall
         # dwell takes (1/kappa)/(2(q + 1/kappa)), the monochromatic split in time.
         self.crossing = 0.5 * q / (q + 1.0 / kin.kappa)
 
     def check(self) -> _SliceKernel:
-        """The kernel itself, once its peak is known to be a double."""
-        if self.failure is not None:
-            raise DomainError(self.failure)
+        """The kernel itself, its peak and ceiling computed on first need; a DomainError if the peak is no double."""
+        if self.peak is None:
+            self.peak = _slice_peak(self.kin, self.q)
+            self.ceiling = self.peak * (1.0 - _PERIOD_MARGIN)
         return self
 
     def fraction(self, x: float) -> float:

@@ -59,6 +59,11 @@ _EIGEN_K_RTOL = 2.0**-40
 #: few dozen 16 KB arrays; larger passes make the heap grow and shrink.
 _LADDER_PASS = 2048
 
+#: Most states one ladder call lists: 2^21, about 52 times the deepest benchmark ladder (40,000).  A
+#: held ladder costs about 212 bytes a state.  ``energies --U 1e6 --q 2329.350207551823`` lists
+#: exactly 2^21 states in 53-58 s at a peak RSS of 1.98 GB (2 vCPU Xeon, Python 3.11.7).
+_LADDER_MAX = 2**21
+
 #: Passes of fewer slots are bisected by the scalar code, without numpy.
 #: Warm, on 2 vCPU Xeon: 2 slots take 0.09-0.13 ms scalar against 1.6-2.4 ms
 #: as arrays, 16 slots 0.46-0.56 against 0.76-1.37 ms, 24 slots 0.89-1.07
@@ -403,13 +408,14 @@ def _bisect_slots(slots: range, q: float, k_max: float):
 
     One numpy bisection over all the slots, for k_max^2 a normal double: each
     slot takes the same midpoints, exact-zero exits and width test as its
-    scalar bisection, width first, and leaves the arrays when its own test
-    stops it.  Only the sign and zeroness of the bracket f steer a
-    bisection, and the sign of f at the slot's lower end never changes, so
-    only that sign is carried.  np.sin/np.cos may differ from ``math`` by a
-    few ulp, which moves a bracket value by far less than ``guard`` =
-    ``_SIGN_GUARD * k_max``, so values below that come from the scalar
-    bracket instead.
+    scalar bisection, width first.  A slot that its own test stops at k keeps
+    the bracket [k, k] and an empty band, so every later round maps it to k
+    (a normal double, so 0.5 k + 0.5 k = k) without evaluating it.  Only the
+    sign and zeroness of the bracket f steer a bisection, and the sign of f
+    at the slot's lower end never changes, so only that sign is carried.
+    np.sin/np.cos may differ from ``math`` by a few ulp, which moves a
+    bracket value by far less than ``guard`` = ``_SIGN_GUARD * k_max``, so
+    values below that come from the scalar bracket instead.
 
     Most midpoints need no bracket at all.  Both parities solve
     h(k) = kq - i pi/2 - atan2(kappa, k) = 0 with h' = q + 1/kappa; three
@@ -472,35 +478,27 @@ def _bisect_slots(slots: range, q: float, k_max: float):
     band = (np.abs(fa) > floor) & (np.abs(fb) > floor) & ((fa < 0.0) == neg) & ((fb < 0.0) != neg)
     a, b = np.where(band, a, lo), np.where(band, b, hi)
 
-    at = np.arange(len(slots))  # where in ``slots`` each slot still bisected sits
-    k = np.empty(len(slots))
-
-    def settle(done, x):
-        # the slots at positions ``done`` end at ``x`` and leave the arrays; returns ``x`` of the rest
-        nonlocal at, lo, hi, xtol, even, a, b, neg
-        if not done.size:
-            return x
-        k[at[done]] = x[done]
-        left = np.ones(at.size, dtype=bool)
-        left[done] = False
-        at, lo, hi, xtol, even, a, b, neg, x = (v[left] for v in (at, lo, hi, xtol, even, a, b, neg, x))
-        return x
-
-    settle(np.flatnonzero(flo == 0.0), lo)
+    hi = np.where(flo == 0.0, lo, hi)  # a slot whose bracket is 0 at lo starts collapsed there
+    stopped = 0
     for _ in range(_BISECT_STEPS):
-        mid = settle(np.flatnonzero(hi - lo <= xtol), 0.5 * lo + 0.5 * hi)
-        if not at.size:
+        mid = 0.5 * lo + 0.5 * hi
+        done = hi - lo <= xtol
+        count = np.count_nonzero(done)
+        if count == len(slots):
             break
+        if count > stopped:  # the slots that stopped collapse onto their k, and their band empties
+            stopped = count
+            lo, hi, a = np.where(done, mid, lo), np.where(done, mid, hi), np.where(done, math.inf, a)
         up = mid > b  # past the band f has the sign opposite to f(lo); before it, that of f(lo)
         inside = np.flatnonzero((a <= mid) & ~up)
         if inside.size:
             fmid = bracket(mid[inside], even[inside])
             up[inside] = neg[inside] != (fmid < 0.0)
         hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
-        if inside.size:
-            settle(inside[fmid == 0.0], mid)
-    k[at] = 0.5 * lo + 0.5 * hi
-    return k
+        if inside.size and not fmid.all():  # an exact zero stops its slot at mid
+            zero = inside[fmid == 0.0]
+            lo[zero] = hi[zero] = mid[zero]
+    return 0.5 * lo + 0.5 * hi
 
 
 def _ladder_states(slots: range, q: float, k_max: float, units: Units, plain: bool) -> list[BoundState]:
@@ -576,8 +574,9 @@ def bound_state_energies(
     first = 1 if parity == PARITY_ODD else 0
     stride = 1 if parity == PARITY_BOTH else 2
     size = _ladder_size(q, k_max)
-    if size > sys.maxsize:
-        raise DomainError(f"the well holds about {float(size):.3g} states, more than a list holds")
+    count = -(-(size - first) // stride)  # len(range(first, size, stride)), which fails past sys.maxsize
+    if count > _LADDER_MAX:
+        raise DomainError(f"the ladder holds {count} states, more than the {_LADDER_MAX} one call lists")
     slots = range(first, size, stride)
     passes = (slots[start : start + _LADDER_PASS] for start in range(0, len(slots), _LADDER_PASS))
     return tuple(itertools.chain.from_iterable(_ladder_states(batch, q, k_max, units, plain) for batch in passes))

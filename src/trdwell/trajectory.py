@@ -18,7 +18,7 @@ import math
 from .errors import DomainError, ScanNotSettled, _Record
 from .microstate import Microstate, RawCoefficients, gauge_factor
 from .potential import _NORMAL, FORBIDDEN, FREE, Kinematics, _product, check_positive
-from .wavefield import RegionBasis, _form, bilinear, check_basis, checked_denominator
+from .wavefield import RegionBasis, _form, _numerator, bilinear, check_basis, checked_denominator
 
 #: Grid points evaluated per numpy pass of the divergence-onset scan.  A pass
 #: holds about a dozen temporary arrays, some 200 KB at this size.  At 8,192
@@ -64,18 +64,15 @@ def _check_span(x: float, x_ref: float, basis: RegionBasis) -> None:
         raise DomainError(f"x must be finite or +inf, got {x!r}")
 
 
-def _numerator(ms: Microstate | RawCoefficients, basis: RegionBasis, kin: Kinematics) -> float:
-    """N = hbar |W0| sqrt(ab - c^2/4), the constant numerator of W_x = N/D."""
-    hbar, wronskian, gauge = kin.units.hbar, abs(basis.wronskian), gauge_factor(ms)
-    return hbar * wronskian * gauge if kin._plain else _product("hbar |W0| g", (hbar, 1), (wronskian, 1), (gauge, 1))
-
-
 def _time_scale(ms: Microstate | RawCoefficients, basis: RegionBasis, kin: Kinematics) -> float:
     """(N/w) dw/dE with dw/dE = k/(2E) free, -kappa/(2(U - E)) forbidden: +/- N/(2 E_w), no hbar^2."""
-    free = basis.region == FREE
+    free, hbar = basis.region == FREE, kin.units.hbar
     energy = kin.E if free else kin.U - kin.E
-    factors = (kin.units.hbar, 1.0), (abs(basis.wronskian), 1.0), (gauge_factor(ms), 1.0), (2.0, -1.0), (energy, -1.0)
-    scale = _numerator(ms, basis, kin) / (2.0 * energy) if kin._plain else _product("the flight-time scale", *factors)
+    if kin._plain:
+        scale = _numerator(ms, basis, hbar, True) / (2.0 * energy)
+    else:
+        factors = (hbar, 1.0), (abs(basis.wronskian), 1.0), (gauge_factor(ms), 1.0), (2.0, -1.0), (energy, -1.0)
+        scale = _product("the flight-time scale", *factors)
     return scale if free else -scale
 
 
@@ -230,7 +227,7 @@ def sample_trajectory(
     if n < 2:
         raise DomainError(f"need at least two samples, got {n!r}")
     check_basis(basis, kin)
-    N = _numerator(ms, basis, kin)
+    N = _numerator(ms, basis, kin.units.hbar, kin._plain)
     w = basis.wavenumber
     scale = _time_scale(ms, basis, kin)
     samples = []

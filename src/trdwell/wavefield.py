@@ -27,6 +27,8 @@ from .potential import (
     Kinematics,
     Potential,
     Units,
+    _ordinary,
+    _product,
     bound_state,
     check_positive,
 )
@@ -162,6 +164,15 @@ def bilinear_with_derivatives(
     return D, Dp, Dpp
 
 
+def _numerator(ms: Microstate | RawCoefficients, basis: RegionBasis, hbar: float, plain: bool | None = None) -> float:
+    """N = hbar |W0| sqrt(ab - c^2/4) of W_x = N/D: a plain product where ``plain`` (a Kinematics' ``_plain``) or,
+    if that is None, where hbar, |W0| and g are ordinary; else ``_product``, a DomainError unless a normal double."""
+    wronskian, gauge = abs(basis.wronskian), gauge_factor(ms)
+    if plain is None:
+        plain = _ordinary(hbar, wronskian, gauge)
+    return hbar * wronskian * gauge if plain else _product("hbar |W0| g", (hbar, 1), (wronskian, 1), (gauge, 1))
+
+
 def conjugate_momentum(
     x: float, ms: Microstate | RawCoefficients, basis: RegionBasis, units: Units = Units()
 ) -> float:
@@ -169,10 +180,10 @@ def conjugate_momentum(
 
     Strictly positive and finite for any microstate with positive quadratic
     invariant; the Wronskian enters through its magnitude so either sign
-    convention of the basis ordering gives the same field.
+    convention of the basis ordering gives the same field.  A numerator
+    hbar |W0| g that is no normal double is a :class:`DomainError`.
     """
-    numerator = units.hbar * abs(basis.wronskian) * gauge_factor(ms)
-    return numerator / checked_denominator(bilinear(ms, basis, x), x)
+    return _numerator(ms, basis, units.hbar) / checked_denominator(bilinear(ms, basis, x), x)
 
 
 def momentum_derivatives(
@@ -182,9 +193,9 @@ def momentum_derivatives(
 
     With N the constant numerator and D the bilinear denominator,
     W_x = N/D, W_xx = -N D'/D^2 and W_xxx = -N D''/D^2 + 2 N D'^2/D^3, so no
-    numerical differentiation is involved.
+    numerical differentiation is involved.  N is that of :func:`conjugate_momentum`.
     """
-    N = units.hbar * abs(basis.wronskian) * gauge_factor(ms)
+    N = _numerator(ms, basis, units.hbar)
     D, Dp, Dpp = bilinear_with_derivatives(ms, basis, x)
     W_x = N / checked_denominator(D, x)
     W_xx = -N * Dp / (D * D)

@@ -312,6 +312,19 @@ def test_subnormal_well_width_lists_its_states_with_empty_stderr():
     assert json.loads(proc.stdout)["outputs"]["count"] == 1
 
 
+@pytest.mark.parametrize(
+    "U, q, count", [("1e6", "1e6", "900316317"), ("1e300", "1e-140", "9003163162")], ids=["deep", "wide"]
+)
+def test_a_ladder_too_large_to_hold_exits_2_naming_its_count(U, q, count):
+    # refused before any slot is solved: at some 212 bytes a state, the first alone would need about 190 GB
+    proc = subprocess.run(
+        [sys.executable, "-m", "trdwell.cli", "energies", "--U", U, "--q", q],
+        capture_output=True, text=True, env=_child_env(), timeout=20,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert f"the ladder holds {count} states" in proc.stderr
+
+
 def test_package_exports_load_the_library_on_first_access():
     script = (
         "import json, sys, trdwell\n"

@@ -15,6 +15,7 @@ from trdwell.coverage import (
     SCENARIO_SW_BOUND,
     SCENARIO_SW_EXCITED,
     TR_ONLY,
+    _PERIOD_MARGIN,
     ConnectionSolution,
     Event,
     GridSpec,
@@ -315,3 +316,21 @@ class TestRelationReports:
             set_relation_report("SW-bound", grid)  # missing state
         with pytest.raises(DomainError):
             set_relation_report("garden", grid, kin=kin)
+
+
+def test_the_period_count_steps_past_a_quotient_that_rounds_low():
+    # elapsed = 33 slice ceilings: elapsed/ceiling rounds to 33, but elapsed/33 rounds above the ceiling,
+    # so the count takes one more period
+    state = well_eigenstate(square_well(1.0, 2.0), Units(), 1)
+    ceiling = slice_period_max(state.kinematics, 2.0) * (1.0 - _PERIOD_MARGIN)
+    elapsed = 384.49262465967075
+    assert math.ceil(elapsed / ceiling) == 33 and elapsed / 33 > ceiling
+    sol = connect(Event(0.0, 0.0), Event(0.0, elapsed), state)
+    assert sol.whole_periods == 34 and elapsed / 34 <= ceiling
+    assert sol.arrival_time == pytest.approx(elapsed, rel=1e-12)
+
+
+@pytest.mark.parametrize("past_time", [math.nan, math.inf, -math.inf])
+def test_grid_past_time_must_be_finite(past_time):
+    with pytest.raises(DomainError, match="past_time must be finite"):
+        GridSpec((0.0,), (0.5,), (1.0,), past_time)

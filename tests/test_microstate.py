@@ -52,6 +52,15 @@ def test_constructor_rejects_nonfinite(bad):
         Microstate(1.0, 1.0, bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_normalize_rejects_nonfinite(bad, position):
+    raw = [1.0, 1.0, 0.0]
+    raw[position] = bad
+    with pytest.raises(DomainError, match="raw coefficients must be finite"):
+        normalize(*raw)
+
+
 @given(_positive_triples)
 @settings(max_examples=300, deadline=None)
 def test_normalize_lands_on_the_unit_surface(triple):

@@ -15,6 +15,7 @@ from scipy.optimize import brentq
 from trdwell import potential
 from trdwell.errors import DomainError
 from trdwell.potential import (
+    _BISECT_STEPS,
     _LADDER_PASS,
     _SCALAR_SLOTS,
     EIGEN_K_TOL,
@@ -235,6 +236,20 @@ def test_bisection_stops_at_adjacent_floats():
     root = _bisect(f, 1024.0, 2048.0, EIGEN_K_TOL)
     assert abs(root - 1500.3) <= math.ulp(1500.3)
     assert len(calls) <= 60
+
+
+def test_bisection_ends_at_a_lower_end_where_the_function_is_zero():
+    calls = []
+    assert _bisect(lambda k: calls.append(k) or k - 1.0, 1.0, 2.0, EIGEN_K_TOL) == 1.0
+    assert calls == [1.0]
+
+
+def test_bisection_stops_after_its_step_cap():
+    # from 1e300 wide, 200 halvings leave a bracket far wider than ulp(hi): only the cap ends it
+    lo, hi = -1e300, 1e-300
+    for _ in range(_BISECT_STEPS):
+        lo = 0.5 * lo + 0.5 * hi  # f(k) = k is negative at every midpoint
+    assert _bisect(lambda k: k, -1e300, 1e-300, EIGEN_K_TOL) == 0.5 * lo + 0.5 * hi != 0.0
 
 
 def _scaled_bracket(state, q, k_max):
@@ -479,6 +494,46 @@ class TestLadderSlots:
         assert all(s.parity == ("even" if i % 2 == 0 else "odd") for i, s in enumerate(ladder))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Kinematics(0.5, 0.5, 1.0, 1.0, 1.0, Units()), "below a finite U"),
+        (lambda: Kinematics(0.18, 0.5, 0.6, 0.8, 1.5, Units()), "inconsistent bundle: r=1.5"),
+        (lambda: bound_state(square_well(1e300, 1e300)), "more states than a double counts"),
+        (lambda: bound_state_energies(square_well(1.0, 2.0), parity="sideways"), "parity must be even, odd or both"),
+        (lambda: bound_state_energies(square_well(1e6, 1e6)), "holds 900316317 states, more than the 2097152"),
+        (lambda: bound_state_energies(square_well(1e6, 1e6), parity="odd"), "holds 450158158 states"),
+        (lambda: bound_state_energies(square_well(1e300, 1e-140)), "holds 9003163162 states"),
+    ],
+    ids=[
+        "energy-at-the-wall", "inconsistent-ratio", "count-beyond-a-double", "unknown-parity",
+        "ladder-over-the-cap", "odd-ladder-over-the-cap", "nine-billion-states",
+    ],
+)
+def test_each_refusal_of_the_potential_layer_is_a_domain_error(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+def test_a_ladder_over_the_cap_is_refused_before_any_slot_is_solved(monkeypatch):
+    pot = square_well(1e6, 1e6)
+    assert bound_state(pot, Units(), 900316316).parity == "even"  # one slot of it is still solved
+    for name in ("_bisect_one", "_bisect_slots"):
+        monkeypatch.setattr(potential, name, lambda *args: pytest.fail("a slot was solved"))
+    with pytest.raises(DomainError, match="900316317"):
+        bound_state_energies(pot)
+
+
+def test_the_cap_counts_the_states_the_call_lists(monkeypatch):
+    pot, units = _well_with_slots(40, 12.0, 0.5, 1.0, 1.0)  # 20 states of each parity
+    monkeypatch.setattr(potential, "_LADDER_MAX", 40)
+    assert len(bound_state_energies(pot, units)) == 40
+    monkeypatch.setattr(potential, "_LADDER_MAX", 20)
+    assert len(bound_state_energies(pot, units, parity="odd")) == 20
+    with pytest.raises(DomainError, match="holds 40 states, more than the 20 one call lists"):
+        bound_state_energies(pot, units)
+
+
 def _fields(state):
     # every field, floats by their bits
     return (state.E.hex(), state.parity, state.k.hex(), state.kappa.hex())
@@ -561,6 +616,47 @@ def test_ladder_keeps_its_bits_when_the_root_estimates_are_wrong(monkeypatch, of
     for parity in ("both", "odd"):
         _every_state_is_its_bound_state(*_well_with_slots(2049, 60.0, 0.5, 1.0, 1.0), parity)
         _every_state_is_its_bound_state(*_well_with_slots(300, 5e4, 1e-11, 0.7, 1.3), parity)
+
+
+def _bracket_zeros(monkeypatch, zero):
+    """Patch both scalar brackets to return exactly 0.0 at every k where ``zero(k, value)``; list those k."""
+    ks = []
+
+    def patched(bracket):
+        def f(k, kappa, q):
+            value = bracket(k, kappa, q)
+            return ks.append(k) or 0.0 if zero(k, value) else value
+
+        return f
+
+    monkeypatch.setattr(potential, "_SLOT_KINDS", tuple((patched(f), parity) for f, parity in potential._SLOT_KINDS))
+    return ks
+
+
+def test_a_slot_stopped_by_an_exact_zero_keeps_its_midpoint(monkeypatch):
+    # the arrays evaluate every value within _SIGN_GUARD k_max of 0 again with the scalar bracket,
+    # so both paths meet the same exact zeros, and each slot's bisection ends at one
+    pot = square_well(1e4, 1.0)  # 91 states, one array pass
+    q, k_max, _ = _well_scales(pot, Units())
+    zeros = _bracket_zeros(monkeypatch, lambda k, value: abs(value) < potential._SIGN_GUARD * k_max / 4.0)
+    ladder = bound_state_energies(pot)
+    assert len(ladder) == 91 and len(zeros) == 91
+    zeros.clear()
+    assert [_fields(s) for s in ladder] == [_fields(bound_state(pot, Units(), i)) for i in range(91)]
+    assert len(zeros) == 91
+
+
+def test_a_slot_whose_bracket_is_zero_at_its_lower_end_ends_there(monkeypatch):
+    # with the guard above every bracket value, the arrays take each value from the scalar bracket,
+    # which is 0 at the lower end of every even slot from 2 on
+    pot = square_well(1e4, 1.0)
+    q, k_max, _ = _well_scales(pot, Units())
+    floors = {potential._slot_floor(i, q) for i in range(2, 91, 2)}
+    monkeypatch.setattr(potential, "_SIGN_GUARD", 2.0)
+    zeros = _bracket_zeros(monkeypatch, lambda k, value: k in floors)
+    ladder = _every_state_is_its_bound_state(pot, Units())
+    assert set(zeros) == floors
+    assert [s.k for s in ladder[2::2]] == [potential._slot_floor(i, q) for i in range(2, 91, 2)]
 
 
 def test_ladder_evaluates_few_bracket_points_per_state(monkeypatch):

@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trdwell.errors import DomainError, OptimizationFailure
-from trdwell.microstate import MONOCHROMATIC, normalize
+from trdwell.microstate import MONOCHROMATIC, Microstate, normalize
 from trdwell.potential import Units, kinematics_from_energies
 from trdwell.times import (
     SIGN_MINUS,
     SIGN_PLUS,
+    ExtremalReport,
     dwell_supremum_bound,
     dwell_time,
     dwell_time_monochromatic,
@@ -112,6 +113,43 @@ class TestDwell:
             / (kin.units.hbar * kin.kappa**2)
         )
         assert dwell_supremum_bound(kin) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        # normalized to within the Microstate tolerance, but so close to degenerate along (X, Y)
+        # that a X^2 - c X Y + b Y^2 rounds to 0
+        (
+            lambda: dwell_time(
+                kinematics_from_energies(0.7163702333879106, 1.0),
+                Microstate(83719878383.44135, 211453224861.19138, 266104026795.27728),
+                SIGN_MINUS,
+            ),
+            DomainError, "dwell denominator 0.0 is not positive",
+        ),
+        (
+            lambda: libration_period(
+                kinematics_from_energies(0.5, 1.0),
+                1.0,
+                Microstate(2713493741.373521, 2713493741.373521, 5426987482.747041),
+            ),
+            DomainError, "libration denominator 0.0 is not positive",
+        ),
+        (
+            lambda: ExtremalReport(MONOCHROMATIC, 0.0, 1.0, 1e-6, True, 0.0),
+            OptimizationFailure, "non-positive supremum",
+        ),
+        (
+            lambda: ExtremalReport(MONOCHROMATIC, 1.0 + 2e-9, 1.0, 1e-6, True, 1.0),
+            OptimizationFailure, "exceeds the analytic bound 1.0",
+        ),
+    ],
+    ids=["dwell-denominator", "libration-denominator", "non-positive-supremum", "supremum-above-its-bound"],
+)
+def test_each_refusal_of_the_times_layer(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestMaxDwell:

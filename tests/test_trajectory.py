@@ -178,6 +178,13 @@ def test_improper_integrals_restricted_to_the_forbidden_side(kin):
             func(1.0, math.inf, MONOCHROMATIC, canonical_basis("forbidden", kin), kin)
 
 
+@pytest.mark.parametrize("region", ["free", "forbidden"])
+def test_a_nan_position_is_a_domain_error(kin, region):
+    for func in (reduced_action, time_of_flight):
+        with pytest.raises(DomainError, match="x must be finite or \\+inf, got nan"):
+            func(math.nan, 0.0, MONOCHROMATIC, canonical_basis(region, kin), kin)
+
+
 def test_basis_must_match_kinematics(kin):
     from trdwell.wavefield import RegionBasis
 

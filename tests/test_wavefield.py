@@ -11,9 +11,10 @@ from scipy.integrate import quad
 
 from trdwell.coverage import _density_support
 from trdwell.errors import DegenerateMicrostate, DomainError
-from trdwell.microstate import MONOCHROMATIC, BasisRescale, normalize, transform_basis
+from trdwell.microstate import MONOCHROMATIC, BasisRescale, RawCoefficients, normalize, transform_basis
 from trdwell.potential import Units, bound_state, kinematics_from_energies, square_well, step_barrier
 from trdwell.times import _slice_peak, libration_supremum_bound
+from trdwell.trajectory import sample_trajectory
 from trdwell.wavefield import (
     CopenhagenState,
     RegionBasis,
@@ -108,8 +109,6 @@ class TestConjugateMomentum:
         assert value > 0.0 and math.isfinite(value)
 
     def test_degenerate_raw_coefficients_rejected(self, kin, units):
-        from trdwell.microstate import RawCoefficients
-
         basis = canonical_basis("free", kin)
         with pytest.raises(DegenerateMicrostate):
             conjugate_momentum(0.3, RawCoefficients(1.0, 1.0, 2.0), basis, units)
@@ -135,6 +134,40 @@ class TestConjugateMomentum:
     def test_gauge_factor_of_raw_triple(self):
         raw, factor = transform_basis(normalize(2.0, 1.0, 2.0), BasisRescale(2.0, 0.5))
         assert gauge_factor(raw) * abs(factor) == pytest.approx(1.0, rel=1e-12)
+
+
+    def test_a_numerator_below_the_normal_doubles_is_a_domain_error(self):
+        # hbar |W0| g is about 1.6e-308, a subnormal: the plain product gave W_x = 1.4142135508187686e-308,
+        # 8e-9 away from sqrt(2 m E) = 1.4142135623730951e-308
+        kin = kinematics_from_energies(1e-316, 1.0, Units(hbar=1e-300, mass=1e-300))
+        basis, x = canonical_basis("free", kin), 0.3 / kin.k
+        message = r"hbar \|W0\| g is about 10\^-307.8: it underflows the normal doubles"
+        for call in (conjugate_momentum, momentum_derivatives):
+            with pytest.raises(DomainError, match=message):
+                call(x, MONOCHROMATIC, basis, kin.units)
+        with pytest.raises(DomainError, match=message):
+            sample_trajectory((x, 2.0 * x), 2, MONOCHROMATIC, basis, kin)
+
+    @pytest.mark.parametrize("region", ["free", "forbidden"])
+    def test_a_wronskian_that_underflows_to_zero_is_a_domain_error(self, region, units):
+        # W0 = -w alpha beta or 2 w alpha beta rounds to 0 while D = 1e150 (phi1^2 + phi2^2) is a double:
+        # the plain product gave W_x = 0.0, and W_xx divided by D^2 = 0.0
+        ms, basis = RawCoefficients(1e150, 1e150, 0.0), RegionBasis(region, 1.0, 1e-200, 1e-200)
+        for call in (conjugate_momentum, momentum_derivatives):
+            with pytest.raises(DomainError, match=r"hbar \|W0\| g: factor 0.0 is not a positive double"):
+                call(0.1, ms, basis, units)
+
+    @pytest.mark.parametrize("hbar", [1e-210, 1e210])
+    def test_a_numerator_outside_the_ordinary_box_keeps_the_plain_bits(self, hbar):
+        # hbar |W0| = sqrt(2 m E) is ordinary, so the exact product rounds as the plain one does
+        kin = kinematics_from_energies(0.18, 0.5, Units(hbar=hbar))
+        ms = normalize(2.0, 1.0, 0.7)
+        for region in ("free", "forbidden"):
+            basis = canonical_basis(region, kin)
+            x = 0.4 / basis.wavenumber
+            plain = hbar * abs(basis.wronskian) * gauge_factor(ms) / bilinear(ms, basis, x)
+            assert conjugate_momentum(x, ms, basis, kin.units) == plain
+            assert momentum_derivatives(x, ms, basis, kin.units)[0] == plain
 
 
 class TestMomentumDerivatives:
@@ -390,3 +423,34 @@ def test_an_eigenstate_just_below_the_top_keeps_its_ladder_wavenumbers(q):
     assert kin.kappa < 2e-2 * kin.k and (kin.E, kin.U) == (ladder.E, 1.0)
     # the times take r = Y/X from the energies, so the slice peak and the bound share one r
     assert libration_supremum_bound(kin, q) == pytest.approx(math.sqrt(2.0) * _slice_peak(kin, q), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda kin, well: canonical_basis("sideways", kin), "unknown region 'sideways'"),
+        (lambda kin, well: CopenhagenState(well, kin, "tunnelling"), "unknown state kind 'tunnelling'"),
+        (lambda kin, well: CopenhagenState(well, kin, "barrier-scattering"), "requires a step potential"),
+        (lambda kin, well: CopenhagenState(step_barrier(0.5), kin, "well-eigenstate", "even", 0), "square-well"),
+        (lambda kin, well: CopenhagenState(well, kin, "well-eigenstate", "even"), "carry a parity and a ladder index"),
+        (lambda kin, well: find_nodes(well_eigenstate(well, Units(), 1), (1.0, -1.0)), "lo < hi"),
+        (lambda kin, well: find_nodes(well_eigenstate(well, Units(), 1), (-math.inf, 1.0)), "finite"),
+        (lambda kin, well: find_nodes(well_eigenstate(well, Units(), 1), (0.0, math.nan)), "finite"),
+    ],
+    ids=[
+        "unknown-region", "unknown-state-kind", "scattering-in-a-well", "eigenstate-of-a-step",
+        "eigenstate-without-index", "reversed-interval", "infinite-interval", "nan-interval",
+    ],
+)
+def test_each_refusal_of_the_wavefield_layer_is_a_domain_error(kin, well, call, message):
+    with pytest.raises(DomainError, match=message):
+        call(kin, well)
+
+
+@pytest.mark.parametrize("region", ["free", "forbidden"])
+def test_wavenumber_gradient_is_the_derivative_of_the_values_in_w(region):
+    x, w, h = 0.7, 0.8, 1e-6
+    basis = RegionBasis(region, w, 1.3, -0.6)
+    up, down = RegionBasis(region, w + h, 1.3, -0.6).values(x), RegionBasis(region, w - h, 1.3, -0.6).values(x)
+    for gradient, hi, lo in zip(basis.wavenumber_gradient(x), up, down):
+        assert gradient == pytest.approx((hi - lo) / (2.0 * h), rel=1e-9)
