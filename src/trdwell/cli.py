@@ -264,7 +264,7 @@ def _extremal(report) -> dict:
 
 def _qshje_check(res) -> dict:
     residual = res.wavefield.qshje_residual(res.x, res.ms, res.basis, res.kin)
-    threshold = 1e-8 * (res.kin.E if res.region == "free" else res.kin.U - res.kin.E)  # the residual's scale E_w
+    threshold = 1e-8 * (res.kin.E if res.region == "free" else res.kin._gap)  # the residual's scale E_w
     return {"residual": residual, "threshold": threshold, "within": abs(residual) <= threshold}
 
 
@@ -412,7 +412,7 @@ COMMANDS = {
     "energies": _Command(
         "square-well bound states", "U q parity", "U q", _energies,
         inputs="U q parity" + _UNITS, outputs="count states", csv="index parity E k kappa residual",
-        rows="states", meta={"k_tol": "potential.EIGEN_K_TOL"},
+        rows="states",
     ),
     "dwell": _Command(
         "sub-barrier dwell time of a microstate", "E U" + _MS + " sign", "E U kin",

@@ -29,7 +29,7 @@ import math
 
 from .errors import DomainError, Infeasible, _Record
 from .microstate import Microstate, normalize
-from .potential import _EIGEN_K_RTOL, _NORMAL, Kinematics, check_positive
+from .potential import _ANGLE_RTOL, _NORMAL, Kinematics, check_positive
 from .times import _ratio, _slice_peak, dwell_supremum_bound, libration_period
 from .wavefield import WELL_EIGENSTATE, CopenhagenState, _node_offset
 
@@ -291,12 +291,13 @@ def _density_support(state: CopenhagenState, x: float) -> bool:
     # The one place the density view decides support inside the well: |psi|^2
     # vanishes only at the nodes, k x/pi = j + offset, and state n has its n nodes
     # at the n such phases nearest 0, |j + offset| <= (n - 1)/2 (the rest lie past
-    # the walls).  The ladder's k is within _EIGEN_K_RTOL of its root, so a node
-    # phase is met to within that share of k x/pi; twice it also covers rounding.
-    # A band of half a turn would take in the antinodes too: no verdict is left.
+    # the walls).  The ladder's k is within _ANGLE_RTOL of its root, so a node
+    # phase is met to within that share of k x/pi, and 2^-51 more covers the
+    # roundings of k x, of pi and of the division (1.5 ulp).  A band of half a
+    # turn would take in the antinodes too: no verdict is left.
     offset = _node_offset(state)
     phase = state.kinematics.k * x / math.pi
-    node, band = round(phase - offset) + offset, 2.0 * _EIGEN_K_RTOL * abs(phase)
+    node, band = round(phase - offset) + offset, (_ANGLE_RTOL + 2.0**-51) * abs(phase)
     if band >= 0.5:
         raise DomainError(f"the ladder's k cannot tell a node from an antinode at x={x!r}: k x/pi = {phase!r}")
     return abs(phase - node) > band or 2.0 * abs(node) > state.index - 1

@@ -6,26 +6,20 @@ x >= 0, and a square well of half-width q whose walls of height U occupy
 the classically allowed region carries the travelling wavenumber k and the
 classically forbidden region carries the decay constant kappa.
 
-Square-well bound states need no scan: each parity has exactly one root of
-its matching condition in every other pi/2 interval of k q, so state i is
-found by one bisection inside its own interval.  A single state
-(:func:`bound_state`) is bisected on floats with ``math``, without numpy.
-The whole ladder (:func:`bound_state_energies`) is solved in passes of at
-most 2,048 slots.  A pass of fewer than ``_SCALAR_SLOTS`` slots is solved
-slot by slot as :func:`bound_state` solves one, so shallow wells need no
-numpy.  A longer pass is bisected as numpy arrays, imported on first use:
-every slot takes the same midpoints and stops by the same test as the
-scalar bisection, width first.  Each slot first verifies a narrow band
-around a Newton estimate of its root; a midpoint outside that band takes the
-sign its side is proven to have, and only midpoints inside it are evaluated
-(see :func:`_bisect_slots`).
-np.sin and np.cos may differ from ``math`` in the last bit, so any bracket
-value too close to zero for its sign to be certain is evaluated again with
-``math``.  The states are then worked out from the arrays of k by the float
-operations of the scalar path, so every ladder state is bit for bit the
-state :func:`bound_state` returns, and their records are filled in through
-the slot descriptors of :class:`BoundState` rather than its frozen
-``__init__``.
+Square-well bound states need no scan: both parities of state i solve one
+equation, P cos theta = theta + i pi/2, with P = k_max q, theta = atan2(kappa, k)
+and k_max = sqrt(2 m U)/hbar, so k = k_max cos theta and kappa = k_max sin theta.
+One Newton kernel solves it in the smaller of theta and pi/2 - theta, with sin
+and 1 - cos as polynomials and only + - * / and a correctly rounded sqrt, so it
+runs unchanged on Python floats and on numpy arrays and gives both the same
+bits.  A single state (:func:`bound_state`) is solved on floats, without
+numpy.  The whole ladder (:func:`bound_state_energies`) is solved in passes of
+at most 2,048 slots: a pass of fewer than ``_SCALAR_SLOTS`` slots slot by slot,
+as :func:`bound_state` solves one, so shallow wells need no numpy, and a longer
+one as arrays, imported on first use, whose records are filled in through the
+slot descriptors of :class:`BoundState` rather than its frozen ``__init__``.
+Every ladder state is bit for bit the state :func:`bound_state` returns, and
+its k and kappa lie within ``_ANGLE_RTOL`` of the root at the well's own P.
 """
 
 from __future__ import annotations
@@ -46,35 +40,6 @@ FORBIDDEN = "forbidden"
 PARITY_EVEN = "even"
 PARITY_ODD = "odd"
 PARITY_BOTH = "both"
-
-#: Widest bisection bracket, in k, at which an eigenvalue is considered
-#: converged.  A slot whose top k lies below about 0.11 stops at the narrower
-#: width ``_EIGEN_K_RTOL`` times that top, so small k keep their digits.
-EIGEN_K_TOL = 1e-13
-
-#: Bracket width of a ladder slot relative to its top; 2^-40 times a double is exact.
-_EIGEN_K_RTOL = 2.0**-40
-
-#: Most ladder slots bisected together in one array pass.  Each pass keeps a
-#: few dozen 16 KB arrays; larger passes make the heap grow and shrink.
-_LADDER_PASS = 2048
-
-#: Most states one ladder call lists: 2^21, about 52 times the deepest benchmark ladder (40,000).  A
-#: held ladder costs about 212 bytes a state.  ``energies --U 1e6 --q 2329.350207551823`` lists
-#: exactly 2^21 states in 53-58 s at a peak RSS of 1.98 GB (2 vCPU Xeon, Python 3.11.7).
-_LADDER_MAX = 2**21
-
-#: Passes of fewer slots are bisected by the scalar code, without numpy.
-#: Warm, on 2 vCPU Xeon: 2 slots take 0.09-0.13 ms scalar against 1.6-2.4 ms
-#: as arrays, 16 slots 0.46-0.56 against 0.76-1.37 ms, 24 slots 0.89-1.07
-#: against 0.94-1.34 ms, and 32 slots 1.2-1.8 against 1.2-1.4 ms.
-_SCALAR_SLOTS = 24
-
-#: An array bracket value k sin - kappa cos (or k cos + kappa sin) is trusted
-#: for its sign only above this multiple of k_max >= (k + kappa)/sqrt(2):
-#: thousands of times the few ulp by which np.sin/np.cos may differ from
-#: math.sin/math.cos.
-_SIGN_GUARD = 2.0**-40
 
 
 def check_positive(name: str, value: float | None) -> None:
@@ -194,26 +159,26 @@ class Kinematics(_Record):
     r      the ratio kappa/k = sqrt((U - E)/E), the single dimensionless knob of most formulas
 
     k, kappa and r must be positive normal doubles.  Worked out once here:
-    ``_plain``, whether E, U - E, hbar and m are all ordinary (``_ORDINARY``),
-    and ``_fractions``, X = sqrt(E/U) and Y = sqrt((U - E)/U) for the times.
+    ``_gap``, the forbidden-side energy U - E; ``_plain``, whether E, U - E,
+    hbar and m are all ordinary (``_ORDINARY``); and ``_fractions``,
+    X = sqrt(E/U) and Y = sqrt((U - E)/U), for the times.  A well state's
+    bundle takes these from its angle instead (:func:`_eigen_kinematics`).
     """
 
-    __slots__ = ("E", "U", "k", "kappa", "r", "units", "_plain", "_fractions")
+    __slots__ = ("E", "U", "k", "kappa", "r", "units", "_plain", "_fractions", "_gap")
 
     def __init__(self, E: float, U: float, k: float, kappa: float, r: float, units: Units):
-        self._fill(E, U, k, kappa, r, units, None)
-
-    def _fill(self, E: float, U: float, k: float, kappa: float, r: float, units: Units, plain: bool | None) -> None:
-        # __init__; kinematics_from_energies passes ``plain``, having tested the ordinary box already
         if not (0.0 < E < U < math.inf):
             raise DomainError(f"E must be positive and below a finite U; got E={E!r}, U={U!r}")
+        gap = U - E
+        self._fill(E, U, k, kappa, r, units, _ordinary(E, gap, units.hbar, units.mass), _fractions(E, U), gap)
+
+    def _fill(self, E, U, k, kappa, r, units, plain: bool, fractions: tuple[float, float], gap: float) -> None:
+        # __init__, kinematics_from_energies and _eigen_kinematics, each with its own E, U and gap checks
         if not (_NORMAL <= min(k, kappa, r) and max(k, kappa, r) < math.inf):
             raise DomainError(f"k, kappa, r must be positive normal doubles: {k!r}, {kappa!r}, {r!r}")
         if abs(r - kappa / k) > 1e-12 * r:
             raise DomainError(f"inconsistent bundle: r={r!r} but kappa/k={kappa / k!r}")
-        if plain is None:
-            plain = _ordinary(E, U - E, units.hbar, units.mass)
-        root = math.sqrt(U)
         object.__setattr__(self, "E", E)
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "k", k)
@@ -221,11 +186,18 @@ class Kinematics(_Record):
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "units", units)
         object.__setattr__(self, "_plain", plain)
-        object.__setattr__(self, "_fractions", (math.sqrt(E) / root, math.sqrt(U - E) / root))
+        object.__setattr__(self, "_fractions", fractions)
+        object.__setattr__(self, "_gap", gap)
 
     def at_energy(self, E: float) -> "Kinematics":
         """Kinematics at a different energy under the same barrier and units."""
         return kinematics_from_energies(E, self.U, self.units)
+
+
+def _fractions(E: float, U: float) -> tuple[float, float]:
+    """X = sqrt(E/U) and Y = sqrt((U - E)/U)."""
+    root = math.sqrt(U)
+    return math.sqrt(E) / root, math.sqrt(U - E) / root
 
 
 def kinematics_from_energies(E: float, U: float, units: Units = Units()) -> Kinematics:
@@ -243,7 +215,7 @@ def kinematics_from_energies(E: float, U: float, units: Units = Units()) -> Kine
         kappa = _product("kappa = sqrt(2 m (U - E))/hbar", (2.0, 0.5), (m, 0.5), (gap, 0.5), (hbar, -1.0))
         r = _product("r = sqrt((U - E)/E)", (gap, 0.5), (E, -0.5))
     kin = object.__new__(Kinematics)
-    kin._fill(E, U, k, kappa, r, units, plain)
+    kin._fill(E, U, k, kappa, r, units, plain, _fractions(E, U), gap)
     return kin
 
 
@@ -273,44 +245,8 @@ class BoundState(_Record):
 #: The slot descriptors of BoundState's fields, in field order.
 _BOUND_STATE_FIELDS = (BoundState.E, BoundState.parity, BoundState.k, BoundState.kappa)
 
-
-def _even_bracket(k: float, kappa: float, q: float) -> float:
-    # Pole-free form of the even matching condition k tan(kq) = kappa.
-    return k * math.sin(k * q) - kappa * math.cos(k * q)
-
-
-def _odd_bracket(k: float, kappa: float, q: float) -> float:
-    # Pole-free form of the odd matching condition -k cot(kq) = kappa.
-    return k * math.cos(k * q) + kappa * math.sin(k * q)
-
-
-#: Bracket function and parity of even and odd ladder slots, indexed by i % 2.
-_SLOT_KINDS = ((_even_bracket, PARITY_EVEN), (_odd_bracket, PARITY_ODD))
-
-#: Iteration cap of both bisections; the width test ends them far sooner.
-_BISECT_STEPS = 200
-
-
-def _bisect(f, lo: float, hi: float, xtol: float) -> float:
-    """Plain bisection on a bracketed sign change; deterministic and robust."""
-    # Adjacent floats cannot be split further: above k = 512 their spacing
-    # exceeds EIGEN_K_TOL, and without this every iteration would run.
-    xtol = max(xtol, math.ulp(hi))
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * lo + 0.5 * hi  # lo + hi can overflow
-        if hi - lo <= xtol:
-            return mid
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (flo < 0.0) != (fmid < 0.0):
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * lo + 0.5 * hi
+#: Parity of even and odd ladder slots, indexed by i % 2.
+_PARITIES = (PARITY_EVEN, PARITY_ODD)
 
 
 def matching_residual(state: BoundState, q: float) -> float:
@@ -318,10 +254,9 @@ def matching_residual(state: BoundState, q: float) -> float:
 
     The standard tan/cot form g(k) (k tan(kq) - kappa for even parity,
     -k cot(kq) - kappa for odd) divided by its derivative along the ladder,
-    where dkappa/dk = -k/kappa: the Newton step k - k_root, comparable to
-    ``EIGEN_K_TOL``.  Near a pole of tan or cot g is ill-conditioned, g/g' is
-    not.  Being independent of the pole-free bracket functions the solver
-    scans, it doubles as a check.
+    where dkappa/dk = -k/kappa: the Newton step k - k_root.  Near a pole of
+    tan or cot g is ill-conditioned, g/g' is not.  Being independent of the
+    angle equation the solver uses, it doubles as a check.
     """
     k, kappa = state.k, state.kappa
     kq = k * q
@@ -343,188 +278,174 @@ def _well_scales(pot: Potential, units: Units) -> tuple[float, float, bool]:
     return pot.q, _product("the well wavenumber sqrt(2 m U)/hbar", (2.0, 0.5), (m, 0.5), (U, 0.5), (hbar, -1.0)), False
 
 
-def _slot_floor(i: int, q: float) -> float:
-    """Lower end i pi/(2q) of ladder slot ``i``, in k."""
-    return i * math.pi / (2.0 * q)
+#: pi/2 = _HALF_PI + _HALF_PI_TAIL, and _HALF_PI = _HALF_PI_HI + _HALF_PI_LO exactly, halves of 25 and
+#: 24 bits for Dekker's exact product; _VELTKAMP splits a slot number into halves of at most 26 bits.
+_HALF_PI = 0.5 * math.pi
+_HALF_PI_HI = float.fromhex("0x1.921fb5p+0")
+_HALF_PI_LO = float.fromhex("0x1.110b46p-26")
+_HALF_PI_TAIL = 6.123233995736766e-17
+_VELTKAMP = 2.0**27 + 1.0
+
+_SQRT_HALF = math.sqrt(0.5)
+
+#: Taylor coefficients of (sin x - x)/x^3 and of (1 - cos x)/x^2, in powers of x^2, to x^19 and x^20:
+#: on [0, pi/4] the first term left out is below 2^-70 of the sum.
+_SIN = tuple((-1) ** n / math.factorial(2 * n + 1) for n in range(1, 10))
+_VERSIN = tuple((-1) ** n / math.factorial(2 * n + 2) for n in range(10))
+
+#: Newton steps of the angle solve.  From its starts, 3 steps leave 4e-12 (U = 1e4, q = 30); 4 reach
+#: the rounding of the last step.
+_NEWTON_STEPS = 4
+
+#: Relative accuracy of every state's k, and of its kappa wherever d = P - i pi/2 exceeds 2^-53 i,
+#: against the root of the angle equation at the well's own P: 4 ulp.  The worst seen against
+#: 50-digit roots is 2.3e-16.
+_ANGLE_RTOL = 2.0**-50
+
+#: Most ladder slots solved together in one array pass.  Each pass keeps a
+#: few dozen 16 KB arrays; larger passes make the heap grow and shrink.
+_LADDER_PASS = 2048
+
+#: Most states one ladder call lists: 2^21, about 52 times the deepest benchmark ladder (40,000).  A
+#: held ladder costs about 212 bytes a state.  ``energies --U 1e6 --q 2329.350207551823`` lists
+#: exactly 2^21 states in 66 s at a peak RSS of 1.93 GB, most of both in printing them; its
+#: bound_state_energies call alone takes 4.4 s and 0.36 GB (2 vCPU Xeon, Python 3.11.7).
+_LADDER_MAX = 2**21
+
+#: Passes of fewer slots are solved by the float kernel, without numpy.  Warm, on 2 vCPU Xeon,
+#: in ms, floats against arrays: 8 slots 0.09-0.10 against 0.34-0.44, 24 slots 0.20-0.30
+#: against 0.44-0.49, 32 slots 0.34-0.42 against 0.29-0.46, 40 slots 0.49-0.53 against
+#: 0.46-0.52, and 64 slots 0.74-0.81 against 0.47-0.49 (about 12 us a slot on floats).
+_SCALAR_SLOTS = 36
 
 
-def _ladder_size(q: float, k_max: float) -> int:
-    """Number of slots that start below k_max: ceil(2 k_max q / pi).
+def _half_pi_multiple(i):
+    """(p, e, t) with p + e = i fl(pi/2) exactly (Dekker's product) and t = i (pi/2 - fl(pi/2)), for a float
+    or an array of slots i below 2^53: i pi/2 to about 2^-106 of itself, plus the rounding of t."""
+    p = i * _HALF_PI
+    c = _VELTKAMP * i
+    hi = c - (c - i)
+    lo = i - hi
+    e = ((hi * _HALF_PI_HI - p) + hi * _HALF_PI_LO + lo * _HALF_PI_HI) + lo * _HALF_PI_LO
+    return p, e, i * _HALF_PI_TAIL
 
-    The closed form can round across a slot boundary when k_max q sits within
-    rounding of a multiple of pi/2; the slot's own lower end then decides.
+
+def _reduced(P, i):
+    """d = P - i pi/2, for a float or an array of slots i.  P - p is exact wherever d is small beside P."""
+    p, e, t = _half_pi_multiple(i)
+    return ((P - p) - e) - t
+
+
+def _is_top(P, i):
+    """Whether the root of slot i (a float or an array) has theta <= pi/4: P cos(pi/4) <= pi/4 + i pi/2."""
+    return P * _SQRT_HALF <= (i + 0.5) * _HALF_PI
+
+
+def _sin_versin(x):
+    """sin x and 1 - cos x for 0 <= x <= pi/4 (floats or arrays alike), by + and * only."""
+    z = x * x
+    s, v = _SIN[-1], _VERSIN[-1]
+    for c in _SIN[-2::-1]:
+        s = s * z + c
+    for c in _VERSIN[-2::-1]:
+        v = v * z + c
+    return x + x * (z * s), z * v
+
+
+def _slot_root(P, i, top: bool, sqrt):
+    """cos theta and sin theta of the root of P cos theta = theta + i pi/2, theta in [0, pi/2].
+
+    Both parities reduce to this one equation: k = k_max cos theta and kappa = k_max sin theta with
+    theta = atan2(kappa, k), and k q = P cos theta is theta past the slot's lower end i pi/2 (even
+    parity, k tan(kq) = kappa) or past it by pi/2 (odd, -k cot(kq) = kappa).  ``i`` is a float or an
+    array of slots whose roots lie all on the side of pi/4 that ``top`` (:func:`_is_top`) names, and
+    the smaller angle is solved, so that cos and sin both keep their digits:
+
+    * top, theta <= pi/4: F(theta) = d - P versin theta - theta with d = P - i pi/2, decreasing and
+      concave.  Its start, the root 2d/(1 + sqrt(1 + 2Pd)) of d - P theta^2/2 - theta, lies below the
+      root (versin theta <= theta^2/2); one Newton step carries it above, and from there Newton
+      descends monotonically.
+    * bottom, phi = pi/2 - theta < pi/4: G(phi) = P sin phi + phi - (i + 1) pi/2, increasing and
+      concave.  Its start (i + 1)(pi/2)/(P + 1) lies below the root (sin phi <= phi), and Newton
+      ascends monotonically.
+
+    Only + - * / and ``sqrt`` (math.sqrt or np.sqrt, both correctly rounded) are used, so floats and
+    arrays give the same bits.  Every multiple of pi/2 is :func:`_half_pi_multiple`'s, and P sin phi
+    lies within a factor 2 of it, so that the bottom form's first difference is exact too.
     """
-    count = 2.0 * (k_max * q) / math.pi
-    if count == math.inf:
-        raise DomainError(f"the well holds more states than a double counts: k_max q = {k_max * q!r}")
-    size = math.ceil(count)
-    if _slot_floor(size - 1, q) >= k_max:
+    if top:
+        d = _reduced(P, i)
+        x = 2.0 * d / (1.0 + sqrt(1.0 + 2.0 * P * d))
+        for _ in range(_NEWTON_STEPS):
+            s, v = _sin_versin(x)
+            x = x + (d - P * v - x) / (P * s + 1.0)
+        s, v = _sin_versin(x)
+        return 1.0 - v, s
+    j = i + 1.0
+    p, e, t = _half_pi_multiple(j)
+    x = p / (P + 1.0)
+    for _ in range(_NEWTON_STEPS):
+        s, v = _sin_versin(x)
+        x = x - ((((P * s - p) - e) - t) + x) / (P - P * v + 1.0)
+    s, v = _sin_versin(x)
+    return s, 1.0 - v
+
+
+def _ladder_size(P: float) -> int:
+    """Number of slots i >= 0 whose d = P - i pi/2, as :func:`_reduced` forms it, is positive.
+
+    The closed form ceil(P/(pi/2)) can round across a slot boundary when P sits within rounding
+    of a multiple of pi/2; the slot's own d then decides, so below P = 2^52 every listed slot
+    has a root theta > 0 and a positive kappa.
+    """
+    if P == math.inf:
+        raise DomainError(f"the well holds more states than a double counts: k_max q = {P!r}")
+    if not P > 0.0:
+        raise DomainError("the well's k_max q underflows to 0")
+    size = math.ceil(P / _HALF_PI)
+    if _reduced(P, size - 1) <= 0.0:
         return size - 1
-    if _slot_floor(size, q) < k_max:
+    if _reduced(P, size) > 0.0:
         return size + 1
     return size
 
 
-def _kappa_in_well(k: float, k_max: float) -> float:
-    """sqrt(k_max^2 - k^2) for 0 <= k < k_max; by ``_product`` where k_max^2 is no normal double."""
-    k2 = k_max * k_max
-    if _NORMAL <= k2 < math.inf:
-        return math.sqrt(max(k2 - k * k, 0.0))
-    return _product("kappa in the well", (k_max - k, 0.5), (0.5 * k_max + 0.5 * k, 0.5), (2.0, 0.5))
+def _state_at(i: int, c: float, s: float, k_max: float, U: float, plain: bool) -> BoundState:
+    """The state of ladder slot ``i`` whose root has cos theta = ``c`` and sin theta = ``s``:
+    k = k_max cos theta, kappa = k_max sin theta and E = U cos^2 theta, which never exceeds U.
 
-
-def _bisect_one(i: int, q: float, k_max: float) -> float:
-    """The k at which the bisection of ladder slot ``i`` ends.
-
-    Even slots hold the even roots, kq in (n pi, n pi + pi/2), and odd slots
-    the odd roots, kq in (n pi + pi/2, (n+1) pi); the pole-free bracket
-    changes sign exactly once across each, the last slot being cut at k_max.
+    :func:`_ladder_states` repeats these operations on arrays.  ``plain`` is from :func:`_well_scales`.
     """
-    bracket = _SLOT_KINDS[i % 2][0]
-    hi = min(_slot_floor(i + 1, q), k_max)
-    xtol = min(EIGEN_K_TOL, _EIGEN_K_RTOL * hi)
-    return _bisect(lambda k: bracket(k, _kappa_in_well(k, k_max), q), _slot_floor(i, q), hi, xtol)
+    k, kappa = k_max * c, k_max * s
+    if not 0.0 < min(k, kappa):
+        raise DomainError(f"state {i} underflows: k = {k!r}, kappa = {kappa!r}")
+    E = U * c * c if plain else _product("the state energy U cos^2 theta", (U, 1.0), (c, 2.0))
+    return BoundState(E, _PARITIES[i % 2], k, kappa)
 
 
-def _state_at(i: int, k: float, k_max: float, units: Units, plain: bool) -> BoundState:
-    """The state of ladder slot ``i`` whose bisection ended at ``k``.
-
-    A state depends on its k alone, not on how k was found; :func:`_ladder_states`
-    repeats these operations on arrays.  ``plain`` is from :func:`_well_scales`.
-    """
-    # A last slot narrower than the tolerance can return its upper end k_max;
-    # the state still lies below the threshold, so keep kappa positive.
-    k = min(k, math.nextafter(k_max, 0.0))
-    if plain:
-        hk = units.hbar * k
-        E = hk * hk / (2.0 * units.mass)
-    else:
-        E = _product("the state energy (hbar k)^2/(2m)", (units.hbar, 2.0), (k, 2.0), (2.0, -1.0), (units.mass, -1.0))
-    return BoundState(E, _SLOT_KINDS[i % 2][1], k, _kappa_in_well(k, k_max))
-
-
-def _bisect_slots(slots: range, q: float, k_max: float):
-    """The k at which :func:`_bisect` ends in every ladder slot of ``slots``, as an array.
-
-    One numpy bisection over all the slots, for k_max^2 a normal double: each
-    slot takes the same midpoints, exact-zero exits and width test as its
-    scalar bisection, width first.  A slot that its own test stops at k keeps
-    the bracket [k, k] and an empty band, so every later round maps it to k
-    (a normal double, so 0.5 k + 0.5 k = k) without evaluating it.  Only the
-    sign and zeroness of the bracket f steer a bisection, and the sign of f
-    at the slot's lower end never changes, so only that sign is carried.
-    np.sin/np.cos may differ from ``math`` by a few ulp, which moves a
-    bracket value by far less than ``guard`` = ``_SIGN_GUARD * k_max``, so
-    values below that come from the scalar bracket instead.
-
-    Most midpoints need no bracket at all.  Both parities solve
-    h(k) = kq - i pi/2 - atan2(kappa, k) = 0 with h' = q + 1/kappa; three
-    Newton steps from the slot's middle, clipped to the slot, estimate the
-    root r.  With err = k_max (hi q + 4) 2^-52 and
-    delta = 1.5 (2 err + guard)/(q k_max), the band [a, b] = [r - delta,
-    r + delta], clipped to the slot, is verified when |f(a)| and |f(b)| both
-    exceed 2 err + guard, f(a) has the sign of f(lo) and f(b) the other.  A
-    midpoint outside a verified band takes its side's sign unevaluated; one
-    inside is evaluated.  A slot whose band fails gets the whole slot as its
-    band and is bisected exactly as before.  The replay is exact:
-
-    * Let kappa^(x) = sqrt(max(k_max^2 (-) x (*) x, 0)), the kappa the
-      ``math`` bracket computes, which does not increase with x, and
-      g(x) = x sin(xq) - kappa^ cos(xq) (even slots) or
-      x cos(xq) + kappa^ sin(xq) (odd).  Across the slot's exact
-      half-period, +/-g is x |sin| - kappa^ |cos| (or x |cos| - kappa^ |sin|),
-      which never decreases, so |g| grows away from the root.
-    * The ``math`` bracket differs from g by at most err / sqrt(2): rounding
-      xq moves the trig by u xq (u = 2^-53), each trig value is within an ulp,
-      and three roundings follow, all times x + kappa^ <= sqrt(2) k_max.
-    * At a verified edge the ``math`` value exceeds 2 err (the guard covers
-      numpy against ``math``), so |g| > (2 - 1/sqrt(2)) err there, and every
-      float beyond the edge within the half-period has a larger |g| and the
-      ``math`` sign of the edge, never 0.
-    * lo and hi may overhang the exact half-period by a few ulp.  There +/-g
-      is kappa^ cos t + x sin t (below) or x cos t + kappa^ sin t (above) for
-      a t of a few ulp, at least cos t times its value at the edge, and the
-      sqrt(2) slack in err covers that factor.
-    """
-    import numpy as np
-
-    k2 = k_max * k_max
-    i = np.asarray(slots, dtype=float)
-    lo = i * math.pi / (2.0 * q)
-    hi = np.minimum((i + 1.0) * math.pi / (2.0 * q), k_max)
-    xtol = np.maximum(np.minimum(EIGEN_K_TOL, _EIGEN_K_RTOL * hi), np.spacing(hi))
-    even = i % 2.0 == 0.0
-    guard = _SIGN_GUARD * k_max
-
-    def bracket(x, even):
-        kappa = np.sqrt(k2 - x * x)  # x <= k_max, so never the root of a negative
-        sin, cos = np.sin(x * q), np.cos(x * q)
-        value = np.where(even, x * sin - kappa * cos, x * cos + kappa * sin)
-        for j in np.flatnonzero(np.abs(value) <= guard).tolist():
-            xj = float(x[j])
-            value[j] = _SLOT_KINDS[0 if even[j] else 1][0](xj, _kappa_in_well(xj, k_max), q)
-        return value
-
-    r = 0.5 * lo + 0.5 * hi
-    for _ in range(3):  # Newton on h; h/h' = h kappa/(q kappa + 1) has no pole at kappa = 0
-        kappa = np.sqrt(k2 - r * r)
-        h = r * q - i * (0.5 * math.pi) - np.arctan2(kappa, r)
-        r = np.minimum(np.maximum(r - h * kappa / (q * kappa + 1.0), lo), hi)
-    floor = 2.0 * k_max * (hi * q + 4.0) * 2.0**-52 + guard
-    delta = 1.5 * floor / k_max / q  # q * k_max can underflow; this overflows only where hi already did
-    a, b = np.maximum(r - delta, lo), np.minimum(r + delta, hi)
-    flo, fa, fb = bracket(lo, even), bracket(a, even), bracket(b, even)
-    neg = flo < 0.0
-    band = (np.abs(fa) > floor) & (np.abs(fb) > floor) & ((fa < 0.0) == neg) & ((fb < 0.0) != neg)
-    a, b = np.where(band, a, lo), np.where(band, b, hi)
-
-    hi = np.where(flo == 0.0, lo, hi)  # a slot whose bracket is 0 at lo starts collapsed there
-    stopped = 0
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * lo + 0.5 * hi
-        done = hi - lo <= xtol
-        count = np.count_nonzero(done)
-        if count == len(slots):
-            break
-        if count > stopped:  # the slots that stopped collapse onto their k, and their band empties
-            stopped = count
-            lo, hi, a = np.where(done, mid, lo), np.where(done, mid, hi), np.where(done, math.inf, a)
-        up = mid > b  # past the band f has the sign opposite to f(lo); before it, that of f(lo)
-        inside = np.flatnonzero((a <= mid) & ~up)
-        if inside.size:
-            fmid = bracket(mid[inside], even[inside])
-            up[inside] = neg[inside] != (fmid < 0.0)
-        hi, lo = np.where(up, mid, hi), np.where(up, lo, mid)
-        if inside.size and not fmid.all():  # an exact zero stops its slot at mid
-            zero = inside[fmid == 0.0]
-            lo[zero] = hi[zero] = mid[zero]
-    return 0.5 * lo + 0.5 * hi
-
-
-def _ladder_states(slots: range, q: float, k_max: float, units: Units, plain: bool) -> list[BoundState]:
+def _ladder_states(slots: range, P: float, k_max: float, U: float, plain: bool) -> list[BoundState]:
     """The states of ladder slots ``slots``, each bit for bit :func:`bound_state` of its slot.
 
-    A pass of at least ``_SCALAR_SLOTS`` slots, where k_max^2 is a normal
-    double, is bisected as arrays; for a plain well (``plain`` from
-    :func:`_well_scales`) its states are then also worked out as arrays, by
-    the operations of :func:`_state_at` in its order: elementwise IEEE
-    arithmetic and sqrt round as Python floats do.  Other passes are solved
-    slot by slot, as :func:`bound_state` solves one.
+    A pass of fewer than ``_SCALAR_SLOTS`` slots is solved slot by slot, as
+    :func:`bound_state` solves one.  A longer one runs the same kernel on arrays:
+    the slots whose roots lie below pi/4 in phi come first, then those below pi/4
+    in theta.  For a plain well (``plain`` from :func:`_well_scales`) its states are
+    then also worked out as arrays, by the operations of :func:`_state_at` in its
+    order; k_max is at least 2^-400 there, so no k or kappa of its at most
+    2^22 slots underflows.
     """
-    k2 = k_max * k_max
-    # where k_max^2 is no normal double, the scalar bracket takes kappa from _product
-    if len(slots) < _SCALAR_SLOTS or not _NORMAL <= k2 < math.inf:
-        return [_state_at(i, _bisect_one(i, q, k_max), k_max, units, plain) for i in slots]
-    k = _bisect_slots(slots, q, k_max)
-    if not plain:
-        return [_state_at(i, x, k_max, units, plain) for i, x in zip(slots, k.tolist())]
+    if len(slots) < _SCALAR_SLOTS:
+        return [_state_at(i, *_slot_root(P, float(i), _is_top(P, i), math.sqrt), k_max, U, plain) for i in slots]
     import numpy as np
 
-    k = np.minimum(k, math.nextafter(k_max, 0.0))
-    hk = units.hbar * k
-    E = hk * hk / (2.0 * units.mass)
-    kappa = np.sqrt(np.maximum(k2 - k * k, 0.0))
-    parities = itertools.cycle([_SLOT_KINDS[i % 2][1] for i in slots[:2]])  # map stops at the shortest
+    i = np.arange(slots.start, slots.stop, slots.step, dtype=float)
+    split = len(i) - np.count_nonzero(_is_top(P, i))
+    (c, s), (ct, st) = _slot_root(P, i[:split], False, np.sqrt), _slot_root(P, i[split:], True, np.sqrt)
+    c, s = np.concatenate((c, ct)), np.concatenate((s, st))
+    if not plain:
+        return [_state_at(j, x, y, k_max, U, plain) for j, x, y in zip(slots, c.tolist(), s.tolist())]
+    k, kappa, E = k_max * c, k_max * s, U * c * c
+    parities = itertools.cycle([_PARITIES[j % 2] for j in slots[:2]])  # map stops at the shortest
     # BoundState's __init__ sets each field through object.__setattr__;
     # the slot descriptors set the same fields at about half the cost.
     states = list(map(object.__new__, itertools.repeat(BoundState, len(slots))))
@@ -533,17 +454,47 @@ def _ladder_states(slots: range, q: float, k_max: float, units: Units, plain: bo
     return states
 
 
+def _slot_state(pot: Potential, units: Units, index: int) -> tuple[BoundState, float, float]:
+    """Bound state number ``index`` of a square well, with the cos theta and sin theta of its root."""
+    q, k_max, plain = _well_scales(pot, units)
+    P = k_max * q
+    size = _ladder_size(P)
+    if not 0 <= index < size:
+        raise DomainError(f"state index {index} out of range; the well holds {size} states")
+    top = _is_top(P, index)
+    if top and not (index < 2**53 and _reduced(P, index) > 0.0):  # P - i pi/2 is lost in rounding past 2^53
+        raise DomainError(f"state {index} lies within rounding of the top of the well: k_max q = {P!r}")
+    c, s = _slot_root(P, float(index), top, math.sqrt)
+    return _state_at(index, c, s, k_max, pot.U, plain), c, s
+
+
+def _eigen_kinematics(pot: Potential, units: Units, index: int) -> tuple[BoundState, Kinematics]:
+    """Bound state number ``index`` of a square well, and its :class:`Kinematics` from the angle of its
+    root: X, Y = cos theta, sin theta.
+
+    Near the top of the well E = U cos^2 theta can round to U, so E is not checked against U, and
+    U - E is U sin^2 theta, or 0.0 where that lies below the normal doubles.
+    """
+    state, c, s = _slot_state(pot, units, index)
+    if not 0.0 < state.E:
+        raise DomainError(f"the state energy {state.E!r} underflows")
+    try:
+        gap = _product("U - E", (pot.U, 1.0), (s, 2.0))
+    except DomainError:
+        gap = 0.0
+    kin = object.__new__(Kinematics)
+    plain = _ordinary(state.E, gap, units.hbar, units.mass)
+    kin._fill(state.E, pot.U, state.k, state.kappa, state.kappa / state.k, units, plain, (c, s), gap)
+    return state, kin
+
+
 def bound_state(pot: Potential, units: Units = Units(), index: int = 0) -> BoundState:
     """Bound state number ``index`` (0-based, ascending energy) of a square well.
 
     Solves only the one ladder slot the state lives in, on floats and
     without numpy, so the cost does not grow with the depth of the well.
     """
-    q, k_max, plain = _well_scales(pot, units)
-    size = _ladder_size(q, k_max)
-    if not 0 <= index < size:
-        raise DomainError(f"state index {index} out of range; the well holds {size} states")
-    return _state_at(index, _bisect_one(index, q, k_max), k_max, units, plain)
+    return _slot_state(pot, units, index)[0]
 
 
 def bound_state_energies(
@@ -551,32 +502,29 @@ def bound_state_energies(
 ) -> tuple[BoundState, ...]:
     """All bound states of a square well, sorted by increasing energy.
 
-    With k_max = sqrt(2 m U)/hbar, the ladder has one slot per pi/2 of k q
-    below k_max q, so the well holds ceil(2 k_max q / pi) states and state i
-    is the single root in k q in (i pi/2, (i+1) pi/2): even parity for even
-    i, odd parity for odd i.  Each slot is solved by bisection of a pole-free
-    bracket (k sin(kq) - kappa cos(kq) for even parity, k cos(kq) +
-    kappa sin(kq) for odd) to a width of ``EIGEN_K_TOL`` in k, or 2^-40 of
-    the slot's top where that is narrower; ``parity`` keeps every other
-    slot.  The slots are solved in passes of ``_LADDER_PASS``.  A pass of
-    fewer than ``_SCALAR_SLOTS`` slots is solved slot by slot, on floats and
-    without numpy.  A longer one is bisected as numpy arrays: the width test
-    comes first, a midpoint outside the slot's verified root band replays
-    the sign proven for its side, and only midpoints inside the band
-    evaluate the bracket.  For plain wells the states are then worked out
-    from the arrays of k and filled into records through the slot
-    descriptors.  Every state equals ``bound_state`` of its slot bit for
-    bit.
+    With k_max = sqrt(2 m U)/hbar and P = k_max q, state i solves
+    P cos theta = theta + i pi/2 for theta = atan2(kappa, k) in (0, pi/2]:
+    even parity for even i, odd parity for odd i, and one state for each
+    i with i pi/2 < P.  Each root is found by Newton's method in the
+    smaller of theta and pi/2 - theta (see :func:`_slot_root`), and
+    k = k_max cos theta, kappa = k_max sin theta; ``parity`` keeps every
+    other slot.  The slots are solved in passes of ``_LADDER_PASS``.  A
+    pass of fewer than ``_SCALAR_SLOTS`` slots is solved slot by slot, on
+    floats and without numpy, a longer one as numpy arrays by the same
+    kernel.  For plain wells the states are then worked out as arrays and
+    filled into records through the slot descriptors.  Every state equals
+    ``bound_state`` of its slot bit for bit.
     """
     if parity not in (PARITY_EVEN, PARITY_ODD, PARITY_BOTH):
         raise DomainError(f"parity must be even, odd or both, got {parity!r}")
     q, k_max, plain = _well_scales(pot, units)
+    P = k_max * q
     first = 1 if parity == PARITY_ODD else 0
     stride = 1 if parity == PARITY_BOTH else 2
-    size = _ladder_size(q, k_max)
+    size = _ladder_size(P)
     count = -(-(size - first) // stride)  # len(range(first, size, stride)), which fails past sys.maxsize
     if count > _LADDER_MAX:
         raise DomainError(f"the ladder holds {count} states, more than the {_LADDER_MAX} one call lists")
     slots = range(first, size, stride)
     passes = (slots[start : start + _LADDER_PASS] for start in range(0, len(slots), _LADDER_PASS))
-    return tuple(itertools.chain.from_iterable(_ladder_states(batch, q, k_max, units, plain) for batch in passes))
+    return tuple(itertools.chain.from_iterable(_ladder_states(batch, P, k_max, pot.U, plain) for batch in passes))

@@ -84,12 +84,12 @@ def _ratio(kin: Kinematics) -> float:
 def _dwell(kin: Kinematics) -> float:
     """hbar/sqrt(E (U - E)) as 2m hbar over the momenta sqrt(2mE) sqrt(2m(U - E)), 0 where not ordinary."""
     m, E = kin.units.mass, kin.E
-    return 2.0 * m * kin.units.hbar / (math.sqrt(2.0 * m * E) * math.sqrt(2.0 * m * (kin.U - E))) if kin._plain else 0.0
+    return 2.0 * m * kin.units.hbar / (math.sqrt(2.0 * m * E) * math.sqrt(2.0 * m * kin._gap)) if kin._plain else 0.0
 
 
 def _dwell_factors(kin: Kinematics, *extra: float) -> tuple:
     """hbar/sqrt(E (U - E)), the monochromatic dwell, times the base, power pairs ``extra``, as factors."""
-    return ((kin.units.hbar, 1.0), (kin.E, -0.5), (kin.U - kin.E, -0.5), *zip(extra[::2], extra[1::2]))
+    return ((kin.units.hbar, 1.0), (kin.E, -0.5), (kin._gap, -0.5), *zip(extra[::2], extra[1::2]))
 
 
 def _period(kin: Kinematics, q: float) -> tuple[float, float]:
@@ -137,8 +137,8 @@ def dwell_supremum_bound(kin: Kinematics) -> float:
     approached, never attained, as |c| -> 2 with a/b -> r^2 * (well-tuned ratio).
     """
     E, U, hbar, scale = kin.E, kin.U, kin.units.hbar, 2.0 * (math.sqrt(2.0) - 1.0)
-    plain = U / E * hbar / (scale * (U - E)) if kin._plain else 0.0
-    return _scaled("the dwell bound", plain, _dwell_factors, kin, U, 1.0, E, -0.5, U - E, -0.5, scale, -1.0)
+    plain = U / E * hbar / (scale * kin._gap) if kin._plain else 0.0
+    return _scaled("the dwell bound", plain, _dwell_factors, kin, U, 1.0, E, -0.5, kin._gap, -0.5, scale, -1.0)
 
 
 def libration_prefactor(kin: Kinematics, q: float) -> float:
@@ -215,7 +215,7 @@ def libration_alternative_bound(kin: Kinematics, q: float) -> float:
 
 def _alternative_factor(kin: Kinematics) -> float:
     """(2E - U)/U, with 2E - U exact: U - E is exact once E >= U/2, and 2E below."""
-    E, U, gap = kin.E, kin.U, kin.U - kin.E
+    E, U, gap = kin.E, kin.U, kin._gap
     return (E - gap if E >= gap else 2.0 * E - U) / U
 
 

@@ -67,7 +67,7 @@ def _check_span(x: float, x_ref: float, basis: RegionBasis) -> None:
 def _time_scale(ms: Microstate | RawCoefficients, basis: RegionBasis, kin: Kinematics) -> float:
     """(N/w) dw/dE with dw/dE = k/(2E) free, -kappa/(2(U - E)) forbidden: +/- N/(2 E_w), no hbar^2."""
     free, hbar = basis.region == FREE, kin.units.hbar
-    energy = kin.E if free else kin.U - kin.E
+    energy = kin.E if free else kin._gap
     if kin._plain:
         scale = _numerator(ms, basis, hbar, True) / (2.0 * energy)
     else:

@@ -27,9 +27,9 @@ from .potential import (
     Kinematics,
     Potential,
     Units,
+    _eigen_kinematics,
     _ordinary,
     _product,
-    bound_state,
     check_positive,
 )
 
@@ -192,15 +192,16 @@ def momentum_derivatives(
     """(W_x, W_xx, W_xxx) via closed-form derivatives of the denominator.
 
     With N the constant numerator and D the bilinear denominator,
-    W_x = N/D, W_xx = -N D'/D^2 and W_xxx = -N D''/D^2 + 2 N D'^2/D^3, so no
+    W_x = N/D, W_xx = -W_x D'/D and W_xxx = W_x (2 (D'/D)^2 - D''/D), so no
     numerical differentiation is involved.  N is that of :func:`conjugate_momentum`.
+    Only the ratios D'/D and D''/D are formed, never a power of D, which would
+    overflow or underflow at extreme gauges where W_x itself is a double.
     """
     N = _numerator(ms, basis, units.hbar)
     D, Dp, Dpp = bilinear_with_derivatives(ms, basis, x)
     W_x = N / checked_denominator(D, x)
-    W_xx = -N * Dp / (D * D)
-    W_xxx = -N * Dpp / (D * D) + 2.0 * N * Dp * Dp / (D * D * D)
-    return W_x, W_xx, W_xxx
+    slope = Dp / D
+    return W_x, -W_x * slope, W_x * (2.0 * slope * slope - Dpp / D)
 
 
 @lru_cache(maxsize=16)
@@ -228,7 +229,7 @@ def qshje_residual(x: float, ms: Microstate | RawCoefficients, basis: RegionBasi
     momentum = abs(unit.wronskian) * gauge_factor(ms) / D
     slope = D_u / D
     bracket = momentum * momentum + unit.curvature + 0.5 * (0.5 * slope * slope - D_uu / D)
-    return (kin.E if basis.region == FREE else kin.U - kin.E) * bracket
+    return (kin.E if basis.region == FREE else kin._gap) * bracket
 
 
 class CopenhagenState(_Record):
@@ -326,8 +327,7 @@ def barrier_scattering(kin: Kinematics, pot: Potential | None = None) -> Copenha
 
 def well_eigenstate(pot: Potential, units: Units = Units(), index: int = 0) -> CopenhagenState:
     """Normalized bound state number ``index`` (0-based, ascending energy)."""
-    state = bound_state(pot, units, index)
-    kin = Kinematics(E=state.E, U=pot.U, k=state.k, kappa=state.kappa, r=state.kappa / state.k, units=units)
+    state, kin = _eigen_kinematics(pot, units, index)
     return CopenhagenState(
         potential=pot, kinematics=kin, kind=WELL_EIGENSTATE, parity=state.parity, index=index
     )

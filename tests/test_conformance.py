@@ -9,11 +9,14 @@ Exit 2 must happen exactly where some printed value, or the command's k or
 kappa, is not a positive normal double; exit 1 never happens.  An exit-0 call
 writes nothing on stderr, and raises no warning.
 
-A well state's k and kappa are the ladder's own (the bisection's root and
-sqrt(k_max^2 - k^2) at it); every other value of a well command is checked
-against them.  So is density support: a present has none exactly at one of
-the state's nodes, k x/pi = j + offset, to within twice the ladder's relative
-accuracy in k.
+An ``energies`` call's k, kappa and E must lie within a few ulp, times their
+condition number, of the root of the angle equation P cos theta = theta + i pi/2
+at the library's own double P = k_max q (:mod:`angle_oracle`); half of those
+calls draw a well with a state just under its top.  Every other value of a well
+command is checked against the state's printed k and kappa.  So is density
+support: a present has none exactly at one of the state's nodes,
+k x/pi = j + offset, to within the ladder's stated accuracy in k plus the
+rounding of k x/pi.
 """
 
 import contextlib
@@ -27,10 +30,14 @@ import mpmath
 import pytest
 
 from trdwell.cli import run
-from trdwell.potential import _EIGEN_K_RTOL, EIGEN_K_TOL, Units, bound_state, square_well
+from trdwell.potential import _ANGLE_RTOL, Units, bound_state, square_well
+
+from angle_oracle import angle_root, well_p
 
 mpf = mpmath.mpf
 TOL = 1e-14
+#: A ladder state's k and kappa against the angle root: 4 ulp, times 2 for E = U cos^2 theta.
+ANGLE_TOL = 4 * 2.0**-52
 SEED = 20261018
 #: Calls per subcommand; an energies call lists and prints up to 10^4 states.
 CALLS = {"energies": 8}
@@ -315,28 +322,29 @@ def _well(rng):
     """Flags and 40-digit ceiling of a well holding at most 10^4 states."""
     _, U, hbar, m = _energies(rng)
     k_max = mpmath.sqrt(2 * mpf(m) * U) / hbar
-    # the per-slot float bisection (k_max^2 not a normal double) costs ~0.1 ms a state
-    states = _log_uniform(rng, 0, 4 if _normal(k_max * k_max) else 1.5)
+    states = _log_uniform(rng, 0, 4)
     q = float(mpmath.pi / 2 * states / k_max)
     return U, q, hbar, m, k_max
 
 
 def _energies_command(rng):
     U, q, hbar, m, k_max = _well(rng)
+    if rng.random() < 0.5:  # a top state just under the top: P = (j + 1)(pi/2)(1 + 10^-d)
+        j, d = rng.randrange(int(min(mpf(q) * k_max / mpmath.pi * 2, 1e4))), rng.randint(1, 15)
+        q = float((j + 1) * mpmath.pi / 2 * (1 + mpf(10) ** -d) / k_max)
     argv = ["energies", *_flags(U=U, q=q, hbar=hbar, mass=m)]
     code, record = _call(argv)
     assert code == (0 if _normal(k_max) else 2), argv
     if code:
         return
     states = record["outputs"]["states"]
-    assert len(states) == math.ceil(2 * k_max * mpf(q) / mpmath.pi) or abs(2 * k_max * q / mpmath.pi % 1) < 1e-9
-    for state in states[:: max(1, len(states) // 40)]:
-        k = mpf(state["k"])
-        energy = (mpf(hbar) * k) ** 2 / (2 * m)
-        kappa = mpmath.sqrt(k_max**2 - k * k)
-        assert abs(state["E"] - energy) <= TOL * energy, (argv, state)
-        assert abs(state["kappa"] - kappa) <= TOL * kappa * max(1, (k_max / kappa) ** 2), (argv, state)
-        assert abs(state["residual"]) <= max(EIGEN_K_TOL, 4 * math.ulp(state["k"]))
+    k_max, P = well_p(U, q, Units(hbar=hbar, mass=m))  # the library's doubles
+    assert len(states) == int(mpmath.ceil(mpf(P) / (mpmath.pi / 2))), argv
+    for state in states[:: max(1, len(states) // 40)] + states[-2:]:
+        c, s = angle_root(P, state["index"])
+        for name, exact, cond in (("k", k_max * c, 1), ("kappa", k_max * s, 1), ("E", U * c * c, 2)):
+            assert abs(state[name] - exact) <= ANGLE_TOL * cond * exact, (argv, state, name)
+        assert abs(state["residual"]) <= max(1e-13, 4 * math.ulp(state["k"])), (argv, state)
 
 
 def _connection(rng, command):
@@ -386,7 +394,7 @@ def _connection(rng, command):
             turns = ex.k * mpf(x_present) / mpmath.pi - offset
             distance = abs(turns - mpmath.nint(turns))
             interior = 2 * abs(mpmath.nint(turns) + offset) <= index - 1  # state n has n nodes
-            on_node = interior and distance <= 2 * _EIGEN_K_RTOL * abs(turns + offset)
+            on_node = interior and distance <= (_ANGLE_RTOL + 2.0**-51) * abs(turns + offset)
             assert record["outputs"]["copenhagen_allowed"] is not on_node, (argv, distance)
             # the nearest node itself, where one lies inside the well, has no support
             node = float((mpmath.nint(turns) + offset) * mpmath.pi / ex.k)

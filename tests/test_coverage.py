@@ -30,7 +30,7 @@ from trdwell.errors import DomainError, Infeasible
 from trdwell.microstate import is_monochromatic
 from trdwell.potential import Units, kinematics_from_energies, square_well
 from trdwell.times import dwell_supremum_bound, libration_period, libration_period_monochromatic
-from trdwell.wavefield import barrier_scattering, well_eigenstate
+from trdwell.wavefield import barrier_scattering, find_nodes, well_eigenstate
 
 
 @pytest.fixture
@@ -226,13 +226,21 @@ class TestWellVerdicts:
         for x in (-1.0, 1.0, -(1.0 - 1e-13), 1.0 - 1e-13):
             assert sw_verdict(Event(0.0, 0.0), Event(x, 1.0), deep).classification == BOTH_ALLOW
 
-    def test_presents_whose_node_phase_the_ladder_cannot_resolve_are_refused(self):
-        # k x/pi = 3.6e11 at x = 9e11: k's 2^-40 accuracy spans more than half a turn
-        # there, so an antinode, where the density peaks, would pass for a node
+    def test_presents_beyond_2_38_node_phases_get_a_verdict(self):
+        # k x/pi = 3.6e11 at x = 9e11: k is good to 4 ulp, so the node band is 5e-4 of a turn wide
+        # there, and the density view tells the nearest node from the point 4 of x away
         deep = well_eigenstate(square_well(1.0, 1e12), Units(), 800_000_000_000)
-        assert sw_verdict(Event(0.0, 0.0), Event(3e11, 1e14), deep).classification == BOTH_ALLOW
+        node = find_nodes(deep, (9e11 - 5.0, 9e11 + 5.0))[0]
+        assert sw_verdict(Event(0.0, 0.0), Event(9e11, 1e14), deep).classification == BOTH_ALLOW
+        assert sw_verdict(Event(0.0, 0.0), Event(node, 1e14), deep).classification == TR_ONLY
+
+    def test_presents_whose_node_phase_the_ladder_cannot_resolve_are_refused(self):
+        # k x/pi = 3.6e15 at x = 9e15: k's accuracy of 4 ulp, with the rounding of
+        # k x/pi, spans more than half a turn, so an antinode would pass for a node
+        deep = well_eigenstate(square_well(1.0, 1e16), Units(), 8_000_000_000_000_000)
+        assert sw_verdict(Event(0.0, 0.0), Event(3e14, 1e18), deep).classification == BOTH_ALLOW
         with pytest.raises(DomainError, match="cannot tell a node from an antinode"):
-            sw_verdict(Event(0.0, 0.0), Event(9e11, 1e14), deep)
+            sw_verdict(Event(0.0, 0.0), Event(9e15, 1e18), deep)
 
 
 class TestGridSpec:
@@ -319,14 +327,14 @@ class TestRelationReports:
 
 
 def test_the_period_count_steps_past_a_quotient_that_rounds_low():
-    # elapsed = 33 slice ceilings: elapsed/ceiling rounds to 33, but elapsed/33 rounds above the ceiling,
+    # elapsed = 39 slice ceilings: elapsed/ceiling rounds to 39, but elapsed/39 rounds above the ceiling,
     # so the count takes one more period
     state = well_eigenstate(square_well(1.0, 2.0), Units(), 1)
     ceiling = slice_period_max(state.kinematics, 2.0) * (1.0 - _PERIOD_MARGIN)
-    elapsed = 384.49262465967075
-    assert math.ceil(elapsed / ceiling) == 33 and elapsed / 33 > ceiling
+    elapsed = 454.4003745977954
+    assert math.ceil(elapsed / ceiling) == 39 and elapsed / 39 > ceiling
     sol = connect(Event(0.0, 0.0), Event(0.0, elapsed), state)
-    assert sol.whole_periods == 34 and elapsed / 34 <= ceiling
+    assert sol.whole_periods == 40 and elapsed / 40 <= ceiling
     assert sol.arrival_time == pytest.approx(elapsed, rel=1e-12)
 
 

@@ -57,7 +57,7 @@ RECORDS = [
 #: Fields left out of equality and hashing.
 UNCOMPARED = {RelationReport: ("counts",)}
 #: Fields a class works out itself, never passed: init=False, repr=False, compare=False.
-PRIVATE = {Kinematics: ("_plain", "_fractions")}
+PRIVATE = {Kinematics: ("_plain", "_fractions", "_gap")}
 #: Records that were slotted dataclasses, which pickle a list of their fields.
 SLOTTED = {BoundState}
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from trdwell.errors import DegenerateMicrostate, DomainError, ScanNotSettled, TrdwellError
+from trdwell.errors import DegenerateMicrostate, DomainError, ScanNotSettled, TrdwellError, _Record
 from trdwell.microstate import MONOCHROMATIC, BasisRescale, Microstate, RawCoefficients, normalize, transform_basis
 from trdwell.potential import Units, kinematics_from_energies
 from trdwell.trajectory import (
@@ -321,11 +321,12 @@ _ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("gauge", [1e-200, 1e200])
+@pytest.mark.parametrize("gauge", [1e-200, 1e-90, 1e90, 1e200])
 @pytest.mark.parametrize("region", ["free", "forbidden"])
 @pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
 def test_extreme_gauge_gives_a_value_or_a_typed_error(name, region, gauge, kin):
-    # alpha = beta = 1e-200 underflows the bilinear denominator D to 0, and 1e200 overflows D and |W0|
+    # alpha = beta = 1e-200 underflows the bilinear denominator D to 0, and 1e200 overflows D and |W0|;
+    # at 1e-90 and 1e90, D and W_x are doubles but D^2 and D^3 are not
     basis = canonical_basis(region, kin).rescaled(gauge, gauge)
     try:
         value = _ENTRY_POINTS[name](basis, kin)
@@ -333,7 +334,26 @@ def test_extreme_gauge_gives_a_value_or_a_typed_error(name, region, gauge, kin):
         if "bilinear denominator inf" in str(exc):
             assert "overflows" in str(exc)
         return
-    assert not any(math.isnan(v) for v in (value if isinstance(value, tuple) else (value,)))
+    assert not any(math.isnan(v) for v in _floats(value))
+
+
+def _floats(value):
+    """Every float in ``value``: a float, or a tuple or record of them, nested."""
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, (tuple, _Record)):
+        for item in value._asdict().values() if isinstance(value, _Record) else value:
+            yield from _floats(item)
+
+
+@pytest.mark.parametrize("gauge", [1e-90, 1e90])
+@pytest.mark.parametrize("region", ["free", "forbidden"])
+def test_momentum_derivatives_are_gauge_invariant_where_D_cubed_leaves_the_doubles(region, gauge, kin):
+    # W_x, W_xx and W_xxx do not depend on a common gauge of the basis; D^3 over- or underflows at 1e+-90
+    ms, basis = normalize(2.0, 1.0, 0.7), canonical_basis(region, kin)
+    expected = momentum_derivatives(0.1, ms, basis, kin.units)
+    got = momentum_derivatives(0.1, ms, basis.rescaled(gauge, gauge), kin.units)
+    assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 class TestSampling:
