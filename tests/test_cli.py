@@ -28,7 +28,7 @@ from trdwell.potential import (
 )
 from trdwell.times import SIGN_PLUS, dwell_time
 
-from angle_oracle import state_errors, well_p
+from angle_oracle import angle_root, state_errors, well_p
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -302,6 +302,31 @@ def test_each_invocation_imports_only_the_layers_it_runs():
         got = list(pool.map(_cold_imports, [argv for argv, _, _ in cases]))
     always = {"config", "errors", "potential", "serialize"}
     assert got == [(code, always | set(layers)) for _, code, layers in cases]
+
+
+@pytest.mark.parametrize("command", [["connect"], ["coverage", "sw"]])
+def test_well_commands_on_a_state_just_under_the_top(command, capsys):
+    # P = sqrt(2) q sits 1e-9 above pi/2: the top state's E rounds to U, and its witness needs the
+    # small kappa, which the angle root at the library's double P gives
+    argv = [*command, "--U", "1", "--q", "1.1107207356503122", "--state-index", "1"]
+    argv += ["--past", "0,0", "--present", "0.5,3"]
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    outputs = json.loads(captured.out)["outputs"]
+    k_max, P = well_p(1.0, 1.1107207356503122)
+    c, s = angle_root(P, 1)
+    with mpmath.workdps(40):
+        q, k_max = mpmath.mpf(1.1107207356503122), mpmath.mpf(k_max)
+        E, r, length = c * c, s / c, q + 1 / (k_max * s)
+        prefactor = 4 / E * length * mpmath.sqrt(1 / (2 * E))
+        crossing = q / (2 * length)
+        period = 3 / (1 + crossing * 0.5 / (2 * q))  # one whole period, and the phase from x = 0 to 0.5
+        tau_r = period / prefactor * r
+        a = 2 * tau_r * r / (1 + mpmath.sqrt(1 - 4 * tau_r * tau_r))
+    witness = outputs["microstate" if command == ["connect"] else "witness"]
+    assert witness["a"] == pytest.approx(float(a), rel=1e-14, abs=0.0)
+    assert witness["a"] == pytest.approx(5.8136767715551145e-27, rel=1e-15, abs=0.0)
 
 
 def test_subnormal_well_width_lists_its_states_with_empty_stderr():
