@@ -29,15 +29,15 @@ _EXPORTS = {
         "DegenerateMicrostate DomainError Infeasible OptimizationFailure ScanNotSettled StepUnderflow"
         " TrdwellError"
     ),
+    "kinematics": (
+        "FORBIDDEN FREE SQUARE_WELL STEP_BARRIER Kinematics Potential Units kinematics_from_energies"
+        " make_kinematics square_well step_barrier"
+    ),
     "microstate": (
         "MONOCHROMATIC BasisRescale Microstate RawCoefficients admissible is_monochromatic normalize"
         " transform_basis"
     ),
-    "potential": (
-        "FORBIDDEN FREE SQUARE_WELL STEP_BARRIER BoundState Kinematics Potential Units"
-        " bound_state_energies kinematics_from_energies make_kinematics matching_residual"
-        " square_well step_barrier"
-    ),
+    "potential": "BoundState bound_state_energies matching_residual",
     "times": (
         "SIGN_MINUS SIGN_PLUS DwellResult ExtremalReport dwell_supremum_bound dwell_time"
         " dwell_time_monochromatic libration_alternative_bound libration_infimum_probe"

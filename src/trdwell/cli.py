@@ -10,10 +10,12 @@ in ``_FLAGS``), the inputs it resolves before computing, its compute step,
 and the names of the fields it prints as JSON inputs, JSON outputs and CSV
 columns.
 
-This module imports only ``config``, ``errors``, ``potential`` and
-``serialize``.  The other layers (``microstate``, ``wavefield``, ``times``,
-``trajectory``, ``coverage``) load on dispatch, when a command first uses
-one, so each invocation compiles and runs only the modules it needs.
+This module imports only ``config``, ``errors``, ``kinematics`` and
+``serialize``.  The other layers (``potential``, the well ladder;
+``microstate``, ``wavefield``, ``times``, ``trajectory``, ``coverage``) load
+on dispatch, when a command first uses one, and the parser holds only the
+command that ``argv`` names, so each invocation builds, compiles and runs
+only what it needs.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import sys
 from . import __version__, _submodule
 from .config import _SWEEP_PARAMS, DEFAULT_CONFIG, Config, ConfigError, SweepSpec, load_config
 from .errors import DomainError, TrdwellError
-from .potential import Units, bound_state_energies, kinematics_from_energies, matching_residual, square_well
+from .kinematics import Units, kinematics_from_energies, square_well
 from .serialize import csv_dumps, json_dumps
 
 #: The library layers a command reaches as ``res.<layer>``; each is imported on first use.
@@ -238,7 +240,8 @@ def _events(res) -> dict:
 
 
 def _energies(res) -> dict:
-    states = bound_state_energies(square_well(res.U, res.q), res.units, parity=res.parity)
+    ladder = res.potential
+    states = ladder.bound_state_energies(square_well(res.U, res.q), res.units, parity=res.parity)
     listing = [
         {
             "index": i,
@@ -246,7 +249,7 @@ def _energies(res) -> dict:
             "E": s.E,
             "k": s.k,
             "kappa": s.kappa,
-            "residual": matching_residual(s, res.q),
+            "residual": ladder.matching_residual(s, res.q),
         }
         for i, s in enumerate(states)
     ]
@@ -493,16 +496,28 @@ COMMANDS = {
 }
 
 
-def build_parser() -> _Parser:
+def _words(name: str) -> list[str]:
+    """The words that invoke command ``name``: ``["dwell"]``, ``["coverage", "sb"]``."""
+    return ["coverage", name.removeprefix("coverage-")] if name.startswith("coverage-") else [name]
+
+
+def build_parser(argv=()) -> _Parser:
+    """The parser of the command whose words open ``argv``, or of every command if none does.
+
+    Either way ``argv`` parses as the full tree parses it, so help, errors and
+    exit codes are the same; an invocation just builds one subparser, not all.
+    """
     parser = _Parser(prog="trdwell", description=__doc__.splitlines()[0] if __doc__ else None)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    invoked = [name for name in COMMANDS if list(argv[: len(_words(name))]) == _words(name)]
     scenarios = None
-    for name, command in COMMANDS.items():
-        if name.startswith("coverage-"):
+    for name in invoked or COMMANDS:
+        command, words = COMMANDS[name], _words(name)
+        if len(words) == 2:
             if scenarios is None:
                 coverage = sub.add_parser("coverage", help="past/present admissibility verdicts")
                 scenarios = coverage.add_subparsers(dest="scenario", required=True, metavar="SCENARIO")
-            p = scenarios.add_parser(name.removeprefix("coverage-"), help=command.help)
+            p = scenarios.add_parser(words[1], help=command.help)
         else:
             p = sub.add_parser(name, help=command.help)
         p.set_defaults(command=name)
@@ -534,7 +549,8 @@ def _constants(meta: dict, res: _Resolved) -> dict:
 
 def run(argv: list[str] | None = None) -> int:
     """Parse ``argv``, execute the subcommand, and return the exit status."""
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:

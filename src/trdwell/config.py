@@ -18,12 +18,11 @@ for the well), ``sweep`` to :class:`SweepSpec` and ``defaults`` to
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 
 from .errors import DomainError, _Record
-from .potential import Potential, Units, check_epsilon
+from .kinematics import Potential, Units, check_epsilon
 
 
 class ConfigError(Exception):
@@ -121,6 +120,8 @@ def parse_config(document: dict) -> Config:
 
 def load_config(path: str) -> Config:
     """Read and validate the JSON config at ``path``."""
+    import json  # only a run with --config reads JSON
+
     try:
         with open(path, encoding="utf-8") as handle:
             document = json.load(handle)

@@ -28,8 +28,8 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, Infeasible, _Record
+from .kinematics import _NORMAL, Kinematics, check_positive
 from .microstate import Microstate, normalize
-from .potential import _ANGLE_RTOL, _NORMAL, Kinematics, check_positive
 from .times import _ratio, _slice_peak, dwell_supremum_bound, libration_period
 from .wavefield import WELL_EIGENSTATE, CopenhagenState, _node_offset
 
@@ -287,7 +287,10 @@ def connect(past: Event, present: Event, state: CopenhagenState) -> ConnectionSo
     )
 
 
-def _density_support(state: CopenhagenState, x: float) -> bool:
+def _density_support(state: CopenhagenState):
+    """Whether the density of well eigenstate ``state`` has support at x, as a function of x."""
+    from .potential import _ANGLE_RTOL  # the ladder's accuracy; only the well scenarios load it
+
     # The one place the density view decides support inside the well: |psi|^2
     # vanishes only at the nodes, k x/pi = j + offset, and state n has its n nodes
     # at the n such phases nearest 0, |j + offset| <= (n - 1)/2 (the rest lie past
@@ -295,12 +298,16 @@ def _density_support(state: CopenhagenState, x: float) -> bool:
     # phase is met to within that share of k x/pi, and 2^-51 more covers the
     # roundings of k x, of pi and of the division (1.5 ulp).  A band of half a
     # turn would take in the antinodes too: no verdict is left.
-    offset = _node_offset(state)
-    phase = state.kinematics.k * x / math.pi
-    node, band = round(phase - offset) + offset, (_ANGLE_RTOL + 2.0**-51) * abs(phase)
-    if band >= 0.5:
-        raise DomainError(f"the ladder's k cannot tell a node from an antinode at x={x!r}: k x/pi = {phase!r}")
-    return abs(phase - node) > band or 2.0 * abs(node) > state.index - 1
+    offset, k, rtol = _node_offset(state), state.kinematics.k, _ANGLE_RTOL + 2.0**-51
+
+    def supported(x: float) -> bool:
+        phase = k * x / math.pi
+        node, band = round(phase - offset) + offset, rtol * abs(phase)
+        if band >= 0.5:
+            raise DomainError(f"the ladder's k cannot tell a node from an antinode at x={x!r}: k x/pi = {phase!r}")
+        return abs(phase - node) > band or 2.0 * abs(node) > state.index - 1
+
+    return supported
 
 
 def sw_verdict(past: Event, present: Event, state: CopenhagenState) -> CoverageVerdict:
@@ -315,7 +322,7 @@ def sw_verdict(past: Event, present: Event, state: CopenhagenState) -> CoverageV
     node from an antinode.
     """
     solution = connect(past, present, state)
-    copenhagen_allowed = _density_support(state, present.x)
+    copenhagen_allowed = _density_support(state)(present.x)
     return CoverageVerdict(
         tr_allowed=True,
         copenhagen_allowed=copenhagen_allowed,
@@ -394,11 +401,11 @@ def _sb_classifier(kin: Kinematics):
 
 def _sw_classifier(state: CopenhagenState):
     """Classification of one well pair: the kernel's split, then support at the present."""
-    kernel = _well_kernel(state)
+    kernel, supported = _well_kernel(state), _density_support(state)
 
     def classify(x_past: float, x_present: float, elapsed: float) -> str:
         kernel.split(x_past, x_present, elapsed)
-        return _classify(True, _density_support(state, x_present))
+        return _classify(True, supported(x_present))
 
     return classify
 

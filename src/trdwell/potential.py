@@ -1,10 +1,8 @@
-"""Piecewise-constant potentials, unit bundles, and sub-barrier kinematics.
+"""Square-well bound states: the eigenvalue ladder.
 
-Two geometries are supported: a semi-infinite step of height U occupying
-x >= 0, and a square well of half-width q whose walls of height U occupy
-|x| >= q.  Everything downstream works at a single energy 0 < E < U, where
-the classically allowed region carries the travelling wavenumber k and the
-classically forbidden region carries the decay constant kappa.
+Only the commands that list or use well states load this module; the
+potentials, unit bundles and kinematics it builds on live in
+:mod:`trdwell.kinematics`, whose public names it re-exports.
 
 Square-well bound states need no scan: both parities of state i solve one
 equation, P cos theta = theta + i pi/2, with P = k_max q, theta = atan2(kappa, k)
@@ -27,204 +25,12 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-import sys
 
 from .errors import DomainError, _Record
-
-STEP_BARRIER = "step"
-SQUARE_WELL = "well"
-
-FREE = "free"
-FORBIDDEN = "forbidden"
-
-PARITY_EVEN = "even"
-PARITY_ODD = "odd"
-PARITY_BOTH = "both"
-
-
-def check_positive(name: str, value: float | None) -> None:
-    """Raise :class:`DomainError`, naming ``name``, unless ``value`` is finite and positive."""
-    if value is None or not 0.0 < value < math.inf:
-        raise DomainError(f"{name} must be finite and positive, got {value!r}")
-
-
-def check_epsilon(epsilon: float) -> None:
-    """Raise :class:`DomainError` unless the extremal reports' boundary offset lies in (0, 2)."""
-    if not 0.0 < epsilon < 2.0:
-        raise DomainError(f"epsilon must lie in (0, 2), got {epsilon!r}")
-
-
-class Units(_Record):
-    """Reduced Planck constant and particle mass, carried symbolically.
-
-    Defaults give the dimensionless convention hbar = mass = 1 used by all
-    worked examples; every formula in the package keeps both factors explicit
-    so any consistent unit system works.
-    """
-
-    __slots__ = ("hbar", "mass")
-
-    def __init__(self, hbar: float = 1.0, mass: float = 1.0):
-        check_positive("hbar", hbar)
-        check_positive("mass", mass)
-        object.__setattr__(self, "hbar", hbar)
-        object.__setattr__(self, "mass", mass)
-
-
-class Potential(_Record):
-    """A piecewise-constant potential of height ``U``.
-
-    ``kind`` is ``"step"`` (forbidden half-line x >= 0) or ``"well"``
-    (forbidden exterior |x| >= q).  ``q`` is the well half-width and must be
-    present exactly when the kind is ``"well"``.
-    """
-
-    __slots__ = ("kind", "U", "q")
-
-    def __init__(self, kind: str, U: float, q: float | None = None):
-        if kind not in (STEP_BARRIER, SQUARE_WELL):
-            raise DomainError(f"unknown potential kind {kind!r}")
-        check_positive("U", U)
-        if kind == SQUARE_WELL:
-            check_positive("well half-width q", q)
-        elif q is not None:
-            raise DomainError("q is only meaningful for the square well")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "q", q)
-
-    def energy_at(self, x: float) -> float:
-        """Potential energy at position ``x``."""
-        if self.kind == STEP_BARRIER:
-            return self.U if x >= 0.0 else 0.0
-        assert self.q is not None
-        return self.U if abs(x) >= self.q else 0.0
-
-    def region_at(self, x: float) -> str:
-        """``"free"`` or ``"forbidden"`` classification of position ``x``.
-
-        Interfaces belong to the forbidden side, matching ``energy_at``.
-        """
-        return FORBIDDEN if self.energy_at(x) > 0.0 else FREE
-
-
-def step_barrier(U: float) -> Potential:
-    """Semi-infinite step of height ``U`` occupying x >= 0."""
-    return Potential(STEP_BARRIER, U)
-
-
-def square_well(U: float, q: float) -> Potential:
-    """Square well with walls of height ``U`` outside |x| < ``q``."""
-    return Potential(SQUARE_WELL, U, q)
-
-
-#: Inputs within [2^-200, 2^200] are ordinary: no partial product of a closed form in them leaves the
-#: normal doubles.  Elsewhere one could overflow, or underflow unseen, so :func:`_product` evaluates it.
-_ORDINARY = 2.0**200
-_NORMAL = sys.float_info.min  # 2^-1022
-
-
-def _ordinary(*values: float) -> bool:
-    for value in values:
-        if not 1.0 / _ORDINARY <= value <= _ORDINARY:
-            return False
-    return True
-
-
-def _product(what: str, *factors: tuple[float, float]) -> float:
-    """prod(base**power) over ``factors`` (powers in halves): frexp mantissas multiply as floats,
-    exponents add as integers, ldexp joins them; a DomainError names ``what`` unless that is a normal double."""
-    mantissa, exponent = 1.0, 0
-    for base, power in factors:
-        if not 0.0 < base < math.inf:
-            raise DomainError(f"{what}: factor {base!r} is not a positive double")
-        m, e = math.frexp(base)
-        if e % 2 and power % 1:  # a half power needs an even exponent
-            m, e = 2.0 * m, e - 1
-        mantissa, shift = math.frexp(mantissa * m**power)
-        exponent += shift + int(e * power)
-    if not -1021 <= exponent <= 1024:  # mantissa * 2^exponent outside [2^-1022, 2^1024)
-        beyond = "overflows a double" if exponent > 0 else "underflows the normal doubles"
-        raise DomainError(f"{what} is about 10^{math.log10(mantissa) + exponent * math.log10(2.0):.1f}: it {beyond}")
-    return math.ldexp(mantissa, exponent)
-
-
-class Kinematics(_Record):
-    """Wavenumber bundle for one sub-barrier energy.
-
-    E      the energy, 0 < E < U
-    U      the barrier or wall height
-    k      travelling wavenumber of the free region, sqrt(2 m E)/hbar
-    kappa  decay constant of the forbidden region, sqrt(2 m (U - E))/hbar
-    r      the ratio kappa/k = sqrt((U - E)/E), the single dimensionless knob of most formulas
-
-    k, kappa and r must be positive normal doubles.  Worked out once here:
-    ``_gap``, the forbidden-side energy U - E; ``_plain``, whether E, U - E,
-    hbar and m are all ordinary (``_ORDINARY``); and ``_fractions``,
-    X = sqrt(E/U) and Y = sqrt((U - E)/U), for the times.  A well state's
-    bundle takes these from its angle instead (:func:`_eigen_kinematics`).
-    """
-
-    __slots__ = ("E", "U", "k", "kappa", "r", "units", "_plain", "_fractions", "_gap")
-
-    def __init__(self, E: float, U: float, k: float, kappa: float, r: float, units: Units):
-        if not (0.0 < E < U < math.inf):
-            raise DomainError(f"E must be positive and below a finite U; got E={E!r}, U={U!r}")
-        gap = U - E
-        self._fill(E, U, k, kappa, r, units, _ordinary(E, gap, units.hbar, units.mass), _fractions(E, U), gap)
-
-    def _fill(self, E, U, k, kappa, r, units, plain: bool, fractions: tuple[float, float], gap: float) -> None:
-        # __init__, kinematics_from_energies and _eigen_kinematics, each with its own E, U and gap checks
-        if not (_NORMAL <= min(k, kappa, r) and max(k, kappa, r) < math.inf):
-            raise DomainError(f"k, kappa, r must be positive normal doubles: {k!r}, {kappa!r}, {r!r}")
-        if abs(r - kappa / k) > 1e-12 * r:
-            raise DomainError(f"inconsistent bundle: r={r!r} but kappa/k={kappa / k!r}")
-        object.__setattr__(self, "E", E)
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "units", units)
-        object.__setattr__(self, "_plain", plain)
-        object.__setattr__(self, "_fractions", fractions)
-        object.__setattr__(self, "_gap", gap)
-
-    def at_energy(self, E: float) -> "Kinematics":
-        """Kinematics at a different energy under the same barrier and units."""
-        return kinematics_from_energies(E, self.U, self.units)
-
-
-def _fractions(E: float, U: float) -> tuple[float, float]:
-    """X = sqrt(E/U) and Y = sqrt((U - E)/U)."""
-    root = math.sqrt(U)
-    return math.sqrt(E) / root, math.sqrt(U - E) / root
-
-
-def kinematics_from_energies(E: float, U: float, units: Units = Units()) -> Kinematics:
-    """Build :class:`Kinematics` from raw energies; a k, kappa or r beyond the normal doubles is a DomainError."""
-    if not 0.0 < E < U < math.inf:
-        raise DomainError(f"E must be positive and below a finite U; got E={E!r}, U={U!r}")
-    gap, hbar, m = U - E, units.hbar, units.mass
-    plain = _ordinary(E, gap, hbar, m)
-    if plain:
-        k = math.sqrt(2.0 * m * E) / hbar
-        kappa = math.sqrt(2.0 * m * gap) / hbar
-        r = math.sqrt(gap / E)
-    else:
-        k = _product("k = sqrt(2 m E)/hbar", (2.0, 0.5), (m, 0.5), (E, 0.5), (hbar, -1.0))
-        kappa = _product("kappa = sqrt(2 m (U - E))/hbar", (2.0, 0.5), (m, 0.5), (gap, 0.5), (hbar, -1.0))
-        r = _product("r = sqrt((U - E)/E)", (gap, 0.5), (E, -0.5))
-    kin = object.__new__(Kinematics)
-    kin._fill(E, U, k, kappa, r, units, plain, _fractions(E, U), gap)
-    return kin
-
-
-def make_kinematics(E: float, pot: Potential, units: Units = Units()) -> Kinematics:
-    """Kinematics of energy ``E`` inside potential ``pot``.
-
-    Raises :class:`DomainError` unless 0 < E < U.
-    """
-    return kinematics_from_energies(E, pot.U, units)
+from .kinematics import PARITY_BOTH, PARITY_EVEN, PARITY_ODD, SQUARE_WELL, Kinematics, Units, _ordinary, _product
+# the rest of the kinematics API, re-exported: every public trdwell.potential.X still resolves
+from .kinematics import FORBIDDEN, FREE, STEP_BARRIER, Potential, check_epsilon, check_positive  # noqa: F401
+from .kinematics import kinematics_from_energies, make_kinematics, square_well, step_barrier  # noqa: F401
 
 
 class BoundState(_Record):
@@ -301,6 +107,9 @@ _NEWTON_STEPS = 4
 #: against the root of the angle equation at the well's own P: 4 ulp.  The worst seen against
 #: 50-digit roots is 2.3e-16.
 _ANGLE_RTOL = 2.0**-50
+
+#: Slot numbers below 2^53 are doubles, so each slot's own d = P - i pi/2 can decide it.
+_EXACT_SLOTS = 2**53
 
 #: Most ladder slots solved together in one array pass.  Each pass keeps a
 #: few dozen 16 KB arrays; larger passes make the heap grow and shrink.
@@ -394,20 +203,28 @@ def _slot_root(P, i, top: bool, sqrt):
 def _ladder_size(P: float) -> int:
     """Number of slots i >= 0 whose d = P - i pi/2, as :func:`_reduced` forms it, is positive.
 
-    The closed form ceil(P/(pi/2)) can round across a slot boundary when P sits within rounding
-    of a multiple of pi/2; the slot's own d then decides, so below P = 2^52 every listed slot
-    has a root theta > 0 and a positive kappa.
+    The quotient P/(pi/2) can round across slot boundaries, so the count walks from its ceiling
+    until the slots' own d decide: exact wherever the slots lie below ``_EXACT_SLOTS``, that is
+    for P below 2^53 pi/2 (about 1.41e16).  Past that slot numbers are not all doubles, and the
+    ceiling is returned as the estimate it is, which :func:`_count` words as one.
     """
     if P == math.inf:
         raise DomainError(f"the well holds more states than a double counts: k_max q = {P!r}")
     if not P > 0.0:
         raise DomainError("the well's k_max q underflows to 0")
     size = math.ceil(P / _HALF_PI)
-    if _reduced(P, size - 1) <= 0.0:
-        return size - 1
-    if _reduced(P, size) > 0.0:
-        return size + 1
+    if size >= _EXACT_SLOTS:
+        return size
+    while not _reduced(P, size - 1) > 0.0:
+        size -= 1
+    while _reduced(P, size) > 0.0:
+        size += 1
     return size
+
+
+def _count(n: int, size: int) -> str:
+    """A count ``n`` of the states of a ladder of ``size`` slots, as an estimate past ``_EXACT_SLOTS``."""
+    return str(n) if size < _EXACT_SLOTS else f"about {n:.6g}"
 
 
 def _state_at(i: int, c: float, s: float, k_max: float, U: float, plain: bool) -> BoundState:
@@ -460,9 +277,11 @@ def _slot_state(pot: Potential, units: Units, index: int) -> tuple[BoundState, f
     P = k_max * q
     size = _ladder_size(P)
     if not 0 <= index < size:
-        raise DomainError(f"state index {index} out of range; the well holds {size} states")
+        raise DomainError(f"state index {index} out of range; the well holds {_count(size, size)} states")
+    if index >= _EXACT_SLOTS:  # float(index) would round to a neighbouring slot
+        raise DomainError(f"state {index} lies past slot 2^53, where slot numbers are not doubles")
     top = _is_top(P, index)
-    if top and not (index < 2**53 and _reduced(P, index) > 0.0):  # P - i pi/2 is lost in rounding past 2^53
+    if top and not _reduced(P, index) > 0.0:  # P - i pi/2 is lost in rounding
         raise DomainError(f"state {index} lies within rounding of the top of the well: k_max q = {P!r}")
     c, s = _slot_root(P, float(index), top, math.sqrt)
     return _state_at(index, c, s, k_max, pot.U, plain), c, s
@@ -524,7 +343,7 @@ def bound_state_energies(
     size = _ladder_size(P)
     count = -(-(size - first) // stride)  # len(range(first, size, stride)), which fails past sys.maxsize
     if count > _LADDER_MAX:
-        raise DomainError(f"the ladder holds {count} states, more than the {_LADDER_MAX} one call lists")
+        raise DomainError(f"the ladder holds {_count(count, size)} states, more than the {_LADDER_MAX} one call lists")
     slots = range(first, size, stride)
     passes = (slots[start : start + _LADDER_PASS] for start in range(0, len(slots), _LADDER_PASS))
     return tuple(itertools.chain.from_iterable(_ladder_states(batch, P, k_max, pot.U, plain) for batch in passes))

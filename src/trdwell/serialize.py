@@ -4,14 +4,14 @@ Floats are written with 17 significant digits ("%.17g"), which round-trips
 binary64 exactly: parsing the emitted text and re-emitting it reproduces the
 bytes.  Dictionaries keep insertion order, non-finite floats become the
 strings "inf"/"-inf"/"nan" (JSON has no literal for them), and CSV uses
-minimal RFC-4180 quoting with LF line ends.
+minimal RFC-4180 quoting with LF line ends.  Each renderer imports its
+format's module (``json`` or ``csv``) when it first runs, so a command loads
+only the one it prints.
 """
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import math
 
 
@@ -24,7 +24,8 @@ def format_float(value: float) -> str:
     return "%.17g" % value
 
 
-def _render(value, pretty: bool, depth: int) -> str:
+def _render(value, pretty: bool, depth: int, quote) -> str:
+    """``value`` as JSON text; ``quote`` renders a string as a JSON string."""
     pad = "  " * (depth + 1) if pretty else ""
     close_pad = "  " * depth if pretty else ""
     joiner = ",\n" if pretty else ", "
@@ -32,7 +33,7 @@ def _render(value, pretty: bool, depth: int) -> str:
         if not value:
             return "{}"
         items = [
-            f"{pad}{json.dumps(str(k), ensure_ascii=False)}: {_render(v, pretty, depth + 1)}"
+            f"{pad}{quote(str(k))}: {_render(v, pretty, depth + 1, quote)}"
             for k, v in value.items()
         ]
         if pretty:
@@ -41,7 +42,7 @@ def _render(value, pretty: bool, depth: int) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [f"{pad}{_render(v, pretty, depth + 1)}" for v in value]
+        items = [f"{pad}{_render(v, pretty, depth + 1, quote)}" for v in value]
         if pretty:
             return "[\n" + joiner.join(items) + "\n" + close_pad + "]"
         return "[" + joiner.join(items) + "]"
@@ -56,15 +57,17 @@ def _render(value, pretty: bool, depth: int) -> str:
             # --pretty is for human eyes and may round; machine output keeps
             # the full 17 significant digits so files are exact.
             return "%.6g" % value if pretty else format_float(value)
-        return json.dumps(format_float(value))
+        return quote(format_float(value))
     if isinstance(value, str):
-        return json.dumps(value, ensure_ascii=False)
+        return quote(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def json_dumps(value, pretty: bool = False) -> str:
     """Render ``value`` as a JSON document (with trailing newline)."""
-    return _render(value, pretty, 0) + "\n"
+    import json
+
+    return _render(value, pretty, 0, lambda text: json.dumps(text, ensure_ascii=False)) + "\n"
 
 
 def _csv_cell(value) -> str:
@@ -85,6 +88,8 @@ def csv_dumps(rows: list[dict], header: list[str] | None = None) -> str:
     ``header`` names the columns, so an empty table still has them; without
     it, the first record's keys do.
     """
+    import csv
+
     if header is None:
         if not rows:
             raise ValueError("CSV output needs a header or at least one record to name its columns")

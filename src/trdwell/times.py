@@ -34,7 +34,7 @@ tests keep a numeric zoom search over (a, c) as an independent oracle.
 
 Each time is a unit scale in E, U - E, hbar and m (1 + r^2 = U/E) times a
 dimensionless factor in X = sqrt(E/U) and Y = sqrt((U - E)/U): no power of r
-is formed.  Outside ordinary inputs ``potential._product`` evaluates it, and
+is formed.  Outside ordinary inputs ``kinematics._product`` evaluates it, and
 a time that is not a normal double is a :class:`DomainError`.
 """
 
@@ -43,8 +43,8 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, OptimizationFailure, _Record
+from .kinematics import _NORMAL, _ORDINARY, Kinematics, _product, check_epsilon, check_positive
 from .microstate import Microstate, gauge_factor, normalize
-from .potential import _NORMAL, _ORDINARY, Kinematics, _product, check_epsilon, check_positive
 
 SIGN_PLUS = "+"
 SIGN_MINUS = "-"

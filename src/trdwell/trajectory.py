@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, ScanNotSettled, _Record
+from .kinematics import _NORMAL, FORBIDDEN, FREE, Kinematics, _product, check_positive
 from .microstate import Microstate, RawCoefficients, gauge_factor
-from .potential import _NORMAL, FORBIDDEN, FREE, Kinematics, _product, check_positive
 from .wavefield import RegionBasis, _form, _numerator, bilinear, check_basis, checked_denominator
 
 #: Grid points evaluated per numpy pass of the divergence-onset scan.  A pass

@@ -17,8 +17,7 @@ import math
 from functools import lru_cache
 
 from .errors import DegenerateMicrostate, DomainError, _Record
-from .microstate import Microstate, RawCoefficients, check_nonzero, gauge_factor
-from .potential import (
+from .kinematics import (
     FORBIDDEN,
     FREE,
     PARITY_ODD,
@@ -27,11 +26,11 @@ from .potential import (
     Kinematics,
     Potential,
     Units,
-    _eigen_kinematics,
     _ordinary,
     _product,
     check_positive,
 )
+from .microstate import Microstate, RawCoefficients, check_nonzero, gauge_factor
 
 BARRIER_SCATTERING = "barrier-scattering"
 WELL_EIGENSTATE = "well-eigenstate"
@@ -327,6 +326,8 @@ def barrier_scattering(kin: Kinematics, pot: Potential | None = None) -> Copenha
 
 def well_eigenstate(pot: Potential, units: Units = Units(), index: int = 0) -> CopenhagenState:
     """Normalized bound state number ``index`` (0-based, ascending energy)."""
+    from .potential import _eigen_kinematics  # the ladder loads with the first well state
+
     state, kin = _eigen_kinematics(pot, units, index)
     return CopenhagenState(
         potential=pot, kinematics=kin, kind=WELL_EIGENSTATE, parity=state.parity, index=index

@@ -1,5 +1,7 @@
 """Command-line surface: golden files, exit codes, config handling."""
 
+import argparse
+import functools
 import json
 import math
 import os
@@ -15,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trdwell
+from trdwell import cli
 from trdwell.cli import COMMANDS, _linspace, run
 from trdwell.microstate import normalize
 from trdwell.potential import (
@@ -178,6 +181,63 @@ def test_all_subcommands_have_a_golden_fixture():
     assert covered == set(COMMANDS)
 
 
+def _choices(parser) -> dict:
+    """The subcommands of ``parser``, by name."""
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _subparser(parser, words):
+    """The parser that ``words`` (``["dwell"]``, ``["coverage", "sb"]``) reach from ``parser``."""
+    for word in words:
+        parser = _choices(parser)[word]
+    return parser
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_the_one_command_parser_gives_the_full_trees_help(name):
+    words = cli._words(name)
+    full, one = cli.build_parser(), cli.build_parser([*words, "--help"])
+    assert list(_choices(_subparser(one, words[:-1]))) == [words[-1]]  # the named command alone
+    assert _subparser(one, words).format_help() == _subparser(full, words).format_help()
+
+
+_DWELL = ["dwell", "--E", "0.18", "--U", "0.5"]
+
+# every way an invocation can go wrong before a command runs, and the help of each level
+MALFORMED = [
+    [],
+    ["no-such-command"],
+    ["coverage-sb"],  # a key of the command table, not a command
+    ["coverage"],
+    ["coverage", "no-such-scenario"],
+    ["coverage", "--E", "0.18", "sb"],
+    ["--format", "csv", *_DWELL],
+    [*_DWELL, "--no-such-flag", "1"],
+    [*_DWELL, "extra"],
+    [*_DWELL, "--sign", "sideways"],
+    [*_DWELL, "--E", "abc"],
+    [*_DWELL, "--si", "minus"],  # an abbreviated flag
+    ["dwell", "--E"],
+    ["trajectory", "--E", "0.18", "--U", "0.5", "--x-start", "0", "--x-stop", "1"],
+    ["qshje-check", "--E", "0.18", "--U", "0.5", "--region", "free"],
+    ["energies", "--U", "1", "--q", "2", "--parity", "neither"],
+    ["coverage", "sw", "--U", "1", "--q", "2", "--state-index", "one"],
+    ["--help"],
+    ["-h", "dwell"],
+    ["coverage", "--help"],
+    *([*cli._words(name), "--help"] for name in COMMANDS),
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_the_one_command_parser_fails_as_the_full_tree_fails(argv, monkeypatch, capsys):
+    one = run(argv), *capsys.readouterr()
+    full_tree = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv: full_tree())
+    assert (run(argv), *capsys.readouterr()) == one
+
+
 def _child_env() -> dict:
     """The environment of a fresh interpreter that imports this package."""
     src = str(Path(trdwell.__file__).resolve().parents[1])
@@ -242,13 +302,13 @@ def test_numpy_loads_only_for_the_array_layers():
     assert runs == [(code, []) for _, code in cases[:-1]] + [(0, ["numpy"])]
 
 
-# the modules each command loads besides config, errors, potential and serialize, which the
-# command line imports for every invocation
+# the modules each command loads besides config, errors, kinematics and serialize, which the
+# command line imports for every invocation; only the well commands load the ladder (potential)
 _TIMES = ("microstate", "times")
 _COVERAGE = ("microstate", "wavefield", "times", "coverage")
 LAYERS_BY_COMMAND = {
     "kinematics": (),
-    "energies": (),
+    "energies": ("potential",),
     "dwell": _TIMES,
     "dwell-max": _TIMES,
     "libration": _TIMES,
@@ -257,8 +317,9 @@ LAYERS_BY_COMMAND = {
     "sweep": _TIMES,
     "qshje-check": ("microstate", "wavefield"),
     "trajectory": ("microstate", "wavefield", "trajectory"),
-    "coverage": _COVERAGE,
-    "connect": _COVERAGE,
+    "coverage-sb": _COVERAGE,
+    "coverage-sw": ("potential", *_COVERAGE),
+    "connect": ("potential", *_COVERAGE),
 }
 
 #: Every public name of the package, as listed before its exports became lazy.
@@ -281,27 +342,88 @@ sw_verdict time_of_flight transform_basis well_eigenstate
 
 
 def _cold_imports(argv) -> tuple[int, set[str]]:
-    """Exit code of a fresh ``python -m trdwell.cli *argv``, and the ``trdwell`` submodules
-    (plus numpy, dataclasses and inspect) it loaded, read from the ``import 'name'`` lines of ``python -v``."""
+    """Exit code of a fresh ``python -m trdwell.cli *argv``, and the ``trdwell`` submodules (plus
+    numpy, dataclasses, inspect, json and csv) it loaded, read from the ``import 'name'`` lines of ``python -v``."""
     proc = subprocess.run(
         [sys.executable, "-v", "-m", "trdwell.cli", *argv],
         capture_output=True, text=True, env=_child_env(), timeout=60,
     )
     names = {line.split("'")[1] for line in proc.stderr.splitlines() if line.startswith("import '")}
     submodules = {name.removeprefix("trdwell.") for name in names if name.startswith("trdwell.")}
-    return proc.returncode, submodules | (names & {"numpy", "dataclasses", "inspect"})
+    return proc.returncode, submodules | (names & {"numpy", "dataclasses", "inspect", "json", "csv"})
+
+
+# labels of ERROR_CASES, in order
+ERROR_NAMES = ("exit 1: no command", "exit 1: unknown command", "exit 2: E above U")
+
+
+@functools.lru_cache(maxsize=None)
+def _cold_runs() -> tuple[tuple[str, int, frozenset], ...]:
+    """(name, exit code, modules loaded) of one cold interpreter per golden fixture and per C13 error exit."""
+    names = [name for name, _ in GOLDEN_CASES] + list(ERROR_NAMES)
+    argvs = [argv for _, argv in GOLDEN_CASES] + [argv for argv, _ in ERROR_CASES]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        got = list(pool.map(_cold_imports, argvs))
+    return tuple((name, code, frozenset(loaded)) for name, (code, loaded) in zip(names, got))
+
+
+def _command(argv) -> str:
+    """The COMMANDS key of an invocation: ``coverage-sb`` for ``coverage sb``."""
+    return argv[0] if argv[0] != "coverage" else f"coverage-{argv[1]}"
 
 
 def test_each_invocation_imports_only_the_layers_it_runs():
     # one cold interpreter per golden fixture and per C13 error exit; the error exits
-    # (usage errors, and a dwell whose kinematics are rejected) stop before any layer loads.
-    # None loads dataclasses or inspect: the records are plain slotted classes.
-    cases = [(argv, 0, LAYERS_BY_COMMAND[argv[0]]) for _, argv in GOLDEN_CASES]
-    cases += [(argv, code, ()) for argv, code in ERROR_CASES]
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        got = list(pool.map(_cold_imports, [argv for argv, _, _ in cases]))
-    always = {"config", "errors", "potential", "serialize"}
-    assert got == [(code, always | set(layers)) for _, code, layers in cases]
+    # (usage errors, and a dwell whose kinematics are rejected) stop before any layer loads
+    # or any output is written.  None loads dataclasses or inspect (the records are plain
+    # slotted classes), and each output loads the module of its own format only.
+    always = {"config", "errors", "kinematics", "serialize"}
+    expected = [
+        (0, always | set(LAYERS_BY_COMMAND[_command(argv)]) | {name.rsplit(".", 1)[1]}) for name, argv in GOLDEN_CASES
+    ]
+    expected += [(code, always) for _, code in ERROR_CASES]
+    assert [(code, set(loaded)) for _, code, loaded in _cold_runs()] == expected
+
+
+#: Most non-blank lines of ``trdwell`` source that a cold invocation compiles: ``__init__.py``,
+#: ``cli.py`` (run as ``__main__``) and every module it loads.  With no bytecode cache, compiling
+#: is most of what the package adds to a cold start, so a line added where every command loads it
+#: costs every invocation; put it beside the commands that run it.
+COMPILED_LINES = {
+    "kinematics.json": 996,
+    "energies.json": 1281,
+    "dwell.json": 1352,
+    "dwell.csv": 1352,
+    "dwell-max.json": 1352,
+    "libration.json": 1352,
+    "libration-max.json": 1352,
+    "libration-inf.json": 1352,
+    "trajectory.csv": 1684,
+    "qshje-check.json": 1411,
+    "coverage-sb.json": 2040,
+    "coverage-sw.json": 2325,
+    "connect.json": 2325,
+    "sweep.csv": 1352,
+    "exit 1: no command": 996,
+    "exit 1: unknown command": 996,
+    "exit 2: E above U": 996,
+}
+
+
+#: The non-blank lines of each module of the package.
+SOURCE_LINES = {
+    path.stem: sum(1 for line in path.read_text(encoding="utf-8").splitlines() if line.strip())
+    for path in Path(trdwell.__file__).parent.glob("*.py")
+}
+
+
+def test_each_invocation_compiles_at_most_its_budget_of_source_lines():
+    compiled = {
+        name: sum(SOURCE_LINES[module] for module in {"__init__", "cli", *loaded} if module in SOURCE_LINES)
+        for name, _, loaded in _cold_runs()
+    }
+    assert compiled.keys() == COMPILED_LINES.keys()
+    assert {name: lines for name, lines in compiled.items() if lines > COMPILED_LINES[name]} == {}
 
 
 @pytest.mark.parametrize("command", [["connect"], ["coverage", "sw"]])
@@ -363,7 +485,7 @@ def test_package_exports_load_the_library_on_first_access():
     )
     bare, unknown, after_unknown, after_access, exported = json.loads(_python(script).splitlines()[-1])
     assert (bare, unknown, after_unknown) == ([], False, [])
-    layers = "config coverage errors microstate potential times trajectory wavefield"
+    layers = "config coverage errors kinematics microstate potential times trajectory wavefield"
     assert after_access == [f"trdwell.{name}" for name in layers.split()]
     assert exported == sorted(PUBLIC_NAMES.split())
 

@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from trdwell import potential
+from trdwell import kinematics, potential
 from trdwell.errors import DomainError
 from trdwell.potential import (
     _LADDER_PASS,
@@ -153,8 +153,8 @@ class TestKinematics:
     @pytest.mark.parametrize("E,U", [(0.18, 0.5), (1e-300, 1e300)])
     def test_a_bundle_from_energies_tests_the_ordinary_box_once(self, E, U, units, monkeypatch):
         calls = []
-        ordinary = potential._ordinary
-        monkeypatch.setattr(potential, "_ordinary", lambda *values: calls.append(values) or ordinary(*values))
+        ordinary = kinematics._ordinary
+        monkeypatch.setattr(kinematics, "_ordinary", lambda *values: calls.append(values) or ordinary(*values))
         kin = kinematics_from_energies(E, U, units)
         assert calls == [(E, U - E, units.hbar, units.mass)]
         assert kin == Kinematics(kin.E, kin.U, kin.k, kin.kappa, kin.r, units) and kin._plain is ordinary(*calls[0])
@@ -314,6 +314,45 @@ def test_the_ladder_scales_exactly_with_the_units():
 def test_every_listed_slot_has_a_positive_reduced_angle(P):
     size = _ladder_size(P)
     assert _reduced(P, size - 1) > 0.0 >= _reduced(P, size)
+
+
+def _slots_40_digits(P: float) -> int:
+    """The number of slots i >= 0 with i pi/2 < P, in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        return int(mpmath.ceil(mpmath.mpf(P) / (mpmath.pi / 2)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_ladder_count_is_exact_wherever_the_slots_are_doubles(seed):
+    # P log-uniform from 2^52 to 2^53 fl(pi/2) < 2^53 pi/2, where P/(pi/2) carries up to a slot of
+    # rounding; half the draws lie within 4 ulp of a slot boundary, where only the slot's own d decides
+    rng = random.Random(seed)
+    for _ in range(400):
+        P = math.exp(rng.uniform(math.log(2.0**52), math.log(2.0**53 * (math.pi / 2.0))))
+        if rng.random() < 0.5:
+            with mpmath.workdps(40):
+                boundary = float(int(P / (math.pi / 2.0)) * mpmath.pi / 2)
+            P = min(boundary + rng.randint(-4, 4) * math.ulp(boundary), 2.0**53 * (math.pi / 2.0))
+        assert _ladder_size(P) == _slots_40_digits(P), P.hex()
+
+
+def test_a_count_past_slot_2_53_is_given_as_the_estimate_it_is():
+    # at P = 9.540197383106624e17 (k_max = 1 at U = 1/2, so P = q) the ceiling of P/(pi/2) is 53 slots
+    # above the 40-digit count: the refusals give it to 6 digits, and no slot past 2^53 is solved
+    P = 9.540197383106624e17
+    well, truth = square_well(0.5, P), _slots_40_digits(P)
+    assert (truth, _ladder_size(P) - truth) == (607347828637513419, 53)
+    with pytest.raises(DomainError, match=r"the ladder holds about 6\.07348e\+17 states, more than"):
+        bound_state_energies(well)
+    with pytest.raises(DomainError, match=r"holds about 3\.03674e\+17 states"):
+        bound_state_energies(well, parity="even")
+    with pytest.raises(DomainError, match=r"state index -1 out of range; the well holds about 6\.07348e\+17 states"):
+        bound_state(well, index=-1)
+    for index in (2**53, 2**53 + 1, truth - 1):  # 2^53 + 1 solved slot 2^53 and printed it as odd
+        with pytest.raises(DomainError, match=f"state {index} lies past slot 2\\^53"):
+            bound_state(well, index=index)
+    state = bound_state(well, index=2**53 - 1)
+    assert state.parity == "odd" and max(state_errors(state, 2**53 - 1, 0.5, 1.0, P)[:2]) <= 2e-15
 
 
 def _scaled_bracket(state, q, k_max):

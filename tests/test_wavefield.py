@@ -381,9 +381,9 @@ class TestClosedFormNodes:
             nodes = find_nodes(state, (-self.Q, self.Q))
             for node in nodes:
                 assert copenhagen_density(state, node) < 1e-20
-                assert not _density_support(state, node)
+                assert not _density_support(state)(node)
             cuts = [-self.Q, *nodes, self.Q]
-            assert all(_density_support(state, 0.5 * (a + b)) for a, b in zip(cuts, cuts[1:]))
+            assert all(map(_density_support(state), (0.5 * (a + b) for a, b in zip(cuts, cuts[1:]))))
 
     def test_intervals_reaching_outside_the_well(self, states):
         for state in states:
