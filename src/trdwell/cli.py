@@ -388,16 +388,16 @@ class _Command:
     the values ``compute`` returns, then among the resolved inputs.  ``rows``
     names a list of records printed one CSV row each, with the columns
     ``csv`` (looked up in the record first) or else the record's own keys.
-    ``meta`` maps each JSON metadata key to the constant it echoes, named
-    ``"layer.NAME"``.  ``compute`` reaches the library layers it runs as
-    ``res.times``, ``res.coverage`` and so on, so each is imported on dispatch,
-    after the ``resolve`` inputs have passed.
+    ``meta`` names the fields JSON prints as metadata after the version: the
+    constants ``compute`` ran with, which it returns like any other value.
+    ``compute`` reaches the library layers it runs as ``res.times``,
+    ``res.coverage`` and so on, so each is imported on dispatch, after the
+    ``resolve`` inputs have passed.
     """
 
-    def __init__(self, help, flags, resolve, compute, *, inputs, outputs, csv=None, rows=None, meta=None):
+    def __init__(self, help, flags, resolve, compute, *, inputs, outputs, csv=None, rows=None, meta=""):
         self.help, self.flags, self.resolve, self.compute = help, flags, resolve, compute
-        self.inputs, self.outputs, self.csv, self.rows = inputs, outputs, csv, rows
-        self.meta = meta or {}
+        self.inputs, self.outputs, self.csv, self.rows, self.meta = inputs, outputs, csv, rows, meta
 
 
 _VERDICT = "classification tr_allowed copenhagen_allowed past present"
@@ -422,9 +422,10 @@ COMMANDS = {
         lambda res: {
             "t_D": res.times.dwell_time(res.kin, res.ms, res.branch).t_D,
             "monochromatic": res.times.dwell_time_monochromatic(res.kin),
+            "normalization_tol": res.microstate.NORMALIZATION_TOL,
         },
         inputs="E U a b c sign" + _UNITS, outputs="t_D monochromatic", csv="t_D sign a b c E U k kappa",
-        meta={"normalization_tol": "microstate.NORMALIZATION_TOL"},
+        meta="normalization_tol",
     ),
     "dwell-max": _Command(
         "dwell-time supremum over microstates", "E U epsilon", "E U epsilon kin",
@@ -435,9 +436,11 @@ COMMANDS = {
     ),
     "libration": _Command(
         "well round-trip period of a microstate", "E U q" + _MS, "E U q kin",
-        lambda res: {"t_L": res.times.libration_period(res.kin, res.q, res.ms)},
-        inputs="E U q a b c" + _UNITS, outputs="t_L", csv="t_L a b c E U q k kappa",
-        meta={"normalization_tol": "microstate.NORMALIZATION_TOL"},
+        lambda res: {
+            "t_L": res.times.libration_period(res.kin, res.q, res.ms),
+            "normalization_tol": res.microstate.NORMALIZATION_TOL,
+        },
+        inputs="E U q a b c" + _UNITS, outputs="t_L", csv="t_L a b c E U q k kappa", meta="normalization_tol",
     ),
     "libration-max": _Command(
         "libration-period supremum over microstates", "E U q epsilon", "E U q epsilon kin",
@@ -538,13 +541,9 @@ def _field(name: str, res: _Resolved, *sources: dict):
     return getattr(res, name)
 
 
-def _constants(meta: dict, res: _Resolved) -> dict:
-    """``meta`` with each ``"layer.NAME"`` read from the library module the command ran."""
-    constants = {}
-    for key, path in meta.items():
-        layer, name = path.split(".")
-        constants[key] = getattr(getattr(res, layer), name)
-    return constants
+def _fields(spec, res: _Resolved, values: dict) -> dict:
+    """The fields ``spec`` names, each looked up by :func:`_field` among ``values``."""
+    return {name: _field(name, res, values) for name in _names(spec, res)}
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -569,9 +568,9 @@ def run(argv: list[str] | None = None) -> int:
         if args.format == "json":
             record = {
                 "command": args.command,
-                "inputs": {name: _field(name, res, values) for name in _names(command.inputs, res)},
-                "outputs": {name: _field(name, res, values) for name in _names(command.outputs, res)},
-                "metadata": {"version": __version__, **_constants(command.meta, res)},
+                "inputs": _fields(command.inputs, res, values),
+                "outputs": _fields(command.outputs, res, values),
+                "metadata": {"version": __version__, **_fields(command.meta, res, values)},
             }
             text = json_dumps(record, pretty=args.pretty)
         else:

@@ -31,7 +31,7 @@ from .errors import DomainError, Infeasible, _Record
 from .kinematics import _NORMAL, Kinematics, check_positive
 from .microstate import Microstate, normalize
 from .times import _ratio, _slice_peak, dwell_supremum_bound, libration_period
-from .wavefield import WELL_EIGENSTATE, CopenhagenState, _node_offset
+from .wavefield import WELL_EIGENSTATE, CopenhagenState, _node_phases
 
 BOTH_ALLOW = "BothAllow"
 COPENHAGEN_ONLY = "CopenhagenOnly"
@@ -116,14 +116,9 @@ def sb_verdict(past: Event, present: Event, kin: Kinematics) -> CoverageVerdict:
     strictly positive at every finite depth, so no float evaluation of it is
     needed.
     """
-    elapsed = present.t - past.t
-    _check_sb_pair(past.x, present.x, elapsed)
-    tr_allowed = elapsed < dwell_supremum_bound(kin)
+    classification = _sb_classifier(kin)(past.x, present.x, present.t - past.t)
     return CoverageVerdict(
-        tr_allowed=tr_allowed,
-        copenhagen_allowed=True,
-        classification=_classify(tr_allowed, True),
-        witness=None,
+        tr_allowed=classification == BOTH_ALLOW, copenhagen_allowed=True, classification=classification
     )
 
 
@@ -292,20 +287,19 @@ def _density_support(state: CopenhagenState):
     from .potential import _ANGLE_RTOL  # the ladder's accuracy; only the well scenarios load it
 
     # The one place the density view decides support inside the well: |psi|^2
-    # vanishes only at the nodes, k x/pi = j + offset, and state n has its n nodes
-    # at the n such phases nearest 0, |j + offset| <= (n - 1)/2 (the rest lie past
-    # the walls).  The ladder's k is within _ANGLE_RTOL of its root, so a node
+    # vanishes only at the node phases of _node_phases, k x/pi = j + offset with
+    # |j + offset| <= top.  The ladder's k is within _ANGLE_RTOL of its root, so a node
     # phase is met to within that share of k x/pi, and 2^-51 more covers the
     # roundings of k x, of pi and of the division (1.5 ulp).  A band of half a
     # turn would take in the antinodes too: no verdict is left.
-    offset, k, rtol = _node_offset(state), state.kinematics.k, _ANGLE_RTOL + 2.0**-51
+    (offset, top), k, rtol = _node_phases(state), state.kinematics.k, _ANGLE_RTOL + 2.0**-51
 
     def supported(x: float) -> bool:
         phase = k * x / math.pi
         node, band = round(phase - offset) + offset, rtol * abs(phase)
         if band >= 0.5:
             raise DomainError(f"the ladder's k cannot tell a node from an antinode at x={x!r}: k x/pi = {phase!r}")
-        return abs(phase - node) > band or 2.0 * abs(node) > state.index - 1
+        return abs(phase - node) > band or abs(node) > top
 
     return supported
 
@@ -315,11 +309,11 @@ def sw_verdict(past: Event, present: Event, state: CopenhagenState) -> CoverageV
 
     The trajectory view always admits the pair — :func:`connect` produces an
     explicit witness microstate — while the density view requires the present
-    to carry probability support, which excludes exactly the closed-form
-    nodes of excited states, k x = j pi (odd) or (j + 1/2) pi (even) with
-    |x| < q, to within the ladder's relative accuracy in k: a rule free of
-    units.  Raises :class:`DomainError` where that accuracy cannot tell a
-    node from an antinode.
+    to carry probability support, which excludes exactly the n closed-form
+    nodes of state n, k x = j pi (odd) or (j + 1/2) pi (even) with
+    |k x/pi| <= (n - 1)/2, to within the ladder's relative accuracy in k: a
+    rule free of units.  Raises :class:`DomainError` where that accuracy
+    cannot tell a node from an antinode.
     """
     solution = connect(past, present, state)
     copenhagen_allowed = _density_support(state)(present.x)

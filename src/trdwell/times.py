@@ -76,7 +76,7 @@ def _scaled(what: str, value: float, factors, *args) -> float:
 
 
 def _ratio(kin: Kinematics) -> float:
-    """r = Y/X from the energies, for every time that divides by r (a well state's kappa/k can part from it by 1e-10)."""
+    """r = Y/X from the energies, for every time that divides by r: kin.r is within 2 ulp, the goldens hold Y/X."""
     X, Y = kin._fractions
     return Y / X
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .errors import DomainError, ScanNotSettled, _Record
-from .kinematics import _NORMAL, FORBIDDEN, FREE, Kinematics, _product, check_positive
+from .kinematics import _NORMAL, FORBIDDEN, FREE, Kinematics, _ordinary, _product, check_positive
 from .microstate import Microstate, RawCoefficients, gauge_factor
 from .wavefield import RegionBasis, _form, _numerator, bilinear, check_basis, checked_denominator
 
@@ -65,13 +65,16 @@ def _check_span(x: float, x_ref: float, basis: RegionBasis) -> None:
 
 
 def _time_scale(ms: Microstate | RawCoefficients, basis: RegionBasis, kin: Kinematics) -> float:
-    """(N/w) dw/dE with dw/dE = k/(2E) free, -kappa/(2(U - E)) forbidden: +/- N/(2 E_w), no hbar^2."""
-    free, hbar = basis.region == FREE, kin.units.hbar
+    """(N/w) dw/dE with dw/dE = k/(2E) free, -kappa/(2(U - E)) forbidden: +/- N/(2 E_w), no hbar^2.
+
+    A plain quotient where hbar, |W0|, g and E_w are ordinary, else ``_product``: a normal double or a DomainError.
+    """
+    free, hbar, wronskian, gauge = basis.region == FREE, kin.units.hbar, abs(basis.wronskian), gauge_factor(ms)
     energy = kin.E if free else kin._gap
-    if kin._plain:
-        scale = _numerator(ms, basis, hbar, True) / (2.0 * energy)
+    if _ordinary(hbar, wronskian, gauge, energy):
+        scale = hbar * wronskian * gauge / (2.0 * energy)
     else:
-        factors = (hbar, 1.0), (abs(basis.wronskian), 1.0), (gauge_factor(ms), 1.0), (2.0, -1.0), (energy, -1.0)
+        factors = (hbar, 1.0), (wronskian, 1.0), (gauge, 1.0), (2.0, -1.0), (energy, -1.0)
         scale = _product("the flight-time scale", *factors)
     return scale if free else -scale
 
@@ -227,7 +230,7 @@ def sample_trajectory(
     if n < 2:
         raise DomainError(f"need at least two samples, got {n!r}")
     check_basis(basis, kin)
-    N = _numerator(ms, basis, kin.units.hbar, kin._plain)
+    N = _numerator(ms, basis, kin.units.hbar)
     w = basis.wavenumber
     scale = _time_scale(ms, basis, kin)
     samples = []
@@ -286,10 +289,6 @@ def divergence_onset(
 
     kappa, al, be = basis.wavenumber, basis.alpha, basis.beta
     scale = _time_scale(ms, basis, kin)
-    if scale == 0.0:  # N = hbar |W0| g > 0 underflowed: no speed can be computed
-        raise DomainError("the flight-time scale underflows to 0")
-    if math.isinf(scale):  # |W0| = 2 kappa |alpha beta| overflowed: neither can v_end
-        raise DomainError("the flight-time scale overflows the doubles")
     # v_end in logarithms: a'/b' and 44 |scale| floor/b' may lie beyond the doubles
     log_a = math.log(ms.a) + 2.0 * math.log(abs(al))
     log_b = math.log(ms.b) + 2.0 * math.log(abs(be))

@@ -163,13 +163,13 @@ def bilinear_with_derivatives(
     return D, Dp, Dpp
 
 
-def _numerator(ms: Microstate | RawCoefficients, basis: RegionBasis, hbar: float, plain: bool | None = None) -> float:
-    """N = hbar |W0| sqrt(ab - c^2/4) of W_x = N/D: a plain product where ``plain`` (a Kinematics' ``_plain``) or,
-    if that is None, where hbar, |W0| and g are ordinary; else ``_product``, a DomainError unless a normal double."""
+def _numerator(ms: Microstate | RawCoefficients, basis: RegionBasis, hbar: float) -> float:
+    """N = hbar |W0| sqrt(ab - c^2/4) of W_x = N/D: a plain product where hbar, |W0| and g are ordinary,
+    else ``_product``, a DomainError unless a normal double."""
     wronskian, gauge = abs(basis.wronskian), gauge_factor(ms)
-    if plain is None:
-        plain = _ordinary(hbar, wronskian, gauge)
-    return hbar * wronskian * gauge if plain else _product("hbar |W0| g", (hbar, 1), (wronskian, 1), (gauge, 1))
+    if _ordinary(hbar, wronskian, gauge):
+        return hbar * wronskian * gauge
+    return _product("hbar |W0| g", (hbar, 1), (wronskian, 1), (gauge, 1))
 
 
 def conjugate_momentum(
@@ -341,10 +341,10 @@ def copenhagen_density(state: CopenhagenState, x: float) -> float:
     return state.density(x)
 
 
-def _node_offset(state: CopenhagenState) -> float:
-    """Offset of a well eigenstate's nodes, k x/pi = j + offset with |x| < q: 0 for odd states
-    (interior sin kx), 1/2 for even ones (cos kx).  The exterior tails never vanish."""
-    return 0.0 if state.parity == PARITY_ODD else 0.5
+def _node_phases(state: CopenhagenState) -> tuple[float, float]:
+    """(offset, top): well state n has its n nodes at k x/pi = j + offset, |j + offset| <= top = (n - 1)/2, with
+    offset 0 for odd states (interior sin kx) and 1/2 for even ones (cos kx).  The exterior tails never vanish."""
+    return (0.0 if state.parity == PARITY_ODD else 0.5), 0.5 * (state.index - 1)
 
 
 def find_nodes(state: CopenhagenState, interval: tuple[float, float]) -> tuple[float, ...]:
@@ -352,9 +352,9 @@ def find_nodes(state: CopenhagenState, interval: tuple[float, float]) -> tuple[f
 
     Defined for well eigenstates only: the support question the step scenario
     asks concerns the forbidden side x >= 0, where the density
-    |T|^2 exp(-2 kappa x) never vanishes, so nodes play no role there.  The
-    nodes are the closed forms x = (j + offset) pi/k of :func:`_node_offset`.
-    The ground state returns ().
+    |T|^2 exp(-2 kappa x) never vanishes, so nodes play no role there.  State
+    n has exactly n nodes, the closed forms x = (j + offset) pi/k with
+    |j + offset| <= (n - 1)/2 of :func:`_node_phases`; the ground state has none.
     """
     if state.kind != WELL_EIGENSTATE:
         raise DomainError("nodes are defined for well eigenstates")
@@ -364,11 +364,10 @@ def find_nodes(state: CopenhagenState, interval: tuple[float, float]) -> tuple[f
     q = state.potential.q
     assert q is not None
     k = state.kinematics.k
-    lo, hi = max(lo, -q), min(hi, q)
-    if lo >= hi:
-        return ()
-    offset = _node_offset(state)
-    j_lo = math.floor(lo * k / math.pi - offset)
-    j_hi = math.ceil(hi * k / math.pi - offset)
+    offset, top = _node_phases(state)
+    # every node lies in |x| < q; clipping the interval there keeps k x/pi finite
+    lo_in, hi_in = min(max(lo, -q), q), max(min(hi, q), -q)
+    j_lo = max(math.floor(lo_in * k / math.pi - offset), math.ceil(-top - offset))
+    j_hi = min(math.ceil(hi_in * k / math.pi - offset), math.floor(top - offset))
     nodes = ((j + offset) * math.pi / k for j in range(j_lo, j_hi + 1))
     return tuple(x for x in nodes if lo < x < hi)

@@ -390,23 +390,23 @@ def test_each_invocation_imports_only_the_layers_it_runs():
 #: is most of what the package adds to a cold start, so a line added where every command loads it
 #: costs every invocation; put it beside the commands that run it.
 COMPILED_LINES = {
-    "kinematics.json": 996,
-    "energies.json": 1281,
-    "dwell.json": 1352,
-    "dwell.csv": 1352,
-    "dwell-max.json": 1352,
-    "libration.json": 1352,
-    "libration-max.json": 1352,
-    "libration-inf.json": 1352,
-    "trajectory.csv": 1684,
-    "qshje-check.json": 1411,
-    "coverage-sb.json": 2040,
-    "coverage-sw.json": 2325,
-    "connect.json": 2325,
-    "sweep.csv": 1352,
-    "exit 1: no command": 996,
-    "exit 1: unknown command": 996,
-    "exit 2: E above U": 996,
+    "kinematics.json": 995,
+    "energies.json": 1280,
+    "dwell.json": 1351,
+    "dwell.csv": 1351,
+    "dwell-max.json": 1351,
+    "libration.json": 1351,
+    "libration-max.json": 1351,
+    "libration-inf.json": 1351,
+    "trajectory.csv": 1680,
+    "qshje-check.json": 1409,
+    "coverage-sb.json": 2032,
+    "coverage-sw.json": 2317,
+    "connect.json": 2317,
+    "sweep.csv": 1351,
+    "exit 1: no command": 995,
+    "exit 1: unknown command": 995,
+    "exit 2: E above U": 995,
 }
 
 

@@ -308,33 +308,62 @@ def test_negative_definite_triple_is_degenerate(evaluate, kin):
         evaluate(RawCoefficients(-1.0, -1.0, 0.0), canonical_basis("forbidden", kin), kin)
 
 
-_ENTRY_POINTS = {
-    "sample_trajectory": lambda basis, kin: sample_trajectory((0.0, 2.0), 5, MONOCHROMATIC, basis, kin),
-    "momentum_energy_derivative": lambda basis, kin: momentum_energy_derivative(0.5, MONOCHROMATIC, basis, kin),
-    "speed_at": lambda basis, kin: speed_at(0.5, MONOCHROMATIC, basis, kin),
-    "divergence_onset": lambda basis, kin: divergence_onset(kin, MONOCHROMATIC, basis, 10.0),
-    "qshje_residual": lambda basis, kin: qshje_residual(0.5, MONOCHROMATIC, basis, kin),
-    "conjugate_momentum": lambda basis, kin: conjugate_momentum(0.5, MONOCHROMATIC, basis, kin.units),
-    "momentum_derivatives": lambda basis, kin: momentum_derivatives(0.5, MONOCHROMATIC, basis, kin.units),
-    "time_of_flight": lambda basis, kin: time_of_flight(0.5, 0.0, MONOCHROMATIC, basis, kin),
-    "reduced_action": lambda basis, kin: reduced_action(0.5, 0.0, MONOCHROMATIC, basis, kin),
+_ENTRY_POINTS = {  # positions in units of ell
+    "sample_trajectory": lambda basis, kin, ell: sample_trajectory((0.0, 2.0 * ell), 5, MONOCHROMATIC, basis, kin),
+    "momentum_energy_derivative": lambda basis, kin, ell: momentum_energy_derivative(
+        0.5 * ell, MONOCHROMATIC, basis, kin
+    ),
+    "speed_at": lambda basis, kin, ell: speed_at(0.5 * ell, MONOCHROMATIC, basis, kin),
+    "divergence_onset": lambda basis, kin, ell: divergence_onset(kin, MONOCHROMATIC, basis, 10.0),
+    "qshje_residual": lambda basis, kin, ell: qshje_residual(0.5 * ell, MONOCHROMATIC, basis, kin),
+    "conjugate_momentum": lambda basis, kin, ell: conjugate_momentum(0.5 * ell, MONOCHROMATIC, basis, kin.units),
+    "momentum_derivatives": lambda basis, kin, ell: momentum_derivatives(0.5 * ell, MONOCHROMATIC, basis, kin.units),
+    "time_of_flight": lambda basis, kin, ell: time_of_flight(0.5 * ell, 0.0, MONOCHROMATIC, basis, kin),
+    "reduced_action": lambda basis, kin, ell: reduced_action(0.5 * ell, 0.0, MONOCHROMATIC, basis, kin),
 }
 
 
-@pytest.mark.parametrize("gauge", [1e-200, 1e-90, 1e90, 1e200])
+@pytest.mark.parametrize(
+    "gauge, E, U, ell",
+    [(1e-200, 0.18, 0.5, 1.0), (1e-90, 0.18, 0.5, 1.0), (1e90, 0.18, 0.5, 1.0), (1e200, 0.18, 0.5, 1.0),
+     (1e150, 0.5, 1e20, 2e-11)],
+    ids=["1e-200", "1e-90", "1e+90", "1e+200", "1e+150-kappa-1.4e10"],
+)
 @pytest.mark.parametrize("region", ["free", "forbidden"])
 @pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
-def test_extreme_gauge_gives_a_value_or_a_typed_error(name, region, gauge, kin):
+def test_extreme_gauge_gives_a_value_or_a_typed_error(name, region, gauge, E, U, ell):
     # alpha = beta = 1e-200 underflows the bilinear denominator D to 0, and 1e200 overflows D and |W0|;
-    # at 1e-90 and 1e90, D and W_x are doubles but D^2 and D^3 are not
-    basis = canonical_basis(region, kin).rescaled(gauge, gauge)
+    # at 1e-90 and 1e90, D and W_x are doubles but D^2 and D^3 are not.  At kappa = 1.4e10, x = 1e-11,
+    # 1e150 keeps D a double while |W0| = 2 kappa 1e300 overflows.  A value is finite and nonzero
+    # wherever the canonical gauge's is.
+    kin = kinematics_from_energies(E, U)
+    evaluate, basis = _ENTRY_POINTS[name], canonical_basis(region, kin)
     try:
-        value = _ENTRY_POINTS[name](basis, kin)
+        value = evaluate(basis.rescaled(gauge, gauge), kin, ell)
     except TrdwellError as exc:
         if "bilinear denominator inf" in str(exc):
             assert "overflows" in str(exc)
         return
-    assert not any(math.isnan(v) for v in _floats(value))
+    canonical = evaluate(basis, kin, ell)
+    for got, expected in zip(_floats(value), _floats(canonical), strict=True):
+        assert not math.isnan(got)
+        if math.isfinite(expected) and expected != 0.0:
+            assert math.isfinite(got) and got != 0.0, (got, expected)
+
+
+@pytest.mark.parametrize(
+    "name", ["time_of_flight", "momentum_energy_derivative", "speed_at", "sample_trajectory", "divergence_onset"]
+)
+def test_a_basis_whose_wronskian_overflows_is_refused_as_conjugate_momentum_refuses_it(name):
+    # E = 0.5, U = 1e20 (kappa = 1.4e10), gauge 1e150: D is a double at x = 1e-11, |W0| = 2 kappa 1e300 is not.
+    # E, U - E, hbar and m are ordinary, so only a rule on the scale's own factors keeps t, dW_x/dE and the
+    # speed from reading inf, -inf and 0.0.
+    kin = kinematics_from_energies(0.5, 1e20)
+    basis = canonical_basis("forbidden", kin).rescaled(1e150, 1e150)
+    with pytest.raises(DomainError, match="factor inf is not a positive double"):
+        conjugate_momentum(1e-11, MONOCHROMATIC, basis, kin.units)
+    with pytest.raises(DomainError, match="factor inf is not a positive double"):
+        _ENTRY_POINTS[name](basis, kin, 2e-11)
 
 
 def _floats(value):
@@ -462,6 +491,7 @@ class TestDivergenceOnset:
     def test_basis_whose_scale_or_denominator_underflows_is_an_error(self):
         # Rescaling both basis functions by s leaves W_x, so the speed, unchanged, but the
         # flight-time scale (s^2) or the denominator (s^2) underflows; no onset is guessed.
+        # The scale is a normal double or a DomainError, so a subnormal |W0| is refused before the scan.
         kin = kinematics_from_energies(0.5, 1.0)
         basis = canonical_basis("forbidden", kin)
         assert divergence_onset(kin, MONOCHROMATIC, basis, 100.0) == pytest.approx(3.555, rel=1e-12, abs=0.0)
@@ -469,9 +499,9 @@ class TestDivergenceOnset:
         assert divergence_onset(kin, MONOCHROMATIC, basis.rescaled(1e-100, 1e-100), 100.0) == pytest.approx(
             3.555, rel=1e-12, abs=0.0
         )
-        with pytest.raises(ScanNotSettled):  # D = 2e-320 is subnormal
+        with pytest.raises(DomainError, match="flight-time scale is about 10.-319.7: it underflows"):  # |W0| = 2e-320
             divergence_onset(kin, MONOCHROMATIC, basis.rescaled(1e-160, 1e-160), 100.0)
-        with pytest.raises(DomainError, match="underflows to 0"):
+        with pytest.raises(DomainError, match="factor 0.0 is not a positive double"):  # |W0| underflows to 0
             divergence_onset(kin, MONOCHROMATIC, basis.rescaled(1e-170, 1e-170), 100.0)
 
     def test_tiny_floor_is_exceeded_from_the_start(self, kin):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -409,11 +410,31 @@ class TestClosedFormNodes:
         assert 0.0 in find_nodes(odd, (-self.Q, self.Q))
         assert 0.0 not in find_nodes(odd, (0.0, self.Q)) + find_nodes(odd, (-self.Q, 0.0))
 
+    def test_the_ground_state_of_a_deep_well_has_no_nodes(self):
+        # k q lies within 1e-15 of pi/2, so the wall phases +-1/2 give x = +-6.999999999999999, under q:
+        # the node count, not |x| < q, must keep them out
+        state = well_eigenstate(square_well(1e30, 7.0), Units(), 0)
+        assert find_nodes(state, (-7.0, 7.0)) == ()
+        assert find_nodes(state, (-14.0, 14.0)) == ()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_state_of_a_deep_well_has_its_index_in_nodes(self, seed):
+        # state n has n nodes whatever the depth; each is a node of the density view too
+        rng = random.Random(seed)
+        for _ in range(100):
+            q = 10.0 ** rng.uniform(-2.0, 3.0)
+            well = square_well(10.0 ** rng.uniform(8.0, 200.0), q)  # at least 90 states
+            for index in (0, 1, 2, 3, rng.randrange(4, 90)):
+                state = well_eigenstate(well, Units(), index)
+                nodes = find_nodes(state, (-2.0 * q, 2.0 * q))
+                assert len(nodes) == index, (well, index, nodes)
+                supported = _density_support(state)
+                assert not any(map(supported, nodes)), (well, index)
+
 
 @pytest.mark.parametrize("q", [1.11133, 2.2246300000000003, 3.33793])
 def test_an_eigenstate_just_below_the_top_keeps_its_ladder_wavenumbers(q):
-    # kappa/k_max is about 1e-3 here, where the ladder's kappa and sqrt((U - E)/E) k
-    # part by 1e-10: the bundle keeps the ladder's k and kappa and r = kappa/k
+    # kappa/k_max is about 1e-3 here: the bundle keeps the ladder's k and kappa and r = kappa/k
     pot = square_well(1.0, q)
     index = int(2.0 * math.sqrt(2.0) * q / math.pi)
     state = well_eigenstate(pot, Units(), index)
