@@ -18,13 +18,16 @@ import math
 from .errors import DomainError, ScanNotSettled, _Record
 from .kinematics import _NORMAL, FORBIDDEN, FREE, Kinematics, _ordinary, _product, check_positive
 from .microstate import Microstate, RawCoefficients, gauge_factor
-from .wavefield import RegionBasis, _form, _numerator, bilinear, check_basis, checked_denominator
+from .wavefield import RegionBasis, _exp, _form, _numerator, bilinear, check_basis, checked_denominator
 
 #: Grid points evaluated per numpy pass of the divergence-onset scan.  A pass
 #: holds about a dozen temporary arrays, some 200 KB at this size.  At 8,192
 #: points (about 0.8 MB) a heap with no free space of that size grew by it
 #: and released it again on every scan, at ~130 page faults per scan.
 _ONSET_CHUNK = 2048
+
+#: Most samples one trajectory holds: the CLI's peak memory grows by some 0.9 KB a sample, 1 GB at this cap.
+_SAMPLES_MAX = 2**20
 
 
 class TrajectorySample(_Record):
@@ -33,11 +36,12 @@ class TrajectorySample(_Record):
     __slots__ = ("x", "t", "W_x", "dWx_dE", "speed")
 
     def __init__(self, x: float, t: float, W_x: float, dWx_dE: float, speed: float):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "W_x", W_x)
-        object.__setattr__(self, "dWx_dE", dWx_dE)
-        object.__setattr__(self, "speed", speed)
+        for set_field, value in zip(_SAMPLE_SETTERS, (x, t, W_x, dWx_dE, speed)):
+            set_field(self, value)
+
+
+#: The ``__set__`` of TrajectorySample's slot descriptors, in field order: every sample is filled through them.
+_SAMPLE_SETTERS = tuple(getattr(TrajectorySample, name).__set__ for name in TrajectorySample.__slots__)
 
 
 class FlightTime(_Record):
@@ -87,10 +91,6 @@ def _slope(ms, scale, w, D, phi1, phi2, g1, g2):
     a, b, c = ms.a, ms.b, ms.c
     dD_dw = 2.0 * a * phi1 * g1 + 2.0 * b * phi2 * g2 + c * (g1 * phi2 + phi1 * g2)
     return scale * ((D - w * dD_dw) / D / D)  # D * D would overflow where D passes 1.3e154
-
-
-def _speed(slope: float) -> float:
-    return math.inf if slope == 0.0 else 1.0 / abs(slope)
 
 
 def reduced_action(
@@ -207,7 +207,8 @@ def speed_at(
     kin: Kinematics,
 ) -> float:
     """Local trajectory speed 1/|dW_x/dE|; +inf where the derivative vanishes."""
-    return _speed(momentum_energy_derivative(x, ms, basis, kin))
+    slope = momentum_energy_derivative(x, ms, basis, kin)
+    return math.inf if slope == 0.0 else 1.0 / abs(slope)
 
 
 def sample_trajectory(
@@ -217,36 +218,40 @@ def sample_trajectory(
     basis: RegionBasis,
     kin: Kinematics,
 ) -> tuple[TrajectorySample, ...]:
-    """Uniform n-point sampling of (x, t, W_x, dW_x/dE, speed) on ``x_range``.
+    """Uniform sampling of (x, t, W_x, dW_x/dE, speed) at n points of ``x_range``, 2 <= n <= ``_SAMPLES_MAX``.
 
-    Times are flight times from the first point of the range (t = 0 there).
-    Each point evaluates the bilinear denominator D once and shares it
-    between t, W_x = N/D and dW_x/dE.  A sample value that is not a normal
-    double (t at the first point excepted) is a :class:`DomainError`.
+    Times are flight times from the first point of the range (t = 0 there).  One straight-line pass per point
+    evaluates phi, the w-gradients, the denominator D, the slope and the speed, by the operations of
+    :func:`momentum_energy_derivative`, and fills the point's record through its slot descriptors.  A sample
+    value that is not a normal double (t at the first point excepted) is a :class:`DomainError`.
     """
     x0, x1 = x_range
     if not (math.isfinite(x0) and math.isfinite(x1) and x1 > x0):
         raise DomainError(f"x_range must be finite with x1 > x0, got {x_range!r}")
-    if n < 2:
-        raise DomainError(f"need at least two samples, got {n!r}")
+    if not (hasattr(n, "__index__") and 2 <= n <= _SAMPLES_MAX):
+        raise DomainError(f"the sample count must be an integer from 2 to {_SAMPLES_MAX}, got {n!r}")
     check_basis(basis, kin)
-    N = _numerator(ms, basis, kin.units.hbar)
-    w = basis.wavenumber
-    scale = _time_scale(ms, basis, kin)
-    samples = []
-    for i in range(n):
+    N, scale = _numerator(ms, basis, kin.units.hbar), _time_scale(ms, basis, kin)
+    a, b, c, w, al, be, free = ms.a, ms.b, ms.c, basis.wavenumber, basis.alpha, basis.beta, basis.region == FREE
+    set_x, set_t, set_W_x, set_slope, set_speed = _SAMPLE_SETTERS
+    samples = list(map(object.__new__, [TrajectorySample] * n))
+    for i, sample in enumerate(samples):
         x = x0 + (x1 - x0) * i / (n - 1)
-        phi1, phi2, _, _, g1, g2 = basis._functions(x)
-        D = checked_denominator(_form(ms, phi1, phi2), x)
-        slope = _slope(ms, scale, w, D, phi1, phi2, g1, g2)
-        lever = x / D
+        v1, v2 = (math.sin(w * x), math.cos(w * x)) if free else (_exp(-w * x), _exp(w * x))
+        phi1, phi2 = al * v1, be * v2
+        g1, g2 = (al * x * v2, -be * x * v1) if free else (-al * x * v1, be * x * v2)
+        D = a * phi1 * phi1 + b * phi2 * phi2 + c * phi1 * phi2
+        if not 0.0 < D < math.inf:
+            checked_denominator(D, x)
+        dD_dw = 2.0 * a * phi1 * g1 + 2.0 * b * phi2 * g2 + c * (g1 * phi2 + phi1 * g2)
+        slope = scale * ((D - w * dD_dw) / D / D)
         if i == 0:
-            lever0 = lever
-        t = abs(scale * (lever - lever0))
-        W_x, speed = N / D, _speed(slope)
+            lever0 = x / D
+        t = abs(scale * (x / D - lever0))
+        W_x, speed = N / D, math.inf if slope == 0.0 else 1.0 / abs(slope)
         if not (_NORMAL <= W_x < math.inf and _NORMAL <= speed <= 1 / _NORMAL and (not i or _NORMAL <= t < math.inf)):
             raise DomainError(f"t, W_x, dW_x/dE = {t!r}, {W_x!r}, {slope!r} at x = {x!r}: not all normal doubles")
-        samples.append(TrajectorySample(x=x, t=t, W_x=W_x, dWx_dE=slope, speed=speed))
+        set_x(sample, x), set_t(sample, t), set_W_x(sample, W_x), set_slope(sample, slope), set_speed(sample, speed)
     return tuple(samples)
 
 

@@ -14,7 +14,6 @@ square-well eigenstates) used for coverage comparisons.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .errors import DegenerateMicrostate, DomainError, _Record
 from .kinematics import (
@@ -113,12 +112,8 @@ class RegionBasis(_Record):
 
 
 def canonical_basis(region: str, kin: Kinematics) -> RegionBasis:
-    """Unit-amplitude basis of ``region`` at the wavenumber given by ``kin``."""
-    if region == FREE:
-        return RegionBasis(FREE, kin.k)
-    if region == FORBIDDEN:
-        return RegionBasis(FORBIDDEN, kin.kappa)
-    raise DomainError(f"unknown region {region!r}")
+    """Unit-amplitude basis of ``region`` at the wavenumber given by ``kin``; RegionBasis checks ``region``."""
+    return RegionBasis(region, kin.k if region == FREE else kin.kappa)
 
 
 def _form(ms: Microstate | RawCoefficients, phi1, phi2):
@@ -203,12 +198,6 @@ def momentum_derivatives(
     return W_x, -W_x * slope, W_x * (2.0 * slope * slope - Dpp / D)
 
 
-@lru_cache(maxsize=16)
-def _unit_basis(region: str, alpha: float, beta: float) -> RegionBasis:
-    """The basis of ``region`` in u = w x (wavenumber 1), built once per (region, alpha, beta)."""
-    return RegionBasis(region, 1.0, alpha, beta)
-
-
 def qshje_residual(x: float, ms: Microstate | RawCoefficients, basis: RegionBasis, kin: Kinematics) -> float:
     """Residual of the stationary quantum Hamilton-Jacobi equation at ``x``.
 
@@ -216,19 +205,24 @@ def qshje_residual(x: float, ms: Microstate | RawCoefficients, basis: RegionBasi
 
         W_x^2/(2m) + V - E + (hbar^2/4m) [W_xxx/W_x - (3/2)(W_xx/W_x)^2] = 0,
 
-    i.e. the classical stationary Hamilton-Jacobi form plus the quantum
-    correction bracket; the return value is the left-hand side.  In u = w x it is E_w = (hbar w)^2/2m
-    (E free, U - E forbidden) times (|W0| g/(w D))^2 + sigma + (-D_uu/D + (D_u/D)^2/2)/2, sigma = -1
-    free and +1 forbidden: no power of hbar or m, exact for the kinematics of the basis.
+    i.e. the classical stationary Hamilton-Jacobi form plus the quantum correction bracket; the return value is
+    the left-hand side.  In u = w x it is E_w = (hbar w)^2/2m (E free, U - E forbidden) times (|W0| g/(w D))^2
+    + sigma + (-D_uu/D + (D_u/D)^2/2)/2, sigma = -1 free and +1 forbidden, with no power of hbar or m: phi,
+    phi', D, D_u and D_uu are evaluated in u directly, from alpha and beta, with no unit basis built or cached.
     """
     check_basis(basis, kin)
-    unit = _unit_basis(basis.region, basis.alpha, basis.beta)
-    D, D_u, D_uu = bilinear_with_derivatives(ms, unit, basis.wavenumber * x)
-    checked_denominator(D, x)
-    momentum = abs(unit.wronskian) * gauge_factor(ms) / D
-    slope = D_u / D
-    bracket = momentum * momentum + unit.curvature + 0.5 * (0.5 * slope * slope - D_uu / D)
-    return (kin.E if basis.region == FREE else kin._gap) * bracket
+    a, b, c, al, be, u = ms.a, ms.b, ms.c, basis.alpha, basis.beta, basis.wavenumber * x
+    if basis.region == FREE:
+        s, co = math.sin(u), math.cos(u)
+        phi1, phi2, d1, d2, sigma, base, energy = al * s, be * co, al * co, -be * s, -1.0, -1.0, kin.E
+    else:
+        phi1, phi2, sigma, base, energy = al * _exp(-u), be * _exp(u), 1.0, 2.0, kin._gap
+        d1, d2 = -phi1, phi2
+    D = checked_denominator(a * phi1 * phi1 + b * phi2 * phi2 + c * phi1 * phi2, x)
+    D_u = 2.0 * a * phi1 * d1 + 2.0 * b * phi2 * d2 + c * (d1 * phi2 + phi1 * d2)
+    D_uu = 2.0 * (a * d1 * d1 + b * d2 * d2 + c * d1 * d2) + 2.0 * sigma * D
+    momentum, slope = abs(base * al * be) * gauge_factor(ms) / D, D_u / D
+    return energy * (momentum * momentum + sigma + 0.5 * (0.5 * slope * slope - D_uu / D))
 
 
 class CopenhagenState(_Record):

@@ -399,10 +399,10 @@ COMPILED_LINES = {
     "libration-max.json": 1351,
     "libration-inf.json": 1351,
     "trajectory.csv": 1680,
-    "qshje-check.json": 1409,
-    "coverage-sb.json": 2032,
-    "coverage-sw.json": 2317,
-    "connect.json": 2317,
+    "qshje-check.json": 1405,
+    "coverage-sb.json": 2028,
+    "coverage-sw.json": 2313,
+    "connect.json": 2313,
     "sweep.csv": 1351,
     "exit 1: no command": 995,
     "exit 1: unknown command": 995,
@@ -591,6 +591,15 @@ class TestExitCodes:
         argv = ["trajectory", *region, "--x-start", "0", "--x-stop", "1000", "--n", "2"]
         assert run(argv) == 2
         assert "bilinear denominator" in capsys.readouterr().err
+
+    def test_a_trajectory_past_the_sample_cap_is_domain_naming_it(self, capsys):
+        # e^(kappa x) overflows at the first point, so a missing cap fails at once instead of sampling
+        region = ["--E", "0.18", "--U", "0.5", "--region", "forbidden"]
+        argv = ["trajectory", *region, "--x-start", "1000", "--x-stop", "2000"]
+        assert run([*argv, "--n", "1048577"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "domain error: the sample count must be an integer from 2 to 1048576, got 1048577\n"
 
     def test_well_wavenumber_beyond_the_double_range_is_domain(self, capsys):
         # sqrt(2 m U)/hbar = 1.4e454

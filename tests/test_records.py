@@ -21,8 +21,8 @@ from trdwell.errors import _Record
 from trdwell.microstate import MONOCHROMATIC, BasisRescale, Microstate
 from trdwell.potential import BoundState, Kinematics, Potential, Units
 from trdwell.times import DwellResult, ExtremalReport
-from trdwell.trajectory import FlightTime, TrajectorySample
-from trdwell.wavefield import CopenhagenState, RegionBasis
+from trdwell.trajectory import FlightTime, TrajectorySample, sample_trajectory
+from trdwell.wavefield import CopenhagenState, RegionBasis, canonical_basis
 
 _KIN = Kinematics(0.18, 0.5, 0.6, 0.8, 0.8 / 0.6, Units())
 _WELL = Potential("well", 1.0, 2.0)
@@ -114,3 +114,19 @@ def test_record_behaves_as_its_frozen_dataclass(cls, spec, args):
                 setattr(frozen, name, 1.0)
             with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{name}'"):
                 delattr(frozen, name)
+
+
+@pytest.mark.parametrize("region", ["free", "forbidden"])
+def test_sampled_records_are_the_records_their_fields_construct(region):
+    # sample_trajectory fills each record through the slot descriptors, never through __init__
+    samples = sample_trajectory((-0.3, 2.1), 9, MONOCHROMATIC, canonical_basis(region, _KIN), _KIN)
+    for sample in samples:
+        built = TrajectorySample(**sample._asdict())
+        assert type(sample) is TrajectorySample
+        assert sample == built and hash(sample) == hash(built) and repr(sample) == repr(built)
+        clone = pickle.loads(pickle.dumps(sample))
+        assert type(clone) is TrajectorySample and clone == sample and repr(clone) == repr(sample)
+        for name in TrajectorySample.__slots__:
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                setattr(sample, name, 1.0)
+        assert sample == built

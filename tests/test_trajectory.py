@@ -11,7 +11,15 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from trdwell.errors import DegenerateMicrostate, DomainError, ScanNotSettled, TrdwellError, _Record
-from trdwell.microstate import MONOCHROMATIC, BasisRescale, Microstate, RawCoefficients, normalize, transform_basis
+from trdwell.microstate import (
+    MONOCHROMATIC,
+    BasisRescale,
+    Microstate,
+    RawCoefficients,
+    gauge_factor,
+    normalize,
+    transform_basis,
+)
 from trdwell.potential import Units, kinematics_from_energies
 from trdwell.trajectory import (
     divergence_onset,
@@ -21,7 +29,15 @@ from trdwell.trajectory import (
     speed_at,
     time_of_flight,
 )
-from trdwell.wavefield import canonical_basis, conjugate_momentum, momentum_derivatives, qshje_residual
+from trdwell.wavefield import (
+    RegionBasis,
+    bilinear_with_derivatives,
+    canonical_basis,
+    checked_denominator,
+    conjugate_momentum,
+    momentum_derivatives,
+    qshje_residual,
+)
 
 
 def _mono_action(x, kin):
@@ -186,8 +202,6 @@ def test_a_nan_position_is_a_domain_error(kin, region):
 
 
 def test_basis_must_match_kinematics(kin):
-    from trdwell.wavefield import RegionBasis
-
     wrong = RegionBasis("forbidden", kin.kappa * 1.5)
     with pytest.raises(DomainError):
         reduced_action(1.0, 0.0, MONOCHROMATIC, wrong, kin)
@@ -385,6 +399,25 @@ def test_momentum_derivatives_are_gauge_invariant_where_D_cubed_leaves_the_doubl
     assert got == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
+def _unit_basis_residual(x, ms, basis, kin):
+    """The QSHJE residual as the wavenumber-1 basis's bilinear derivatives at u = w x give it."""
+    unit = RegionBasis(basis.region, 1.0, basis.alpha, basis.beta)
+    D, D_u, D_uu = bilinear_with_derivatives(ms, unit, basis.wavenumber * x)
+    checked_denominator(D, x)
+    momentum = abs(unit.wronskian) * gauge_factor(ms) / D
+    slope = D_u / D
+    bracket = momentum * momentum + unit.curvature + 0.5 * (0.5 * slope * slope - D_uu / D)
+    return (kin.E if basis.region == "free" else kin._gap) * bracket
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the package error it raises."""
+    try:
+        return fn(*args)
+    except TrdwellError as exc:
+        return type(exc), str(exc)
+
+
 class TestSampling:
     def test_two_points_gives_the_endpoints(self, kin):
         basis = canonical_basis("forbidden", kin)
@@ -392,21 +425,33 @@ class TestSampling:
         assert [s.x for s in samples] == [0.0, 2.0]
         assert samples[0].t == 0.0
 
-    def test_fields_mutually_consistent(self, kin):
-        basis = canonical_basis("forbidden", kin)
-        ms = normalize(2.0, 1.0, 2.0)
-        samples = sample_trajectory((0.1, 2.1), 11, ms, basis, kin)
-        assert len(samples) == 11
-        xs = [s.x for s in samples]
-        assert xs == sorted(xs)
-        for s in samples:
-            assert s.W_x > 0.0
-            assert s.W_x == pytest.approx(conjugate_momentum(s.x, ms, basis, kin.units), rel=1e-12)
-            if s.dWx_dE != 0.0:
-                assert s.speed == pytest.approx(1.0 / abs(s.dWx_dE), rel=1e-12)
-            if s.x > 0.1:
-                ft = time_of_flight(s.x, 0.1, ms, basis, kin)
-                assert s.t == pytest.approx(ft.t, rel=1e-12)
+    @pytest.mark.parametrize("region", ["free", "forbidden"])
+    def test_fields_mutually_consistent(self, region):
+        # bit for bit: each sample holds the pointwise closed forms at its x, and qshje_residual the
+        # composition it replaced, over seeded microstates, energies, units and gauges 1e+-5 of mixed sign
+        rng = random.Random(f"samples-{region}")
+        for _ in range(1000):
+            U, hbar, mass = (10.0 ** rng.uniform(-1.0, 1.0) for _ in range(3))
+            kin = kinematics_from_energies(U * rng.uniform(0.05, 0.95), U, Units(hbar=hbar, mass=mass))
+            a, c = 10.0 ** rng.uniform(-0.6, 0.6), rng.uniform(-1.9, 1.9)
+            ms = normalize(a, (1.0 + 0.25 * c * c) / a, c)
+            gauges = (rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-5.0, 5.0) for _ in range(2))
+            basis = canonical_basis(region, kin).rescaled(*gauges)
+            w = basis.wavenumber
+            x0 = rng.uniform(-1.0, 1.0) / w
+            length = rng.uniform(0.5, 3.0) * math.pi / w if region == "free" else rng.uniform(0.5, 8.0) / (2.0 * w)
+            samples = sample_trajectory((x0, x0 + length), rng.randint(2, 33), ms, basis, kin)
+            xs = [s.x for s in samples]
+            assert xs == sorted(xs) and xs[0] == x0 and samples[0].t == 0.0
+            for s in samples:
+                assert s.W_x > 0.0
+                assert s.W_x == conjugate_momentum(s.x, ms, basis, kin.units)
+                assert s.dWx_dE == momentum_energy_derivative(s.x, ms, basis, kin)
+                assert s.speed == speed_at(s.x, ms, basis, kin)
+                assert s.t == time_of_flight(s.x, x0, ms, basis, kin).t
+            # past u = w x = 355 the forbidden D overflows, and both sides refuse the point alike
+            for x in (*xs, 1e3 / w, -50.0 / w, 400.0 / w):
+                assert _outcome(qshje_residual, x, ms, basis, kin) == _outcome(_unit_basis_residual, x, ms, basis, kin)
 
     def test_rejects_degenerate_ranges(self, kin):
         basis = canonical_basis("forbidden", kin)
@@ -414,6 +459,16 @@ class TestSampling:
             sample_trajectory((1.0, 1.0), 5, MONOCHROMATIC, basis, kin)
         with pytest.raises(DomainError):
             sample_trajectory((0.0, 1.0), 1, MONOCHROMATIC, basis, kin)
+
+    @pytest.mark.parametrize("n", [2**20 + 1, 3.0, "3", None, 1.5], ids=repr)
+    def test_refuses_a_count_above_the_cap_or_not_an_integer(self, n, kin):
+        # before the basis is checked, so before any point is evaluated; at some 0.9 KB a sample
+        # the CLI would hold about 1 GB past the cap
+        wrong = RegionBasis("forbidden", kin.kappa * 1.5)
+        message = f"the sample count must be an integer from 2 to 1048576, got {n!r}"
+        with pytest.raises(DomainError) as info:
+            sample_trajectory((0.0, 1.0), n, MONOCHROMATIC, wrong, kin)
+        assert str(info.value) == message
 
 
 class TestDivergenceOnset:
