@@ -44,10 +44,7 @@ class SweepSpec(_Record):
             raise ConfigError("sweep.start and sweep.stop must be finite")
         if not (isinstance(count, int) and count >= 2):
             raise ConfigError(f"sweep.count must be an integer >= 2, got {count!r}")
-        object.__setattr__(self, "param", param)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "stop", stop)
-        object.__setattr__(self, "count", count)
+        self._set(param, start, stop, count)
 
 
 class Config(_Record):
@@ -59,10 +56,7 @@ class Config(_Record):
         self, units: Units, potential: Potential | None = None, epsilon: float = 1e-6, sweep: SweepSpec | None = None
     ):
         check_epsilon(epsilon)
-        object.__setattr__(self, "units", units)
-        object.__setattr__(self, "potential", potential)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "sweep", sweep)
+        self._set(units, potential, epsilon, sweep)
 
 
 DEFAULT_CONFIG = Config(units=Units())

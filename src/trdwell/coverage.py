@@ -69,8 +69,7 @@ class Event(_Record):
 
     def __init__(self, x: float, t: float):
         _check_event(x, t)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "t", t)
+        self._set(x, t)
 
 
 class CoverageVerdict(_Record):
@@ -81,10 +80,7 @@ class CoverageVerdict(_Record):
     def __init__(
         self, tr_allowed: bool, copenhagen_allowed: bool, classification: str, witness: Microstate | None = None
     ):
-        object.__setattr__(self, "tr_allowed", tr_allowed)
-        object.__setattr__(self, "copenhagen_allowed", copenhagen_allowed)
-        object.__setattr__(self, "classification", classification)
-        object.__setattr__(self, "witness", witness)
+        self._set(tr_allowed, copenhagen_allowed, classification, witness)
 
 
 def _classify(tr_allowed: bool, copenhagen_allowed: bool) -> str:
@@ -130,11 +126,7 @@ class ConnectionSolution(_Record):
     def __init__(
         self, ms: Microstate, whole_periods: int, phase_offset: float, realized_period: float, arrival_time: float
     ):
-        object.__setattr__(self, "ms", ms)
-        object.__setattr__(self, "whole_periods", whole_periods)
-        object.__setattr__(self, "phase_offset", phase_offset)
-        object.__setattr__(self, "realized_period", realized_period)
-        object.__setattr__(self, "arrival_time", arrival_time)
+        self._set(ms, whole_periods, phase_offset, realized_period, arrival_time)
 
 
 class _SliceKernel:
@@ -343,10 +335,7 @@ class GridSpec(_Record):
             raise DomainError("time offsets must be positive")
         if not math.isfinite(past_time):
             raise DomainError(f"past_time must be finite, got {past_time!r}")
-        object.__setattr__(self, "past_positions", past_positions)
-        object.__setattr__(self, "present_positions", present_positions)
-        object.__setattr__(self, "time_offsets", time_offsets)
-        object.__setattr__(self, "past_time", past_time)
+        self._set(past_positions, present_positions, time_offsets, past_time)
 
 
 class RelationReport(_Record):
@@ -358,11 +347,7 @@ class RelationReport(_Record):
     def __init__(
         self, scenario: str, relation: str, counts: dict[str, int], total: int = 0, notes: tuple[str, ...] = ()
     ):
-        object.__setattr__(self, "scenario", scenario)
-        object.__setattr__(self, "relation", relation)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "notes", notes)
+        self._set(scenario, relation, counts, total, notes)
 
 
 _EXISTENTIAL_NOTE = (

@@ -51,10 +51,10 @@ class _DataclassFields:
 
 class _Record:
     """Base of the immutable records: each lists its slots and writes an ``__init__`` that checks its
-    arguments and sets every slot with ``object.__setattr__``.  The fields, the ``__init__`` parameters,
-    are the slots without a leading underscore.  repr shows them all; equality and hashing use those not
-    in ``_uncompared``.  Assignment and deletion raise ``dataclasses.FrozenInstanceError``, and a pickle
-    carries the dict of all slots, as a frozen dataclass's did.
+    arguments and fills every slot with one :meth:`_set` (loops that fill many records unpack ``_setters``).
+    The fields, the ``__init__`` parameters, are the slots without a leading underscore.  repr shows them
+    all; equality and hashing use those not in ``_uncompared``.  Assignment and deletion raise
+    ``dataclasses.FrozenInstanceError``, and a pickle carries the dict of all slots, as a frozen dataclass's did.
     """
 
     __slots__ = ()
@@ -62,10 +62,16 @@ class _Record:
     __dataclass_fields__ = _DataclassFields()
 
     def __init_subclass__(cls) -> None:
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         cls._compared = tuple(name for name in cls._fields if name not in cls._uncompared)
         cls._key = operator.attrgetter(*cls._compared)  # a tuple, as every record compares two fields or more
         cls.__match_args__ = cls._fields
+
+    def _set(self, *values) -> None:
+        """Write ``values`` into the slots in order, through ``_setters``: each slot descriptor's ``__set__``."""
+        for set_slot, value in zip(self._setters, values):
+            set_slot(self, value)
 
     def _asdict(self) -> dict:
         """The fields by name, in order."""
@@ -98,5 +104,4 @@ class _Record:
 
     def __setstate__(self, state) -> None:
         # a dict of slots, or the list of fields a slotted dataclass pickled
-        for name, value in state.items() if isinstance(state, dict) else zip(self.__slots__, state):
-            object.__setattr__(self, name, value)
+        self._set(*(map(state.__getitem__, self.__slots__) if isinstance(state, dict) else state))

@@ -53,8 +53,7 @@ class Units(_Record):
     def __init__(self, hbar: float = 1.0, mass: float = 1.0):
         check_positive("hbar", hbar)
         check_positive("mass", mass)
-        object.__setattr__(self, "hbar", hbar)
-        object.__setattr__(self, "mass", mass)
+        self._set(hbar, mass)
 
 
 class Potential(_Record):
@@ -75,9 +74,7 @@ class Potential(_Record):
             check_positive("well half-width q", q)
         elif q is not None:
             raise DomainError("q is only meaningful for the square well")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "q", q)
+        self._set(kind, U, q)
 
     def energy_at(self, x: float) -> float:
         """Potential energy at position ``x``."""
@@ -165,15 +162,7 @@ class Kinematics(_Record):
             raise DomainError(f"k, kappa, r must be positive normal doubles: {k!r}, {kappa!r}, {r!r}")
         if abs(r - kappa / k) > 1e-12 * r:
             raise DomainError(f"inconsistent bundle: r={r!r} but kappa/k={kappa / k!r}")
-        object.__setattr__(self, "E", E)
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "units", units)
-        object.__setattr__(self, "_plain", plain)
-        object.__setattr__(self, "_fractions", fractions)
-        object.__setattr__(self, "_gap", gap)
+        self._set(E, U, k, kappa, r, units, plain, fractions, gap)
 
     def at_energy(self, E: float) -> "Kinematics":
         """Kinematics at a different energy under the same barrier and units."""

@@ -45,9 +45,7 @@ class Microstate(_Record):
             raise DomainError(
                 f"coefficients are not normalized: ab - c^2/4 = {norm!r}; use normalize()"
             )
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        self._set(a, b, c)
 
     @property
     def discriminant(self) -> float:
@@ -138,8 +136,7 @@ class BasisRescale(_Record):
     def __init__(self, alpha: float, beta: float):
         check_nonzero("alpha", alpha)
         check_nonzero("beta", beta)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        self._set(alpha, beta)
 
 
 def transform_basis(ms: Microstate, rescale: BasisRescale) -> tuple[RawCoefficients, float]:

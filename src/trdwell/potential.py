@@ -14,8 +14,8 @@ bits.  A single state (:func:`bound_state`) is solved on floats, without
 numpy.  The whole ladder (:func:`bound_state_energies`) is solved in passes of
 at most 2,048 slots: a pass of fewer than ``_SCALAR_SLOTS`` slots slot by slot,
 as :func:`bound_state` solves one, so shallow wells need no numpy, and a longer
-one as arrays, imported on first use, whose records are filled in through the
-slot descriptors of :class:`BoundState` rather than its frozen ``__init__``.
+one as arrays, imported on first use, whose records are filled a column at a
+time through ``BoundState._setters``, at under half the cost of its ``__init__``.
 Every ladder state is bit for bit the state :func:`bound_state` returns, and
 its k and kappa lie within ``_ANGLE_RTOL`` of the root at the well's own P.
 """
@@ -27,7 +27,8 @@ import itertools
 import math
 
 from .errors import DomainError, _Record
-from .kinematics import PARITY_BOTH, PARITY_EVEN, PARITY_ODD, SQUARE_WELL, Kinematics, Units, _ordinary, _product
+from .kinematics import _NORMAL, PARITY_BOTH, PARITY_EVEN, PARITY_ODD, SQUARE_WELL, Kinematics, Units, _ordinary
+from .kinematics import _product
 # the rest of the kinematics API, re-exported: every public trdwell.potential.X still resolves
 from .kinematics import FORBIDDEN, FREE, STEP_BARRIER, Potential, check_epsilon, check_positive  # noqa: F401
 from .kinematics import kinematics_from_energies, make_kinematics, square_well, step_barrier  # noqa: F401
@@ -39,17 +40,11 @@ class BoundState(_Record):
     __slots__ = ("E", "parity", "k", "kappa")
 
     def __init__(self, E: float, parity: str, k: float, kappa: float):
-        object.__setattr__(self, "E", E)
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "kappa", kappa)
+        self._set(E, parity, k, kappa)
 
     def __getstate__(self) -> list:
         return [self.E, self.parity, self.k, self.kappa]  # the state that BoundState pickles have always held
 
-
-#: The slot descriptors of BoundState's fields, in field order.
-_BOUND_STATE_FIELDS = (BoundState.E, BoundState.parity, BoundState.k, BoundState.kappa)
 
 #: Parity of even and odd ladder slots, indexed by i % 2.
 _PARITIES = (PARITY_EVEN, PARITY_ODD)
@@ -210,8 +205,8 @@ def _ladder_size(P: float) -> int:
     """
     if P == math.inf:
         raise DomainError(f"the well holds more states than a double counts: k_max q = {P!r}")
-    if not P > 0.0:
-        raise DomainError("the well's k_max q underflows to 0")
+    if not P >= _NORMAL:
+        raise DomainError(f"the well's k_max q = {P!r} underflows the normal doubles")
     size = math.ceil(P / _HALF_PI)
     if size >= _EXACT_SLOTS:
         return size
@@ -234,8 +229,8 @@ def _state_at(i: int, c: float, s: float, k_max: float, U: float, plain: bool) -
     :func:`_ladder_states` repeats these operations on arrays.  ``plain`` is from :func:`_well_scales`.
     """
     k, kappa = k_max * c, k_max * s
-    if not 0.0 < min(k, kappa):
-        raise DomainError(f"state {i} underflows: k = {k!r}, kappa = {kappa!r}")
+    if not _NORMAL <= min(k, kappa):
+        raise DomainError(f"state {i} underflows the normal doubles: k = {k!r}, kappa = {kappa!r}")
     E = U * c * c if plain else _product("the state energy U cos^2 theta", (U, 1.0), (c, 2.0))
     return BoundState(E, _PARITIES[i % 2], k, kappa)
 
@@ -263,11 +258,9 @@ def _ladder_states(slots: range, P: float, k_max: float, U: float, plain: bool) 
         return [_state_at(j, x, y, k_max, U, plain) for j, x, y in zip(slots, c.tolist(), s.tolist())]
     k, kappa, E = k_max * c, k_max * s, U * c * c
     parities = itertools.cycle([_PARITIES[j % 2] for j in slots[:2]])  # map stops at the shortest
-    # BoundState's __init__ sets each field through object.__setattr__;
-    # the slot descriptors set the same fields at about half the cost.
     states = list(map(object.__new__, itertools.repeat(BoundState, len(slots))))
-    for column, values in zip(_BOUND_STATE_FIELDS, (E.tolist(), parities, k.tolist(), kappa.tolist())):
-        collections.deque(map(column.__set__, states, values), maxlen=0)
+    for set_column, values in zip(BoundState._setters, (E.tolist(), parities, k.tolist(), kappa.tolist())):
+        collections.deque(map(set_column, states, values), maxlen=0)
     return states
 
 
@@ -331,7 +324,7 @@ def bound_state_energies(
     pass of fewer than ``_SCALAR_SLOTS`` slots is solved slot by slot, on
     floats and without numpy, a longer one as numpy arrays by the same
     kernel.  For plain wells the states are then worked out as arrays and
-    filled into records through the slot descriptors.  Every state equals
+    filled into records a column at a time.  Every state equals
     ``bound_state`` of its slot bit for bit.
     """
     if parity not in (PARITY_EVEN, PARITY_ODD, PARITY_BOTH):

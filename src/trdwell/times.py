@@ -64,10 +64,7 @@ class DwellResult(_Record):
     __slots__ = ("t_D", "sign", "ms", "kin")
 
     def __init__(self, t_D: float, sign: str, ms: Microstate, kin: Kinematics):
-        object.__setattr__(self, "t_D", t_D)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "ms", ms)
-        object.__setattr__(self, "kin", kin)
+        self._set(t_D, sign, ms, kin)
 
 
 def _scaled(what: str, value: float, factors, *args) -> float:
@@ -243,15 +240,10 @@ class ExtremalReport(_Record):
             raise OptimizationFailure(f"non-positive supremum {supremum!r}")
         if supremum > analytic_bound * (1.0 + 1e-9):
             raise OptimizationFailure(f"supremum {supremum!r} exceeds the analytic bound {analytic_bound!r}")
-        object.__setattr__(self, "maximizer", maximizer)
-        object.__setattr__(self, "supremum", supremum)
-        object.__setattr__(self, "analytic_bound", analytic_bound)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "attained_at_boundary", attained_at_boundary)
-        object.__setattr__(self, "supremum_extrapolated", supremum_extrapolated)
-        object.__setattr__(self, "sign", sign)
-        object.__setattr__(self, "alternative_bound", alternative_bound)
-        object.__setattr__(self, "alternative_bound_holds", alternative_bound_holds)
+        self._set(
+            maximizer, supremum, analytic_bound, epsilon, attained_at_boundary, supremum_extrapolated,
+            sign, alternative_bound, alternative_bound_holds,
+        )
 
 
 def _slice_maximizer(kin: Kinematics, c: float) -> Microstate:

@@ -14,6 +14,7 @@ libration) comes from closed forms that already encode it.
 from __future__ import annotations
 
 import math
+import operator
 
 from .errors import DomainError, ScanNotSettled, _Record
 from .kinematics import _NORMAL, FORBIDDEN, FREE, Kinematics, _ordinary, _product, check_positive
@@ -36,12 +37,7 @@ class TrajectorySample(_Record):
     __slots__ = ("x", "t", "W_x", "dWx_dE", "speed")
 
     def __init__(self, x: float, t: float, W_x: float, dWx_dE: float, speed: float):
-        for set_field, value in zip(_SAMPLE_SETTERS, (x, t, W_x, dWx_dE, speed)):
-            set_field(self, value)
-
-
-#: The ``__set__`` of TrajectorySample's slot descriptors, in field order: every sample is filled through them.
-_SAMPLE_SETTERS = tuple(getattr(TrajectorySample, name).__set__ for name in TrajectorySample.__slots__)
+        self._set(x, t, W_x, dWx_dE, speed)
 
 
 class FlightTime(_Record):
@@ -55,8 +51,7 @@ class FlightTime(_Record):
     __slots__ = ("t", "orientation")
 
     def __init__(self, t: float, orientation: int):
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "orientation", orientation)
+        self._set(t, orientation)
 
 
 def _check_span(x: float, x_ref: float, basis: RegionBasis) -> None:
@@ -222,21 +217,22 @@ def sample_trajectory(
 
     Times are flight times from the first point of the range (t = 0 there).  One straight-line pass per point
     evaluates phi, the w-gradients, the denominator D, the slope and the speed, by the operations of
-    :func:`momentum_energy_derivative`, and fills the point's record through its slot descriptors.  A sample
+    :func:`momentum_energy_derivative`, and fills the point's record through ``TrajectorySample._setters``.  A sample
     value that is not a normal double (t at the first point excepted) is a :class:`DomainError`.
     """
     x0, x1 = x_range
     if not (math.isfinite(x0) and math.isfinite(x1) and x1 > x0):
         raise DomainError(f"x_range must be finite with x1 > x0, got {x_range!r}")
-    if not (hasattr(n, "__index__") and 2 <= n <= _SAMPLES_MAX):
+    count = operator.index(n) if hasattr(n, "__index__") else 0  # an int, so numpy counts give plain floats
+    if not 2 <= count <= _SAMPLES_MAX:
         raise DomainError(f"the sample count must be an integer from 2 to {_SAMPLES_MAX}, got {n!r}")
     check_basis(basis, kin)
     N, scale = _numerator(ms, basis, kin.units.hbar), _time_scale(ms, basis, kin)
     a, b, c, w, al, be, free = ms.a, ms.b, ms.c, basis.wavenumber, basis.alpha, basis.beta, basis.region == FREE
-    set_x, set_t, set_W_x, set_slope, set_speed = _SAMPLE_SETTERS
-    samples = list(map(object.__new__, [TrajectorySample] * n))
+    set_x, set_t, set_W_x, set_slope, set_speed = TrajectorySample._setters
+    samples = list(map(object.__new__, [TrajectorySample] * count))
     for i, sample in enumerate(samples):
-        x = x0 + (x1 - x0) * i / (n - 1)
+        x = x0 + (x1 - x0) * i / (count - 1)
         v1, v2 = (math.sin(w * x), math.cos(w * x)) if free else (_exp(-w * x), _exp(w * x))
         phi1, phi2 = al * v1, be * v2
         g1, g2 = (al * x * v2, -be * x * v1) if free else (-al * x * v1, be * x * v2)

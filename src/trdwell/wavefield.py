@@ -71,10 +71,7 @@ class RegionBasis(_Record):
         check_positive("wavenumber", wavenumber)
         check_nonzero("alpha", alpha)
         check_nonzero("beta", beta)
-        object.__setattr__(self, "region", region)
-        object.__setattr__(self, "wavenumber", wavenumber)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        self._set(region, wavenumber, alpha, beta)
 
     @property
     def wronskian(self) -> float:
@@ -248,11 +245,7 @@ class CopenhagenState(_Record):
                 raise DomainError("well eigenstates require a square-well potential")
             if parity is None or index is None:
                 raise DomainError("well eigenstates carry a parity and a ladder index")
-        object.__setattr__(self, "potential", potential)
-        object.__setattr__(self, "kinematics", kinematics)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "index", index)
+        self._set(potential, kinematics, kind, parity, index)
 
     # -- scattering amplitudes (step) ------------------------------------
 

@@ -390,23 +390,23 @@ def test_each_invocation_imports_only_the_layers_it_runs():
 #: is most of what the package adds to a cold start, so a line added where every command loads it
 #: costs every invocation; put it beside the commands that run it.
 COMPILED_LINES = {
-    "kinematics.json": 995,
-    "energies.json": 1280,
-    "dwell.json": 1351,
-    "dwell.csv": 1351,
-    "dwell-max.json": 1351,
-    "libration.json": 1351,
-    "libration-max.json": 1351,
-    "libration-inf.json": 1351,
-    "trajectory.csv": 1680,
-    "qshje-check.json": 1405,
-    "coverage-sb.json": 2028,
-    "coverage-sw.json": 2313,
-    "connect.json": 2313,
-    "sweep.csv": 1351,
-    "exit 1: no command": 995,
-    "exit 1: unknown command": 995,
-    "exit 2: E above U": 995,
+    "kinematics.json": 982,
+    "energies.json": 1261,
+    "dwell.json": 1327,
+    "dwell.csv": 1327,
+    "dwell-max.json": 1327,
+    "libration.json": 1327,
+    "libration-max.json": 1327,
+    "libration-inf.json": 1327,
+    "trajectory.csv": 1655,
+    "qshje-check.json": 1382,
+    "coverage-sb.json": 1982,
+    "coverage-sw.json": 2261,
+    "connect.json": 2261,
+    "sweep.csv": 1327,
+    "exit 1: no command": 982,
+    "exit 1: unknown command": 982,
+    "exit 2: E above U": 982,
 }
 
 
@@ -452,13 +452,17 @@ def test_well_commands_on_a_state_just_under_the_top(command, capsys):
 
 
 def test_subnormal_well_width_lists_its_states_with_empty_stderr():
-    # one slot, so the pass is solved without numpy, whose slot top (i + 1) pi/(2q) overflowed with a warning
+    # one slot, so the pass is solved without numpy, whose slot top (i + 1) pi/(2q) overflowed with a warning;
+    # U = 1e10 keeps k_max q = 1.4e-305 and kappa normal, where U = 1 is refused (TestExitCodes)
     proc = subprocess.run(
-        [sys.executable, "-m", "trdwell.cli", "energies", "--U", "1", "--q", "1e-310"],
+        [sys.executable, "-m", "trdwell.cli", "energies", "--U", "1e10", "--q", "1e-310"],
         capture_output=True, text=True, env=_child_env(), timeout=60,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert json.loads(proc.stdout)["outputs"]["count"] == 1
+    outputs = json.loads(proc.stdout)["outputs"]
+    assert outputs["count"] == 1
+    # the 50-digit root of P cos theta = theta at P = sqrt(2e10) fl(1e-310)
+    assert outputs["states"][0]["kappa"] == pytest.approx(1.9999999999999938898655e-300, rel=2.0**-50, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -600,6 +604,25 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "domain error: the sample count must be an integer from 2 to 1048576, got 1048577\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--U", "1", "--q", "5e-324"], "the well's k_max q = 5e-324 underflows the normal doubles"),
+            (
+                ["--U", "5e-121", "--hbar", "1e100", "--q", "1"],
+                "state 0 underflows the normal doubles: k = 1.0000000000000001e-160, kappa = 1e-320",
+            ),
+            (["--U", "1e19", "--q", "3e-323"], "the well's k_max q = 1.32571724334e-313 underflows the normal doubles"),
+            (["--U", "1", "--q", "1e-310"], "the well's k_max q = 1.4142135623731e-310 underflows the normal doubles"),
+        ],
+        ids=["P-subnormal", "kappa-subnormal", "P-subnormal-deep", "P-subnormal-width"],
+    )
+    def test_a_ladder_state_beyond_the_normal_doubles_is_domain(self, argv, message, capsys):
+        # printed, kappa lost digits: 4.94e-324 for about 9.88e-324, 9.9998886718268301e-321 for about
+        # 1.0000e-320, and 5.9287877500955163e-304 for the 50-digit 5.9287877500949585e-304 (9e-14 off)
+        assert run(["energies", *argv]) == 2
+        assert capsys.readouterr() == ("", f"domain error: {message}\n")
 
     def test_well_wavenumber_beyond_the_double_range_is_domain(self, capsys):
         # sqrt(2 m U)/hbar = 1.4e454
@@ -1018,7 +1041,7 @@ class TestClosedFormsAcrossTheDoubleRange:
 
     def test_a_subnormal_half_width_warns_nothing(self, capsys):
         # the one slot is solved on floats; as arrays its top (i + 1) pi/(2q) overflowed with a RuntimeWarning
-        argv = ["energies", "--U", "1", "--q", "1e-310"]
+        argv = ["energies", "--U", "1e10", "--q", "1e-310"]
         assert run(argv) == 0
         expected = capsys.readouterr().out
         assert json.loads(expected)["outputs"]["count"] == 1

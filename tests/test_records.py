@@ -11,6 +11,7 @@ import copy
 import dataclasses
 import inspect
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -116,9 +117,24 @@ def test_record_behaves_as_its_frozen_dataclass(cls, spec, args):
                 delattr(frozen, name)
 
 
+@pytest.mark.parametrize("cls,spec,args", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_each_record_writes_its_slots_through_its_own_setters(cls, spec, args):
+    descriptors = [cls.__dict__[name] for name in cls.__slots__]
+    assert [(s.__self__, s.__name__) for s in cls._setters] == [(d, "__set__") for d in descriptors]
+    record, filled = cls(*args), object.__new__(cls)
+    filled._set(*(getattr(record, name) for name in cls.__slots__))
+    assert filled == record and repr(filled) == repr(record)
+    assert all(getattr(filled, name) is getattr(record, name) for name in cls.__slots__)
+
+
+def test_no_module_writes_a_slot_around_the_record_setters():
+    package = Path(trdwell.__file__).parent
+    assert [path.name for path in package.glob("*.py") if "object.__setattr__" in path.read_text("utf-8")] == []
+
+
 @pytest.mark.parametrize("region", ["free", "forbidden"])
 def test_sampled_records_are_the_records_their_fields_construct(region):
-    # sample_trajectory fills each record through the slot descriptors, never through __init__
+    # sample_trajectory fills each record through TrajectorySample._setters, never through __init__
     samples = sample_trajectory((-0.3, 2.1), 9, MONOCHROMATIC, canonical_basis(region, _KIN), _KIN)
     for sample in samples:
         built = TrajectorySample(**sample._asdict())

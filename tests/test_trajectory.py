@@ -4,6 +4,7 @@ import math
 import random
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from trdwell.microstate import (
 )
 from trdwell.potential import Units, kinematics_from_energies
 from trdwell.trajectory import (
+    TrajectorySample,
     divergence_onset,
     momentum_energy_derivative,
     reduced_action,
@@ -460,7 +462,7 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample_trajectory((0.0, 1.0), 1, MONOCHROMATIC, basis, kin)
 
-    @pytest.mark.parametrize("n", [2**20 + 1, 3.0, "3", None, 1.5], ids=repr)
+    @pytest.mark.parametrize("n", [2**20 + 1, 3.0, "3", None, 1.5, np.int64(1)], ids=repr)
     def test_refuses_a_count_above_the_cap_or_not_an_integer(self, n, kin):
         # before the basis is checked, so before any point is evaluated; at some 0.9 KB a sample
         # the CLI would hold about 1 GB past the cap
@@ -469,6 +471,15 @@ class TestSampling:
         with pytest.raises(DomainError) as info:
             sample_trajectory((0.0, 1.0), n, MONOCHROMATIC, wrong, kin)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("region", ["free", "forbidden"])
+    def test_a_numpy_count_gives_plain_floats(self, region, kin):
+        basis = canonical_basis(region, kin)
+        expected = sample_trajectory((0.0, 1.0), 3, MONOCHROMATIC, basis, kin)
+        for n in (np.int64(3), np.uint8(3)):
+            samples = sample_trajectory((0.0, 1.0), n, MONOCHROMATIC, basis, kin)
+            assert samples == expected and repr(samples) == repr(expected)
+            assert {type(getattr(s, name)) for s in samples for name in TrajectorySample.__slots__} == {float}
 
 
 class TestDivergenceOnset:
