@@ -360,7 +360,7 @@ _SB_IDEALIZATION_NOTE = (
 )
 _SW_NODE_NOTE = (
     "density support is excluded exactly at the closed-form nodes, k x = j pi (odd states) "
-    "or (j + 1/2) pi (even states) with |x| < q, to within the ladder's relative accuracy in k"
+    "or (j + 1/2) pi (even states) with |k x/pi| <= (n - 1)/2, to within the ladder's relative accuracy in k"
 )
 
 

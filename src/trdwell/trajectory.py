@@ -21,11 +21,8 @@ from .kinematics import _NORMAL, FORBIDDEN, FREE, Kinematics, _ordinary, _produc
 from .microstate import Microstate, RawCoefficients, gauge_factor
 from .wavefield import RegionBasis, _exp, _form, _numerator, bilinear, check_basis, checked_denominator
 
-#: Grid points evaluated per numpy pass of the divergence-onset scan.  A pass
-#: holds about a dozen temporary arrays, some 200 KB at this size.  At 8,192
-#: points (about 0.8 MB) a heap with no free space of that size grew by it
-#: and released it again on every scan, at ~130 page faults per scan.
-_ONSET_CHUNK = 2048
+#: Step of the divergence-onset grid in the dimensionless depth u = 2 kappa x.
+_ONSET_DU = 0.01
 
 #: Most samples one trajectory holds: the CLI's peak memory grows by some 0.9 KB a sample, 1 GB at this cap.
 _SAMPLES_MAX = 2**20
@@ -79,7 +76,7 @@ def _time_scale(ms: Microstate | RawCoefficients, basis: RegionBasis, kin: Kinem
 
 
 def _slope(ms, scale, w, D, phi1, phi2, g1, g2):
-    """dW_x/dE from the bilinear denominator D, the basis values and their w-gradients, as floats or arrays.
+    """dW_x/dE from the bilinear denominator D, the basis values and their w-gradients.
 
     ``scale`` is :func:`_time_scale`; see :func:`momentum_energy_derivative`.
     """
@@ -251,6 +248,29 @@ def sample_trajectory(
     return tuple(samples)
 
 
+def _speed_bound(ms: Microstate | RawCoefficients, basis: RegionBasis, scale: float):
+    """f(lo, hi): a lower bound on the onset grid's speeds at indices lo..hi, each proven a normal double, else 0.0.
+
+    Its pad holds where a, b, c (or c = 0), alpha, beta and kappa are ordinary, so a partial product of a point's
+    speed loses less than the pad to underflow, and where S max(1, 1/kappa) < 1e307 (S = 1e12 pad), so none overflows.
+    """
+    kappa, al, be, size, du = basis.wavenumber, basis.alpha, basis.beta, abs(scale), _ONSET_DU
+    A, B, C, room = ms.a * al * al, ms.b * be * be, ms.c * al * be, 1e295 * min(1.0, kappa)
+
+    def bound(lo: int, hi: int) -> float:
+        u1, u2 = lo * du, hi * du  # each index's 2 kappa x to two roundings; the pad covers e^(2^-52 u) - 1 < 2e-13
+        e1, e2 = (math.exp(u1), math.exp(u2)) if u2 < 709.0 else (1.0, math.inf)  # so pad = inf: do not prune
+        P1, P2, Q1, Q2 = A / e1, A / e2, B * e1, B * e2
+        pad = 1e-12 * (1.0 + u2) * (P1 + Q2 + abs(C))  # 1e12 pad bounds each |term| of D and G
+        G1, G2 = (1.0 + u1) * P1 + (1.0 - u1) * Q1 + C, (1.0 + u2) * P2 + (1.0 - u2) * Q2 + C
+        D_lo, D_hi = P2 + Q1 + C - pad, P1 + Q2 + C + pad
+        if _NORMAL <= D_lo and pad < room and _NORMAL <= size * ((max(G2, -G1) - pad) / D_hi / D_hi):
+            return 1.0 / (size * ((max(G1, -G2) + pad) / D_lo / D_lo))
+        return 0.0
+
+    return bound if _ordinary(ms.a, ms.b, abs(ms.c) or 1.0, abs(al), abs(be), kappa) else lambda lo, hi: 0.0
+
+
 def divergence_onset(
     kin: Kinematics,
     ms: Microstate | RawCoefficients,
@@ -259,63 +279,46 @@ def divergence_onset(
 ) -> float:
     """Smallest depth X beyond which the forbidden-region speed stays above ``speed_floor``.
 
-    Scans the local speed on a fixed grid (du = 0.01 in the dimensionless
-    depth u = 2 kappa x) and returns one grid step past the last point at or
-    below the floor; the fixed grid makes X monotone in the floor.
+    The speed is judged on a fixed grid, du = 0.01 in the dimensionless depth u = 2 kappa x, and X is one grid step
+    past the last point at or below the floor, so X is monotone in the floor.  The search starts at a proven end.
+    With v = kappa x, P = a' e^(-2v) and Q = b' e^(2v) (a' = a alpha^2, b' = b beta^2, c' = c alpha beta, so
+    |c'| < 2 sqrt(PQ)), the denominator is D = P + Q + c' and the speed is D^2/(|scale| |G|), where
+    G = D - v dD/dv = (1 + 2v) P + (1 - 2v) Q + c' and ``scale`` is :func:`_time_scale`.  For
+    v >= max(1, ln(4a'/b')/4), D >= Q/4 and |G| <= 2.75 v Q, so the speed is at least b' e^(2v)/(44 v |scale|),
+    above the floor wherever 2v - ln v > L = ln(44 |scale| floor/b').  2v - ln v grows with v and exceeds L at
+    v = (L + ln L)/2 (L > 1), so no speed at or past v_end = max(1, ln(4a'/b')/4, (L + ln L)/2) is at or below it.
 
-    The scan starts at a proven end.  With v = kappa x, P = a' e^(-2v) and
-    Q = b' e^(2v) (a' = a alpha^2, b' = b beta^2, c' = c alpha beta, so
-    |c'| < 2 sqrt(PQ)), the denominator is D = P + Q + c' and the speed is
-    D^2/(|scale| |G|), G = D - v dD/dv = (1 + 2v) P + (1 - 2v) Q + c', with
-    ``scale`` from :func:`_time_scale`.  For v >= max(1, ln(4a'/b')/4),
-    D >= Q/4 and |G| <= 2.75 v Q, so the speed is at least
-    b' e^(2v)/(44 v |scale|), above the floor wherever 2v - ln v > L =
-    ln(44 |scale| floor/b').  2v - ln v grows with v and exceeds L at
-    v = (L + ln L)/2 (L > 1), so no speed at or past v_end = max(1,
-    ln(4a'/b')/4, (L + ln L)/2) is at or below the floor.  From there the grid
-    is evaluated downwards in numpy passes of ``_ONSET_CHUNK`` points, and
-    the first pass that holds a point at or below the floor ends the scan.
-    Points whose speed lies within 1e-9 of the floor are re-evaluated with
-    :func:`speed_at`, so the verdict at every grid point is the scalar one.
-    Where D or the slope dW_x/dE is no normal double (e^(2v) overflows near
-    v = 355 in the canonical basis) no speed is computed; if such a point
-    lies above the last one at or below the floor, the scan raises
-    :class:`ScanNotSettled`.
+    Below v_end a branch-and-bound takes intervals of grid indices, the top one first.  On v >= 0 both
+    (1 + 2v) e^(-2v) and (1 - 2v) e^(2v) fall, so G falls, and on [v1, v2] D >= D_lo = P(v2) + Q(v1) + c' and
+    |G| <= G_max = max(G(v1), -G(v2)): the speed is at least D_lo^2/(|scale| G_max).  :func:`_speed_bound` pads
+    both by 1e-12 times the sum of |terms| for rounding.  An interval is pruned only where that bound beats the
+    floor by 1e-9 and D and dW_x/dE are proven normal doubles, so never across a zero of G (the speed diverges
+    there).  Each index not pruned is a leaf, evaluated by the scalar operations of :func:`speed_at`, so the verdict
+    at every grid point is that function's, however loose the bound; the first leaf at or below the floor gives X.
+    A leaf whose D or dW_x/dE is no normal double (e^(2v) overflows near v = 355 in the canonical basis) has no
+    known speed: the search raises :class:`ScanNotSettled` there.
     """
     if basis.region != FORBIDDEN:
         raise DomainError("speed divergence is a forbidden-region phenomenon")
     check_basis(basis, kin)
     check_positive("speed_floor", speed_floor)
-    import numpy as np  # the one array scan here; every other function is scalar
-
-    kappa, al, be = basis.wavenumber, basis.alpha, basis.beta
-    scale = _time_scale(ms, basis, kin)
+    kappa, scale = basis.wavenumber, _time_scale(ms, basis, kin)
     # v_end in logarithms: a'/b' and 44 |scale| floor/b' may lie beyond the doubles
-    log_a = math.log(ms.a) + 2.0 * math.log(abs(al))
-    log_b = math.log(ms.b) + 2.0 * math.log(abs(be))
+    log_a, log_b = math.log(ms.a) + 2.0 * math.log(abs(basis.alpha)), math.log(ms.b) + 2.0 * math.log(abs(basis.beta))
     L = math.log(44.0) + math.log(abs(scale)) + math.log(speed_floor) - log_b
     v_end = max(1.0, 0.25 * (math.log(4.0) + log_a - log_b), 0.5 * (L + math.log(L)) if L > 1.0 else 1.0)
-    du = 0.01
-    stop = math.ceil(2.0 * v_end / du) + 1  # grid indices from here on hold speeds above the floor
-    while stop > 0:
-        i = np.arange(max(stop - _ONSET_CHUNK, 0), stop)
-        x = i * du / (2.0 * kappa)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            decay, growth = np.exp(-kappa * x), np.exp(kappa * x)
-            phi1, phi2 = al * decay, be * growth
+    bound, intervals = _speed_bound(ms, basis, scale), [(0, math.ceil(2.0 * v_end / _ONSET_DU))]  # up to v_end
+    while intervals:
+        lo, hi = intervals.pop()
+        if lo == hi:
+            x = lo * _ONSET_DU / (2.0 * kappa)
+            phi1, phi2, _, _, g1, g2 = basis._functions(x)
             D = _form(ms, phi1, phi2)
-            slope = _slope(ms, scale, kappa, D, phi1, phi2, -al * x * decay, be * x * growth)
-            size = np.abs(slope)
-            speed = 1.0 / size
-            unknown = ~((_NORMAL <= D) & (D < math.inf) & (_NORMAL <= size) & (size < math.inf))
-        below = speed <= speed_floor
-        for j in np.flatnonzero(np.abs(speed - speed_floor) <= 1e-9 * speed_floor):
-            below[j] = speed_at(float(x[j]), ms, basis, kin) <= speed_floor
-        hits = np.flatnonzero(below | unknown)
-        if hits.size:
-            if unknown[hits[-1]]:
-                deep = float(x[hits[-1]])
-                raise ScanNotSettled(f"the speed at x = {deep!r} is no double, and not proven above the floor")
-            return (int(i[hits[-1]]) * du + du) / (2.0 * kappa)
-        stop -= _ONSET_CHUNK
+            size = abs(_slope(ms, scale, kappa, D, phi1, phi2, g1, g2)) if _NORMAL <= D < math.inf else math.nan
+            if not _NORMAL <= size < math.inf:
+                raise ScanNotSettled(f"the speed at x = {x!r} is no double, and not proven above the floor")
+            if 1.0 / size <= speed_floor:
+                return (lo * _ONSET_DU + _ONSET_DU) / (2.0 * kappa)
+        elif not bound(lo, hi) > speed_floor * (1.0 + 1e-9):
+            intervals += (lo, (lo + hi) // 2), ((lo + hi) // 2 + 1, hi)
     return 0.0

@@ -114,7 +114,7 @@ def canonical_basis(region: str, kin: Kinematics) -> RegionBasis:
 
 
 def _form(ms: Microstate | RawCoefficients, phi1, phi2):
-    """a phi1^2 + b phi2^2 + c phi1 phi2, as floats or arrays."""
+    """a phi1^2 + b phi2^2 + c phi1 phi2."""
     return ms.a * phi1 * phi1 + ms.b * phi2 * phi2 + ms.c * phi1 * phi2
 
 

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 import trdwell
 from trdwell import cli
 from trdwell.cli import COMMANDS, _linspace, run
-from trdwell.microstate import normalize
+from trdwell.errors import ScanNotSettled
+from trdwell.microstate import MONOCHROMATIC, normalize
 from trdwell.potential import (
     _SCALAR_SLOTS,
     BoundState,
@@ -30,6 +31,8 @@ from trdwell.potential import (
     square_well,
 )
 from trdwell.times import SIGN_PLUS, dwell_time
+from trdwell.trajectory import divergence_onset
+from trdwell.wavefield import canonical_basis
 
 from angle_oracle import angle_root, state_errors, well_p
 
@@ -291,15 +294,38 @@ ERROR_CASES = [
 
 
 def test_numpy_loads_only_for_the_array_layers():
-    # only ladders of at least _SCALAR_SLOTS slots and the divergence-onset scan work on
-    # arrays: importing the package and every golden or error invocation (the extremal
-    # reports are closed forms; the 2-state energies golden, connect and coverage sw solve
-    # slot by slot) must not load numpy, and a ladder of 37 slots run after them still must
+    # only ladders of at least _SCALAR_SLOTS slots work on arrays: importing the package and
+    # every golden or error invocation (the extremal reports are closed forms; the 2-state
+    # energies golden, connect and coverage sw solve slot by slot) must not load numpy, and a
+    # ladder of 37 slots run after them still must
     assert len(bound_state_energies(square_well(1.0, 40.0))) == 37 >= _SCALAR_SLOTS
     cases = [(argv, 0) for _, argv in GOLDEN_CASES] + ERROR_CASES + [(["energies", "--U", "1", "--q", "40"], 0)]
     after_import, runs = _modules_loaded([argv for argv, _ in cases], ("numpy",))
     assert after_import == []
     assert runs == [(code, []) for _, code in cases[:-1]] + [(0, ["numpy"])]
+
+
+def test_the_divergence_onset_search_loads_no_numpy():
+    # the onset search is scalar: a fresh interpreter gives the onsets, and the ScanNotSettled past
+    # the doubles, that this one gives, and numpy stays unloaded
+    kin = kinematics_from_energies(0.18, 0.5)
+    basis = canonical_basis("forbidden", kin)
+    floors = (1e2, 1e4, 1e300)
+    script = (
+        "import sys, trdwell as t\n"
+        "kin = t.kinematics_from_energies(0.18, 0.5)\n"
+        "basis = t.canonical_basis('forbidden', kin)\n"
+        f"onsets = [t.divergence_onset(kin, t.MONOCHROMATIC, basis, M) for M in {floors!r}]\n"
+        "try:\n"
+        "    t.divergence_onset(kin, t.MONOCHROMATIC, basis, 1e307)\n"
+        "except t.ScanNotSettled as exc:\n"
+        "    onsets.append(str(exc))\n"
+        "print(repr(onsets), 'numpy' in sys.modules)\n"
+    )
+    onsets = [divergence_onset(kin, MONOCHROMATIC, basis, M) for M in floors]
+    with pytest.raises(ScanNotSettled) as info:
+        divergence_onset(kin, MONOCHROMATIC, basis, 1e307)
+    assert _python(script).splitlines()[-1] == f"{[*onsets, str(info.value)]!r} False"
 
 
 # the modules each command loads besides config, errors, kinematics and serialize, which the
@@ -398,7 +424,7 @@ COMPILED_LINES = {
     "libration.json": 1327,
     "libration-max.json": 1327,
     "libration-inf.json": 1327,
-    "trajectory.csv": 1655,
+    "trajectory.csv": 1654,
     "qshje-check.json": 1382,
     "coverage-sb.json": 1982,
     "coverage-sw.json": 2261,

@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from trdwell.errors import DegenerateMicrostate, DomainError, ScanNotSettled, TrdwellError, _Record
+from trdwell.kinematics import _NORMAL
 from trdwell.microstate import (
     MONOCHROMATIC,
     BasisRescale,
@@ -24,6 +25,8 @@ from trdwell.microstate import (
 from trdwell.potential import Units, kinematics_from_energies
 from trdwell.trajectory import (
     TrajectorySample,
+    _speed_bound,
+    _time_scale,
     divergence_onset,
     momentum_energy_derivative,
     reduced_action,
@@ -33,6 +36,7 @@ from trdwell.trajectory import (
 )
 from trdwell.wavefield import (
     RegionBasis,
+    _form,
     bilinear_with_derivatives,
     canonical_basis,
     checked_denominator,
@@ -665,7 +669,7 @@ class TestActionProperties:
 
 
 def _reference_onset(speed, kappa, speed_floor):
-    """The scalar grid scan the vectorized onset must reproduce; speed(i) at u = 0.01 i."""
+    """The plain scalar grid scan the onset search must reproduce; speed(i) at u = 0.01 i."""
     du = 0.01
     last_below = None
     above_run = 0
@@ -691,13 +695,18 @@ def _grid_speed(kin, ms, basis):
 
 
 class TestOnsetMatchesTheScalarScan:
-    def test_seeded_jobs(self):
-        rng = random.Random(2024)
+    @pytest.mark.parametrize("block", range(4))
+    def test_seeded_jobs(self, block):
+        # 64 jobs in four blocks of 16: rescaled gauges at 1 job in 4, a >> b (a speed that falls to
+        # the floor again deep in) at 1 in 8, floors from 10^-0.5 to 10^3 times speed(0)
+        rng = random.Random(2024 + block)
         for job in range(16):
             U, hbar, mass = (math.exp(rng.uniform(-2.3, 2.3)) for _ in range(3))
             kin = kinematics_from_energies(U * rng.uniform(0.05, 0.95), U, Units(hbar, mass))
             c = rng.uniform(-1.9, 1.9)
             a = math.exp(rng.uniform(-1.4, 1.4))
+            if job % 8 == 5:
+                a, c = 10.0 ** rng.uniform(20.0, 40.0), 0.0
             ms = normalize(a, (1.0 + 0.25 * c * c) / a, c)
             basis = canonical_basis("forbidden", kin)
             if job % 4 == 3:
@@ -721,3 +730,56 @@ class TestOnsetMatchesTheScalarScan:
         for j in range(900, 1400):
             expected = _reference_onset(speeds.__getitem__, kin.kappa, speeds[j])
             assert divergence_onset(kin, ms, basis, speeds[j]) == expected
+
+
+_gauges = st.tuples(st.floats(-5.0, 5.0), st.sampled_from([-1.0, 1.0])).map(lambda p: p[1] * 10.0 ** p[0])
+
+
+class TestOnsetBound:
+    """The onset search prunes by :func:`_speed_bound` alone, so each bound must hold at every grid point."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ms=_coefficients,
+        gauge=st.one_of(st.tuples(_gauges, _gauges), st.sampled_from([(1e-100, 1e-100), (1e70, -1e-70)])),
+        fraction=st.floats(min_value=0.02, max_value=0.98),
+        scales=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+        lo=st.one_of(st.integers(0, 2_000), st.integers(0, 72_000)),
+        width=st.integers(1, 64),
+    )
+    def test_no_bound_exceeds_a_speed_of_its_interval(self, ms, gauge, fraction, scales, lo, width):
+        # any basis gauge gives a valid input; one applied to the basis alone changes the speeds.
+        # U, hbar and m in 10^(+-3) put kappa between about 1e-6 and 1e6.
+        U, hbar, mass = (10.0**p for p in scales)
+        kin = kinematics_from_energies(U * fraction, U, Units(hbar, mass))
+        basis = canonical_basis("forbidden", kin).rescaled(*gauge)
+        bound = _speed_bound(ms, basis, _time_scale(ms, basis, kin))(lo, lo + width)
+        assert bound >= 0.0
+        if bound == 0.0:
+            return
+        for i in range(lo, lo + width + 1):
+            x = i * 0.01 / (2.0 * kin.kappa)
+            phi1, phi2, _, _, _, _ = basis._functions(x)
+            # a pruned interval holds only normal-double denominators and slopes
+            assert _NORMAL <= _form(ms, phi1, phi2) < math.inf
+            assert _NORMAL <= abs(momentum_energy_derivative(x, ms, basis, kin)) < math.inf
+            assert bound <= speed_at(x, ms, basis, kin)
+
+    def test_bound_prunes_and_refuses_across_the_divergence(self, kin):
+        basis = canonical_basis("forbidden", kin)
+        ms = normalize(2.0, 1.0, 1.0)
+        bound = _speed_bound(ms, basis, _time_scale(ms, basis, kin))
+        speed = _grid_speed(kin, ms, basis)
+        # deep in the speed grows like e^(2v), and the bound over 20 points stays within e^(-0.3) of their least
+        assert 0.74 * speed(1000) < bound(1000, 1020) <= min(speed(i) for i in range(1000, 1021))
+        # dW_x/dE changes sign between two adjacent grid points, where the speed diverges: no bound there
+        slope = lambda i: momentum_energy_derivative(i * 0.01 / (2.0 * kin.kappa), ms, basis, kin)  # noqa: E731
+        i = next(i for i in range(5000) if slope(i) * slope(i + 1) < 0.0)
+        assert min(speed(i), speed(i + 1)) > 100.0 * speed(0)
+        assert bound(i, i + 1) == bound(i - 50, i + 50) == 0.0
+
+    def test_extreme_gauges_prune_nothing(self, kin):
+        basis = canonical_basis("forbidden", kin)
+        assert _speed_bound(MONOCHROMATIC, basis, _time_scale(MONOCHROMATIC, basis, kin))(1000, 1020) > 0.0
+        basis = basis.rescaled(1e-100, 1e-100)
+        assert _speed_bound(MONOCHROMATIC, basis, _time_scale(MONOCHROMATIC, basis, kin))(1000, 1020) == 0.0
