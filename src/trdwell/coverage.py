@@ -15,12 +15,12 @@ can connect any two interior events but the density view dies at the nodes
 of excited states).
 
 Inside the well every connection runs through one kernel per state
-(:class:`_SliceKernel`).  It computes the state's constants once per call:
-the crossing fraction at once, the slice peak and ceiling on first need.
-Its ``split`` maps each pair to its whole periods, phase advance and slice
-coefficient a.  :func:`connect` builds its witness; :func:`set_relation_report`
-runs only the split per pair.  Density support is judged from the
-closed-form node phase of the present, never from a float density.
+(:class:`_SliceKernel`).  Its ``split`` maps a pair to its whole periods, phase
+advance and slice coefficient a, from which :func:`connect` builds its witness.
+:func:`set_relation_report` judges each present's support and settles each time
+offset once: the kernel's certificate proves that no split at an offset can
+fail, so only an offset it cannot settle runs the split per pair.  Density
+support is judged from the closed-form node phase, never from a float density.
 """
 
 from __future__ import annotations
@@ -84,13 +84,7 @@ class CoverageVerdict(_Record):
 
 
 def _classify(tr_allowed: bool, copenhagen_allowed: bool) -> str:
-    if tr_allowed and copenhagen_allowed:
-        return BOTH_ALLOW
-    if copenhagen_allowed:
-        return COPENHAGEN_ONLY
-    if tr_allowed:
-        return TR_ONLY
-    return NEITHER_ALLOW
+    return (NEITHER_ALLOW, TR_ONLY, COPENHAGEN_ONLY, BOTH_ALLOW)[tr_allowed + 2 * copenhagen_allowed]
 
 
 def _check_sb_pair(x_past: float, x_present: float, elapsed: float) -> None:
@@ -113,9 +107,7 @@ def sb_verdict(past: Event, present: Event, kin: Kinematics) -> CoverageVerdict:
     needed.
     """
     classification = _sb_classifier(kin)(past.x, present.x, present.t - past.t)
-    return CoverageVerdict(
-        tr_allowed=classification == BOTH_ALLOW, copenhagen_allowed=True, classification=classification
-    )
+    return CoverageVerdict(classification == BOTH_ALLOW, True, classification)
 
 
 class ConnectionSolution(_Record):
@@ -130,14 +122,12 @@ class ConnectionSolution(_Record):
 
 
 class _SliceKernel:
-    """The constants of one state on the c = 0, b = 1/a slice, and the per-pair split.
+    """The constants of one state on the c = 0, b = 1/a slice, the per-pair split and its certificate.
 
     On that slice the libration period collapses to prefactor * a/(a^2 + r^2),
-    which peaks at a = r with the value prefactor/(2r).  The peak and the
-    ceiling are computed where the per-pair code first needs them, after the
-    pair's own checks, so a peak beyond the double range fails a scan on the
-    same pair, with the same error, as a loop over :func:`connect`.  Nothing
-    here outlives the call that builds it.
+    which peaks at a = r with the value prefactor/(2r).  The peak and ceiling
+    are computed on first need, after a pair's own checks, so a peak that is no
+    double fails a scan on the same pair, with the same error, as :func:`connect`.
     """
 
     __slots__ = ("kin", "q", "peak", "r", "ceiling", "crossing")
@@ -167,12 +157,10 @@ class _SliceKernel:
     def roots(self, period: float) -> tuple[float, float]:
         """Both a-values whose slice period equals ``period``, smaller first.
 
-        With prefactor = 2 r peak, period = prefactor * a/(a^2 + r^2) gives
-        a = r (1 +/- sqrt(1 - h^2))/h with h = period/peak <= 1; the smaller
-        root takes the cancellation-free rationalized form h r/(1 + sqrt(...)),
-        so neither the prefactor nor r^2 is formed.  Raises
-        :class:`Infeasible` above the slice peak, and :class:`DomainError`
-        where the period is not a normal double or h underflows to 0.
+        With prefactor = 2 r peak, period = prefactor * a/(a^2 + r^2) gives a = r (1 +/- sqrt(1 - h^2))/h with
+        h = period/peak <= 1; the smaller root takes the cancellation-free rationalized form h r/(1 + sqrt(...)), so
+        neither the prefactor nor r^2 is formed.  Raises :class:`Infeasible` above the slice peak, and
+        :class:`DomainError` where the period is not a normal double or h underflows to 0.
         """
         check_positive("period", period)
         if period > self.check().peak:
@@ -183,31 +171,54 @@ class _SliceKernel:
         root = math.sqrt(max((1.0 - 2.0 * half) * (1.0 + 2.0 * half), 0.0))
         return 2.0 * half * self.r / (1.0 + root), (1.0 + root) * self.r / (2.0 * half)
 
-    def split(self, x_past: float, x_present: float, elapsed: float) -> tuple[int, float, float]:
-        """(whole periods n, phase advance, slice coefficient a) of one pair.
-
-        The elapsed time is split as (n + phase_advance) * period, with n the
-        smallest count >= 1 that keeps the period at or below the ceiling, and
-        a is the smaller root for that period.  Raises, in this order: a
-        position outside the well, an elapsed time that is not positive and
-        finite, a peak or whole-period count that is not a double, a count of
-        ``_PHASE_CARRY`` or more, and any a for which a and 1/a are not both
-        positive finite doubles.  Where it returns, the witness (a, 1/a, 0)
-        normalizes and has a finite period.
-        """
-        q = self.q
+    def inside(self, x_past: float, x_present: float) -> None:
+        """Raise the split's :class:`DomainError` for the first of the two positions outside the well."""
         for name, x in (("past", x_past), ("present", x_present)):
-            if abs(x) > q:
-                raise DomainError(f"{name} event must lie inside the well (|x| <= {q!r}), got {x!r}")
+            if abs(x) > self.q:
+                raise DomainError(f"{name} event must lie inside the well (|x| <= {self.q!r}), got {x!r}")
+
+    def periods(self, elapsed: float) -> float:
+        """elapsed/ceiling; raises where the elapsed time is not positive and finite, or the peak or P is no double."""
         if elapsed <= 0.0 or not math.isfinite(elapsed):
             raise Infeasible(f"present must come strictly after past, got elapsed={elapsed!r}")
         ceiling = self.check().ceiling
-        phase_advance = (self.fraction(x_present) - self.fraction(x_past)) % 1.0
         periods = elapsed / ceiling if ceiling > 0.0 else math.inf
         if periods == math.inf:
             raise DomainError(
                 f"elapsed time {elapsed!r} spans more slice periods (ceiling {ceiling!r}) than a double counts"
             )
+        return periods
+
+    def settles(self, elapsed: float) -> bool:
+        """Whether :meth:`split` returns at ``elapsed`` for every phase advance in [0, 1], 1.0 included.
+
+        Raises as :meth:`periods` does.  With P = elapsed/ceiling, the split's n + phase advance stays below
+        max(2, P/(1 - 2^-53)^2 + 1); the margins P < 2^50 (a quarter of 2^52) and P + 2 for that bound cover
+        every rounding of P, the ceil and the loop's test, so n stays far below 2^52 and each period lies in
+        [elapsed/(P + 2), ceiling].  The least period, half = period/peak/2 and a = 2 half r/(1 + root), root in
+        [0, 1] so a in [half r, r], are evaluated by the split's own operations at that count and at 1 + root = 2:
+        correctly rounded operations are monotone, so these bounds need no pad.  Where that period is normal
+        and a and 1/a are positive doubles no split raises; 2q < inf keeps the phase advance finite.
+        """
+        periods = self.periods(elapsed)
+        period = elapsed / (periods + 2.0)
+        a = 2.0 * (period / self.peak / 2.0) * self.r / 2.0
+        return (
+            periods < _PHASE_CARRY / 4 and period >= _NORMAL
+            and 0.0 < a < math.inf and 1.0 / a < math.inf and 2.0 * self.q < math.inf
+        )
+
+    def split(self, x_past: float, x_present: float, elapsed: float) -> tuple[int, float, float]:
+        """(whole periods n, phase advance, slice coefficient a) of one pair.
+
+        The elapsed time is split as (n + phase_advance) * period, n the least count >= 1 that keeps the
+        period at or below the ceiling, and a is that period's smaller root.  Raises, in this order, as
+        :meth:`inside`, as :meth:`periods`, at a count of ``_PHASE_CARRY`` or more, and where a and 1/a are
+        not both positive doubles.  Where it returns, the witness (a, 1/a, 0) normalizes and has a finite period.
+        """
+        self.inside(x_past, x_present)
+        periods, ceiling = self.periods(elapsed), self.ceiling
+        phase_advance = (self.fraction(x_present) - self.fraction(x_past)) % 1.0
         n = max(1, math.ceil(periods - phase_advance))
         while n < _PHASE_CARRY and elapsed / (n + phase_advance) > ceiling:
             n += 1
@@ -240,11 +251,10 @@ def slice_period_max(kin: Kinematics, q: float) -> float:
 
 
 def slice_period_roots(kin: Kinematics, q: float, period: float) -> tuple[float, float]:
-    """Both a-values on the c = 0, b = 1/a slice whose period equals ``period``.
+    """Both a-values on the c = 0, b = 1/a slice whose period equals ``period``, smaller first.
 
-    The smaller root is returned first; see :meth:`_SliceKernel.roots`.
-    Raises :class:`Infeasible` above the slice ceiling, and
-    :class:`DomainError` where the period underflows against the peak.
+    Raises as :meth:`_SliceKernel.roots`: :class:`Infeasible` above the slice
+    peak, :class:`DomainError` where the period underflows against it.
     """
     return _SliceKernel(kin, q).roots(period)
 
@@ -252,38 +262,29 @@ def slice_period_roots(kin: Kinematics, q: float, period: float) -> tuple[float,
 def connect(past: Event, present: Event, state: CopenhagenState) -> ConnectionSolution:
     """A microstate whose libration visits both events, with its phase data.
 
-    Phases are assigned by the canonical passage map, the elapsed time is
-    split as (whole_periods + phase_advance) * period, and the period is
-    realized on the c = 0, b = 1/a slice by the smaller quadratic root
-    (which passes through the monochromatic member when the target period
-    matches it).  whole_periods is the smallest count >= 1 that keeps the
-    target period at or below the slice ceiling; a connection therefore
-    exists for every interior pair with positive elapsed time whose period
-    and slice coefficients are doubles.
+    Phases are assigned by the canonical passage map, and the elapsed time is
+    split by :meth:`_SliceKernel.split`: whole_periods is the least count >= 1
+    that keeps the target period at or below the slice ceiling, realized on the
+    c = 0, b = 1/a slice by the smaller quadratic root (the monochromatic member
+    where the period matches it).  So every interior pair with positive elapsed
+    time whose period and slice coefficients are doubles connects.
     """
     kernel = _well_kernel(state)
     n, phase_advance, a = kernel.split(past.x, present.x, present.t - past.t)
     ms = normalize(a, 1.0 / a, 0.0)
     realized = libration_period(kernel.kin, kernel.q, ms)
-    return ConnectionSolution(
-        ms=ms,
-        whole_periods=n,
-        phase_offset=kernel.fraction(past.x) * realized,
-        realized_period=realized,
-        arrival_time=past.t + (n + phase_advance) * realized,
-    )
+    phase_offset, arrival_time = kernel.fraction(past.x) * realized, past.t + (n + phase_advance) * realized
+    return ConnectionSolution(ms, n, phase_offset, realized, arrival_time)
 
 
 def _density_support(state: CopenhagenState):
     """Whether the density of well eigenstate ``state`` has support at x, as a function of x."""
     from .potential import _ANGLE_RTOL  # the ladder's accuracy; only the well scenarios load it
 
-    # The one place the density view decides support inside the well: |psi|^2
-    # vanishes only at the node phases of _node_phases, k x/pi = j + offset with
-    # |j + offset| <= top.  The ladder's k is within _ANGLE_RTOL of its root, so a node
-    # phase is met to within that share of k x/pi, and 2^-51 more covers the
-    # roundings of k x, of pi and of the division (1.5 ulp).  A band of half a
-    # turn would take in the antinodes too: no verdict is left.
+    # The one place the density view decides support inside the well: |psi|^2 vanishes only at the node phases
+    # of _node_phases, k x/pi = j + offset with |j + offset| <= top.  The ladder's k is within _ANGLE_RTOL of its
+    # root, so a node phase is met to within that share of k x/pi, and 2^-51 more covers the roundings of k x, of
+    # pi and of the division (1.5 ulp).  A band of half a turn would take in the antinodes too: no verdict is left.
     (offset, top), k, rtol = _node_phases(state), state.kinematics.k, _ANGLE_RTOL + 2.0**-51
 
     def supported(x: float) -> bool:
@@ -299,22 +300,14 @@ def _density_support(state: CopenhagenState):
 def sw_verdict(past: Event, present: Event, state: CopenhagenState) -> CoverageVerdict:
     """Verdict for a pair of interior events of the square well.
 
-    The trajectory view always admits the pair — :func:`connect` produces an
-    explicit witness microstate — while the density view requires the present
-    to carry probability support, which excludes exactly the n closed-form
-    nodes of state n, k x = j pi (odd) or (j + 1/2) pi (even) with
-    |k x/pi| <= (n - 1)/2, to within the ladder's relative accuracy in k: a
-    rule free of units.  Raises :class:`DomainError` where that accuracy
-    cannot tell a node from an antinode.
+    The trajectory view always admits the pair — :func:`connect` produces an explicit witness microstate — while
+    the density view requires support at the present, which excludes exactly the n closed-form nodes of state n,
+    k x = j pi (odd) or (j + 1/2) pi (even) with |k x/pi| <= (n - 1)/2, to within the ladder's relative accuracy
+    in k: a rule free of units.  Raises :class:`DomainError` where that accuracy cannot tell a node from an antinode.
     """
-    solution = connect(past, present, state)
+    witness = connect(past, present, state).ms
     copenhagen_allowed = _density_support(state)(present.x)
-    return CoverageVerdict(
-        tr_allowed=True,
-        copenhagen_allowed=copenhagen_allowed,
-        classification=_classify(True, copenhagen_allowed),
-        witness=solution.ms,
-    )
+    return CoverageVerdict(True, copenhagen_allowed, _classify(True, copenhagen_allowed), witness)
 
 
 class GridSpec(_Record):
@@ -378,15 +371,39 @@ def _sb_classifier(kin: Kinematics):
     return classify
 
 
-def _sw_classifier(state: CopenhagenState):
-    """Classification of one well pair: the kernel's split, then support at the present."""
+def _sw_counts(state: CopenhagenState, grid: GridSpec, counts: dict[str, int]) -> None:
+    """Add the classes of the well pairs of ``grid`` to ``counts``, each step once at its own level.
+
+    A present's support is judged, and an offset's epoch, elapsed time and certificate (:meth:`_SliceKernel.settles`)
+    worked out, at the first pair that reaches it; only the pairs of an offset left open run the split.  Positions
+    are checked per (past, present) block, or per past once no offset is open.  Each error is raised on the pair,
+    and in the order, of :func:`sw_verdict` run on every pair in grid order.
+    """
     kernel, supported = _well_kernel(state), _density_support(state)
-
-    def classify(x_past: float, x_present: float, elapsed: float) -> str:
-        kernel.split(x_past, x_present, elapsed)
-        return _classify(True, supported(x_present))
-
-    return classify
+    t_past, presents, pasts = grid.past_time, grid.present_positions, iter(grid.past_positions)
+    epochs = [t_past + dt for dt in grid.time_offsets]
+    opened, labels, visit = [], [], len(epochs)  # opened[j]: offset j's elapsed time if its pairs split, else None
+    for x_past in pasts:
+        for i, x_present in enumerate(presents):
+            _check_event(x_present, epochs[0])
+            kernel.inside(x_past, x_present)
+            for j in range(visit):
+                if j == len(opened):  # the first pair at this offset
+                    _check_event(x_present, epochs[j])
+                    elapsed = epochs[j] - t_past
+                    opened.append(None if kernel.settles(elapsed) else elapsed)
+                if opened[j] is not None:
+                    kernel.split(x_past, x_present, opened[j])
+                if i == len(labels):
+                    labels.append(_classify(True, supported(x_present)))
+            if visit > 1 and not any(opened):  # no offset splits: a block needs its first pair only
+                visit = 1
+        if not any(opened):
+            break
+    for x_past in pasts:  # every present is checked and labelled, and no offset splits
+        kernel.inside(x_past, presents[0])
+    for label in labels:
+        counts[label] += len(grid.past_positions) * len(epochs)
 
 
 def set_relation_report(
@@ -408,13 +425,21 @@ def set_relation_report(
     The counts, and the first error, are those of :func:`sb_verdict` or
     :func:`sw_verdict` run on every pair in grid order, but the work is
     shared.  SB evaluates the dwell bound once per report.  SW builds the
-    state's slice kernel once per report, and runs only its split per pair
-    (the witness it would build is not kept).
+    state's slice kernel once per report, judges each present's support once,
+    and settles each time offset once (:func:`_sw_counts`): on ordinary grids
+    no pair runs the split, and a report costs O(P + Q + T), not P Q T splits.
     """
+    counts = {BOTH_ALLOW: 0, COPENHAGEN_ONLY: 0, TR_ONLY: 0, NEITHER_ALLOW: 0}
     if scenario == SCENARIO_SB:
         if kin is None:
             raise DomainError("the SB scenario requires kinematics")
-        classify = _sb_classifier(kin)
+        classify, t_past = _sb_classifier(kin), grid.past_time
+        t_presents = [t_past + dt for dt in grid.time_offsets]
+        for x_past in grid.past_positions:
+            for x_present in grid.present_positions:
+                for t_present in t_presents:
+                    _check_event(x_present, t_present)
+                    counts[classify(x_past, x_present, t_present - t_past)] += 1
     elif scenario in (SCENARIO_SW_BOUND, SCENARIO_SW_EXCITED):
         if state is None or state.kind != WELL_EIGENSTATE:
             raise DomainError(f"the {scenario} scenario requires a well eigenstate")
@@ -422,37 +447,11 @@ def set_relation_report(
             raise DomainError("the SW-bound scenario expects the ground state (index 0)")
         if scenario == SCENARIO_SW_EXCITED and (state.index is None or state.index < 1):
             raise DomainError("the SW-excited scenario expects an excited state (index >= 1)")
-        classify = _sw_classifier(state)
+        _sw_counts(state, grid, counts)
     else:
         raise DomainError(f"unknown scenario {scenario!r}")
-
-    counts = {BOTH_ALLOW: 0, COPENHAGEN_ONLY: 0, TR_ONLY: 0, NEITHER_ALLOW: 0}
-    t_past = grid.past_time
-    t_presents = [t_past + dt for dt in grid.time_offsets]
-    for x_past in grid.past_positions:
-        for x_present in grid.present_positions:
-            for t_present in t_presents:
-                _check_event(x_present, t_present)
-                counts[classify(x_past, x_present, t_present - t_past)] += 1
-
-    if counts[COPENHAGEN_ONLY] > 0 and counts[TR_ONLY] > 0:
-        relation = RELATION_MIXED
-    elif counts[COPENHAGEN_ONLY] > 0:
-        relation = RELATION_UNION_EXCEEDS_TR
-    elif counts[TR_ONLY] > 0:
-        relation = RELATION_UNION_EXCEEDS_COPENHAGEN
-    else:
-        relation = RELATION_UNION_IS_TR
-
-    notes = [_EXISTENTIAL_NOTE]
-    if scenario == SCENARIO_SB:
-        notes.append(_SB_IDEALIZATION_NOTE)
-    else:
-        notes.append(_SW_NODE_NOTE)
-    return RelationReport(
-        scenario=scenario,
-        relation=relation,
-        counts=counts,
-        total=sum(counts.values()),
-        notes=tuple(notes),
-    )
+    relation = (RELATION_UNION_IS_TR, RELATION_UNION_EXCEEDS_TR, RELATION_UNION_EXCEEDS_COPENHAGEN, RELATION_MIXED)[
+        (counts[COPENHAGEN_ONLY] > 0) + 2 * (counts[TR_ONLY] > 0)
+    ]
+    notes = (_EXISTENTIAL_NOTE, _SB_IDEALIZATION_NOTE if scenario == SCENARIO_SB else _SW_NODE_NOTE)
+    return RelationReport(scenario, relation, counts, sum(counts.values()), notes)

@@ -13,6 +13,7 @@ import math
 from typing import NamedTuple
 
 from .errors import DegenerateMicrostate, DomainError, _Record
+from .kinematics import _NORMAL
 
 #: Tolerance on |ab - c^2/4 - 1| accepted by the Microstate constructor.
 NORMALIZATION_TOL = 1e-12
@@ -38,13 +39,10 @@ class Microstate(_Record):
         if b <= 0.0:
             raise DomainError(f"coefficient b must be positive, got {b!r}")
         norm = a * b - 0.25 * c * c
-        # The two products cancel down to 1, so the achievable accuracy of the
-        # residual is set by their own magnitude, not by 1.
+        # The two products cancel down to 1: their own magnitude, not 1, sets the residual's accuracy.
         scale = max(1.0, a * b + 0.25 * c * c)
         if abs(norm - 1.0) > NORMALIZATION_TOL * scale:
-            raise DomainError(
-                f"coefficients are not normalized: ab - c^2/4 = {norm!r}; use normalize()"
-            )
+            raise DomainError(f"coefficients are not normalized: ab - c^2/4 = {norm!r}; use normalize()")
         self._set(a, b, c)
 
     @property
@@ -62,17 +60,24 @@ class RawCoefficients(NamedTuple):
 
 
 def gauge_factor(ms: Microstate | RawCoefficients) -> float:
-    """sqrt(ab - c^2/4) of a positive-definite triple (a > 0 and ab - c^2/4 > 0).
+    """sqrt(ab - c^2/4) of a positive-definite triple (a > 0 and ab - c^2/4 > 0), a normal double.
 
-    Raises :class:`DegenerateMicrostate` otherwise.  The invariant alone does
-    not suffice: (-a, -b, -c) shares it, but its bilinear form is negative.
+    The plain product serves where the invariant is a normal double; elsewhere the rescaled form sqrt(a) sqrt(b)
+    sqrt((1 - t)(1 + t)), t = |c|/(2 sqrt(a) sqrt(b)), whose partial results stay doubles wherever the factor is
+    one.  Raises :class:`DegenerateMicrostate` otherwise.  The invariant alone does not suffice: (-a, -b, -c)
+    shares it, but its bilinear form is negative.
     """
     invariant = ms.a * ms.b - 0.25 * ms.c * ms.c
-    if not (ms.a > 0.0 and invariant > 0.0 and math.isfinite(invariant)):
+    if ms.a > 0.0 and _NORMAL <= invariant < math.inf:
+        return math.sqrt(invariant)
+    root = math.sqrt(ms.a) * math.sqrt(ms.b) if ms.a > 0.0 and ms.b > 0.0 else 0.0
+    t = 0.5 * abs(ms.c) / root if _NORMAL <= root < math.inf else 1.0
+    gauge = root * math.sqrt((1.0 - t) * (1.0 + t)) if t < 1.0 else 0.0
+    if not _NORMAL <= gauge < math.inf:
         raise DegenerateMicrostate(
-            f"a = {ms.a!r}, ab - c^2/4 = {invariant!r}: the form is not positive-definite"
+            f"a = {ms.a!r}, ab - c^2/4 = {invariant!r}: the form is not positive-definite or its gauge not normal"
         )
-    return math.sqrt(invariant)
+    return gauge
 
 
 #: The unique microstate indistinguishable from the textbook stationary state.
@@ -82,21 +87,17 @@ MONOCHROMATIC = Microstate(1.0, 1.0, 0.0)
 def normalize(a_raw: float, b_raw: float, c_raw: float) -> Microstate:
     """Rescale a raw triple onto the slice ab - c^2/4 = 1.
 
-    The scale factor is s = (a_raw*b_raw - c_raw^2/4)^(-1/2), applied to all
-    three coefficients; the input must have a_raw > 0 (else
-    :class:`DomainError`) and a positive quadratic invariant (else
-    :class:`DegenerateMicrostate`).
+    The scale factor s = (a_raw*b_raw - c_raw^2/4)^(-1/2) comes from the plain product where that is a normal
+    double, else from :func:`gauge_factor`'s rescaled form, and multiplies all three coefficients.  The input must
+    have a_raw > 0 (else :class:`DomainError`) and be positive-definite (else :class:`DegenerateMicrostate`).
     """
     if not all(math.isfinite(v) for v in (a_raw, b_raw, c_raw)):
         raise DomainError("raw coefficients must be finite")
     if a_raw <= 0.0:
         raise DomainError(f"raw coefficient a must be positive, got {a_raw!r}")
     invariant = a_raw * b_raw - 0.25 * c_raw * c_raw
-    if invariant <= 0.0:
-        raise DegenerateMicrostate(
-            f"ab - c^2/4 = {invariant!r} is not positive; the bilinear form degenerates"
-        )
-    s = 1.0 / math.sqrt(invariant)
+    plain = _NORMAL <= invariant < math.inf
+    s = 1.0 / (math.sqrt(invariant) if plain else gauge_factor(RawCoefficients(a_raw, b_raw, c_raw)))
     a, b, c = s * a_raw, s * b_raw, s * c_raw
     # One polish step absorbs the rounding of s itself; the residual is then
     # dominated by the cancellation of a*b against c^2/4 alone.
@@ -142,10 +143,9 @@ class BasisRescale(_Record):
 def transform_basis(ms: Microstate, rescale: BasisRescale) -> tuple[RawCoefficients, float]:
     """Coefficients of ``ms`` in the rescaled basis, plus the Wronskian factor.
 
-    Returns ``((a/alpha^2, b/beta^2, c/(alpha*beta)), alpha*beta)``.  The raw
-    triple is in general unnormalized: its quadratic invariant picks up
-    1/(alpha*beta)^2, which is exactly compensated by the Wronskian factor in
-    any observable, so the bilinear momentum field is left invariant.
+    Returns ``((a/alpha^2, b/beta^2, c/(alpha*beta)), alpha*beta)``.  The raw triple is in general unnormalized:
+    its quadratic invariant picks up 1/(alpha*beta)^2, which is exactly compensated by the Wronskian factor in any
+    observable, so the bilinear momentum field is left invariant.
     """
     alpha, beta = rescale.alpha, rescale.beta
     raw = RawCoefficients(ms.a / alpha**2, ms.b / beta**2, ms.c / (alpha * beta))

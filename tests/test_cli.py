@@ -426,9 +426,9 @@ COMPILED_LINES = {
     "libration-inf.json": 1327,
     "trajectory.csv": 1654,
     "qshje-check.json": 1382,
-    "coverage-sb.json": 1982,
-    "coverage-sw.json": 2261,
-    "connect.json": 2261,
+    "coverage-sb.json": 1981,
+    "coverage-sw.json": 2260,
+    "connect.json": 2260,
     "sweep.csv": 1327,
     "exit 1: no command": 982,
     "exit 1: unknown command": 982,

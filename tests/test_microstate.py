@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,9 @@ from trdwell.microstate import (
     MONOCHROMATIC,
     BasisRescale,
     Microstate,
+    RawCoefficients,
     admissible,
+    gauge_factor,
     is_monochromatic,
     normalize,
     transform_basis,
@@ -158,3 +161,54 @@ class TestBasisRescale:
         assert back.a == pytest.approx(ms.a, rel=1e-12)
         assert back.b == pytest.approx(ms.b, rel=1e-12)
         assert back.c == pytest.approx(ms.c, rel=1e-12)
+
+
+#: Positive-definite triples whose plain ab - c^2/4 is inf, 0, nan (inf - inf) or subnormal.
+_BEYOND_THE_PLAIN_PRODUCT = [
+    (1e160, 1e160, 0.0),
+    (1e-200, 1e-200, 0.0),
+    (1e200, 1e200, 1e200),
+    (1e300, 1e100, -1.5e200),
+    (1e-160, 1e-160, 1e-160),
+    (1.7e308, 1.7e308, 1e308),
+    (1e-300, 1e-10, -1e-155),
+]
+
+
+@pytest.mark.parametrize("triple", _BEYOND_THE_PLAIN_PRODUCT)
+def test_a_positive_definite_triple_beyond_the_plain_product_is_accepted(triple):
+    # the rescaled form gives sqrt(ab - c^2/4) within 4 ulp and the normalized triple within 8, against
+    # 40-digit values, where the plain product refused the triple or (subnormal) kept a few bits of it
+    with mpmath.workdps(40):
+        a, b, c = map(mpmath.mpf, triple)
+        gauge = mpmath.sqrt(a * b - c * c / 4)
+        expected = [float(v / gauge) for v in (a, b, c)]
+    assert gauge_factor(RawCoefficients(*triple)) == pytest.approx(float(gauge), rel=2.0**-51, abs=0.0)
+    ms = normalize(*triple)
+    assert [ms.a, ms.b, ms.c] == pytest.approx(expected, rel=2.0**-50, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "triple", [(1.0, 1.0, 2.0), (1.0, 0.25, 1.5), (-1.0, -1.0, 0.0), (1e-320, 1e-320, 0.0), (1e300, 1e-300, 2.5)]
+)
+def test_gauge_factor_still_refuses_what_is_not_positive_definite_or_not_a_normal_double(triple):
+    # (1e-320, 1e-320, 0) is positive-definite, but its factor 1e-320 is subnormal
+    with pytest.raises(DegenerateMicrostate):
+        gauge_factor(RawCoefficients(*triple))
+
+
+@given(_positive_triples)
+@settings(max_examples=200, deadline=None)
+def test_the_plain_product_keeps_its_bits(triple):
+    # where ab - c^2/4 is a normal double, both functions take the plain product, operation for operation
+    a, b, c = triple
+    invariant = a * b - 0.25 * c * c
+    assert gauge_factor(RawCoefficients(a, b, c)) == math.sqrt(invariant)
+    s = 1.0 / math.sqrt(invariant)
+    a, b, c = s * a, s * b, s * c
+    residual = a * b - 0.25 * c * c
+    if residual > 0.0 and residual != 1.0:
+        s = 1.0 / math.sqrt(residual)
+        a, b, c = s * a, s * b, s * c
+    ms = normalize(*triple)
+    assert (ms.a, ms.b, ms.c) == (a, b, c)

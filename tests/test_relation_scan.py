@@ -10,9 +10,10 @@ connection.  Neither view's verdicts may depend on the choice of units.
 
 import math
 import random
+import sys
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from trdwell.coverage import (
@@ -112,6 +113,15 @@ def _state(U, q, hbar, mass, index):
 _STATES = [_state(*spec) for spec in WELL_STATES]
 _STEPS = [kinematics_from_energies(E, U, Units(hbar=hbar)) for E, U, hbar in STEP_KINEMATICS]
 
+#: The slice ceiling of WELL_STATES[0], and a (past, present) pair there whose fraction difference is a tiny
+#: negative number, which ``% 1.0`` rounds to a phase advance of exactly 1.0.
+_CEILING = _well_kernel(_STATES[0]).check().ceiling
+_PHASE_ONE = (-1.3, math.nextafter(-1.3, -math.inf))
+#: The least offsets of WELL_STATES[0] and [3] that the certificate settles, and the doubles just below them, where
+#: the split at phase advance 1.0 fails: 1/a overflows for [0], the period underflows the normal doubles for [3].
+_A_FLOOR = (2.5702405458194248e-307, 2.5702405458194224e-307)
+_PERIOD_FLOOR = (4.450147717014405e-308, 4.4501477170144003e-308)
+
 _offsets = st.one_of(
     st.floats(1e-3, 1e3),
     st.floats(1e-3, 1e3),
@@ -167,6 +177,12 @@ def step_scans(draw):
 @example((SCENARIO_SW_BOUND, GridSpec((0.0,), (0.3,), (1e100, 1.7e308)), _STATES[0]))
 @example((SCENARIO_SW_EXCITED, GridSpec((0.0,), (0.0,), (1.0, 1e300)), _STATES[3]))  # periods = inf
 @example((SCENARIO_SW_BOUND, GridSpec((3.0, 0.0), (0.5,), (1.0,)), _STATES[7]))  # x before the prefactor
+# the certificate's edges: P = 2^51 is left open and splits, 2^52 - 1/2 carries at phase 0; either side of P < 2^50
+@example((SCENARIO_SW_BOUND, GridSpec((0.0, 2.0), (2.0, 0.0), (_CEILING * 2.0**51, _CEILING * (2.0**52 - 0.5))), _STATES[0]))
+@example((SCENARIO_SW_BOUND, GridSpec((0.0, -2.0), (0.5, 2.0), (_CEILING * (2.0**50 - 1), _CEILING * 2.0**50)), _STATES[0]))
+@example((SCENARIO_SW_BOUND, GridSpec(_PHASE_ONE[:1], (0.5, _PHASE_ONE[1]), _A_FLOOR), _STATES[0]))  # a near 1/DBL_MAX
+@example((SCENARIO_SW_BOUND, GridSpec(_PHASE_ONE[:1], _PHASE_ONE[1:], (1.0, 10.0)), _STATES[0]))  # phase advance 1.0
+@example((SCENARIO_SW_EXCITED, GridSpec((-6.5e-11,), (math.nextafter(-6.5e-11, -math.inf), 0.0), _PERIOD_FLOOR), _STATES[3]))
 @settings(max_examples=200, deadline=None)
 def test_well_report_matches_the_per_pair_scan(case):
     scenario, grid, state = case
@@ -209,6 +225,87 @@ def test_split_and_witness_fail_together_across_the_double_range(spec):
             continue
         sol = connect(Event(x_past, 0.0), Event(x_present, elapsed), state)
         assert sol.arrival_time == pytest.approx(elapsed, rel=1e-9)
+
+
+def _phase_one_past(kernel) -> float:
+    """A past x whose nextafter toward -inf, as the present, gives the phase advance 1.0."""
+    for u in (-0.65, -0.9, -0.35, -0.99):
+        x = u * kernel.q
+        if (kernel.fraction(math.nextafter(x, -math.inf)) - kernel.fraction(x)) % 1.0 == 1.0:
+            return x
+    raise AssertionError(f"no past gives the phase advance 1.0 at q = {kernel.q!r}")
+
+
+#: Elapsed times at the certificate's edges, from (peak, ceiling, r) and a step u in -8..8: P = elapsed/ceiling
+#: around its limit 2^50 and around 2^52 (whole and half counts), and the least period, half ratio and a
+#: around their floors, at phase advance 1.0 and P < 1.
+_EDGES = {
+    "P=2^50": lambda peak, ceiling, r, u: ceiling * (2.0**50 + u / 2.0),
+    "P=2^52": lambda peak, ceiling, r, u: ceiling * (2.0**52 + u / 4.0),
+    "period": lambda peak, ceiling, r, u: 2.0 * sys.float_info.min * 2.0 ** (u / 16.0),
+    "half": lambda peak, ceiling, r, u: 4.0 * peak * 5e-324 * 2.0 ** (u / 8.0),
+    "1/a": lambda peak, ceiling, r, u: 4.0 * peak / r / sys.float_info.max * 2.0 ** (u / 16.0),
+}
+
+
+@given(
+    st.sampled_from(range(len(WELL_STATES))),
+    st.one_of(st.none(), st.sampled_from(sorted(_EDGES))),
+    st.integers(-8, 8),
+    st.floats(math.log(5e-324), math.log(sys.float_info.max)),
+    st.floats(-1.0, 1.0),
+    st.floats(-1.0, 1.0),
+)
+@settings(max_examples=400, deadline=None)
+def test_a_settled_offset_splits_at_every_phase_advance(index, edge, u, log_elapsed, x1, x2):
+    # Wherever the certificate settles an offset, the split returns at phase advance 0, at 1.0, at the walls
+    # and at random pairs; where the offset itself fails, every pair's split fails with the same error.
+    kernel = _well_kernel(_STATES[index])
+    q = kernel.q
+    try:
+        peak, ceiling, r = kernel.check().peak, kernel.ceiling, kernel.r
+    except DomainError:
+        edge = None
+    elapsed = math.exp(log_elapsed) if edge is None else _EDGES[edge](peak, ceiling, r, u)
+    assume(0.0 < elapsed < math.inf)
+    x_one = _phase_one_past(kernel)
+    pairs = [(x1 * q, x1 * q), (x_one, math.nextafter(x_one, -math.inf)), (-q, q), (q, -q), (q, q), (x1 * q, x2 * q)]
+    try:
+        settled = kernel.settles(elapsed)
+    except TrdwellError as exc:
+        for pair in pairs:
+            with pytest.raises(type(exc)) as raised:
+                kernel.split(*pair, elapsed)
+            assert str(raised.value) == str(exc)
+        return
+    if settled:
+        for pair in pairs:
+            kernel.split(*pair, elapsed)
+
+
+@pytest.mark.parametrize("index", [0, 1, 2, 6])
+def test_ordinary_offsets_are_settled(index):
+    # every offset of the benchmark's grids, dt from 0.1 to 100, settles: no pair of such a report splits
+    kernel = _well_kernel(_STATES[index])
+    assert all(kernel.settles(10.0 ** (e / 8.0)) for e in range(-8, 17))
+
+
+@pytest.mark.parametrize("open_offsets", [2, 0])
+def test_a_40_cubed_grid_matches_the_per_pair_scan(open_offsets):
+    # 64,000 pairs of the first excited state, with a node, both walls and (first case) two offsets the
+    # certificate leaves open (P = 2^51 and 3 * 2^50), whose pairs run the split
+    state, q = _STATES[1], _STATES[1].potential.q
+    rng = random.Random(40)
+    presents = (*find_nodes(state, (-q, q)), -q, q)
+    presents += tuple(rng.uniform(-q, q) for _ in range(40 - len(presents)))
+    pasts = tuple(rng.uniform(-q, q) for _ in range(40))
+    ceiling = _well_kernel(state).check().ceiling
+    offsets = (ceiling * 2.0**51, ceiling * 3.0 * 2.0**50)[:open_offsets]
+    offsets += tuple(10.0 ** rng.uniform(-3.0, 3.0) for _ in range(40 - open_offsets))
+    grid = GridSpec(pasts, presents, offsets, -3.0)
+    report = set_relation_report(SCENARIO_SW_EXCITED, grid, state=state)
+    assert (report.counts, report.relation, report.total) == reference_scan(SCENARIO_SW_EXCITED, grid, state=state)
+    assert report.counts[TR_ONLY] == 40 * 40
 
 
 def _connect_textbook(past, present, state):

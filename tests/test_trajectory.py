@@ -718,11 +718,11 @@ class TestOnsetMatchesTheScalarScan:
             assert divergence_onset(kin, ms, basis, floor) == expected
 
     def test_floors_equal_to_grid_speeds(self, kin):
-        # A floor met exactly at a grid point counts as "at or below".  The
-        # vectorized exponentials differ from the scalar ones in the last bit
-        # at a few percent of points, so a floor taken from each of 500
-        # consecutive grid speeds meets such a point whenever the platform's
-        # exponentials disagree at all.
+        # A floor met exactly at a grid point counts as "at or below".  Each of
+        # 500 consecutive grid speeds, taken as the floor, puts an exact tie in
+        # the search: the leaf that evaluates it must count it, and the bound,
+        # which prunes only where it beats the floor by its 1e-9 margin, must
+        # never prune the interval that holds it.
         basis = canonical_basis("forbidden", kin)
         ms = normalize(2.0, 1.0, 1.0)
         speed = _grid_speed(kin, ms, basis)

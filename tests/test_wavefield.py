@@ -136,6 +136,17 @@ class TestConjugateMomentum:
         raw, factor = transform_basis(normalize(2.0, 1.0, 2.0), BasisRescale(2.0, 0.5))
         assert gauge_factor(raw) * abs(factor) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("region", ["free", "forbidden"])
+    def test_a_gauge_whose_invariant_overflows_gives_the_canonical_w_x(self, region):
+        # the image of MONOCHROMATIC at alpha = beta = 1e-100 is (1e200, 1e200, 0), whose plain ab is inf
+        kin = kinematics_from_energies(0.18, 0.5)
+        basis = canonical_basis(region, kin)
+        raw, _ = transform_basis(MONOCHROMATIC, BasisRescale(1e-100, 1e-100))
+        for x in (-1.0, 0.0, 0.3, 2.0):
+            expected = conjugate_momentum(x, MONOCHROMATIC, basis, kin.units)
+            got = conjugate_momentum(x, raw, basis.rescaled(1e-100, 1e-100), kin.units)
+            assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
+
 
     def test_a_numerator_below_the_normal_doubles_is_a_domain_error(self):
         # hbar |W0| g is about 1.6e-308, a subnormal: the plain product gave W_x = 1.4142135508187686e-308,
