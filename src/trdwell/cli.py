@@ -108,14 +108,6 @@ def _flag_or_config(res, name: str, section: str):
     return getattr(source, name) if value is None and source is not None else value
 
 
-def _resolve_units(res) -> Units:
-    try:
-        hbar, mass = (_flag_or_config(res, name, "units") for name in ("hbar", "mass"))
-        return Units(hbar=hbar, mass=mass)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _coefficients(args) -> tuple[float, float, float]:
     """(a, b, c) from the flags, defaulting to the monochromatic (1, 1, 0)."""
     flags = ((args.a, 1.0), (args.b, 1.0), (args.c, 0.0))
@@ -123,9 +115,8 @@ def _coefficients(args) -> tuple[float, float, float]:
 
 
 def _parse_event(res, side: str):
-    text, flag = getattr(res.args, side), f"--{side}"
-    if text is None:
-        raise UsageError(f"{flag} is required")
+    flag = f"--{side}"
+    text = _required(getattr(res.args, side), f"{flag} is required")
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError(f"{flag} expects 'X,T', got {text!r}")
@@ -133,15 +124,11 @@ def _parse_event(res, side: str):
         x, t = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise UsageError(f"{flag} expects numbers, got {text!r}") from exc
-    try:
-        return res.coverage.Event(x, t)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
+    return res.coverage.Event(x, t)
 
 
 def _parse_floats(text: str | None, flag: str) -> tuple[float, ...]:
-    if text is None:
-        raise UsageError(f"{flag} is required in relation-scan mode")
+    text = _required(text, f"{flag} is required in relation-scan mode")
     try:
         return tuple(float(part) for part in text.split(","))
     except ValueError as exc:
@@ -162,19 +149,19 @@ def _coverage_mode(args) -> str:
 
 def _grid_from_args(res):
     args = res.args
-    try:
-        return res.coverage.GridSpec(
-            past_positions=_parse_floats(args.pasts, "--pasts"),
-            present_positions=_parse_floats(args.presents, "--presents"),
-            time_offsets=_parse_floats(args.dts, "--dts"),
-            past_time=0.0 if args.past_time is None else args.past_time,
-        )
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
+    return res.coverage.GridSpec(
+        past_positions=_parse_floats(args.pasts, "--pasts"),
+        present_positions=_parse_floats(args.presents, "--presents"),
+        time_offsets=_parse_floats(args.dts, "--dts"),
+        past_time=0.0 if args.past_time is None else args.past_time,
+    )
 
+
+#: Inputs built from flags alone, so a DomainError building one exits 1; an off-slice triple ``ms`` still exits 2.
+_FROM_FLAGS = ("units", "past", "present", "grid")
 
 _RESOLVERS = {
-    "units": _resolve_units,
+    "units": lambda res: Units(*(_flag_or_config(res, name, "units") for name in ("hbar", "mass"))),
     "hbar": lambda res: res.units.hbar,
     "mass": lambda res: res.units.mass,
     "E": lambda res: _required(res.args.E, "--E is required"),
@@ -217,7 +204,12 @@ class _Resolved:
 
     def __getattr__(self, name):
         resolver = _RESOLVERS.get(name)
-        value = resolver(self) if resolver else getattr(self.args, name)
+        try:
+            value = resolver(self) if resolver else getattr(self.args, name)
+        except DomainError as exc:
+            if name not in _FROM_FLAGS:
+                raise
+            raise UsageError(str(exc)) from exc
         setattr(self, name, value)
         return value
 
@@ -345,8 +337,8 @@ def _sweep(res) -> dict:
     }
     needed = _SWEEP_NEEDS[quantity]
     for name in needed:
-        if name != param and base[name] is None:
-            raise UsageError(f"--{name} is required for quantity {quantity!r}")
+        if name != param:
+            _required(base[name], f"--{name} is required for quantity {quantity!r}")
     if param not in needed:
         raise UsageError(f"parameter {param!r} does not enter quantity {quantity!r}")
 
@@ -549,16 +541,8 @@ def _fields(spec, res: _Resolved, values: dict) -> dict:
 def run(argv: list[str] | None = None) -> int:
     """Parse ``argv``, execute the subcommand, and return the exit status."""
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help exits through argparse
-        return 0 if exc.code in (0, None) else 1
-
-    try:
+        args = build_parser(argv).parse_args(argv)
         cfg = load_config(args.config) if args.config else DEFAULT_CONFIG
         command = COMMANDS[args.command]
         res = _Resolved(args, cfg)
@@ -578,6 +562,8 @@ def run(argv: list[str] | None = None) -> int:
             columns = _names(command.csv, res) if command.csv else None
             records = [{name: _field(name, res, row, values) for name in columns or row} for row in rows]
             text = csv_dumps(records, columns)
+    except SystemExit as exc:  # --help exits through argparse
+        return 0 if exc.code in (0, None) else 1
     except (UsageError, ConfigError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -39,9 +39,10 @@ class Microstate(_Record):
         if b <= 0.0:
             raise DomainError(f"coefficient b must be positive, got {b!r}")
         norm = a * b - 0.25 * c * c
-        # The two products cancel down to 1: their own magnitude, not 1, sets the residual's accuracy.
+        # The two products cancel down to 1: their own magnitude, not 1, sets the residual's accuracy.  A normalized
+        # triple has ab = 1 + c^2/4, so an overflowed scale or a nan residual is off the slice.
         scale = max(1.0, a * b + 0.25 * c * c)
-        if abs(norm - 1.0) > NORMALIZATION_TOL * scale:
+        if not abs(norm - 1.0) <= NORMALIZATION_TOL * scale < math.inf:
             raise DomainError(f"coefficients are not normalized: ab - c^2/4 = {norm!r}; use normalize()")
         self._set(a, b, c)
 

@@ -416,23 +416,23 @@ def test_each_invocation_imports_only_the_layers_it_runs():
 #: is most of what the package adds to a cold start, so a line added where every command loads it
 #: costs every invocation; put it beside the commands that run it.
 COMPILED_LINES = {
-    "kinematics.json": 982,
-    "energies.json": 1261,
-    "dwell.json": 1327,
-    "dwell.csv": 1327,
-    "dwell-max.json": 1327,
-    "libration.json": 1327,
-    "libration-max.json": 1327,
-    "libration-inf.json": 1327,
-    "trajectory.csv": 1654,
-    "qshje-check.json": 1382,
-    "coverage-sb.json": 1981,
-    "coverage-sw.json": 2260,
-    "connect.json": 2260,
-    "sweep.csv": 1327,
-    "exit 1: no command": 982,
-    "exit 1: unknown command": 982,
-    "exit 2: E above U": 982,
+    "kinematics.json": 970,
+    "energies.json": 1249,
+    "dwell.json": 1316,
+    "dwell.csv": 1316,
+    "dwell-max.json": 1316,
+    "libration.json": 1316,
+    "libration-max.json": 1316,
+    "libration-inf.json": 1316,
+    "trajectory.csv": 1643,
+    "qshje-check.json": 1371,
+    "coverage-sb.json": 1970,
+    "coverage-sw.json": 2249,
+    "connect.json": 2249,
+    "sweep.csv": 1316,
+    "exit 1: no command": 970,
+    "exit 1: unknown command": 970,
+    "exit 2: E above U": 970,
 }
 
 
@@ -613,6 +613,13 @@ class TestExitCodes:
         assert run(["dwell", "--E", "0.18", "--U", "0.5", "--a", "1", "--b", "1", "--c", "2"]) == 2
         capsys.readouterr()
 
+    def test_a_triple_whose_products_overflow_is_domain(self, capsys):
+        # ab and c^2/4 overflow to inf, so ab - c^2/4 is nan: the triple is off the slice, not its normalized image
+        argv = ["dwell", "--E", "0.18", "--U", "0.5", "--a", "1e200", "--b", "1e200", "--c", "1e200"]
+        assert run(argv) == 2
+        message = "domain error: coefficients are not normalized: ab - c^2/4 = nan; use normalize()\n"
+        assert capsys.readouterr() == ("", message)
+
     def test_overflow_deep_in_the_barrier_is_domain(self, capsys):
         # e^{kappa x} leaves the float range at x = 1000; the basis saturates
         # and the denominator check reports it instead of an OverflowError.
@@ -754,6 +761,48 @@ class TestExitCodes:
     def test_malformed_event_is_usage(self, capsys):
         assert run(["connect", "--U", "1", "--q", "2", "--past", "1;2", "--present", "0,1"]) == 1
         capsys.readouterr()
+
+    _SB = ["coverage", "sb", "--E", "0.18", "--U", "0.5"]
+    _SCAN = [*_SB, "--pasts", "0", "--presents", "1"]
+    _CONNECT = ["connect", "--U", "1", "--q", "2", "--present", "0,1"]
+    _SWEEP = ["sweep", "--quantity", "dwell", "--param", "E", "--start", "0.1", "--stop", "0.2", "--count", "3"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["dwell", "--U", "0.5"], "--E is required"),
+            (["kinematics", "--E", "0.1", "--U", "0.5", "--hbar", "-1"], "hbar must be finite and positive, got -1.0"),
+            (_CONNECT, "--past is required"),
+            ([*_CONNECT, "--past", "a,b"], "--past expects numbers, got 'a,b'"),
+            ([*_CONNECT, "--past", "0,nan"], "event coordinates must be finite, got (0.0, nan)"),
+            (_SCAN, "--dts is required in relation-scan mode"),
+            (
+                [*_SB, "--pasts", "0", "--presents", "x", "--dts", "1"],
+                "--presents expects comma-separated numbers, got 'x'",
+            ),
+            (_SB, "give --past/--present for one verdict or --pasts/--presents/--dts for a scan"),
+            ([*_SCAN, "--dts", "-1"], "time offsets must be positive"),
+            ([*_SCAN, "--dts", "1", "--past-time", "inf"], "past_time must be finite, got inf"),
+            (
+                ["sweep", "--quantity", "dwell", "--E", "0.18", "--U", "0.5"],
+                "--param, --start, --stop and --count are required (flags or config sweep)",
+            ),
+            (_SWEEP, "--U is required for quantity 'dwell'"),
+            (
+                ["sweep", "--quantity", "dwell-mono", "--param", "q", *_SWEEP[5:], "--E", "0.18", "--U", "0.5"],
+                "parameter 'q' does not enter quantity 'dwell-mono'",
+            ),
+        ],
+        ids=[
+            "missing-E", "negative-hbar", "missing-past", "past-not-numbers", "past-nan", "missing-dts",
+            "presents-not-numbers", "no-coverage-mode", "negative-dt", "infinite-past-time", "missing-sweep-spec",
+            "sweep-missing-U", "sweep-param-not-entering",
+        ],
+    )
+    def test_a_refused_flag_input_is_usage(self, argv, message, capsys):
+        # each of the CLI's exit-1 rules: a missing or malformed flag, or a flag input the library refuses
+        assert run(argv) == 1
+        assert capsys.readouterr() == ("", f"usage error: {message}\n")
 
 
 class TestOutputPlumbing:

@@ -41,6 +41,13 @@ def test_constructor_demands_canonical_normalization():
         Microstate(2.0, 2.0, 0.0)
 
 
+@pytest.mark.parametrize("triple", [(1e200, 1e200, 0.0), (1e200, 1e200, 1e200), (1e-200, 1e200, 1e300)])
+def test_constructor_refuses_a_triple_whose_products_overflow(triple):
+    # ab - c^2/4 is inf, nan and -inf (the last triple is not even positive-definite); each is off the slice
+    with pytest.raises(DomainError, match="not normalized"):
+        Microstate(*triple)
+
+
 @pytest.mark.parametrize("triple", [(0.0, 1.0, 0.0), (-1.0, -1.0, 0.0), (1.0, -1.0, 0.0)])
 def test_constructor_rejects_nonpositive_diagonal(triple):
     with pytest.raises(DomainError):

@@ -43,18 +43,19 @@ from trdwell.potential import Units, kinematics_from_energies, square_well
 from trdwell.times import dwell_supremum_bound, libration_period, libration_prefactor
 from trdwell.wavefield import find_nodes, well_eigenstate
 
-#: (U, q, hbar, mass, index): ordinary ground and excited states, slice
-#: ceilings of 5e-15 (elapsed/ceiling overflows), 0 (underflowed) and 5e300,
-#: r = 9e99, and a libration prefactor beyond the double range.
+#: (U, q, hbar, mass, index), one line each for what it draws.  A slice peak
+#: that is no double raises its DomainError on the first pair that needs it;
+#: this is what a ceiling that underflowed to 0 once drew.
 WELL_STATES = [
-    (1.0, 2.0, 1.0, 1.0, 0),
-    (1.0, 2.0, 1.0, 1.0, 1),
-    (10.0, 3.0, 1.0, 1.0, 4),
-    (1e10, 1e-10, 1e-6, 1.0, 5),
-    (1e200, 1e-100, 1e-150, 1e-300, 0),
-    (1e-300, 1e100, 1.0, 1e-10, 0),
-    (1.0, 1.0, 1e-100, 1.0, 0),
-    (1.0, 1.0, 1.0, 1e300, 0),
+    (1.0, 2.0, 1.0, 1.0, 0),  # ordinary ground state
+    (1.0, 2.0, 1.0, 1.0, 1),  # ordinary excited state
+    (10.0, 3.0, 1.0, 1.0, 4),  # excited state 4 of a deeper well
+    (1e10, 1e-10, 1e-6, 1.0, 5),  # ceiling 5.1e-15: elapsed/ceiling overflows
+    (1e200, 1e-100, 1e-150, 1e-300, 0),  # slice peak about 10^-349.1: underflows
+    (1e-300, 1e100, 1.0, 1e-10, 0),  # r = 1.4e-55, slice peak about 10^409.7: overflows
+    (1.0, 1.0, 1e-100, 1.0, 0),  # r = 9e99, ceiling 1.15e200
+    (1.0, 1.0, 1.0, 1e300, 0),  # r = 9e149, slice peak about 10^450.1: overflows
+    (1.0, 1.0, 1.0, 1e202, 0),  # r = 9e100, ceiling 1.15e303 under a libration prefactor beyond the doubles
 ]
 
 #: (E, U, hbar): the test kinematics, r^2 overflowing in the bound, and a
@@ -177,6 +178,7 @@ def step_scans(draw):
 @example((SCENARIO_SW_BOUND, GridSpec((0.0,), (0.3,), (1e100, 1.7e308)), _STATES[0]))
 @example((SCENARIO_SW_EXCITED, GridSpec((0.0,), (0.0,), (1.0, 1e300)), _STATES[3]))  # periods = inf
 @example((SCENARIO_SW_BOUND, GridSpec((3.0, 0.0), (0.5,), (1.0,)), _STATES[7]))  # x before the prefactor
+@example((SCENARIO_SW_BOUND, GridSpec((0.0, -1.0), (0.5, 1.0), (1.0, 1e305, 1.7e308)), _STATES[8]))  # ceiling 1e303
 # the certificate's edges: P = 2^51 is left open and splits, 2^52 - 1/2 carries at phase 0; either side of P < 2^50
 @example((SCENARIO_SW_BOUND, GridSpec((0.0, 2.0), (2.0, 0.0), (_CEILING * 2.0**51, _CEILING * (2.0**52 - 0.5))), _STATES[0]))
 @example((SCENARIO_SW_BOUND, GridSpec((0.0, -2.0), (0.5, 2.0), (_CEILING * (2.0**50 - 1), _CEILING * 2.0**50)), _STATES[0]))
