@@ -1,10 +1,8 @@
 """Constants of the motion labelling the microstates of one energy.
 
-A microstate is a coefficient triple (a, b, c) weighting the bilinear
-combination a*phi1^2 + b*phi2^2 + c*phi1*phi2 of two independent region
-solutions.  The physical family is the normalized slice ab - c^2/4 = 1 with
-a > 0; the monochromatic member (1, 1, 0) reproduces the textbook stationary
-state of the same energy.
+A microstate is a coefficient triple (a, b, c) weighting the bilinear combination a*phi1^2 + b*phi2^2 + c*phi1*phi2
+of two independent region solutions.  The physical family is the normalized slice ab - c^2/4 = 1 with a > 0; the
+monochromatic member (1, 1, 0) reproduces the textbook stationary state of the same energy.
 """
 
 from __future__ import annotations
@@ -25,31 +23,35 @@ ADMISSIBLE_C_LIMIT = 2.0
 class Microstate(_Record):
     """Normalized coefficient triple: a > 0, b > 0 and ab - c^2/4 = 1.
 
-    Construct directly only with already-normalized values; use
-    :func:`normalize` to rescale a raw triple onto the physical slice.
+    Construct directly only with already-normalized values; use :func:`normalize` to rescale a raw triple onto
+    the physical slice.  :func:`check_microstate` makes its checks.
     """
 
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a: float, b: float, c: float):
-        if not all(math.isfinite(v) for v in (a, b, c)):
-            raise DomainError("microstate coefficients must be finite")
-        if a <= 0.0:
-            raise DomainError(f"coefficient a must be positive, got {a!r}")
-        if b <= 0.0:
-            raise DomainError(f"coefficient b must be positive, got {b!r}")
-        norm = a * b - 0.25 * c * c
-        # The two products cancel down to 1: their own magnitude, not 1, sets the residual's accuracy.  A normalized
-        # triple has ab = 1 + c^2/4, so an overflowed scale or a nan residual is off the slice.
-        scale = max(1.0, a * b + 0.25 * c * c)
-        if not abs(norm - 1.0) <= NORMALIZATION_TOL * scale < math.inf:
-            raise DomainError(f"coefficients are not normalized: ab - c^2/4 = {norm!r}; use normalize()")
+        check_microstate(a, b, c)
         self._set(a, b, c)
 
     @property
     def discriminant(self) -> float:
         """c^2 - 4ab of the bilinear form; exactly -4 on the normalized slice."""
         return self.c * self.c - 4.0 * self.a * self.b
+
+
+def check_microstate(a: float, b: float, c: float) -> None:
+    """The checks of :class:`Microstate`: a DomainError unless a, b, c are finite, a, b > 0 and ab - c^2/4 = 1."""
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        raise DomainError("microstate coefficients must be finite")
+    if a <= 0.0:
+        raise DomainError(f"coefficient a must be positive, got {a!r}")
+    if b <= 0.0:
+        raise DomainError(f"coefficient b must be positive, got {b!r}")
+    norm = a * b - 0.25 * c * c
+    # ab and c^2/4 cancel to 1: their magnitude sets the residual's accuracy; an overflow or nan is off the slice
+    scale = max(1.0, a * b + 0.25 * c * c)
+    if not abs(norm - 1.0) <= NORMALIZATION_TOL * scale < math.inf:
+        raise DomainError(f"coefficients are not normalized: ab - c^2/4 = {norm!r}; use normalize()")
 
 
 class RawCoefficients(NamedTuple):
@@ -68,15 +70,19 @@ def gauge_factor(ms: Microstate | RawCoefficients) -> float:
     one.  Raises :class:`DegenerateMicrostate` otherwise.  The invariant alone does not suffice: (-a, -b, -c)
     shares it, but its bilinear form is negative.
     """
-    invariant = ms.a * ms.b - 0.25 * ms.c * ms.c
-    if ms.a > 0.0 and _NORMAL <= invariant < math.inf:
+    return _gauge(ms.a, ms.b, ms.c)
+
+
+def _gauge(a: float, b: float, c: float) -> float:
+    invariant = a * b - 0.25 * c * c
+    if a > 0.0 and _NORMAL <= invariant < math.inf:
         return math.sqrt(invariant)
-    root = math.sqrt(ms.a) * math.sqrt(ms.b) if ms.a > 0.0 and ms.b > 0.0 else 0.0
-    t = 0.5 * abs(ms.c) / root if _NORMAL <= root < math.inf else 1.0
+    root = math.sqrt(a) * math.sqrt(b) if a > 0.0 and b > 0.0 else 0.0
+    t = 0.5 * abs(c) / root if _NORMAL <= root < math.inf else 1.0
     gauge = root * math.sqrt((1.0 - t) * (1.0 + t)) if t < 1.0 else 0.0
     if not _NORMAL <= gauge < math.inf:
         raise DegenerateMicrostate(
-            f"a = {ms.a!r}, ab - c^2/4 = {invariant!r}: the form is not positive-definite or its gauge not normal"
+            f"a = {a!r}, ab - c^2/4 = {invariant!r}: the form is not positive-definite or its gauge not normal"
         )
     return gauge
 
@@ -100,8 +106,7 @@ def normalize(a_raw: float, b_raw: float, c_raw: float) -> Microstate:
     plain = _NORMAL <= invariant < math.inf
     s = 1.0 / (math.sqrt(invariant) if plain else gauge_factor(RawCoefficients(a_raw, b_raw, c_raw)))
     a, b, c = s * a_raw, s * b_raw, s * c_raw
-    # One polish step absorbs the rounding of s itself; the residual is then
-    # dominated by the cancellation of a*b against c^2/4 alone.
+    # One polish step absorbs the rounding of s; the residual is then set by a*b cancelling c^2/4 alone.
     residual = a * b - 0.25 * c * c
     if residual > 0.0 and residual != 1.0:
         s2 = 1.0 / math.sqrt(residual)
@@ -117,9 +122,8 @@ def is_monochromatic(ms: Microstate, tol: float = 1e-12) -> bool:
 def admissible(ms: Microstate) -> bool:
     """Membership in the open extremal region a > 0, |c| < 2.
 
-    Normalized triples with |c| -> 2 make b -> c^2/(4a) and push the dwell
-    time toward its supremum; the unconstrained closure is excluded because
-    the extremum diverges there in the degenerate limit.
+    Normalized triples with |c| -> 2 make b -> c^2/(4a) and push the dwell time toward its supremum; the
+    unconstrained closure is excluded because the extremum diverges there in the degenerate limit.
     """
     return ms.a > 0.0 and abs(ms.c) < ADMISSIBLE_C_LIMIT
 

@@ -1,41 +1,40 @@
 """Closed-form dwell times and libration periods, with their extremal bounds.
 
-For a step of height U probed at energy E (ratio r = kappa/k, unit bundle
-with mass m and hbar) and a normalized microstate (a, b, c):
+For a step of height U probed at energy E (ratio r = kappa/k, unit bundle with mass m and hbar) and a normalized
+microstate (a, b, c):
 
     dwell      t_D = 2 sqrt(ab - c^2/4) (1 + r^2) / (a +/- c r + b r^2) * m/(hbar kappa k)
 
     libration  t_L = 4 (1 + r^2) m (q + 1/kappa) / (hbar k)
                      * sqrt(ab - c^2/4) (a + b r^2) / (a^2 + (2ab - c^2) r^2 + b^2 r^4)
 
-The monochromatic member (1, 1, 0) collapses both to their textbook values:
-t_D = 2m/(hbar kappa k) = hbar/sqrt(E(U-E)), and t_L = 4m(q + 1/kappa)/(hbar k),
-i.e. a free transit of the well plus one monochromatic dwell per wall.  Over
-the admissible family a > 0, |c| < 2 the dwell time has the finite least
-upper bound (1 + r^2)/(sqrt(2) - 1) * m/(hbar kappa^2), approached (never
-attained) as |c| -> 2; the libration period has the analogous least upper
-bound 2^(3/2) (1 + r^2) m (q + 1/kappa)/(hbar kappa) and a greatest lower
-bound of zero, approached along (A, 1/A, 0) as A grows.
+The monochromatic member (1, 1, 0) collapses both to their textbook values: t_D = 2m/(hbar kappa k) =
+hbar/sqrt(E(U-E)), and t_L = 4m(q + 1/kappa)/(hbar k), i.e. a free transit of the well plus one monochromatic
+dwell per wall.  Over the admissible family a > 0, |c| < 2 the dwell time has the finite least upper bound
+(1 + r^2)/(sqrt(2) - 1) * m/(hbar kappa^2), approached (never attained) as |c| -> 2; the libration period has the
+analogous least upper bound 2^(3/2) (1 + r^2) m (q + 1/kappa)/(hbar kappa) and a greatest lower bound of zero,
+approached along (A, 1/A, 0) as A grows.
 
-Everything here is a scalar closed form on floats and needs no numpy,
-the extremal reports included.  On the normalized slice b = (1 + c^2/4)/a
-the dwell denominator a - c r + b r^2 ("-" branch, c >= 0) and the
-libration sum s = a + b r^2 are both smallest at
+Everything here is a scalar closed form on floats and needs no numpy, the extremal reports included.  On the
+normalized slice b = (1 + c^2/4)/a the dwell denominator a - c r + b r^2 ("-" branch, c >= 0) and the libration
+sum s = a + b r^2 are both smallest at
 
     a* = r sqrt(1 + c^2/4).
 
-There the dwell denominator is r (2 sqrt(1 + c^2/4) - c), so
-t_D = (1 + r^2)(2 sqrt(1 + c^2/4) + c)/(4r) times the monochromatic dwell,
-rising with c; and since the libration factor s/(s^2 - c^2 r^2) falls as s
-rises, t_L = sqrt(1 + c^2/4)/(2r) times the prefactor, rising with |c|.  So
-both suprema over |c| <= 2 - epsilon sit at (a*, 2 - epsilon), where
-``max_dwell`` and ``max_libration`` evaluate the scalar t_D and t_L.  The
-tests keep a numeric zoom search over (a, c) as an independent oracle.
+There the dwell denominator is r (2 sqrt(1 + c^2/4) - c), so t_D = (1 + r^2)(2 sqrt(1 + c^2/4) + c)/(4r) times
+the monochromatic dwell, rising with c; and since the libration factor s/(s^2 - c^2 r^2) falls as s rises,
+t_L = sqrt(1 + c^2/4)/(2r) times the prefactor, rising with |c|.  So both suprema over |c| <= 2 - epsilon sit at
+(a*, 2 - epsilon).  The tests keep a numeric zoom search over (a, c) as an independent oracle.
 
-Each time is a unit scale in E, U - E, hbar and m (1 + r^2 = U/E) times a
-dimensionless factor in X = sqrt(E/U) and Y = sqrt((U - E)/U): no power of r
-is formed.  Outside ordinary inputs ``kinematics._product`` evaluates it, and
-a time that is not a normal double is a :class:`DomainError`.
+Each formula has one scalar kernel over the floats (a, b, c, g), g = sqrt(ab - c^2/4), shared by the public
+function and the report.  ``max_dwell`` and ``max_libration`` build one Microstate, the maximizer.  Their
+``supremum_extrapolated`` is 2 sup - coarse, with coarse the time at the inset |c| = |2 - 2 epsilon|, evaluated
+on a float triple that passes the Microstate checks (:func:`~trdwell.microstate.check_microstate`).  Where 2 sup
+overflows it is 2 (sup - coarse/2), and a :class:`DomainError` where that overflows too.
+
+Each time is a unit scale in E, U - E, hbar and m (1 + r^2 = U/E) times a dimensionless factor in X = sqrt(E/U)
+and Y = sqrt((U - E)/U): no power of r is formed.  Outside ordinary inputs ``kinematics._product`` evaluates it,
+and a time that is not a normal double is a :class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ import math
 
 from .errors import DomainError, OptimizationFailure, _Record
 from .kinematics import _NORMAL, _ORDINARY, Kinematics, _product, check_epsilon, check_positive
-from .microstate import Microstate, gauge_factor, normalize
+from .microstate import Microstate, _gauge, check_microstate, gauge_factor, normalize
 
 SIGN_PLUS = "+"
 SIGN_MINUS = "-"
@@ -105,21 +104,22 @@ def _period_factors(kin: Kinematics, length: float, *extra: float) -> tuple:
 def dwell_time(kin: Kinematics, ms: Microstate, sign: str = SIGN_PLUS) -> DwellResult:
     """Sub-barrier dwell time of microstate ``ms`` at the step.
 
-    ``sign`` selects the branch of the +/- in the denominator; the two
-    branches are exchanged by c -> -c, so only microstates with c != 0
-    distinguish them.  The microstate factor g (1 + r^2)/(a +/- c r + b r^2)
-    is g (X^2 + Y^2)/(a X^2 +/- c X Y + b Y^2), exactly 1 at (1, 1, 0).
+    ``sign`` selects the branch of the +/- in the denominator; the two branches are exchanged by c -> -c, so only
+    microstates with c != 0 distinguish them.  The microstate factor g (1 + r^2)/(a +/- c r + b r^2) is
+    g (X^2 + Y^2)/(a X^2 +/- c X Y + b Y^2), exactly 1 at (1, 1, 0).
     """
-    factor = _sign_factor(sign)
-    gauge = gauge_factor(ms)
-    a, b, c = ms.a, ms.b, ms.c
+    t_D = _dwell_kernel(kin, _sign_factor(sign), ms.a, ms.b, ms.c, gauge_factor(ms))
+    return DwellResult(t_D=t_D, sign=sign, ms=ms, kin=kin)
+
+
+def _dwell_kernel(kin: Kinematics, factor: float, a: float, b: float, c: float, g: float) -> float:
+    """t_D on the branch ``factor`` (1.0 or -1.0) of the triple (a, b, c) of gauge g."""
     X, Y = kin._fractions
     denom = X * (a * X + factor * c * Y) + b * Y * Y
     if not denom > 0.0:
         raise DomainError(f"dwell denominator {denom!r} is not positive")
-    ratio = gauge * (X * X + Y * Y) / denom
-    t_D = _scaled("the dwell time", ratio * _dwell(kin), _dwell_factors, kin, ratio, 1.0)
-    return DwellResult(t_D=t_D, sign=sign, ms=ms, kin=kin)
+    ratio = g * (X * X + Y * Y) / denom
+    return _scaled("the dwell time", ratio * _dwell(kin), _dwell_factors, kin, ratio, 1.0)
 
 
 def dwell_time_monochromatic(kin: Kinematics) -> float:
@@ -156,21 +156,22 @@ def _slice_peak(kin: Kinematics, q: float) -> float:
 def libration_period(kin: Kinematics, q: float, ms: Microstate) -> float:
     """Round-trip period of microstate ``ms`` in a well of half-width ``q``.
 
-    The microstate factor (1 + r^2) g (a + b r^2)/((a + b r^2)^2 - c^2 r^2)
-    is g s/(s^2 - (c X Y)^2) with s = a X^2 + b Y^2, and s^2 - (c X Y)^2 is
-    at least 4 (g X Y)^2 > 0 on the normalized slice; a period beyond the
-    double range is a :class:`DomainError`.
+    The microstate factor (1 + r^2) g (a + b r^2)/((a + b r^2)^2 - c^2 r^2) is g s/(s^2 - (c X Y)^2) with
+    s = a X^2 + b Y^2, and s^2 - (c X Y)^2 is at least 4 (g X Y)^2 > 0 on the normalized slice; a period beyond
+    the double range is a :class:`DomainError`.
     """
-    length, period = _period(kin, q)
-    gauge = gauge_factor(ms)
-    a, b, c = ms.a, ms.b, ms.c
+    return _libration_kernel(kin, *_period(kin, q), ms.a, ms.b, ms.c, gauge_factor(ms))
+
+
+def _libration_kernel(kin: Kinematics, length: float, period: float, a: float, b: float, c: float, g: float) -> float:
+    """t_L of the triple (a, b, c) of gauge g, given ``_period``'s (length, period)."""
     X, Y = kin._fractions
     s = X * (a * X) + Y * (b * Y)
     cxy = c * X * Y
     denom = s - cxy * (cxy / s)
     if not denom > 0.0:
         raise DomainError(f"libration denominator {denom!r} is not positive")
-    ratio = gauge / denom
+    ratio = g / denom
     return _scaled("the libration period", ratio * period, _period_factors, kin, length, ratio, 1.0)
 
 
@@ -192,7 +193,10 @@ def libration_supremum_bound(kin: Kinematics, q: float) -> float:
     The 1 + r^2 coefficient is forced by the maximizing family; see
     :func:`libration_alternative_bound` for the rejected variant.
     """
-    length, period = _period(kin, q)
+    return _libration_bound(kin, *_period(kin, q))
+
+
+def _libration_bound(kin: Kinematics, length: float, period: float) -> float:
     U, E, r = kin.U, kin.E, _ratio(kin)
     value = U / E * period / math.sqrt(2.0) / r
     return _scaled("the libration bound", value, _period_factors, kin, length, U, 1.0, E, -1.0, 2.0, -0.5, r, -1.0)
@@ -219,11 +223,9 @@ def _alternative_factor(kin: Kinematics) -> float:
 class ExtremalReport(_Record):
     """Supremum of a time over the admissible microstates with |c| <= 2 - epsilon.
 
-    ``supremum`` is the value attained at the boundary |c| = 2 - epsilon;
-    ``supremum_extrapolated`` removes the leading O(epsilon) deficit by
-    Richardson extrapolation in epsilon; ``analytic_bound`` is the closed-form
-    least upper bound the supremum must stay below.  For libration reports the
-    rejected bound variant and its verdict are attached.
+    ``supremum`` is the value attained at the boundary |c| = 2 - epsilon; ``supremum_extrapolated`` removes the
+    leading O(epsilon) deficit by Richardson extrapolation in epsilon; ``analytic_bound`` is the closed-form least
+    upper bound the supremum must stay below.  Libration reports attach the rejected bound variant and its verdict.
     """
 
     __slots__ = (
@@ -246,52 +248,55 @@ class ExtremalReport(_Record):
         )
 
 
-def _slice_maximizer(kin: Kinematics, c: float) -> Microstate:
-    """The microstate (a*, (1 + c^2/4)/a*, c) with a* = r sqrt(1 + c^2/4).
-
-    There t_D ("-" branch, c >= 0) and t_L are largest over a > 0.
-    """
+def _slice_maximizer(kin: Kinematics, c: float) -> tuple[float, float, float]:
+    """(a*, (1 + c^2/4)/a*, c) with a* = r sqrt(1 + c^2/4): there t_D ("-" branch, c >= 0) and t_L peak over a > 0."""
     a = kin.r * math.sqrt(1.0 + 0.25 * c * c)
-    return Microstate(a, (1.0 + 0.25 * c * c) / a, c)
+    return a, (1.0 + 0.25 * c * c) / a, c
 
 
 def _report(top: Microstate, sup: float, coarse: float, epsilon: float, bound: float, *extra) -> ExtremalReport:
     """The report of a supremum ``sup`` at ``top``, and ``coarse`` at the inset |2 - 2 epsilon|."""
+    extrapolated = 2.0 * sup - coarse if 2.0 * sup < math.inf else 2.0 * (sup - 0.5 * coarse)
+    if extrapolated == math.inf:
+        raise DomainError(f"the extrapolated supremum 2 x {sup!r} - {coarse!r} overflows a double")
     boundary = abs(top.c) >= 2.0 - epsilon - 1e-9
-    return ExtremalReport(top, sup, bound, epsilon, boundary, 2.0 * sup - coarse, *extra)
+    return ExtremalReport(top, sup, bound, epsilon, boundary, extrapolated, *extra)
 
 
-def _tops(kin: Kinematics, epsilon: float) -> tuple[Microstate, Microstate]:
-    """The slice maximizers at c = 2 - epsilon and at the inset |2 - 2 epsilon|."""
+def _tops(kin: Kinematics, epsilon: float) -> tuple[Microstate, tuple[float, float, float]]:
+    """The slice maximizer at c = 2 - epsilon, and the triple at the inset |2 - 2 epsilon| through the same checks."""
     check_epsilon(epsilon)
-    return _slice_maximizer(kin, 2.0 - epsilon), _slice_maximizer(kin, abs(2.0 - 2.0 * epsilon))
+    top, inset = Microstate(*_slice_maximizer(kin, 2.0 - epsilon)), _slice_maximizer(kin, abs(2.0 - 2.0 * epsilon))
+    check_microstate(*inset)
+    return top, inset
 
 
 def max_dwell(kin: Kinematics, epsilon: float = 1e-6) -> ExtremalReport:
     """Dwell-time supremum over {normalized, |c| <= 2 - epsilon} x {+, -}.
 
-    The two sign branches are images of each other under c -> -c, so their
-    maxima coincide; the report is canonicalized to the representative with
-    c >= 0, which selects the "-" branch.  The maximum sits at (a*, 2 - epsilon)
-    (module docstring).  The attained value approaches the analytic bound
-    linearly in epsilon; ``supremum_extrapolated`` removes that deficit.
+    The two sign branches are images of each other under c -> -c, so their maxima coincide; the report is
+    canonicalized to the representative with c >= 0, which selects the "-" branch.  The maximum sits at
+    (a*, 2 - epsilon) (module docstring).  The attained value approaches the analytic bound linearly in epsilon;
+    ``supremum_extrapolated`` removes that deficit.
     """
     top, inset = _tops(kin, epsilon)
-    sup, coarse = dwell_time(kin, top, SIGN_MINUS).t_D, dwell_time(kin, inset, SIGN_MINUS).t_D
+    sup = _dwell_kernel(kin, -1.0, top.a, top.b, top.c, _gauge(top.a, top.b, top.c))
+    coarse = _dwell_kernel(kin, -1.0, *inset, _gauge(*inset))
     return _report(top, sup, coarse, epsilon, dwell_supremum_bound(kin), SIGN_MINUS)
 
 
 def max_libration(kin: Kinematics, q: float, epsilon: float = 1e-6) -> ExtremalReport:
     """Libration-period supremum over {normalized, |c| <= 2 - epsilon}.
 
-    The period depends on c only through c^2; the maximizer is reported with
-    c >= 0, at (a*, 2 - epsilon) (module docstring).  Both closed-form bound
-    variants are evaluated and the report records whether the rejected
-    1 - r^2 form actually bounds the supremum.
+    The period depends on c only through c^2; the maximizer is reported with c >= 0, at (a*, 2 - epsilon) (module
+    docstring).  Both closed-form bound variants are evaluated, with one (q + 1/kappa) and monochromatic period,
+    and the report records whether the rejected 1 - r^2 form actually bounds the supremum.
     """
     top, inset = _tops(kin, epsilon)
-    sup, coarse = libration_period(kin, q, top), libration_period(kin, q, inset)
-    bound = libration_supremum_bound(kin, q)
+    length, period = _period(kin, q)
+    sup = _libration_kernel(kin, length, period, top.a, top.b, top.c, _gauge(top.a, top.b, top.c))
+    coarse = _libration_kernel(kin, length, period, *inset, _gauge(*inset))
+    bound = _libration_bound(kin, length, period)
     alternative = bound * _alternative_factor(kin)
     return _report(top, sup, coarse, epsilon, bound, None, alternative, sup <= alternative * (1.0 + 1e-9))
 

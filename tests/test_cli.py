@@ -418,18 +418,18 @@ def test_each_invocation_imports_only_the_layers_it_runs():
 COMPILED_LINES = {
     "kinematics.json": 970,
     "energies.json": 1249,
-    "dwell.json": 1316,
-    "dwell.csv": 1316,
-    "dwell-max.json": 1316,
-    "libration.json": 1316,
-    "libration-max.json": 1316,
-    "libration-inf.json": 1316,
+    "dwell.json": 1315,
+    "dwell.csv": 1315,
+    "dwell-max.json": 1315,
+    "libration.json": 1315,
+    "libration-max.json": 1315,
+    "libration-inf.json": 1315,
     "trajectory.csv": 1643,
     "qshje-check.json": 1371,
-    "coverage-sb.json": 1970,
-    "coverage-sw.json": 2249,
-    "connect.json": 2249,
-    "sweep.csv": 1316,
+    "coverage-sb.json": 1969,
+    "coverage-sw.json": 2248,
+    "connect.json": 2248,
+    "sweep.csv": 1315,
     "exit 1: no command": 970,
     "exit 1: unknown command": 970,
     "exit 2: E above U": 970,
@@ -1015,6 +1015,25 @@ class TestOutputPlumbing:
                 ][column])
             assert outputs["supremum"] == pytest.approx(expected, rel=1e-14, abs=0.0), argv
             assert outputs["supremum"] / outputs["analytic_bound"] == pytest.approx(1.0 - deficit, abs=1e-8)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_an_extrapolation_where_twice_the_supremum_overflows(self, fmt, capsys):
+        # 2 sup is beyond the doubles, but 2 sup - coarse is not: it prints as 2 (sup - coarse/2), not as inf
+        assert run(["dwell-max", "--E", "0.5", "--U", "1", "--hbar", "2.5e307", "--format", fmt]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if fmt == "json":
+            value = json.loads(captured.out)["outputs"]["supremum_extrapolated"]
+        else:
+            header, row = captured.out.splitlines()
+            value = float(dict(zip(header.split(","), row.split(",")))["supremum_extrapolated"])
+        with mpmath.workdps(40):
+            # r = 1: t_D(c) = (2 sqrt(1 + c^2/4) + c)/2 times the monochromatic dwell hbar/sqrt(E (U - E)) = 2 hbar
+            hbar = mpmath.mpf(2.5e307)
+            t_D = lambda c: (2 * mpmath.sqrt(1 + c * c / 4) + c) * hbar  # noqa: E731
+            exact = 2 * t_D(mpmath.mpf(2.0 - 1e-6)) - t_D(mpmath.mpf(2.0 - 2e-6))
+        assert value == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+        assert value == pytest.approx(1.2071068e308, rel=1e-7)
 
     def test_a_period_beyond_the_double_range_is_domain(self, capsys):
         assert run(["libration", "--E", "1e-300", "--U", "0.5", "--q", "1e300"]) == 2

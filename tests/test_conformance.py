@@ -2,7 +2,10 @@
 
 Seeded in-process ``cli.run`` calls draw hbar and m log-uniform in 1e+-200,
 U in 1e+-300, and E either U 10^[-300, 0] or U (1 - 10^[-16, 0]); wells hold
-at most 10^4 states.  Every value an exit-0 call prints must lie within 1e-14
+at most 10^4 states.  The step commands take each of U, hbar, m and q from the
+subnormals 10^[-323.3, -308] one time in eight, and ``dwell-max`` and
+``libration-max`` draw their ``--epsilon`` log-uniform in [1e-12, 0.99].
+Every value an exit-0 call prints must lie within 1e-14
 of its 40-digit value: relative to the value, times the condition number of
 the closed form where the value is a difference of larger terms (``cond``).
 Exit 2 must happen exactly where some printed value, or the command's k or
@@ -41,6 +44,8 @@ ANGLE_TOL = 4 * 2.0**-52
 SEED = 20261018
 #: Calls per subcommand; an energies call lists and prints up to 10^4 states.
 CALLS = {"energies": 8}
+#: Share of the step commands' draws of U, hbar, m and q taken from the subnormals.
+SUBNORMAL_SHARE = 1 / 8
 
 
 def _normal(value) -> bool:
@@ -51,16 +56,23 @@ def _log_uniform(rng, lo: float, hi: float) -> float:
     return 10.0 ** rng.uniform(lo, hi)
 
 
-def _energies(rng) -> tuple[float, float, float, float]:
-    """(E, U, hbar, m) drawn as the module docstring says, with 0 < E < U."""
+def _wide(rng, lo: float, hi: float, corners: bool) -> float:
+    """10^[lo, hi]; where ``corners``, a subnormal 10^[-323.3, -308] with probability ``SUBNORMAL_SHARE``."""
+    if corners and rng.random() < SUBNORMAL_SHARE:
+        return _log_uniform(rng, -323.3, -308)
+    return _log_uniform(rng, lo, hi)
+
+
+def _energies(rng, corners: bool = False) -> tuple[float, float, float, float]:
+    """(E, U, hbar, m) drawn as the module docstring says, with 0 < E < U; subnormal corners for a step."""
     while True:
-        U = _log_uniform(rng, -300, 300)
+        U = _wide(rng, -300, 300, corners)
         if rng.random() < 0.5:
             E = U * _log_uniform(rng, -300, 0)
         else:
             E = U * (1.0 - _log_uniform(rng, -16, 0))
         if 0.0 < E < U:
-            return E, U, _log_uniform(rng, -200, 200), _log_uniform(rng, -200, 200)
+            return E, U, _wide(rng, -200, 200, corners), _wide(rng, -200, 200, corners)
 
 
 def _microstate(rng) -> tuple[float, float, float]:
@@ -171,7 +183,7 @@ def _checked(argv, values, gates=()):
 
 
 def _step(rng):
-    E, U, hbar, m = _energies(rng)
+    E, U, hbar, m = _energies(rng, corners=True)
     return (E, U, hbar, m), Exact(E, U, hbar, m), _flags(E=E, U=U, hbar=hbar, mass=m)
 
 
@@ -194,23 +206,28 @@ def _dwell(rng):
     _checked(["dwell", *flags, *_flags(a=a, b=b, c=c, sign=sign)], values, _gates(ex))
 
 
-def _tops(ex, epsilon=1e-6):
+def _tops(epsilon):
     return (2.0 - epsilon, abs(2.0 - 2.0 * epsilon))
+
+
+def _epsilon(rng) -> float:
+    return _log_uniform(rng, -12, math.log10(0.99))
 
 
 def _dwell_max(rng):
     _, ex, flags = _step(rng)
-    c1, c2 = _tops(ex)
+    epsilon = _epsilon(rng)
+    c1, c2 = _tops(epsilon)
     (a, b), sup, coarse = ex.top(c1), ex.dwell(*ex.top(c1), c1, -1)[0], ex.dwell(*ex.top(c2), c2, -1)[0]
     values = [
         (("supremum",), sup, 8), (("supremum_extrapolated",), 2 * sup - coarse, 8),
         (("analytic_bound",), ex.dwell_bound, 1), (("maximizer", "a"), a, 1), (("maximizer", "b"), b, 1),
     ]
-    _checked(["dwell-max", *flags], values, _gates(ex))
+    _checked(["dwell-max", *flags, *_flags(epsilon=epsilon)], values, _gates(ex))
 
 
 def _well_width(rng):
-    return _log_uniform(rng, -200, 200)
+    return _wide(rng, -200, 200, corners=True)
 
 
 def _libration(rng):
@@ -223,8 +240,8 @@ def _libration(rng):
 
 def _libration_max(rng):
     (E, U, _, _), ex, flags = _step(rng)
-    q = _well_width(rng)
-    c1, c2 = _tops(ex)
+    q, epsilon = _well_width(rng), _epsilon(rng)
+    c1, c2 = _tops(epsilon)
     sup = ex.libration(q, *ex.top(c1), c1)
     bound = ex.libration_bound(q)
     alternative = bound * (2 * mpf(E) - mpf(U)) / mpf(U)
@@ -234,7 +251,7 @@ def _libration_max(rng):
         (("analytic_bound",), bound, 1), (("alternative_bound",), alternative, 1 if alternative else None),
         (("maximizer", "a"), a, 1), (("maximizer", "b"), b, 1),
     ]
-    record = _checked(["libration-max", *flags, *_flags(q=q)], values, _gates(ex))
+    record = _checked(["libration-max", *flags, *_flags(q=q, epsilon=epsilon)], values, _gates(ex))
     if record is not None and abs(sup - alternative) > 1e-8 * abs(sup):
         assert record["outputs"]["alternative_bound_holds"] == (sup <= alternative)
 

@@ -6,16 +6,18 @@ import random
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trdwell.errors import DomainError, OptimizationFailure
+from trdwell.errors import DomainError, OptimizationFailure, TrdwellError
+from trdwell.kinematics import check_epsilon
 from trdwell.microstate import MONOCHROMATIC, Microstate, normalize
 from trdwell.potential import Units, kinematics_from_energies
 from trdwell.times import (
     SIGN_MINUS,
     SIGN_PLUS,
     ExtremalReport,
+    _report,
     dwell_supremum_bound,
     dwell_time,
     dwell_time_monochromatic,
@@ -144,8 +146,21 @@ class TestDwell:
             lambda: ExtremalReport(MONOCHROMATIC, 1.0 + 2e-9, 1.0, 1e-6, True, 1.0),
             OptimizationFailure, "exceeds the analytic bound 1.0",
         ),
+        # 2 sup overflows, and so does 2 (sup - coarse/2)
+        (
+            lambda: _report(MONOCHROMATIC, 1.7e308, 1.0, 1e-6, 1.7e308, SIGN_MINUS),
+            DomainError, "the extrapolated supremum 2 x 1.7e[+]308 - 1.0 overflows a double",
+        ),
+        # r = 1.5e308: the inset's a* = r sqrt(1 + c^2/4) overflows, and the inset gets the Microstate refusal
+        (
+            lambda: max_dwell(kinematics_from_energies(1e-320, 2.25e296), 1.9),
+            DomainError, "microstate coefficients must be finite",
+        ),
     ],
-    ids=["dwell-denominator", "libration-denominator", "non-positive-supremum", "supremum-above-its-bound"],
+    ids=[
+        "dwell-denominator", "libration-denominator", "non-positive-supremum", "supremum-above-its-bound",
+        "extrapolation-overflow", "inset-overflow",
+    ],
 )
 def test_each_refusal_of_the_times_layer(call, error, message):
     with pytest.raises(error, match=message):
@@ -347,6 +362,66 @@ class TestSearchOracles:
         assert report.supremum_extrapolated == pytest.approx(extrapolated, rel=1e-14, abs=0.0)
         assert report.maximizer.a == pytest.approx(float(fine[0]), rel=1e-15)
         assert report.maximizer.c == 2.0 - epsilon
+
+
+@st.composite
+def _extremal_cases(draw):
+    """(E, U, hbar, m, q, epsilon): r from 1e-8 to 1.8e308, hbar, m and q across 1e+-200, epsilon in (0, 2)."""
+    log_r = draw(st.floats(-8.0, 308.25))
+    r, U = 10.0**log_r, 10.0 ** draw(st.floats(max(-300.0, 2.0 * log_r - 320.0), 308.0))
+    E = U - U * (r * r / (1.0 + r * r)) if r <= 1.0 else (U / (1.0 + r * r) if r < 1e150 else U / r / r)
+    hbar, mass, q = (10.0 ** draw(st.floats(-200.0, 200.0)) for _ in range(3))
+    epsilon = st.one_of(*(st.floats(lo, 2.0, exclude_min=True, exclude_max=True) for lo in (0.0, 4.0 / 3.0)))
+    return E, U, hbar, mass, q, draw(epsilon)
+
+
+def _via_records(kin, epsilon, q):
+    """The report of ``max_dwell`` (q None) or ``max_libration``, built from a Microstate and a public time at
+    the maximizer and at the inset."""
+    check_epsilon(epsilon)
+    tops = []
+    for c in (2.0 - epsilon, abs(2.0 - 2.0 * epsilon)):  # (a*, (1 + c^2/4)/a*, c), a* = r sqrt(1 + c^2/4)
+        a = kin.r * math.sqrt(1.0 + 0.25 * c * c)
+        tops.append(Microstate(a, (1.0 + 0.25 * c * c) / a, c))
+    top, inset = tops
+    if q is None:
+        sup, coarse = (dwell_time(kin, ms, SIGN_MINUS).t_D for ms in (top, inset))
+        bound, extra = dwell_supremum_bound(kin), (SIGN_MINUS,)
+    else:
+        sup, coarse = (libration_period(kin, q, ms) for ms in (top, inset))
+        bound, alternative = libration_supremum_bound(kin, q), libration_alternative_bound(kin, q)
+        extra = (None, alternative, sup <= alternative * (1.0 + 1e-9))
+    extrapolated = 2.0 * sup - coarse
+    if extrapolated == math.inf:
+        extrapolated = 2.0 * (sup - 0.5 * coarse)
+    if extrapolated == math.inf:
+        raise DomainError(f"the extrapolated supremum 2 x {sup!r} - {coarse!r} overflows a double")
+    return ExtremalReport(top, sup, bound, epsilon, abs(top.c) >= 2.0 - epsilon - 1e-9, extrapolated, *extra)
+
+
+def _outcome(call):
+    """repr of the result, which shows every float bit for bit, or the error's class and message."""
+    try:
+        return repr(call())
+    except TrdwellError as exc:
+        return type(exc), str(exc)
+
+
+class TestReportsFollowTheRecordPath:
+    # each report evaluates its inset as floats; it must equal the report built from a Microstate and
+    # the public time at the maximizer and at the inset, value for value and refusal for refusal
+    @given(_extremal_cases())
+    @example((1e-320, 2.25e296, 1.0, 1.0, 1.0, 1.9))  # the inset's a overflows: a DomainError, not degenerate
+    @example((0.5, 1.0, 2.5e307, 1.0, 1.0, 1e-6))  # 2 sup overflows, the extrapolation does not
+    @settings(max_examples=400, deadline=None)
+    def test_bit_for_bit(self, case):
+        E, U, hbar, mass, q, epsilon = case
+        try:
+            kin = kinematics_from_energies(E, U, Units(hbar=hbar, mass=mass))
+        except DomainError:
+            return
+        assert _outcome(lambda: max_dwell(kin, epsilon)) == _outcome(lambda: _via_records(kin, epsilon, None))
+        assert _outcome(lambda: max_libration(kin, q, epsilon)) == _outcome(lambda: _via_records(kin, epsilon, q))
 
 
 def _oracle_kinematics(count, seed):
