@@ -376,7 +376,8 @@ class _Command:
     ``flags`` are keys of ``_FLAGS``.  ``resolve`` names the inputs resolved,
     in order, before ``compute(res)`` runs; the rest resolve on first use.
     ``inputs``, ``outputs`` and ``csv`` name the printed fields, or map each
-    coverage mode ("pair", "grid") to its names.  A field is looked up among
+    coverage mode ("pair", "grid") to its names; ``inputs`` defaults to the
+    flags (``_`` for ``-``) and ``hbar mass``.  A field is looked up among
     the values ``compute`` returns, then among the resolved inputs.  ``rows``
     names a list of records printed one CSV row each, with the columns
     ``csv`` (looked up in the record first) or else the record's own keys.
@@ -387,9 +388,10 @@ class _Command:
     ``resolve`` inputs have passed.
     """
 
-    def __init__(self, help, flags, resolve, compute, *, inputs, outputs, csv=None, rows=None, meta=""):
+    def __init__(self, help, flags, resolve, compute, *, inputs=None, outputs, csv=None, rows=None, meta=""):
         self.help, self.flags, self.resolve, self.compute = help, flags, resolve, compute
-        self.inputs, self.outputs, self.csv, self.rows, self.meta = inputs, outputs, csv, rows, meta
+        self.inputs = flags.replace("-", "_") + _UNITS if inputs is None else inputs
+        self.outputs, self.csv, self.rows, self.meta = outputs, csv, rows, meta
 
 
 _VERDICT = "classification tr_allowed copenhagen_allowed past present"
@@ -402,12 +404,11 @@ _UNITS = " hbar mass"
 COMMANDS = {
     "kinematics": _Command(
         "wavenumber bundle at one energy", "E U", "E U kin", lambda res: {},
-        inputs="E U" + _UNITS, outputs="k kappa r", csv="k kappa r E U" + _UNITS,
+        outputs="k kappa r", csv="k kappa r E U" + _UNITS,
     ),
     "energies": _Command(
         "square-well bound states", "U q parity", "U q", _energies,
-        inputs="U q parity" + _UNITS, outputs="count states", csv="index parity E k kappa residual",
-        rows="states",
+        outputs="count states", csv="index parity E k kappa residual", rows="states",
     ),
     "dwell": _Command(
         "sub-barrier dwell time of a microstate", "E U" + _MS + " sign", "E U kin",
@@ -416,13 +417,11 @@ COMMANDS = {
             "monochromatic": res.times.dwell_time_monochromatic(res.kin),
             "normalization_tol": res.microstate.NORMALIZATION_TOL,
         },
-        inputs="E U a b c sign" + _UNITS, outputs="t_D monochromatic", csv="t_D sign a b c E U k kappa",
-        meta="normalization_tol",
+        outputs="t_D monochromatic", csv="t_D sign a b c E U k kappa", meta="normalization_tol",
     ),
     "dwell-max": _Command(
         "dwell-time supremum over microstates", "E U epsilon", "E U epsilon kin",
         lambda res: _extremal(res.times.max_dwell(res.kin, res.epsilon)),
-        inputs="E U epsilon" + _UNITS,
         outputs="supremum supremum_extrapolated analytic_bound attained_at_boundary sign maximizer",
         csv="supremum supremum_extrapolated analytic_bound epsilon attained_at_boundary sign a b c E U",
     ),
@@ -432,12 +431,11 @@ COMMANDS = {
             "t_L": res.times.libration_period(res.kin, res.q, res.ms),
             "normalization_tol": res.microstate.NORMALIZATION_TOL,
         },
-        inputs="E U q a b c" + _UNITS, outputs="t_L", csv="t_L a b c E U q k kappa", meta="normalization_tol",
+        outputs="t_L", csv="t_L a b c E U q k kappa", meta="normalization_tol",
     ),
     "libration-max": _Command(
         "libration-period supremum over microstates", "E U q epsilon", "E U q epsilon kin",
         lambda res: _extremal(res.times.max_libration(res.kin, res.q, res.epsilon)),
-        inputs="E U q epsilon" + _UNITS,
         outputs="supremum supremum_extrapolated analytic_bound alternative_bound alternative_bound_holds"
         " attained_at_boundary maximizer",
         csv="supremum supremum_extrapolated analytic_bound alternative_bound alternative_bound_holds"
@@ -446,16 +444,15 @@ COMMANDS = {
     "libration-inf": _Command(
         "vanishing-period probe (A, 1/A, 0)", "E U q A", "E U q A kin",
         lambda res: {"t_L": res.times.libration_infimum_probe(res.kin, res.q, res.A)},
-        inputs="E U q A" + _UNITS, outputs="t_L", csv="t_L A E U q",
+        outputs="t_L", csv="t_L A E U q",
     ),
     "trajectory": _Command(
         "sample one region's trajectory", "E U region x-start x-stop n" + _MS, "E U kin", _trajectory,
-        inputs="E U region x_start x_stop n a b c" + _UNITS, outputs="samples", rows="samples",
+        outputs="samples", rows="samples",
     ),
     "qshje-check": _Command(
         "stationarity residual at one point", "E U region x" + _MS, "E U kin", _qshje_check,
-        inputs="E U region x a b c" + _UNITS, outputs="residual threshold within",
-        csv="residual within region x a b c E U",
+        outputs="residual threshold within", csv="residual within region x a b c E U",
     ),
     "coverage-sb": _Command(
         "sub-barrier step scenario", "E U" + _COVERAGE_FLAGS, "E U kin mode", _coverage_sb,
@@ -477,7 +474,6 @@ COMMANDS = {
     ),
     "connect": _Command(
         "microstate linking two well events", "U q state-index past present", "U q state", _connect,
-        inputs="U q state_index past present" + _UNITS,
         outputs="microstate whole_periods phase_offset realized_period arrival_time",
         csv="a b c whole_periods phase_offset realized_period arrival_time"
         " past_x past_t present_x present_t",

@@ -94,17 +94,15 @@ MONOCHROMATIC = Microstate(1.0, 1.0, 0.0)
 def normalize(a_raw: float, b_raw: float, c_raw: float) -> Microstate:
     """Rescale a raw triple onto the slice ab - c^2/4 = 1.
 
-    The scale factor s = (a_raw*b_raw - c_raw^2/4)^(-1/2) comes from the plain product where that is a normal
-    double, else from :func:`gauge_factor`'s rescaled form, and multiplies all three coefficients.  The input must
-    have a_raw > 0 (else :class:`DomainError`) and be positive-definite (else :class:`DegenerateMicrostate`).
+    The scale factor s = (a_raw*b_raw - c_raw^2/4)^(-1/2) is one over :func:`gauge_factor`, and multiplies all
+    three coefficients.  The input must have a_raw > 0 (else :class:`DomainError`) and be positive-definite (else
+    :class:`DegenerateMicrostate`).
     """
     if not all(math.isfinite(v) for v in (a_raw, b_raw, c_raw)):
         raise DomainError("raw coefficients must be finite")
     if a_raw <= 0.0:
         raise DomainError(f"raw coefficient a must be positive, got {a_raw!r}")
-    invariant = a_raw * b_raw - 0.25 * c_raw * c_raw
-    plain = _NORMAL <= invariant < math.inf
-    s = 1.0 / (math.sqrt(invariant) if plain else gauge_factor(RawCoefficients(a_raw, b_raw, c_raw)))
+    s = 1.0 / _gauge(a_raw, b_raw, c_raw)
     a, b, c = s * a_raw, s * b_raw, s * c_raw
     # One polish step absorbs the rounding of s; the residual is then set by a*b cancelling c^2/4 alone.
     residual = a * b - 0.25 * c * c

@@ -28,9 +28,9 @@ t_L = sqrt(1 + c^2/4)/(2r) times the prefactor, rising with |c|.  So both suprem
 
 Each formula has one scalar kernel over the floats (a, b, c, g), g = sqrt(ab - c^2/4), shared by the public
 function and the report.  ``max_dwell`` and ``max_libration`` build one Microstate, the maximizer.  Their
-``supremum_extrapolated`` is 2 sup - coarse, with coarse the time at the inset |c| = |2 - 2 epsilon|, evaluated
-on a float triple that passes the Microstate checks (:func:`~trdwell.microstate.check_microstate`).  Where 2 sup
-overflows it is 2 (sup - coarse/2), and a :class:`DomainError` where that overflows too.
+``supremum_extrapolated`` is 2 sup - coarse, with coarse the time at the partner c = 2 - 2 epsilon, evaluated on
+a float triple that passes the Microstate checks (:func:`~trdwell.microstate.check_microstate`), and a
+:class:`DomainError` where it overflows.  For epsilon > 1 no partner has c >= 0, and there is none (None).
 
 Each time is a unit scale in E, U - E, hbar and m (1 + r^2 = U/E) times a dimensionless factor in X = sqrt(E/U)
 and Y = sqrt((U - E)/U): no power of r is formed.  Outside ordinary inputs ``kinematics._product`` evaluates it,
@@ -224,8 +224,9 @@ class ExtremalReport(_Record):
     """Supremum of a time over the admissible microstates with |c| <= 2 - epsilon.
 
     ``supremum`` is the value attained at the boundary |c| = 2 - epsilon; ``supremum_extrapolated`` removes the
-    leading O(epsilon) deficit by Richardson extrapolation in epsilon; ``analytic_bound`` is the closed-form least
-    upper bound the supremum must stay below.  Libration reports attach the rejected bound variant and its verdict.
+    leading O(epsilon) deficit by Richardson extrapolation in epsilon (None for epsilon > 1); ``analytic_bound`` is
+    the closed-form least upper bound the supremum must stay below.  Libration reports attach the rejected bound
+    variant and its verdict.
     """
 
     __slots__ = (
@@ -235,7 +236,7 @@ class ExtremalReport(_Record):
 
     def __init__(
         self, maximizer: Microstate, supremum: float, analytic_bound: float, epsilon: float,
-        attained_at_boundary: bool, supremum_extrapolated: float, sign: str | None = None,
+        attained_at_boundary: bool, supremum_extrapolated: float | None, sign: str | None = None,
         alternative_bound: float | None = None, alternative_bound_holds: bool | None = None,
     ):
         if not supremum > 0.0:
@@ -254,19 +255,23 @@ def _slice_maximizer(kin: Kinematics, c: float) -> tuple[float, float, float]:
     return a, (1.0 + 0.25 * c * c) / a, c
 
 
-def _report(top: Microstate, sup: float, coarse: float, epsilon: float, bound: float, *extra) -> ExtremalReport:
-    """The report of a supremum ``sup`` at ``top``, and ``coarse`` at the inset |2 - 2 epsilon|."""
-    extrapolated = 2.0 * sup - coarse if 2.0 * sup < math.inf else 2.0 * (sup - 0.5 * coarse)
+def _report(top: Microstate, sup: float, coarse, epsilon: float, bound: float, *extra) -> ExtremalReport:
+    """The report of a supremum ``sup`` at ``top``, and ``coarse`` at its partner c = 2 - 2 epsilon, or None."""
+    # coarse/sup >= 0.618, so sup - coarse is exact and the sum is 2 sup - coarse rounded once, inf only where it is
+    extrapolated = None if coarse is None else sup + (sup - coarse)
     if extrapolated == math.inf:
         raise DomainError(f"the extrapolated supremum 2 x {sup!r} - {coarse!r} overflows a double")
     boundary = abs(top.c) >= 2.0 - epsilon - 1e-9
     return ExtremalReport(top, sup, bound, epsilon, boundary, extrapolated, *extra)
 
 
-def _tops(kin: Kinematics, epsilon: float) -> tuple[Microstate, tuple[float, float, float]]:
-    """The slice maximizer at c = 2 - epsilon, and the triple at the inset |2 - 2 epsilon| through the same checks."""
+def _tops(kin: Kinematics, epsilon: float) -> tuple[Microstate, tuple[float, float, float] | None]:
+    """The slice maximizer at c = 2 - epsilon, and its partner's triple at 2 - 2 epsilon through the same checks."""
     check_epsilon(epsilon)
-    top, inset = Microstate(*_slice_maximizer(kin, 2.0 - epsilon)), _slice_maximizer(kin, abs(2.0 - 2.0 * epsilon))
+    top = Microstate(*_slice_maximizer(kin, 2.0 - epsilon))
+    if epsilon > 1.0:
+        return top, None
+    inset = _slice_maximizer(kin, 2.0 - 2.0 * epsilon)
     check_microstate(*inset)
     return top, inset
 
@@ -281,7 +286,7 @@ def max_dwell(kin: Kinematics, epsilon: float = 1e-6) -> ExtremalReport:
     """
     top, inset = _tops(kin, epsilon)
     sup = _dwell_kernel(kin, -1.0, top.a, top.b, top.c, _gauge(top.a, top.b, top.c))
-    coarse = _dwell_kernel(kin, -1.0, *inset, _gauge(*inset))
+    coarse = None if inset is None else _dwell_kernel(kin, -1.0, *inset, _gauge(*inset))
     return _report(top, sup, coarse, epsilon, dwell_supremum_bound(kin), SIGN_MINUS)
 
 
@@ -295,7 +300,7 @@ def max_libration(kin: Kinematics, q: float, epsilon: float = 1e-6) -> ExtremalR
     top, inset = _tops(kin, epsilon)
     length, period = _period(kin, q)
     sup = _libration_kernel(kin, length, period, top.a, top.b, top.c, _gauge(top.a, top.b, top.c))
-    coarse = _libration_kernel(kin, length, period, *inset, _gauge(*inset))
+    coarse = None if inset is None else _libration_kernel(kin, length, period, *inset, _gauge(*inset))
     bound = _libration_bound(kin, length, period)
     alternative = bound * _alternative_factor(kin)
     return _report(top, sup, coarse, epsilon, bound, None, alternative, sup <= alternative * (1.0 + 1e-9))

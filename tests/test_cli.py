@@ -416,23 +416,23 @@ def test_each_invocation_imports_only_the_layers_it_runs():
 #: is most of what the package adds to a cold start, so a line added where every command loads it
 #: costs every invocation; put it beside the commands that run it.
 COMPILED_LINES = {
-    "kinematics.json": 970,
-    "energies.json": 1249,
-    "dwell.json": 1315,
-    "dwell.csv": 1315,
-    "dwell-max.json": 1315,
-    "libration.json": 1315,
-    "libration-max.json": 1315,
-    "libration-inf.json": 1315,
-    "trajectory.csv": 1643,
-    "qshje-check.json": 1371,
-    "coverage-sb.json": 1969,
-    "coverage-sw.json": 2248,
-    "connect.json": 2248,
-    "sweep.csv": 1315,
-    "exit 1: no command": 970,
-    "exit 1: unknown command": 970,
-    "exit 2: E above U": 970,
+    "kinematics.json": 966,
+    "energies.json": 1245,
+    "dwell.json": 1314,
+    "dwell.csv": 1314,
+    "dwell-max.json": 1314,
+    "libration.json": 1314,
+    "libration-max.json": 1314,
+    "libration-inf.json": 1314,
+    "trajectory.csv": 1628,
+    "qshje-check.json": 1355,
+    "coverage-sb.json": 1958,
+    "coverage-sw.json": 2237,
+    "connect.json": 2237,
+    "sweep.csv": 1314,
+    "exit 1: no command": 966,
+    "exit 1: unknown command": 966,
+    "exit 2: E above U": 966,
 }
 
 
@@ -1018,7 +1018,7 @@ class TestOutputPlumbing:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_an_extrapolation_where_twice_the_supremum_overflows(self, fmt, capsys):
-        # 2 sup is beyond the doubles, but 2 sup - coarse is not: it prints as 2 (sup - coarse/2), not as inf
+        # 2 sup is beyond the doubles, but 2 sup - coarse is not: it prints as sup + (sup - coarse), not as inf
         assert run(["dwell-max", "--E", "0.5", "--U", "1", "--hbar", "2.5e307", "--format", fmt]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
@@ -1034,6 +1034,25 @@ class TestOutputPlumbing:
             exact = 2 * t_D(mpmath.mpf(2.0 - 1e-6)) - t_D(mpmath.mpf(2.0 - 2e-6))
         assert value == pytest.approx(float(exact), rel=1e-14, abs=0.0)
         assert value == pytest.approx(1.2071068e308, rel=1e-7)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_no_extrapolation_past_epsilon_one(self, fmt, capsys):
+        # the partner c = 2 - 2 epsilon = -1.8 has left the branch c >= 0: the supremum stands alone
+        assert run(["dwell-max", "--E", "0.18", "--U", "0.5", "--epsilon", "1.9", "--format", fmt]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if fmt == "json":
+            outputs = json.loads(captured.out)["outputs"]
+        else:
+            header, row = captured.out.splitlines()
+            outputs = dict(zip(header.split(","), row.split(",")))
+        assert outputs["supremum_extrapolated"] == (None if fmt == "json" else "")
+        # r = 4/3, c = 0.1: t_D = (1 + r^2)(2 sqrt(1 + c^2/4) + c)/(4r) times the monochromatic dwell 1/sqrt(E (U - E))
+        with mpmath.workdps(40):
+            E, U, c = mpmath.mpf(0.18), mpmath.mpf(0.5), mpmath.mpf(2.0) - mpmath.mpf(1.9)
+            r = mpmath.sqrt((U - E) / E)
+            exact = (1 + r * r) * (2 * mpmath.sqrt(1 + c * c / 4) + c) / (4 * r) / mpmath.sqrt(E * (U - E))
+        assert float(outputs["supremum"]) == pytest.approx(float(exact), rel=1e-14, abs=0.0)
 
     def test_a_period_beyond_the_double_range_is_domain(self, capsys):
         assert run(["libration", "--E", "1e-300", "--U", "0.5", "--q", "1e300"]) == 2

@@ -3,8 +3,10 @@
 Seeded in-process ``cli.run`` calls draw hbar and m log-uniform in 1e+-200,
 U in 1e+-300, and E either U 10^[-300, 0] or U (1 - 10^[-16, 0]); wells hold
 at most 10^4 states.  The step commands take each of U, hbar, m and q from the
-subnormals 10^[-323.3, -308] one time in eight, and ``dwell-max`` and
-``libration-max`` draw their ``--epsilon`` log-uniform in [1e-12, 0.99].
+subnormals 10^[-323.3, -308] one time in eight.  ``dwell-max`` and
+``libration-max`` draw their ``--epsilon`` log-uniform in [1e-12, 1] half
+the time and uniform in (0, 2) otherwise; past 1 there is no Richardson
+partner, and ``supremum_extrapolated`` must be null.
 Every value an exit-0 call prints must lie within 1e-14
 of its 40-digit value: relative to the value, times the condition number of
 the closed form where the value is a difference of larger terms (``cond``).
@@ -207,23 +209,32 @@ def _dwell(rng):
 
 
 def _tops(epsilon):
-    return (2.0 - epsilon, abs(2.0 - 2.0 * epsilon))
+    return (2.0 - epsilon, 2.0 - 2.0 * epsilon)
 
 
 def _epsilon(rng) -> float:
-    return _log_uniform(rng, -12, math.log10(0.99))
+    return _log_uniform(rng, -12, 0) if rng.random() < 0.5 else 2.0 - 2.0 * rng.random()
+
+
+def _extrapolated(epsilon, sup, coarse):
+    """The (path, exact, cond) of ``supremum_extrapolated``: 2 sup - coarse(), or none past epsilon = 1."""
+    return [(("supremum_extrapolated",), 2 * sup - coarse(), 8)] if epsilon <= 1.0 else []
+
+
+def _no_partner(record, epsilon):
+    assert record is None or epsilon <= 1.0 or record["outputs"]["supremum_extrapolated"] is None, epsilon
 
 
 def _dwell_max(rng):
     _, ex, flags = _step(rng)
     epsilon = _epsilon(rng)
     c1, c2 = _tops(epsilon)
-    (a, b), sup, coarse = ex.top(c1), ex.dwell(*ex.top(c1), c1, -1)[0], ex.dwell(*ex.top(c2), c2, -1)[0]
+    (a, b), sup = ex.top(c1), ex.dwell(*ex.top(c1), c1, -1)[0]
     values = [
-        (("supremum",), sup, 8), (("supremum_extrapolated",), 2 * sup - coarse, 8),
+        (("supremum",), sup, 8), *_extrapolated(epsilon, sup, lambda: ex.dwell(*ex.top(c2), c2, -1)[0]),
         (("analytic_bound",), ex.dwell_bound, 1), (("maximizer", "a"), a, 1), (("maximizer", "b"), b, 1),
     ]
-    _checked(["dwell-max", *flags, *_flags(epsilon=epsilon)], values, _gates(ex))
+    _no_partner(_checked(["dwell-max", *flags, *_flags(epsilon=epsilon)], values, _gates(ex)), epsilon)
 
 
 def _well_width(rng):
@@ -247,11 +258,12 @@ def _libration_max(rng):
     alternative = bound * (2 * mpf(E) - mpf(U)) / mpf(U)
     a, b = ex.top(c1)
     values = [
-        (("supremum",), sup, 8), (("supremum_extrapolated",), 2 * sup - ex.libration(q, *ex.top(c2), c2), 8),
+        (("supremum",), sup, 8), *_extrapolated(epsilon, sup, lambda: ex.libration(q, *ex.top(c2), c2)),
         (("analytic_bound",), bound, 1), (("alternative_bound",), alternative, 1 if alternative else None),
         (("maximizer", "a"), a, 1), (("maximizer", "b"), b, 1),
     ]
     record = _checked(["libration-max", *flags, *_flags(q=q, epsilon=epsilon)], values, _gates(ex))
+    _no_partner(record, epsilon)
     if record is not None and abs(sup - alternative) > 1e-8 * abs(sup):
         assert record["outputs"]["alternative_bound_holds"] == (sup <= alternative)
 

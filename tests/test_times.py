@@ -151,10 +151,11 @@ class TestDwell:
             lambda: _report(MONOCHROMATIC, 1.7e308, 1.0, 1e-6, 1.7e308, SIGN_MINUS),
             DomainError, "the extrapolated supremum 2 x 1.7e[+]308 - 1.0 overflows a double",
         ),
-        # r = 1.5e308: the inset's a* = r sqrt(1 + c^2/4) overflows, and the inset gets the Microstate refusal
+        # r = 1.5e308, where an inset at |2 - 2 epsilon| would overflow: past epsilon = 1 there is no partner,
+        # and the supremum itself is refused
         (
             lambda: max_dwell(kinematics_from_energies(1e-320, 2.25e296), 1.9),
-            DomainError, "microstate coefficients must be finite",
+            DomainError, "the dwell time is about 10\\^319.7: it overflows a double",
         ),
     ],
     ids=[
@@ -340,7 +341,7 @@ class TestSearchOracles:
             assert report.supremum <= report.analytic_bound * (1.0 + 1e-9)
             assert report.supremum == pytest.approx(report.analytic_bound, rel=1e-5)
 
-    @pytest.mark.parametrize("epsilon", [1e-6, 0.5, 1.5, 1.99])  # from 1.0 on, 2 - 2 epsilon <= 0
+    @pytest.mark.parametrize("epsilon", [1e-6, 0.5, 1.5, 1.99])  # past 1.0 the partner 2 - 2 epsilon is < 0
     @pytest.mark.parametrize(
         "quantity,E,U",
         [
@@ -352,14 +353,16 @@ class TestSearchOracles:
     )
     def test_suprema_and_extrapolations_match_40_digits(self, quantity, E, U, epsilon):
         kin = kinematics_from_energies(E, U)
-        insets = (2.0 - epsilon, abs(2.0 - 2.0 * epsilon))
-        fine, coarse = (_oracle_maximum(E, U, 1.0, 1.0, 1.0, c) for c in insets)
+        fine = _oracle_maximum(E, U, 1.0, 1.0, 1.0, 2.0 - epsilon)
         column = 1 if quantity == "dwell" else 2
         with mpmath.workdps(40):
-            value, extrapolated = float(fine[column]), float(2 * fine[column] - coarse[column])
+            value, extrapolated = float(fine[column]), None
+            if epsilon <= 1.0:
+                coarse = _oracle_maximum(E, U, 1.0, 1.0, 1.0, 2.0 - 2.0 * epsilon)
+                extrapolated = pytest.approx(float(2 * fine[column] - coarse[column]), rel=1e-14, abs=0.0)
         report = max_dwell(kin, epsilon) if quantity == "dwell" else max_libration(kin, 1.0, epsilon)
         assert report.supremum == pytest.approx(value, rel=1e-14, abs=0.0)
-        assert report.supremum_extrapolated == pytest.approx(extrapolated, rel=1e-14, abs=0.0)
+        assert report.supremum_extrapolated == extrapolated
         assert report.maximizer.a == pytest.approx(float(fine[0]), rel=1e-15)
         assert report.maximizer.c == 2.0 - epsilon
 
@@ -377,25 +380,29 @@ def _extremal_cases(draw):
 
 def _via_records(kin, epsilon, q):
     """The report of ``max_dwell`` (q None) or ``max_libration``, built from a Microstate and a public time at
-    the maximizer and at the inset."""
+    the maximizer and, for epsilon <= 1, at its partner 2 - 2 epsilon."""
     check_epsilon(epsilon)
     tops = []
-    for c in (2.0 - epsilon, abs(2.0 - 2.0 * epsilon)):  # (a*, (1 + c^2/4)/a*, c), a* = r sqrt(1 + c^2/4)
+    for c in (2.0 - epsilon, 2.0 - 2.0 * epsilon):  # (a*, (1 + c^2/4)/a*, c), a* = r sqrt(1 + c^2/4)
+        if c < 0.0:
+            break  # the partner has left the branch c >= 0: there is none
         a = kin.r * math.sqrt(1.0 + 0.25 * c * c)
         tops.append(Microstate(a, (1.0 + 0.25 * c * c) / a, c))
-    top, inset = tops
     if q is None:
-        sup, coarse = (dwell_time(kin, ms, SIGN_MINUS).t_D for ms in (top, inset))
+        sup, *partner = (dwell_time(kin, ms, SIGN_MINUS).t_D for ms in tops)
         bound, extra = dwell_supremum_bound(kin), (SIGN_MINUS,)
     else:
-        sup, coarse = (libration_period(kin, q, ms) for ms in (top, inset))
+        sup, *partner = (libration_period(kin, q, ms) for ms in tops)
         bound, alternative = libration_supremum_bound(kin, q), libration_alternative_bound(kin, q)
         extra = (None, alternative, sup <= alternative * (1.0 + 1e-9))
-    extrapolated = 2.0 * sup - coarse
-    if extrapolated == math.inf:
-        extrapolated = 2.0 * (sup - 0.5 * coarse)
-    if extrapolated == math.inf:
-        raise DomainError(f"the extrapolated supremum 2 x {sup!r} - {coarse!r} overflows a double")
+    extrapolated = None
+    for coarse in partner:
+        extrapolated = 2.0 * sup - coarse
+        if extrapolated == math.inf:
+            extrapolated = 2.0 * (sup - 0.5 * coarse)
+        if extrapolated == math.inf:
+            raise DomainError(f"the extrapolated supremum 2 x {sup!r} - {coarse!r} overflows a double")
+    top = tops[0]
     return ExtremalReport(top, sup, bound, epsilon, abs(top.c) >= 2.0 - epsilon - 1e-9, extrapolated, *extra)
 
 
@@ -411,8 +418,9 @@ class TestReportsFollowTheRecordPath:
     # each report evaluates its inset as floats; it must equal the report built from a Microstate and
     # the public time at the maximizer and at the inset, value for value and refusal for refusal
     @given(_extremal_cases())
-    @example((1e-320, 2.25e296, 1.0, 1.0, 1.0, 1.9))  # the inset's a overflows: a DomainError, not degenerate
+    @example((1e-320, 2.25e296, 1.0, 1.0, 1.0, 1.9))  # r = 1.5e308 with no partner: the supremum overflows
     @example((0.5, 1.0, 2.5e307, 1.0, 1.0, 1e-6))  # 2 sup overflows, the extrapolation does not
+    @example((0.18, 0.5, 1.0, 1.0, 1.0, 1.0))  # the last epsilon with a partner, at c = 0
     @settings(max_examples=400, deadline=None)
     def test_bit_for_bit(self, case):
         E, U, hbar, mass, q, epsilon = case

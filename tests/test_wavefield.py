@@ -463,6 +463,8 @@ def test_an_eigenstate_just_below_the_top_keeps_its_ladder_wavenumbers(q):
         (lambda kin, well: canonical_basis("sideways", kin), "unknown region 'sideways'"),
         (lambda kin, well: CopenhagenState(well, kin, "tunnelling"), "unknown state kind 'tunnelling'"),
         (lambda kin, well: CopenhagenState(well, kin, "barrier-scattering"), "requires a step potential"),
+        # the well's U = 1 is not the kinematics' 0.5 either: the kind is refused first
+        (lambda kin, well: barrier_scattering(kin, well), "^barrier scattering requires a step potential$"),
         (lambda kin, well: CopenhagenState(step_barrier(0.5), kin, "well-eigenstate", "even", 0), "square-well"),
         (lambda kin, well: CopenhagenState(well, kin, "well-eigenstate", "even"), "carry a parity and a ladder index"),
         (lambda kin, well: find_nodes(well_eigenstate(well, Units(), 1), (1.0, -1.0)), "lo < hi"),
@@ -470,8 +472,8 @@ def test_an_eigenstate_just_below_the_top_keeps_its_ladder_wavenumbers(q):
         (lambda kin, well: find_nodes(well_eigenstate(well, Units(), 1), (0.0, math.nan)), "finite"),
     ],
     ids=[
-        "unknown-region", "unknown-state-kind", "scattering-in-a-well", "eigenstate-of-a-step",
-        "eigenstate-without-index", "reversed-interval", "infinite-interval", "nan-interval",
+        "unknown-region", "unknown-state-kind", "scattering-in-a-well", "scattering-in-a-well-of-another-U",
+        "eigenstate-of-a-step", "eigenstate-without-index", "reversed-interval", "infinite-interval", "nan-interval",
     ],
 )
 def test_each_refusal_of_the_wavefield_layer_is_a_domain_error(kin, well, call, message):
