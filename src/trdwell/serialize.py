@@ -29,23 +29,16 @@ def _render(value, pretty: bool, depth: int, quote) -> str:
     pad = "  " * (depth + 1) if pretty else ""
     close_pad = "  " * depth if pretty else ""
     joiner = ",\n" if pretty else ", "
-    if isinstance(value, dict):
+    if isinstance(value, (dict, list, tuple)):
+        keyed = isinstance(value, dict)
+        opening, closing = "{}" if keyed else "[]"
         if not value:
-            return "{}"
-        items = [
-            f"{pad}{quote(str(k))}: {_render(v, pretty, depth + 1, quote)}"
-            for k, v in value.items()
-        ]
+            return opening + closing
+        heads, values = ([quote(str(k)) + ": " for k in value], value.values()) if keyed else ([""] * len(value), value)
+        items = [f"{pad}{head}{_render(v, pretty, depth + 1, quote)}" for head, v in zip(heads, values)]
         if pretty:
-            return "{\n" + joiner.join(items) + "\n" + close_pad + "}"
-        return "{" + joiner.join(items) + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [f"{pad}{_render(v, pretty, depth + 1, quote)}" for v in value]
-        if pretty:
-            return "[\n" + joiner.join(items) + "\n" + close_pad + "]"
-        return "[" + joiner.join(items) + "]"
+            return opening + "\n" + joiner.join(items) + "\n" + close_pad + closing
+        return opening + joiner.join(items) + closing
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:

@@ -16,13 +16,10 @@ from __future__ import annotations
 import math
 import operator
 
-from .errors import DomainError, ScanNotSettled, _Record
-from .kinematics import _NORMAL, FORBIDDEN, FREE, Kinematics, _ordinary, _product, check_positive
+from .errors import DomainError, _Record
+from .kinematics import _NORMAL, FORBIDDEN, FREE, Kinematics, _ordinary, _product
 from .microstate import Microstate, RawCoefficients, gauge_factor
 from .wavefield import RegionBasis, _exp, _form, _numerator, bilinear, check_basis, checked_denominator
-
-#: Step of the divergence-onset grid in the dimensionless depth u = 2 kappa x.
-_ONSET_DU = 0.01
 
 #: Most samples one trajectory holds: the CLI's peak memory grows by some 0.9 KB a sample, 1 GB at this cap.
 _SAMPLES_MAX = 2**20
@@ -228,48 +225,27 @@ def sample_trajectory(
     a, b, c, w, al, be, free = ms.a, ms.b, ms.c, basis.wavenumber, basis.alpha, basis.beta, basis.region == FREE
     set_x, set_t, set_W_x, set_slope, set_speed = TrajectorySample._setters
     samples = list(map(object.__new__, [TrajectorySample] * count))
-    # the basis is inlined, as in qshje_residual: a shared per-point kernel ran the `trajectory` bench 2.5% slower
+    sin, cos, exp, inf, tiny, span, last = math.sin, math.cos, math.exp, math.inf, _NORMAL, x1 - x0, count - 1
+    # the basis is inlined, as in qshje_residual (see there); math.exp serves below 709, and _exp from there on
     for i, sample in enumerate(samples):
-        x = x0 + (x1 - x0) * i / (count - 1)
-        v1, v2 = (math.sin(w * x), math.cos(w * x)) if free else (_exp(-w * x), _exp(w * x))
+        x = x0 + span * i / last
+        v = w * x
+        v1, v2 = (sin(v), cos(v)) if free else (exp(-v) if -v < 709.0 else _exp(-v), exp(v) if v < 709.0 else _exp(v))
         phi1, phi2 = al * v1, be * v2
         g1, g2 = (al * x * v2, -be * x * v1) if free else (-al * x * v1, be * x * v2)
         D = a * phi1 * phi1 + b * phi2 * phi2 + c * phi1 * phi2
-        if not 0.0 < D < math.inf:
+        if not 0.0 < D < inf:
             checked_denominator(D, x)
         dD_dw = 2.0 * a * phi1 * g1 + 2.0 * b * phi2 * g2 + c * (g1 * phi2 + phi1 * g2)
         slope = scale * ((D - w * dD_dw) / D / D)
         if i == 0:
             lever0 = x / D
         t = abs(scale * (x / D - lever0))
-        W_x, speed = N / D, math.inf if slope == 0.0 else 1.0 / abs(slope)
-        if not (_NORMAL <= W_x < math.inf and _NORMAL <= speed <= 1 / _NORMAL and (not i or _NORMAL <= t < math.inf)):
+        W_x, speed = N / D, inf if slope == 0.0 else 1.0 / abs(slope)
+        if not (tiny <= W_x < inf and tiny <= speed <= 1 / tiny and (not i or tiny <= t < inf)):
             raise DomainError(f"t, W_x, dW_x/dE = {t!r}, {W_x!r}, {slope!r} at x = {x!r}: not all normal doubles")
         set_x(sample, x), set_t(sample, t), set_W_x(sample, W_x), set_slope(sample, slope), set_speed(sample, speed)
     return tuple(samples)
-
-
-def _speed_bound(ms: Microstate | RawCoefficients, basis: RegionBasis, scale: float):
-    """f(lo, hi): a lower bound on the onset grid's speeds at indices lo..hi, each proven a normal double, else 0.0.
-
-    Its pad holds where a, b, c (or c = 0), alpha, beta and kappa are ordinary, so a partial product of a point's
-    speed loses less than the pad to underflow, and where S max(1, 1/kappa) < 1e307 (S = 1e12 pad), so none overflows.
-    """
-    kappa, al, be, size, du = basis.wavenumber, basis.alpha, basis.beta, abs(scale), _ONSET_DU
-    A, B, C, room = ms.a * al * al, ms.b * be * be, ms.c * al * be, 1e295 * min(1.0, kappa)
-
-    def bound(lo: int, hi: int) -> float:
-        u1, u2 = lo * du, hi * du  # each index's 2 kappa x to two roundings; the pad covers e^(2^-52 u) - 1 < 2e-13
-        e1, e2 = (math.exp(u1), math.exp(u2)) if u2 < 709.0 else (1.0, math.inf)  # so pad = inf: do not prune
-        P1, P2, Q1, Q2 = A / e1, A / e2, B * e1, B * e2
-        pad = 1e-12 * (1.0 + u2) * (P1 + Q2 + abs(C))  # 1e12 pad bounds each |term| of D and G
-        G1, G2 = (1.0 + u1) * P1 + (1.0 - u1) * Q1 + C, (1.0 + u2) * P2 + (1.0 - u2) * Q2 + C
-        D_lo, D_hi = P2 + Q1 + C - pad, P1 + Q2 + C + pad
-        if _NORMAL <= D_lo and pad < room and _NORMAL <= size * ((max(G2, -G1) - pad) / D_hi / D_hi):
-            return 1.0 / (size * ((max(G1, -G2) + pad) / D_lo / D_lo))
-        return 0.0
-
-    return bound if _ordinary(ms.a, ms.b, abs(ms.c) or 1.0, abs(al), abs(be), kappa) else lambda lo, hi: 0.0
 
 
 def divergence_onset(
@@ -281,45 +257,25 @@ def divergence_onset(
     """Smallest depth X beyond which the forbidden-region speed stays above ``speed_floor``.
 
     The speed is judged on a fixed grid, du = 0.01 in the dimensionless depth u = 2 kappa x, and X is one grid step
-    past the last point at or below the floor, so X is monotone in the floor.  The search starts at a proven end.
-    With v = kappa x, P = a' e^(-2v) and Q = b' e^(2v) (a' = a alpha^2, b' = b beta^2, c' = c alpha beta, so
-    |c'| < 2 sqrt(PQ)), the denominator is D = P + Q + c' and the speed is D^2/(|scale| |G|), where
-    G = D - v dD/dv = (1 + 2v) P + (1 - 2v) Q + c' and ``scale`` is :func:`_time_scale`.  For
-    v >= max(1, ln(4a'/b')/4), D >= Q/4 and |G| <= 2.75 v Q, so the speed is at least b' e^(2v)/(44 v |scale|),
-    above the floor wherever 2v - ln v > L = ln(44 |scale| floor/b').  2v - ln v grows with v and exceeds L at
-    v = (L + ln L)/2 (L > 1), so no speed at or past v_end = max(1, ln(4a'/b')/4, (L + ln L)/2) is at or below it.
+    past the last point at or below the floor, so X is monotone in the floor.  With P = a' e^(-u) and Q = b' e^u
+    (a' = a alpha^2, b' = b beta^2, c' = c alpha beta), the speed is D^2/(|scale| |G|), D = P + Q + c',
+    G = (1 + u) P + (1 - u) Q + c' and ``scale`` from :func:`_time_scale`; past a proven depth none is at or below
+    the floor.
 
-    Below v_end a branch-and-bound takes intervals of grid indices, the top one first.  On v >= 0 both
-    (1 + 2v) e^(-2v) and (1 - 2v) e^(2v) fall, so G falls, and on [v1, v2] D >= D_lo = P(v2) + Q(v1) + c' and
-    |G| <= G_max = max(G(v1), -G(v2)): the speed is at least D_lo^2/(|scale| G_max).  :func:`_speed_bound` pads
-    both by 1e-12 times the sum of |terms| for rounding.  An interval is pruned only where that bound beats the
-    floor by 1e-9 and D and dW_x/dE are proven normal doubles, so never across a zero of G (the speed diverges
-    there).  Each index not pruned is a leaf, evaluated by the scalar operations of :func:`speed_at`, so the verdict
-    at every grid point is that function's, however loose the bound; the first leaf at or below the floor gives X.
-    A leaf whose D or dW_x/dE is no normal double (e^(2v) overflows near v = 355 in the canonical basis) has no
-    known speed: the search raises :class:`ScanNotSettled` there.
+    The search (:mod:`trdwell.onset`, loaded with the first onset) is a branch-and-bound over the grid up to that
+    depth.  It takes the top interval first, so the first index at or below the floor that it meets gives X.  Its
+    partition is seeded at the continuous crossing h, Newton's root of ln(D^2/|G|) = ln(|scale| floor), and at
+    u = 2: cuts before h, h + 1 and index 200.  Processed strictly top-down, every partition meets the same first
+    index, so X, and the first :class:`ScanNotSettled`, are the plain grid scan's for any hint, a nan or failed one
+    (no cut at h) included.  An interval is pruned where a lower bound of its speeds beats the floor by 1e-9 and D
+    and dW_x/dE are proven normal doubles.  From u1 >= 2 on, one bound is the ratio
+    (Q1 - |c'|)^2/(|scale| ((u1 - 1) Q1 + (1 + u1) P1 + |c'|)), which holds there as |G| <= (u - 1) Q + (1 + u1) P1
+    + |c'|, D >= Q - |c'| and Q/(u - 1 + eta) rises; another is the speed at u1 itself, where its logarithmic slope
+    is proven positive from u1 on.  So a hint at the crossing prunes [h + 1, top] in one bound call: a median bench
+    onset makes 1 bound call, not 33.  Each index not pruned is evaluated by the scalar operations of :func:`speed_at`,
+    so every verdict is that function's; where its D or dW_x/dE is no normal double (e^u overflows near u = 709 in
+    the canonical basis) the speed is unknown, and the search raises :class:`ScanNotSettled` there.
     """
-    if basis.region != FORBIDDEN:
-        raise DomainError("speed divergence is a forbidden-region phenomenon")
-    check_basis(basis, kin)
-    check_positive("speed_floor", speed_floor)
-    kappa, scale = basis.wavenumber, _time_scale(ms, basis, kin)
-    # v_end in logarithms: a'/b' and 44 |scale| floor/b' may lie beyond the doubles
-    log_a, log_b = math.log(ms.a) + 2.0 * math.log(abs(basis.alpha)), math.log(ms.b) + 2.0 * math.log(abs(basis.beta))
-    L = math.log(44.0) + math.log(abs(scale)) + math.log(speed_floor) - log_b
-    v_end = max(1.0, 0.25 * (math.log(4.0) + log_a - log_b), 0.5 * (L + math.log(L)) if L > 1.0 else 1.0)
-    bound, intervals = _speed_bound(ms, basis, scale), [(0, math.ceil(2.0 * v_end / _ONSET_DU))]  # up to v_end
-    while intervals:
-        lo, hi = intervals.pop()
-        if lo == hi:
-            x = lo * _ONSET_DU / (2.0 * kappa)
-            phi1, phi2, _, _, g1, g2 = basis._functions(x)
-            D = _form(ms, phi1, phi2)
-            size = abs(_slope(ms, scale, kappa, D, phi1, phi2, g1, g2)) if _NORMAL <= D < math.inf else math.nan
-            if not _NORMAL <= size < math.inf:
-                raise ScanNotSettled(f"the speed at x = {x!r} is no double, and not proven above the floor")
-            if 1.0 / size <= speed_floor:
-                return (lo * _ONSET_DU + _ONSET_DU) / (2.0 * kappa)
-        elif not bound(lo, hi) > speed_floor * (1.0 + 1e-9):
-            intervals += (lo, (lo + hi) // 2), ((lo + hi) // 2 + 1, hi)
-    return 0.0
+    from .onset import divergence_onset as search  # the search loads with the first onset
+
+    return search(kin, ms, basis, speed_floor)

@@ -30,7 +30,7 @@ from .kinematics import (
     _product,
     check_positive,
 )
-from .microstate import Microstate, RawCoefficients, check_nonzero, gauge_factor
+from .microstate import Microstate, RawCoefficients, _gauge, check_nonzero, gauge_factor
 
 BARRIER_SCATTERING = "barrier-scattering"
 WELL_EIGENSTATE = "well-eigenstate"
@@ -210,17 +210,21 @@ def qshje_residual(x: float, ms: Microstate | RawCoefficients, basis: RegionBasi
     """
     check_basis(basis, kin)
     a, b, c, al, be, u = ms.a, ms.b, ms.c, basis.alpha, basis.beta, basis.wavenumber * x
-    # the basis is inlined, as in sample_trajectory: a shared per-point kernel ran the `trajectory` bench 2.5% slower
+    # the basis is inlined, as in sample_trajectory: a shared per-point kernel ran the `trajectory` bench 2.5% slower;
+    # math.exp serves below 709, short of its overflow at 709.78, and _exp, which saturates, from there
     if basis.region == FREE:
         s, co = math.sin(u), math.cos(u)
         phi1, phi2, d1, d2, sigma, base, energy = al * s, be * co, al * co, -be * s, -1.0, -1.0, kin.E
     else:
-        phi1, phi2, sigma, base, energy = al * _exp(-u), be * _exp(u), 1.0, 2.0, kin._gap
+        phi1 = al * (math.exp(-u) if -u < 709.0 else _exp(-u))
+        phi2, sigma, base, energy = be * (math.exp(u) if u < 709.0 else _exp(u)), 1.0, 2.0, kin._gap
         d1, d2 = -phi1, phi2
-    D = checked_denominator(a * phi1 * phi1 + b * phi2 * phi2 + c * phi1 * phi2, x)
+    D = a * phi1 * phi1 + b * phi2 * phi2 + c * phi1 * phi2
+    if not 0.0 < D < math.inf:
+        checked_denominator(D, x)
     D_u = 2.0 * a * phi1 * d1 + 2.0 * b * phi2 * d2 + c * (d1 * phi2 + phi1 * d2)
     D_uu = 2.0 * (a * d1 * d1 + b * d2 * d2 + c * d1 * d2) + 2.0 * sigma * D
-    momentum, slope = abs(base * al * be) * gauge_factor(ms) / D, D_u / D
+    momentum, slope = abs(base * al * be) * _gauge(a, b, c) / D, D_u / D
     return energy * (momentum * momentum + sigma + 0.5 * (0.5 * slope * slope - D_uu / D))
 
 

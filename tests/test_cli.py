@@ -416,23 +416,23 @@ def test_each_invocation_imports_only_the_layers_it_runs():
 #: is most of what the package adds to a cold start, so a line added where every command loads it
 #: costs every invocation; put it beside the commands that run it.
 COMPILED_LINES = {
-    "kinematics.json": 966,
-    "energies.json": 1245,
-    "dwell.json": 1314,
-    "dwell.csv": 1314,
-    "dwell-max.json": 1314,
-    "libration.json": 1314,
-    "libration-max.json": 1314,
-    "libration-inf.json": 1314,
-    "trajectory.csv": 1628,
-    "qshje-check.json": 1355,
-    "coverage-sb.json": 1958,
-    "coverage-sw.json": 2237,
-    "connect.json": 2237,
-    "sweep.csv": 1314,
-    "exit 1: no command": 966,
-    "exit 1: unknown command": 966,
-    "exit 2: E above U": 966,
+    "kinematics.json": 959,
+    "energies.json": 1238,
+    "dwell.json": 1307,
+    "dwell.csv": 1307,
+    "dwell-max.json": 1307,
+    "libration.json": 1307,
+    "libration-max.json": 1307,
+    "libration-inf.json": 1307,
+    "trajectory.csv": 1586,
+    "qshje-check.json": 1352,
+    "coverage-sb.json": 1955,
+    "coverage-sw.json": 2234,
+    "connect.json": 2234,
+    "sweep.csv": 1307,
+    "exit 1: no command": 959,
+    "exit 1: unknown command": 959,
+    "exit 2: E above U": 959,
 }
 
 

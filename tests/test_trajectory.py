@@ -2,6 +2,8 @@
 
 import math
 import random
+import statistics
+import sys
 
 import mpmath
 import numpy as np
@@ -22,10 +24,13 @@ from trdwell.microstate import (
     normalize,
     transform_basis,
 )
+import trdwell.onset as onset_module
+import trdwell.trajectory as trajectory_module
+import trdwell.wavefield as wavefield_module
+from trdwell.onset import _speed_bound
 from trdwell.potential import Units, kinematics_from_energies
 from trdwell.trajectory import (
     TrajectorySample,
-    _speed_bound,
     _time_scale,
     divergence_onset,
     momentum_energy_derivative,
@@ -36,6 +41,7 @@ from trdwell.trajectory import (
 )
 from trdwell.wavefield import (
     RegionBasis,
+    _exp,
     _form,
     bilinear_with_derivatives,
     canonical_basis,
@@ -459,6 +465,56 @@ class TestSampling:
             for x in (*xs, 1e3 / w, -50.0 / w, 400.0 / w):
                 assert _outcome(qshje_residual, x, ms, basis, kin) == _outcome(_unit_basis_residual, x, ms, basis, kin)
 
+    @pytest.mark.parametrize("region", ["free", "forbidden"])
+    @pytest.mark.parametrize("wx", [708.9, 709.0, 709.78, 710.0])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_kernels_where_math_exp_overflows(self, region, wx, sign, kin):
+        # The kernels take math.exp below |w x| = 709 and the saturating _exp from there on; math.exp
+        # overflows past 709.78.  The samples keep the pointwise closed forms' bits and the residual the
+        # composition's, or each raises the same typed error.  The forbidden gauge (2^500, 2^-1000) keeps
+        # D a double up to w x = 709.78 on the positive side.
+        ms = normalize(2.0, 1.0, 1.0)
+        basis = canonical_basis(region, kin).rescaled(*((2.0**500, 2.0**-1000) if region == "forbidden" else (1, 1)))
+        w = basis.wavenumber
+        x0, x1 = sign * wx / w - 0.1 / w, sign * wx / w
+        assert _outcome(qshje_residual, x1, ms, basis, kin) == _outcome(_unit_basis_residual, x1, ms, basis, kin)
+        samples = _outcome(sample_trajectory, (x0, x1), 3, ms, basis, kin)
+        xs = [x0 + (x1 - x0) * i / 2 for i in range(3)]
+        refusals = [_outcome(conjugate_momentum, x, ms, basis, kin.units) for x in xs]
+        refusals = [refusal for refusal in refusals if isinstance(refusal, tuple)]
+        if refusals:
+            assert samples == refusals[0]
+            return
+        for s, x in zip(samples, xs):
+            assert (s.x, s.W_x, s.dWx_dE, s.speed, s.t) == (
+                x, conjugate_momentum(x, ms, basis, kin.units), momentum_energy_derivative(x, ms, basis, kin),
+                speed_at(x, ms, basis, kin), time_of_flight(x, x0, ms, basis, kin).t,
+            )
+
+    def test_exp_takes_every_exponent_from_709_on(self, monkeypatch, kin):
+        # math.exp overflows past ln(max double) = 709.78: the kernels hand each exponent from 709 on,
+        # and only those, to the saturating _exp, which returns math.exp's value where it has one
+        assert 709.0 < math.log(sys.float_info.max) < 709.79
+        seen = []
+
+        def recording(v):
+            seen.append(v)
+            return _exp(v)
+
+        monkeypatch.setattr(trajectory_module, "_exp", recording)
+        monkeypatch.setattr(wavefield_module, "_exp", recording)
+        basis = canonical_basis("forbidden", kin).rescaled(2.0**500, 2.0**-1000)
+        w = basis.wavenumber
+        for v in (708.9, 709.0, 709.78, 709.79, 710.0, 1e6):
+            for x in (v / w, -v / w):
+                expected = [e for e in (-(w * x), w * x) if e >= 709.0]
+                seen.clear()
+                _outcome(qshje_residual, x, MONOCHROMATIC, basis, kin)
+                assert seen == expected
+                seen.clear()
+                _outcome(sample_trajectory, (x, x + 1e-3 / w), 2, MONOCHROMATIC, basis, kin)
+                assert seen[: len(expected)] == expected and min(seen, default=709.0) >= 709.0
+
     def test_rejects_degenerate_ranges(self, kin):
         basis = canonical_basis("forbidden", kin)
         with pytest.raises(DomainError):
@@ -722,7 +778,8 @@ class TestOnsetMatchesTheScalarScan:
         # 500 consecutive grid speeds, taken as the floor, puts an exact tie in
         # the search: the leaf that evaluates it must count it, and the bound,
         # which prunes only where it beats the floor by its 1e-9 margin, must
-        # never prune the interval that holds it.
+        # never prune the interval that holds it.  The hint lands on or next to
+        # each tie.
         basis = canonical_basis("forbidden", kin)
         ms = normalize(2.0, 1.0, 1.0)
         speed = _grid_speed(kin, ms, basis)
@@ -730,6 +787,77 @@ class TestOnsetMatchesTheScalarScan:
         for j in range(900, 1400):
             expected = _reference_onset(speeds.__getitem__, kin.kappa, speeds[j])
             assert divergence_onset(kin, ms, basis, speeds[j]) == expected
+
+    @pytest.mark.parametrize("job", range(6))
+    def test_any_hint_gives_the_scan_s_onset(self, job, monkeypatch):
+        # The hint only seeds the partition, which the search takes strictly top-down.  Jobs 0-1
+        # cross above u = 2, jobs 2-3 below it (on the rise to the divergence of the speed, where the
+        # hint's Newton root is not the answer), jobs 4-5 have a >> b and cross a second time deep in.
+        # Hints on the crossing, a few indices high and low, far off, out of range and nan all give
+        # the plain scan's onset (brute force over u < 200), and exact-tie floors at and next to the
+        # crossing do too.
+        kin = kinematics_from_energies(0.5, 1.0)
+        basis = canonical_basis("forbidden", kin)
+        a, c, factor = [(1.0, 0.0, 300.0), (2.5, -1.2, 40.0), (0.5, 0.3, 1.2), (1.0, 0.0, 1.3),
+                        (1e30, 0.0, None), (1e36, 0.0, None)][job]
+        ms = normalize(a, (1.0 + 0.25 * c * c) / a, c)
+        speeds = [speed_at(i * 0.01 / (2.0 * kin.kappa), ms, basis, kin) for i in range(20_000)]
+        floor = speeds[0] * factor if factor else 1.0
+
+        def scan(floor):
+            return (max(i for i, speed in enumerate(speeds) if speed <= floor) * 0.01 + 0.01) / (2.0 * kin.kappa)
+
+        expected = scan(floor)
+        crossing = round(expected * 2.0 * kin.kappa / 0.01) - 1
+        assert (crossing < 200, crossing > 6000) == (job in (2, 3), job in (4, 5))
+        hint = onset_module._onset_hint
+        for offset in (0, -1, 1, -3, 3, -40, 40):
+            u = (crossing + offset + 0.5) * 0.01
+            monkeypatch.setattr(onset_module, "_onset_hint", lambda *args, u=u: u)
+            assert divergence_onset(kin, ms, basis, floor) == expected
+        for u in (math.nan, -1.0, 0.0, 1e9, math.inf):
+            monkeypatch.setattr(onset_module, "_onset_hint", lambda *args, u=u: u)
+            assert divergence_onset(kin, ms, basis, floor) == expected
+        monkeypatch.setattr(onset_module, "_onset_hint", hint)
+        for tie in (crossing - 1, crossing, crossing + 1):
+            assert divergence_onset(kin, ms, basis, speeds[tie]) == scan(speeds[tie])
+
+    def test_an_unknown_speed_above_the_answer_is_not_settled_for_any_hint(self, kin, monkeypatch):
+        # at floor 1e302 the speed crosses near u = 702.9, but the proven end lies past u = 706.6, where
+        # x e^u in dD/dw overflows: the top-down search meets that unknown speed first, whatever the hint
+        basis = canonical_basis("forbidden", kin)
+        message = "the speed at x = 441.65 is no double, and not proven above the floor"
+        for u in (None, math.nan, 700.0, 706.0, 650.0):
+            if u is not None:
+                monkeypatch.setattr(onset_module, "_onset_hint", lambda *args, u=u: u)
+            with pytest.raises(ScanNotSettled) as info:
+                divergence_onset(kin, MONOCHROMATIC, basis, 1e302)
+            assert str(info.value) == message
+
+    def test_a_bench_onset_makes_a_median_of_at_most_two_bound_calls(self, monkeypatch):
+        # 256 jobs drawn as the `trajectory` bench draws its onsets: with the hint at the crossing,
+        # [h + 1, top] is pruned in one call, and the leaf h answers
+        calls, bound = [], onset_module._speed_bound
+
+        def counted(*args):
+            f = bound(*args)
+            calls.append(0)
+
+            def count(lo, hi):
+                calls[-1] += 1
+                return f(lo, hi)
+
+            return count
+
+        monkeypatch.setattr(onset_module, "_speed_bound", counted)
+        rng = random.Random(256)
+        for _ in range(256):
+            U, hbar, mass = (math.exp(rng.uniform(math.log(0.1), math.log(10.0))) for _ in range(3))
+            kin = kinematics_from_energies(U * rng.uniform(0.05, 0.95), U, Units(hbar, mass))
+            c, a = rng.uniform(-1.9, 1.9), math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
+            ms, basis = Microstate(a, (1.0 + 0.25 * c * c) / a, c), canonical_basis("forbidden", kin)
+            divergence_onset(kin, ms, basis, speed_at(0.0, ms, basis, kin) * 10.0 ** rng.uniform(0.0, 3.0))
+        assert len(calls) == 256 and statistics.median(calls) <= 2
 
 
 _gauges = st.tuples(st.floats(-5.0, 5.0), st.sampled_from([-1.0, 1.0])).map(lambda p: p[1] * 10.0 ** p[0])
@@ -741,23 +869,28 @@ class TestOnsetBound:
     @settings(max_examples=300, deadline=None)
     @given(
         ms=_coefficients,
-        gauge=st.one_of(st.tuples(_gauges, _gauges), st.sampled_from([(1e-100, 1e-100), (1e70, -1e-70)])),
+        gauge=st.one_of(
+            st.tuples(_gauges, _gauges), st.sampled_from([(1e-100, 1e-100), (1e70, -1e-70), (-1.0, -1.0)])
+        ),
         fraction=st.floats(min_value=0.02, max_value=0.98),
         scales=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
         lo=st.one_of(st.integers(0, 2_000), st.integers(0, 72_000)),
-        width=st.integers(1, 64),
+        width=st.one_of(st.integers(1, 64), st.integers(64, 5_000)),
+        seed=st.integers(0, 2**32),
     )
-    def test_no_bound_exceeds_a_speed_of_its_interval(self, ms, gauge, fraction, scales, lo, width):
+    def test_no_bound_exceeds_a_speed_of_its_interval(self, ms, gauge, fraction, scales, lo, width, seed):
         # any basis gauge gives a valid input; one applied to the basis alone changes the speeds.
-        # U, hbar and m in 10^(+-3) put kappa between about 1e-6 and 1e6.
+        # U, hbar and m in 10^(+-3) put kappa between about 1e-6 and 1e6.  Wide intervals are the ratio
+        # bound's and the rising speed's: both their ends, and a sample of the rest, are checked.
         U, hbar, mass = (10.0**p for p in scales)
         kin = kinematics_from_energies(U * fraction, U, Units(hbar, mass))
         basis = canonical_basis("forbidden", kin).rescaled(*gauge)
         bound = _speed_bound(ms, basis, _time_scale(ms, basis, kin))(lo, lo + width)
-        assert bound >= 0.0
+        assert 0.0 <= bound < math.inf
         if bound == 0.0:
             return
-        for i in range(lo, lo + width + 1):
+        inner = range(lo, lo + width + 1)
+        for i in sorted({*inner[:3], *inner[-3:], *random.Random(seed).sample(inner, min(len(inner), 40))}):
             x = i * 0.01 / (2.0 * kin.kappa)
             phi1, phi2, _, _, _, _ = basis._functions(x)
             # a pruned interval holds only normal-double denominators and slopes
@@ -765,21 +898,53 @@ class TestOnsetBound:
             assert _NORMAL <= abs(momentum_energy_derivative(x, ms, basis, kin)) < math.inf
             assert bound <= speed_at(x, ms, basis, kin)
 
+    @pytest.mark.parametrize("ms", [RawCoefficients(4.0, 1.0, -3.99), RawCoefficients(1.0, 1.0, -1.999999)])
+    def test_near_degenerate_forms(self, ms, kin):
+        # c' near -2 sqrt(a' b') takes D far below P + Q: D >= Q - |c'| keeps the ratio bound below the speed
+        basis = canonical_basis("forbidden", kin)
+        bound = _speed_bound(ms, basis, _time_scale(ms, basis, kin))
+        speeds = [speed_at(i * 0.01 / (2.0 * kin.kappa), ms, basis, kin) for i in range(1500)]
+        for lo in range(200, 1000, 10):
+            for width in (10, 100, 400):
+                assert bound(lo, lo + width) <= min(speeds[lo : lo + width + 1])
+
     def test_bound_prunes_and_refuses_across_the_divergence(self, kin):
         basis = canonical_basis("forbidden", kin)
         ms = normalize(2.0, 1.0, 1.0)
         bound = _speed_bound(ms, basis, _time_scale(ms, basis, kin))
         speed = _grid_speed(kin, ms, basis)
-        # deep in the speed grows like e^(2v), and the bound over 20 points stays within e^(-0.3) of their least
-        assert 0.74 * speed(1000) < bound(1000, 1020) <= min(speed(i) for i in range(1000, 1021))
+        # deep in the speed rises with u, and the bound over 20 points is the least of them within 1e-10
+        assert speed(1000) * (1.0 - 1e-10) < bound(1000, 1020) <= min(speed(i) for i in range(1000, 1021))
+        # and so over 1,500 points from u = 10 on, where the monotone-piece bound is off by about e^-15
+        assert speed(1000) * (1.0 - 1e-10) < bound(1000, 2500) <= speed(1000)
         # dW_x/dE changes sign between two adjacent grid points, where the speed diverges: no bound there
         slope = lambda i: momentum_energy_derivative(i * 0.01 / (2.0 * kin.kappa), ms, basis, kin)  # noqa: E731
         i = next(i for i in range(5000) if slope(i) * slope(i + 1) < 0.0)
         assert min(speed(i), speed(i + 1)) > 100.0 * speed(0)
         assert bound(i, i + 1) == bound(i - 50, i + 50) == 0.0
 
-    def test_extreme_gauges_prune_nothing(self, kin):
+    def test_the_ratio_bound_serves_where_the_speed_is_not_proven_rising(self, kin):
+        # [2.2, 15] holds the dip of the speed of (2, 1, 1) (its least speed is at u = 2.5, below the
+        # speed at 2.2), so no rise is proven from u1 = 2.2, and the monotone pieces lose about e^-13 over
+        # it; the ratio (Q1 - |c'|)^2/(|scale| ((u1 - 1) Q1 + (1 + u1) P1 + |c'|)) is within 0.4 of the least
         basis = canonical_basis("forbidden", kin)
-        assert _speed_bound(MONOCHROMATIC, basis, _time_scale(MONOCHROMATIC, basis, kin))(1000, 1020) > 0.0
-        basis = basis.rescaled(1e-100, 1e-100)
-        assert _speed_bound(MONOCHROMATIC, basis, _time_scale(MONOCHROMATIC, basis, kin))(1000, 1020) == 0.0
+        ms = normalize(2.0, 1.0, 1.0)
+        bound = _speed_bound(ms, basis, _time_scale(ms, basis, kin))(220, 1500)
+        speed = _grid_speed(kin, ms, basis)
+        least = min(speed(i) for i in range(220, 1501))
+        assert least < speed(220) and 0.4 * least < bound <= least
+
+    def test_gauges_beyond_2_to_the_200(self, kin):
+        # the gate is on the magnitudes each grid point forms, within [2^-900, 2^900], not on each factor
+        basis = canonical_basis("forbidden", kin)
+        scale = _time_scale(MONOCHROMATIC, basis, kin)
+        canonical = _speed_bound(MONOCHROMATIC, basis, scale)(1000, 1020)
+        tiny = basis.rescaled(1e-100, 1e-100)
+        assert _speed_bound(MONOCHROMATIC, tiny, _time_scale(MONOCHROMATIC, tiny, kin))(1000, 1020) > 0.0
+        # a power-of-two gauge scales every partial product exactly: the same speeds, bound and onsets
+        exact = basis.rescaled(2.0**-332, 2.0**-332)
+        assert _speed_bound(MONOCHROMATIC, exact, _time_scale(MONOCHROMATIC, exact, kin))(1000, 1020) == canonical
+        for floor in (1e2, 1e4, 1e100):
+            assert divergence_onset(kin, MONOCHROMATIC, exact, floor) == divergence_onset(
+                kin, MONOCHROMATIC, basis, floor
+            )
