@@ -422,8 +422,8 @@ COMMANDS = {
     "dwell-max": _Command(
         "dwell-time supremum over microstates", "E U epsilon", "E U epsilon kin",
         lambda res: _extremal(res.times.max_dwell(res.kin, res.epsilon)),
-        outputs="supremum supremum_extrapolated analytic_bound attained_at_boundary sign maximizer",
-        csv="supremum supremum_extrapolated analytic_bound epsilon attained_at_boundary sign a b c E U",
+        outputs="supremum analytic_bound attained_at_boundary sign maximizer",
+        csv="supremum analytic_bound epsilon attained_at_boundary sign a b c E U",
     ),
     "libration": _Command(
         "well round-trip period of a microstate", "E U q" + _MS, "E U q kin",
@@ -436,10 +436,9 @@ COMMANDS = {
     "libration-max": _Command(
         "libration-period supremum over microstates", "E U q epsilon", "E U q epsilon kin",
         lambda res: _extremal(res.times.max_libration(res.kin, res.q, res.epsilon)),
-        outputs="supremum supremum_extrapolated analytic_bound alternative_bound alternative_bound_holds"
-        " attained_at_boundary maximizer",
-        csv="supremum supremum_extrapolated analytic_bound alternative_bound alternative_bound_holds"
-        " epsilon attained_at_boundary a b c E U q",
+        outputs="supremum analytic_bound alternative_bound alternative_bound_holds attained_at_boundary maximizer",
+        csv="supremum analytic_bound alternative_bound alternative_bound_holds epsilon attained_at_boundary"
+        " a b c E U q",
     ),
     "libration-inf": _Command(
         "vanishing-period probe (A, 1/A, 0)", "E U q A", "E U q A kin",

@@ -24,34 +24,29 @@ class Microstate(_Record):
     """Normalized coefficient triple: a > 0, b > 0 and ab - c^2/4 = 1.
 
     Construct directly only with already-normalized values; use :func:`normalize` to rescale a raw triple onto
-    the physical slice.  :func:`check_microstate` makes its checks.
+    the physical slice.
     """
 
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a: float, b: float, c: float):
-        check_microstate(a, b, c)
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+            raise DomainError("microstate coefficients must be finite")
+        if a <= 0.0:
+            raise DomainError(f"coefficient a must be positive, got {a!r}")
+        if b <= 0.0:
+            raise DomainError(f"coefficient b must be positive, got {b!r}")
+        norm = a * b - 0.25 * c * c
+        # ab and c^2/4 cancel to 1: their magnitude sets the residual's accuracy; an overflow or nan is off the slice
+        scale = max(1.0, a * b + 0.25 * c * c)
+        if not abs(norm - 1.0) <= NORMALIZATION_TOL * scale < math.inf:
+            raise DomainError(f"coefficients are not normalized: ab - c^2/4 = {norm!r}; use normalize()")
         self._set(a, b, c)
 
     @property
     def discriminant(self) -> float:
         """c^2 - 4ab of the bilinear form; exactly -4 on the normalized slice."""
         return self.c * self.c - 4.0 * self.a * self.b
-
-
-def check_microstate(a: float, b: float, c: float) -> None:
-    """The checks of :class:`Microstate`: a DomainError unless a, b, c are finite, a, b > 0 and ab - c^2/4 = 1."""
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        raise DomainError("microstate coefficients must be finite")
-    if a <= 0.0:
-        raise DomainError(f"coefficient a must be positive, got {a!r}")
-    if b <= 0.0:
-        raise DomainError(f"coefficient b must be positive, got {b!r}")
-    norm = a * b - 0.25 * c * c
-    # ab and c^2/4 cancel to 1: their magnitude sets the residual's accuracy; an overflow or nan is off the slice
-    scale = max(1.0, a * b + 0.25 * c * c)
-    if not abs(norm - 1.0) <= NORMALIZATION_TOL * scale < math.inf:
-        raise DomainError(f"coefficients are not normalized: ab - c^2/4 = {norm!r}; use normalize()")
 
 
 class RawCoefficients(NamedTuple):

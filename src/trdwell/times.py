@@ -27,10 +27,10 @@ t_L = sqrt(1 + c^2/4)/(2r) times the prefactor, rising with |c|.  So both suprem
 (a*, 2 - epsilon).  The tests keep a numeric zoom search over (a, c) as an independent oracle.
 
 Each formula has one scalar kernel over the floats (a, b, c, g), g = sqrt(ab - c^2/4), shared by the public
-function and the report.  ``max_dwell`` and ``max_libration`` build one Microstate, the maximizer.  Their
-``supremum_extrapolated`` is 2 sup - coarse, with coarse the time at the partner c = 2 - 2 epsilon, evaluated on
-a float triple that passes the Microstate checks (:func:`~trdwell.microstate.check_microstate`), and a
-:class:`DomainError` where it overflows.  For epsilon > 1 no partner has c >= 0, and there is none (None).
+function and the report.  ``max_dwell`` and ``max_libration`` build one Microstate, the maximizer, and evaluate
+one time there: epsilon has the single meaning of the inset of the attained supremum.  The exact limit
+epsilon -> 0 is the closed-form ``analytic_bound`` the report carries; the Richardson step 2 sup(epsilon) -
+sup(2 epsilon) toward it is a cross-check in the tests, formed from two reports.
 
 Each time is a unit scale in E, U - E, hbar and m (1 + r^2 = U/E) times a dimensionless factor in X = sqrt(E/U)
 and Y = sqrt((U - E)/U): no power of r is formed.  Outside ordinary inputs ``kinematics._product`` evaluates it,
@@ -43,7 +43,7 @@ import math
 
 from .errors import DomainError, OptimizationFailure, _Record
 from .kinematics import _NORMAL, _ORDINARY, Kinematics, _product, check_epsilon, check_positive
-from .microstate import Microstate, _gauge, check_microstate, gauge_factor, normalize
+from .microstate import Microstate, _gauge, gauge_factor, normalize
 
 SIGN_PLUS = "+"
 SIGN_MINUS = "-"
@@ -223,57 +223,41 @@ def _alternative_factor(kin: Kinematics) -> float:
 class ExtremalReport(_Record):
     """Supremum of a time over the admissible microstates with |c| <= 2 - epsilon.
 
-    ``supremum`` is the value attained at the boundary |c| = 2 - epsilon; ``supremum_extrapolated`` removes the
-    leading O(epsilon) deficit by Richardson extrapolation in epsilon (None for epsilon > 1); ``analytic_bound`` is
-    the closed-form least upper bound the supremum must stay below.  Libration reports attach the rejected bound
-    variant and its verdict.
+    ``supremum`` is the value attained at the boundary |c| = 2 - epsilon, below the closed-form least upper bound
+    ``analytic_bound`` by O(epsilon).  Libration reports attach the rejected bound variant and its verdict.
     """
 
     __slots__ = (
-        "maximizer", "supremum", "analytic_bound", "epsilon", "attained_at_boundary", "supremum_extrapolated",
-        "sign", "alternative_bound", "alternative_bound_holds",
+        "maximizer", "supremum", "analytic_bound", "epsilon", "attained_at_boundary", "sign", "alternative_bound",
+        "alternative_bound_holds",
     )
 
     def __init__(
         self, maximizer: Microstate, supremum: float, analytic_bound: float, epsilon: float,
-        attained_at_boundary: bool, supremum_extrapolated: float | None, sign: str | None = None,
-        alternative_bound: float | None = None, alternative_bound_holds: bool | None = None,
+        attained_at_boundary: bool, sign: str | None = None, alternative_bound: float | None = None,
+        alternative_bound_holds: bool | None = None,
     ):
         if not supremum > 0.0:
             raise OptimizationFailure(f"non-positive supremum {supremum!r}")
         if supremum > analytic_bound * (1.0 + 1e-9):
             raise OptimizationFailure(f"supremum {supremum!r} exceeds the analytic bound {analytic_bound!r}")
         self._set(
-            maximizer, supremum, analytic_bound, epsilon, attained_at_boundary, supremum_extrapolated,
-            sign, alternative_bound, alternative_bound_holds,
+            maximizer, supremum, analytic_bound, epsilon, attained_at_boundary, sign, alternative_bound,
+            alternative_bound_holds,
         )
 
 
-def _slice_maximizer(kin: Kinematics, c: float) -> tuple[float, float, float]:
-    """(a*, (1 + c^2/4)/a*, c) with a* = r sqrt(1 + c^2/4): there t_D ("-" branch, c >= 0) and t_L peak over a > 0."""
-    a = kin.r * math.sqrt(1.0 + 0.25 * c * c)
-    return a, (1.0 + 0.25 * c * c) / a, c
-
-
-def _report(top: Microstate, sup: float, coarse, epsilon: float, bound: float, *extra) -> ExtremalReport:
-    """The report of a supremum ``sup`` at ``top``, and ``coarse`` at its partner c = 2 - 2 epsilon, or None."""
-    # coarse/sup >= 0.618, so sup - coarse is exact and the sum is 2 sup - coarse rounded once, inf only where it is
-    extrapolated = None if coarse is None else sup + (sup - coarse)
-    if extrapolated == math.inf:
-        raise DomainError(f"the extrapolated supremum 2 x {sup!r} - {coarse!r} overflows a double")
-    boundary = abs(top.c) >= 2.0 - epsilon - 1e-9
-    return ExtremalReport(top, sup, bound, epsilon, boundary, extrapolated, *extra)
-
-
-def _tops(kin: Kinematics, epsilon: float) -> tuple[Microstate, tuple[float, float, float] | None]:
-    """The slice maximizer at c = 2 - epsilon, and its partner's triple at 2 - 2 epsilon through the same checks."""
+def _top(kin: Kinematics, epsilon: float) -> Microstate:
+    """(a*, (1 + c^2/4)/a*, c), a* = r sqrt(1 + c^2/4), c = 2 - epsilon: there t_D ("-" branch) and t_L peak."""
     check_epsilon(epsilon)
-    top = Microstate(*_slice_maximizer(kin, 2.0 - epsilon))
-    if epsilon > 1.0:
-        return top, None
-    inset = _slice_maximizer(kin, 2.0 - 2.0 * epsilon)
-    check_microstate(*inset)
-    return top, inset
+    c = 2.0 - epsilon
+    a = kin.r * math.sqrt(1.0 + 0.25 * c * c)
+    return Microstate(a, (1.0 + 0.25 * c * c) / a, c)
+
+
+def _report(top: Microstate, sup: float, epsilon: float, bound: float, *extra) -> ExtremalReport:
+    """The report of the supremum ``sup`` attained at ``top``."""
+    return ExtremalReport(top, sup, bound, epsilon, abs(top.c) >= 2.0 - epsilon - 1e-9, *extra)
 
 
 def max_dwell(kin: Kinematics, epsilon: float = 1e-6) -> ExtremalReport:
@@ -282,12 +266,11 @@ def max_dwell(kin: Kinematics, epsilon: float = 1e-6) -> ExtremalReport:
     The two sign branches are images of each other under c -> -c, so their maxima coincide; the report is
     canonicalized to the representative with c >= 0, which selects the "-" branch.  The maximum sits at
     (a*, 2 - epsilon) (module docstring).  The attained value approaches the analytic bound linearly in epsilon;
-    ``supremum_extrapolated`` removes that deficit.
+    the tests check that approach by Richardson extrapolation over two reports, at epsilon and 2 epsilon.
     """
-    top, inset = _tops(kin, epsilon)
+    top = _top(kin, epsilon)
     sup = _dwell_kernel(kin, -1.0, top.a, top.b, top.c, _gauge(top.a, top.b, top.c))
-    coarse = None if inset is None else _dwell_kernel(kin, -1.0, *inset, _gauge(*inset))
-    return _report(top, sup, coarse, epsilon, dwell_supremum_bound(kin), SIGN_MINUS)
+    return _report(top, sup, epsilon, dwell_supremum_bound(kin), SIGN_MINUS)
 
 
 def max_libration(kin: Kinematics, q: float, epsilon: float = 1e-6) -> ExtremalReport:
@@ -295,15 +278,15 @@ def max_libration(kin: Kinematics, q: float, epsilon: float = 1e-6) -> ExtremalR
 
     The period depends on c only through c^2; the maximizer is reported with c >= 0, at (a*, 2 - epsilon) (module
     docstring).  Both closed-form bound variants are evaluated, with one (q + 1/kappa) and monochromatic period,
-    and the report records whether the rejected 1 - r^2 form actually bounds the supremum.
+    and the report records whether the rejected 1 - r^2 form actually bounds the supremum.  As for
+    :func:`max_dwell`, the supremum approaches the analytic bound linearly in epsilon.
     """
-    top, inset = _tops(kin, epsilon)
+    top = _top(kin, epsilon)
     length, period = _period(kin, q)
     sup = _libration_kernel(kin, length, period, top.a, top.b, top.c, _gauge(top.a, top.b, top.c))
-    coarse = None if inset is None else _libration_kernel(kin, length, period, *inset, _gauge(*inset))
     bound = _libration_bound(kin, length, period)
     alternative = bound * _alternative_factor(kin)
-    return _report(top, sup, coarse, epsilon, bound, None, alternative, sup <= alternative * (1.0 + 1e-9))
+    return _report(top, sup, epsilon, bound, None, alternative, sup <= alternative * (1.0 + 1e-9))
 
 
 def libration_infimum_probe(kin: Kinematics, q: float, A: float) -> float:

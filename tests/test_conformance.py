@@ -5,8 +5,10 @@ U in 1e+-300, and E either U 10^[-300, 0] or U (1 - 10^[-16, 0]); wells hold
 at most 10^4 states.  The step commands take each of U, hbar, m and q from the
 subnormals 10^[-323.3, -308] one time in eight.  ``dwell-max`` and
 ``libration-max`` draw their ``--epsilon`` log-uniform in [1e-12, 1] half
-the time and uniform in (0, 2) otherwise; past 1 there is no Richardson
-partner, and ``supremum_extrapolated`` must be null.
+the time and uniform in (0, 2) otherwise.  Up to 1, the Richardson step
+2 sup(epsilon) - sup(2 epsilon) of two library reports (:mod:`richardson`)
+must lie within 1e-14, times 8, of its 40-digit value, where both it and
+sup(2 epsilon) are normal doubles.
 Every value an exit-0 call prints must lie within 1e-14
 of its 40-digit value: relative to the value, times the condition number of
 the closed form where the value is a difference of larger terms (``cond``).
@@ -35,9 +37,11 @@ import mpmath
 import pytest
 
 from trdwell.cli import run
-from trdwell.potential import _ANGLE_RTOL, Units, bound_state, square_well
+from trdwell.potential import _ANGLE_RTOL, Units, bound_state, kinematics_from_energies, square_well
+from trdwell.times import max_dwell, max_libration
 
 from angle_oracle import angle_root, well_p
+from richardson import extrapolated
 
 mpf = mpmath.mpf
 TOL = 1e-14
@@ -216,25 +220,31 @@ def _epsilon(rng) -> float:
     return _log_uniform(rng, -12, 0) if rng.random() < 0.5 else 2.0 - 2.0 * rng.random()
 
 
-def _extrapolated(epsilon, sup, coarse):
-    """The (path, exact, cond) of ``supremum_extrapolated``: 2 sup - coarse(), or none past epsilon = 1."""
-    return [(("supremum_extrapolated",), 2 * sup - coarse(), 8)] if epsilon <= 1.0 else []
-
-
-def _no_partner(record, epsilon):
-    assert record is None or epsilon <= 1.0 or record["outputs"]["supremum_extrapolated"] is None, epsilon
+def _extrapolated(record, step, report, epsilon, sup, coarse):
+    """Where ``record`` was printed and epsilon <= 1, hold the Richardson step of two reports ``report(kin, e)``
+    at the step's (E, U, hbar, m) to 2 sup - coarse(), where both that and coarse() are normal doubles."""
+    if record is None or epsilon > 1.0:
+        return
+    coarse = coarse()
+    exact = 2 * sup - coarse
+    if _normal(coarse) and _normal(exact):
+        E, U, hbar, m = step
+        kin = kinematics_from_energies(E, U, Units(hbar=hbar, mass=m))
+        value = extrapolated(lambda e: report(kin, e), epsilon)
+        assert abs(mpf(value) - exact) <= TOL * abs(exact) * 8, (record["inputs"], value, exact)
 
 
 def _dwell_max(rng):
-    _, ex, flags = _step(rng)
+    step, ex, flags = _step(rng)
     epsilon = _epsilon(rng)
     c1, c2 = _tops(epsilon)
     (a, b), sup = ex.top(c1), ex.dwell(*ex.top(c1), c1, -1)[0]
     values = [
-        (("supremum",), sup, 8), *_extrapolated(epsilon, sup, lambda: ex.dwell(*ex.top(c2), c2, -1)[0]),
-        (("analytic_bound",), ex.dwell_bound, 1), (("maximizer", "a"), a, 1), (("maximizer", "b"), b, 1),
+        (("supremum",), sup, 8), (("analytic_bound",), ex.dwell_bound, 1),
+        (("maximizer", "a"), a, 1), (("maximizer", "b"), b, 1),
     ]
-    _no_partner(_checked(["dwell-max", *flags, *_flags(epsilon=epsilon)], values, _gates(ex)), epsilon)
+    record = _checked(["dwell-max", *flags, *_flags(epsilon=epsilon)], values, _gates(ex))
+    _extrapolated(record, step, max_dwell, epsilon, sup, lambda: ex.dwell(*ex.top(c2), c2, -1)[0])
 
 
 def _well_width(rng):
@@ -250,20 +260,21 @@ def _libration(rng):
 
 
 def _libration_max(rng):
-    (E, U, _, _), ex, flags = _step(rng)
+    step, ex, flags = _step(rng)
     q, epsilon = _well_width(rng), _epsilon(rng)
     c1, c2 = _tops(epsilon)
     sup = ex.libration(q, *ex.top(c1), c1)
     bound = ex.libration_bound(q)
-    alternative = bound * (2 * mpf(E) - mpf(U)) / mpf(U)
+    alternative = bound * (2 * ex.E - ex.U) / ex.U
     a, b = ex.top(c1)
     values = [
-        (("supremum",), sup, 8), *_extrapolated(epsilon, sup, lambda: ex.libration(q, *ex.top(c2), c2)),
-        (("analytic_bound",), bound, 1), (("alternative_bound",), alternative, 1 if alternative else None),
+        (("supremum",), sup, 8), (("analytic_bound",), bound, 1),
+        (("alternative_bound",), alternative, 1 if alternative else None),
         (("maximizer", "a"), a, 1), (("maximizer", "b"), b, 1),
     ]
     record = _checked(["libration-max", *flags, *_flags(q=q, epsilon=epsilon)], values, _gates(ex))
-    _no_partner(record, epsilon)
+    report = lambda kin, e: max_libration(kin, q, e)  # noqa: E731
+    _extrapolated(record, step, report, epsilon, sup, lambda: ex.libration(q, *ex.top(c2), c2))
     if record is not None and abs(sup - alternative) > 1e-8 * abs(sup):
         assert record["outputs"]["alternative_bound_holds"] == (sup <= alternative)
 
@@ -348,7 +359,8 @@ def _sweep(rng):
 
 
 def _well(rng):
-    """Flags and 40-digit ceiling of a well holding at most 10^4 states."""
+    """Flags and 40-digit ceiling of a well holding at most 10^4 states; q is inf where k_max is too small for
+    them, and every well command refuses that width (exit 2)."""
     _, U, hbar, m = _energies(rng)
     k_max = mpmath.sqrt(2 * mpf(m) * U) / hbar
     states = _log_uniform(rng, 0, 4)
@@ -359,11 +371,12 @@ def _well(rng):
 def _energies_command(rng):
     U, q, hbar, m, k_max = _well(rng)
     if rng.random() < 0.5:  # a top state just under the top: P = (j + 1)(pi/2)(1 + 10^-d)
-        j, d = rng.randrange(int(min(mpf(q) * k_max / mpmath.pi * 2, 1e4))), rng.randint(1, 15)
+        # a well of less than one slot, where q rounds low, still holds one state
+        j, d = rng.randrange(max(1, int(min(mpf(q) * k_max / mpmath.pi * 2, 1e4)))), rng.randint(1, 15)
         q = float((j + 1) * mpmath.pi / 2 * (1 + mpf(10) ** -d) / k_max)
     argv = ["energies", *_flags(U=U, q=q, hbar=hbar, mass=m)]
     code, record = _call(argv)
-    assert code == (0 if _normal(k_max) else 2), argv
+    assert code == (0 if _normal(k_max) and q < math.inf else 2), argv
     if code:
         return
     states = record["outputs"]["states"]
@@ -381,7 +394,12 @@ def _connection(rng, command):
     units = Units(hbar=hbar, mass=m)
     if not _normal(k_max):
         return
-    size = math.ceil(2 * float(k_max) * q / math.pi)
+    name = ["connect"] if command == "connect" else ["coverage", "sw"]
+    if q == math.inf:
+        argv = [*name, *_flags(U=U, q=q, hbar=hbar, mass=m, state_index=0), "--past=0.0,0", "--present=0.0,1.0"]
+        assert _call(argv)[0] == 2, argv
+        return
+    size = int(mpmath.ceil(2 * k_max * q / mpmath.pi))  # 2 k_max may overflow a double
     index = rng.randrange(min(size, 50))
     state = bound_state(square_well(U, q), units, index)
     ex = Exact(state.E, U, hbar, m, state.k, state.kappa)
@@ -391,8 +409,7 @@ def _connection(rng, command):
     elapsed = float(peak * _log_uniform(rng, -2, 2))
     if not _normal(elapsed):
         return
-    argv = ["connect" if command == "connect" else "coverage"] + ([] if command == "connect" else ["sw"])
-    argv += _flags(U=U, q=q, hbar=hbar, mass=m, state_index=index)
+    argv = [*name, *_flags(U=U, q=q, hbar=hbar, mass=m, state_index=index)]
     argv += [f"--past={x_past!r},0", f"--present={x_present!r},{elapsed!r}"]
     crossing = mpf(q) / (2 * ex.length(q))
     fraction = lambda x: crossing * (mpf(x) + q) / (2 * q)  # noqa: E731

@@ -46,9 +46,9 @@ RECORDS = [
     (DwellResult, "t_D sign ms kin", (2.0, "+", MONOCHROMATIC, _KIN)),
     (
         ExtremalReport,
-        "maximizer supremum analytic_bound epsilon attained_at_boundary supremum_extrapolated"
-        " sign=None alternative_bound=None alternative_bound_holds=None",
-        (MONOCHROMATIC, 1.0, 2.0, 1e-6, True, 1.5, "-", 0.5, False),
+        "maximizer supremum analytic_bound epsilon attained_at_boundary sign=None alternative_bound=None"
+        " alternative_bound_holds=None",
+        (MONOCHROMATIC, 1.0, 2.0, 1e-6, True, "-", 0.5, False),
     ),
     (TrajectorySample, "x t W_x dWx_dE speed", (1.0, 2.0, 3.0, 4.0, 5.0)),
     (FlightTime, "t orientation", (1.5, -1)),

@@ -17,7 +17,6 @@ from trdwell.times import (
     SIGN_MINUS,
     SIGN_PLUS,
     ExtremalReport,
-    _report,
     dwell_supremum_bound,
     dwell_time,
     dwell_time_monochromatic,
@@ -30,6 +29,7 @@ from trdwell.times import (
     max_dwell,
     max_libration,
 )
+from richardson import extrapolated
 from zoom_search import (
     _LOG_A_HI,
     _LOG_A_LO,
@@ -139,20 +139,14 @@ class TestDwell:
             DomainError, "libration denominator 0.0 is not positive",
         ),
         (
-            lambda: ExtremalReport(MONOCHROMATIC, 0.0, 1.0, 1e-6, True, 0.0),
+            lambda: ExtremalReport(MONOCHROMATIC, 0.0, 1.0, 1e-6, True),
             OptimizationFailure, "non-positive supremum",
         ),
         (
-            lambda: ExtremalReport(MONOCHROMATIC, 1.0 + 2e-9, 1.0, 1e-6, True, 1.0),
+            lambda: ExtremalReport(MONOCHROMATIC, 1.0 + 2e-9, 1.0, 1e-6, True),
             OptimizationFailure, "exceeds the analytic bound 1.0",
         ),
-        # 2 sup overflows, and so does 2 (sup - coarse/2)
-        (
-            lambda: _report(MONOCHROMATIC, 1.7e308, 1.0, 1e-6, 1.7e308, SIGN_MINUS),
-            DomainError, "the extrapolated supremum 2 x 1.7e[+]308 - 1.0 overflows a double",
-        ),
-        # r = 1.5e308, where an inset at |2 - 2 epsilon| would overflow: past epsilon = 1 there is no partner,
-        # and the supremum itself is refused
+        # r = 1.5e308: the maximizer at c = 0.1 is a Microstate, and the supremum there is refused
         (
             lambda: max_dwell(kinematics_from_energies(1e-320, 2.25e296), 1.9),
             DomainError, "the dwell time is about 10\\^319.7: it overflows a double",
@@ -160,7 +154,7 @@ class TestDwell:
     ],
     ids=[
         "dwell-denominator", "libration-denominator", "non-positive-supremum", "supremum-above-its-bound",
-        "extrapolation-overflow", "inset-overflow",
+        "inset-overflow",
     ],
 )
 def test_each_refusal_of_the_times_layer(call, error, message):
@@ -183,8 +177,8 @@ class TestMaxDwell:
         assert report.analytic_bound == pytest.approx(bound, rel=1e-14)
         assert report.supremum <= bound
         assert abs(report.supremum - bound) / bound <= 1e-6
-        # halving the inset and extrapolating squeezes the gap by orders
-        assert abs(report.supremum_extrapolated - bound) / bound <= 1e-10
+        # a second report at twice the inset, and one Richardson step, squeeze the gap by orders
+        assert abs(extrapolated(lambda e: max_dwell(kin, e), 1e-6) - bound) / bound <= 1e-10
 
     def test_supremum_value_frozen(self, kin):
         report = max_dwell(kin, epsilon=1e-6)
@@ -279,7 +273,7 @@ class TestMaxLibration:
         assert report.analytic_bound == pytest.approx(bound, rel=1e-14)
         assert report.supremum <= bound
         assert abs(report.supremum - bound) / bound <= 1e-6
-        assert abs(report.supremum_extrapolated - bound) / bound <= 1e-10
+        assert abs(extrapolated(lambda e: max_libration(kin, 1.0, e), 1e-6) - bound) / bound <= 1e-10
         assert report.attained_at_boundary
         assert report.maximizer.c == pytest.approx(2.0 - 1e-6, abs=1e-12)
         # the flagged variant is exposed and judged against the found supremum
@@ -341,7 +335,7 @@ class TestSearchOracles:
             assert report.supremum <= report.analytic_bound * (1.0 + 1e-9)
             assert report.supremum == pytest.approx(report.analytic_bound, rel=1e-5)
 
-    @pytest.mark.parametrize("epsilon", [1e-6, 0.5, 1.5, 1.99])  # past 1.0 the partner 2 - 2 epsilon is < 0
+    @pytest.mark.parametrize("epsilon", [1e-6, 0.5, 1.5, 1.99])  # past 1.0, 2 epsilon is no inset
     @pytest.mark.parametrize(
         "quantity,E,U",
         [
@@ -356,13 +350,15 @@ class TestSearchOracles:
         fine = _oracle_maximum(E, U, 1.0, 1.0, 1.0, 2.0 - epsilon)
         column = 1 if quantity == "dwell" else 2
         with mpmath.workdps(40):
-            value, extrapolated = float(fine[column]), None
+            value, richardson = float(fine[column]), None
             if epsilon <= 1.0:
                 coarse = _oracle_maximum(E, U, 1.0, 1.0, 1.0, 2.0 - 2.0 * epsilon)
-                extrapolated = pytest.approx(float(2 * fine[column] - coarse[column]), rel=1e-14, abs=0.0)
-        report = max_dwell(kin, epsilon) if quantity == "dwell" else max_libration(kin, 1.0, epsilon)
+                richardson = pytest.approx(float(2 * fine[column] - coarse[column]), rel=1e-14, abs=0.0)
+        report_at = (lambda e: max_dwell(kin, e)) if quantity == "dwell" else (lambda e: max_libration(kin, 1.0, e))
+        report = report_at(epsilon)
         assert report.supremum == pytest.approx(value, rel=1e-14, abs=0.0)
-        assert report.supremum_extrapolated == extrapolated
+        if epsilon <= 1.0:
+            assert extrapolated(report_at, epsilon) == richardson
         assert report.maximizer.a == pytest.approx(float(fine[0]), rel=1e-15)
         assert report.maximizer.c == 2.0 - epsilon
 
@@ -380,30 +376,18 @@ def _extremal_cases(draw):
 
 def _via_records(kin, epsilon, q):
     """The report of ``max_dwell`` (q None) or ``max_libration``, built from a Microstate and a public time at
-    the maximizer and, for epsilon <= 1, at its partner 2 - 2 epsilon."""
+    the maximizer."""
     check_epsilon(epsilon)
-    tops = []
-    for c in (2.0 - epsilon, 2.0 - 2.0 * epsilon):  # (a*, (1 + c^2/4)/a*, c), a* = r sqrt(1 + c^2/4)
-        if c < 0.0:
-            break  # the partner has left the branch c >= 0: there is none
-        a = kin.r * math.sqrt(1.0 + 0.25 * c * c)
-        tops.append(Microstate(a, (1.0 + 0.25 * c * c) / a, c))
+    c = 2.0 - epsilon  # (a*, (1 + c^2/4)/a*, c), a* = r sqrt(1 + c^2/4)
+    a = kin.r * math.sqrt(1.0 + 0.25 * c * c)
+    top = Microstate(a, (1.0 + 0.25 * c * c) / a, c)
     if q is None:
-        sup, *partner = (dwell_time(kin, ms, SIGN_MINUS).t_D for ms in tops)
-        bound, extra = dwell_supremum_bound(kin), (SIGN_MINUS,)
+        sup, bound, extra = dwell_time(kin, top, SIGN_MINUS).t_D, dwell_supremum_bound(kin), (SIGN_MINUS,)
     else:
-        sup, *partner = (libration_period(kin, q, ms) for ms in tops)
-        bound, alternative = libration_supremum_bound(kin, q), libration_alternative_bound(kin, q)
+        sup, bound = libration_period(kin, q, top), libration_supremum_bound(kin, q)
+        alternative = libration_alternative_bound(kin, q)
         extra = (None, alternative, sup <= alternative * (1.0 + 1e-9))
-    extrapolated = None
-    for coarse in partner:
-        extrapolated = 2.0 * sup - coarse
-        if extrapolated == math.inf:
-            extrapolated = 2.0 * (sup - 0.5 * coarse)
-        if extrapolated == math.inf:
-            raise DomainError(f"the extrapolated supremum 2 x {sup!r} - {coarse!r} overflows a double")
-    top = tops[0]
-    return ExtremalReport(top, sup, bound, epsilon, abs(top.c) >= 2.0 - epsilon - 1e-9, extrapolated, *extra)
+    return ExtremalReport(top, sup, bound, epsilon, abs(top.c) >= 2.0 - epsilon - 1e-9, *extra)
 
 
 def _outcome(call):
@@ -415,12 +399,12 @@ def _outcome(call):
 
 
 class TestReportsFollowTheRecordPath:
-    # each report evaluates its inset as floats; it must equal the report built from a Microstate and
-    # the public time at the maximizer and at the inset, value for value and refusal for refusal
+    # each report evaluates its time with the scalar kernels; it must equal the report built from a
+    # Microstate and the public time at the maximizer, value for value and refusal for refusal
     @given(_extremal_cases())
-    @example((1e-320, 2.25e296, 1.0, 1.0, 1.0, 1.9))  # r = 1.5e308 with no partner: the supremum overflows
-    @example((0.5, 1.0, 2.5e307, 1.0, 1.0, 1e-6))  # 2 sup overflows, the extrapolation does not
-    @example((0.18, 0.5, 1.0, 1.0, 1.0, 1.0))  # the last epsilon with a partner, at c = 0
+    @example((1e-320, 2.25e296, 1.0, 1.0, 1.0, 1.9))  # r = 1.5e308: the supremum overflows
+    @example((0.5, 1.0, 2.5e307, 1.0, 1.0, 1e-6))  # a supremum of 1.2e308, near the top of the doubles
+    @example((0.18, 0.5, 1.0, 1.0, 1.0, 1.0))  # the maximizer at c = 1
     @settings(max_examples=400, deadline=None)
     def test_bit_for_bit(self, case):
         E, U, hbar, mass, q, epsilon = case
