@@ -1016,6 +1016,43 @@ class TestOutputPlumbing:
             assert outputs["supremum"] == pytest.approx(expected, rel=1e-14, abs=0.0), argv
             assert outputs["supremum"] / outputs["analytic_bound"] == pytest.approx(1.0 - deficit, abs=1e-8)
 
+    @staticmethod
+    def _extremal_outputs(argv, fmt, capsys):
+        """The outputs of an extremal command, as a dict of strings for csv; the csv row also carries the inputs."""
+        assert run([*argv, "--format", fmt]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if fmt == "json":
+            return json.loads(captured.out)["outputs"]
+        header, row = captured.out.splitlines()
+        return dict(zip(header.split(","), row.split(",")))
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_supremum_near_the_top_of_the_double_range(self, fmt, capsys):
+        # sup = 1.2e308 is a double, though 2 sup is not: the report holds the attained value only
+        outputs = self._extremal_outputs(["dwell-max", "--E", "0.5", "--U", "1", "--hbar", "2.5e307"], fmt, capsys)
+        assert "supremum_extrapolated" not in outputs
+        with mpmath.workdps(40):
+            # r = 1: t_D(c) = (2 sqrt(1 + c^2/4) + c)/2 times the monochromatic dwell hbar/sqrt(E (U - E)) = 2 hbar
+            c, hbar = mpmath.mpf(2.0 - 1e-6), mpmath.mpf(2.5e307)
+            exact = (2 * mpmath.sqrt(1 + c * c / 4) + c) * hbar
+        assert float(outputs["supremum"]) == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+        assert float(outputs["supremum"]) < float(outputs["analytic_bound"]) == pytest.approx(1.2071068e308, rel=1e-7)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_an_epsilon_past_one_reports_the_attained_supremum(self, fmt, capsys):
+        # epsilon = 1.9 puts the maximizer at c = 0.1, far inside the slice: the report is that one value
+        outputs = self._extremal_outputs(["dwell-max", "--E", "0.18", "--U", "0.5", "--epsilon", "1.9"], fmt, capsys)
+        assert "supremum_extrapolated" not in outputs
+        c = outputs["maximizer"]["c"] if fmt == "json" else float(outputs["c"])
+        assert c == 2.0 - 1.9
+        # r = 4/3, c = 0.1: t_D = (1 + r^2)(2 sqrt(1 + c^2/4) + c)/(4r) times the monochromatic dwell 1/sqrt(E (U - E))
+        with mpmath.workdps(40):
+            E, U, c = mpmath.mpf(0.18), mpmath.mpf(0.5), mpmath.mpf(2.0) - mpmath.mpf(1.9)
+            r = mpmath.sqrt((U - E) / E)
+            exact = (1 + r * r) * (2 * mpmath.sqrt(1 + c * c / 4) + c) / (4 * r) / mpmath.sqrt(E * (U - E))
+        assert float(outputs["supremum"]) == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+
     def test_a_period_beyond_the_double_range_is_domain(self, capsys):
         assert run(["libration", "--E", "1e-300", "--U", "0.5", "--q", "1e300"]) == 2
         assert "overflows" in capsys.readouterr().err

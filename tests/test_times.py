@@ -151,10 +151,15 @@ class TestDwell:
             lambda: max_dwell(kinematics_from_energies(1e-320, 2.25e296), 1.9),
             DomainError, "the dwell time is about 10\\^319.7: it overflows a double",
         ),
+        # the inset epsilon lies in (0, 2), checked before the maximizer is built
+        (
+            lambda: max_libration(kinematics_from_energies(0.5, 1.0), 1.0, 2.0),
+            DomainError, "epsilon must lie in \\(0, 2\\), got 2.0",
+        ),
     ],
     ids=[
         "dwell-denominator", "libration-denominator", "non-positive-supremum", "supremum-above-its-bound",
-        "inset-overflow",
+        "inset-overflow", "epsilon-out-of-range",
     ],
 )
 def test_each_refusal_of_the_times_layer(call, error, message):
